@@ -123,9 +123,15 @@ def barcore_counts(t: int, limit: int) -> CountTable:
     return CountTable(label=f"f_{t}bar", counts=counts)
 
 
+def _check_pair(s: int, t: int) -> None:
+    if s <= 1 or t <= 1:
+        raise ValueError("s and t must exceed 1")
+
+
 @cache
 def st_core_counts(s: int, t: int, limit: int) -> CountTable:
     """psi_{s,t}(0..limit) by filtering every partition."""
+    _check_pair(s, t)
     counts = tuple(
         count_filtered(n, lambda p: is_t_core(p, s) and is_t_core(p, t))
         for n in range(limit + 1)
@@ -136,6 +142,7 @@ def st_core_counts(s: int, t: int, limit: int) -> CountTable:
 @cache
 def selfconj_st_core_counts(s: int, t: int, limit: int) -> CountTable:
     """psi*_{s,t}(0..limit) by filtering self-conjugate partitions."""
+    _check_pair(s, t)
     counts = tuple(
         sum(
             1
@@ -150,6 +157,7 @@ def selfconj_st_core_counts(s: int, t: int, limit: int) -> CountTable:
 @cache
 def stbar_core_counts(s: int, t: int, limit: int) -> CountTable:
     """psi_{sbar,tbar}(0..limit) by filtering bar partitions."""
+    _check_pair(s, t)
     counts = tuple(
         count_filtered(n, lambda b: is_tbar_core(b, s) and is_tbar_core(b, t), bar=True)
         for n in range(limit + 1)
@@ -265,8 +273,7 @@ def extremal_stats(s: int, t: int, *, exhaustive: bool = False) -> tuple[int, in
     Raises:
         ValueError: for non-coprime input (or a failed exhaustive check).
     """
-    if s <= 1 or t <= 1:
-        raise ValueError("s and t must exceed 1")
+    _check_pair(s, t)
     if gcd(s, t) != 1:
         raise ValueError("s and t must be coprime")
     total = comb(s + t, t) // (s + t)
@@ -286,20 +293,3 @@ def extremal_stats(s: int, t: int, *, exhaustive: bool = False) -> tuple[int, in
             )
     return total, max_size
 
-
-def q_tuple_count_by_census(sizes: tuple[int, ...], g: int, w: int) -> int:
-    """g-tuple count from an explicit finite census of component sizes."""
-    base = [0] * (w + 1)
-    for n in sizes:
-        if n <= w:
-            base[n] += 1
-    vec = [1] + [0] * w
-    for _ in range(g):
-        nxt = [0] * (w + 1)
-        for i, a in enumerate(vec):
-            if a:
-                for j in range(w + 1 - i):
-                    if base[j]:
-                        nxt[i + j] += a * base[j]
-        vec = nxt
-    return vec[w]

@@ -3,13 +3,18 @@
 All coefficients are exact Python integers. A series of truncation N stores
 c_0..c_N; arithmetic never silently exceeds the truncation, so every operation
 is exact for the exponents it reports.
+
+The four single-modulus functions (partitions, t-cores, self-conjugate
+t-cores, t-bar-cores) are eta products, products of factors (1 - x**a)**b,
+evaluated in place by :func:`eta_product`. The three joint functions multiply
+such a product by powers of finite census polynomials of coprime cores.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import comb, gcd
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Callable, Iterable, Sequence
 
 from .lattice import (
     enumerate_barcores_by_yy,
@@ -17,6 +22,8 @@ from .lattice import (
     enumerate_st_cores_by_paths,
 )
 from .partitions import is_self_conjugate
+
+Census = Callable[[int, int], Iterable[Sequence[int]]]
 
 
 class TruncatedSeries:
@@ -112,11 +119,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs, truncation=truncation)
 
 
-def from_counts(counts: Sequence[int], truncation: int) -> TruncatedSeries:
-    """Series with the given initial coefficients, zero-padded or cut to fit."""
-    return TruncatedSeries(counts, truncation=truncation)
-
-
 def size_polynomial(sizes: Iterable[int], truncation: int) -> TruncatedSeries:
     """The polynomial sum of x**size over a finite census of sizes."""
     out = [0] * (truncation + 1)
@@ -126,52 +128,44 @@ def size_polynomial(sizes: Iterable[int], truncation: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def product_term(a: int, b: int, truncation: int) -> TruncatedSeries:
-    """Expansion of (1 - x**a)**b, any integer b.
+def eta_product(factors: Iterable[tuple[int, int]], truncation: int) -> TruncatedSeries:
+    """The product of (1 - x**a)**b over the (a, b) pairs, any integer b.
 
-    Positive b uses the binomial theorem; negative b uses the negative
-    binomial series, both with exact integer coefficients.
+    Evaluated in place on one coefficient list, one pass per unit of |b|:
+    multiplying by 1 - x**a is c[i] -= c[i-a] from the top down, dividing by
+    it is c[i] += c[i-a] from the bottom up. Factors with a > truncation are
+    1 within the truncation and cost nothing.
     """
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    out = [0] * (truncation + 1)
-    if b >= 0:
-        for k in range(min(b, truncation // a) + 1):
-            out[a * k] = (-1) ** k * comb(b, k)
-    else:
-        m = -b
-        for k in range(truncation // a + 1):
-            out[a * k] = comb(k + m - 1, m - 1)
-    return TruncatedSeries(out)
-
-
-def _product(terms: Iterable[TruncatedSeries], truncation: int) -> TruncatedSeries:
-    result = TruncatedSeries.one(truncation)
-    for term in terms:
-        result = result * term
-    return result
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    c = [1] + [0] * truncation
+    for a, b in factors:
+        if a < 1:
+            raise ValueError("a must be >= 1")
+        if a > truncation:
+            continue
+        for _ in range(abs(b)):
+            if b > 0:
+                for i in range(truncation, a - 1, -1):
+                    c[i] -= c[i - a]
+            else:
+                for i in range(a, truncation + 1):
+                    c[i] += c[i - a]
+    return TruncatedSeries(c)
 
 
 def partition_gf(truncation: int) -> TruncatedSeries:
     """Coefficients p(0..N): the product of 1/(1 - x**n)."""
-    return _product(
-        (product_term(n, -1, truncation) for n in range(1, truncation + 1)),
-        truncation,
-    )
+    return eta_product(((n, -1) for n in range(1, truncation + 1)), truncation)
 
 
 def core_gf(t: int, truncation: int) -> TruncatedSeries:
     """Coefficients f_t(0..N): the product of (1 - x**(t n))**t / (1 - x**n)."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    terms = [product_term(n, -1, truncation) for n in range(1, truncation + 1)]
-    terms += [product_term(t * n, t, truncation) for n in range(1, truncation // t + 1)]
-    return _product(terms, truncation)
-
-
-def _one_plus_power_term(m: int, b: int, truncation: int) -> TruncatedSeries:
-    """(1 + x**m)**b as (1 - x**(2m))**b / (1 - x**m)**b."""
-    return product_term(2 * m, b, truncation) * product_term(m, -b, truncation)
+    factors = [(n, -1) for n in range(1, truncation + 1)]
+    factors += [(t * n, t) for n in range(1, truncation // t + 1)]
+    return eta_product(factors, truncation)
 
 
 def selfconj_core_gf(t: int, truncation: int) -> TruncatedSeries:
@@ -179,25 +173,17 @@ def selfconj_core_gf(t: int, truncation: int) -> TruncatedSeries:
 
     Even t: product of (1 - x**(2tn))**(t/2) (1 + x**(2n-1)).
     Odd t: product of (1 - x**(2tn))**((t-1)/2) (1 + x**(2n-1)) / (1 + x**(t(2n-1))).
+    Each 1 + x**m enters as (1 - x**(2m)) / (1 - x**m).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    terms = []
-    half = t // 2 if t % 2 == 0 else (t - 1) // 2
-    terms += [
-        product_term(2 * t * n, half, truncation)
-        for n in range(1, truncation // (2 * t) + 1)
-    ]
-    terms += [
-        _one_plus_power_term(2 * n - 1, 1, truncation)
-        for n in range(1, (truncation + 1) // 2 + 1)
-    ]
+    factors = [(2 * t * n, t // 2) for n in range(1, truncation // (2 * t) + 1)]
+    for m in range(1, truncation + 1, 2):
+        factors += [(2 * m, 1), (m, -1)]
     if t % 2 == 1:
-        terms += [
-            _one_plus_power_term(t * (2 * n - 1), -1, truncation)
-            for n in range(1, (truncation // t + 1) // 2 + 1)
-        ]
-    return _product(terms, truncation)
+        for m in range(t, truncation + 1, 2 * t):
+            factors += [(2 * m, -1), (m, 1)]
+    return eta_product(factors, truncation)
 
 
 def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
@@ -208,62 +194,40 @@ def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
     """
     if t < 1 or t % 2 == 0:
         raise ValueError("t must be odd and >= 1")
-    terms = [product_term(n, -1, truncation) for n in range(1, truncation + 1)]
-    terms += [product_term(2 * n, 1, truncation) for n in range(1, truncation // 2 + 1)]
-    terms += [
-        product_term(t * n, (t + 1) // 2, truncation)
-        for n in range(1, truncation // t + 1)
-    ]
-    terms += [
-        product_term(2 * t * n, -1, truncation)
-        for n in range(1, truncation // (2 * t) + 1)
-    ]
-    return _product(terms, truncation)
+    factors = [(n, -1) for n in range(1, truncation + 1)]
+    factors += [(2 * n, 1) for n in range(1, truncation // 2 + 1)]
+    factors += [(t * n, (t + 1) // 2) for n in range(1, truncation // t + 1)]
+    factors += [(2 * t * n, -1) for n in range(1, truncation // (2 * t) + 1)]
+    return eta_product(factors, truncation)
 
 
-@cache
-def _census_core_sizes(s: int, t: int) -> tuple[int, ...]:
-    return tuple(sum(p) for p in enumerate_st_cores_by_paths(s, t))
-
-
-@cache
-def _census_selfconj_sizes(s: int, t: int) -> tuple[int, ...]:
+def _selfconj_cores(s: int, t: int) -> Iterable[Sequence[int]]:
+    """Self-conjugate (s,t)-cores: the diagonal-hooks path census when both
+    parameters are odd, the filtered Anderson census otherwise."""
     if s % 2 == 1 and t % 2 == 1:
-        return tuple(sum(p) for p in enumerate_selfconj_by_dh(*sorted((s, t))))
-    return tuple(
-        sum(p) for p in enumerate_st_cores_by_paths(s, t) if is_self_conjugate(p)
-    )
+        return enumerate_selfconj_by_dh(*sorted((s, t)))
+    return (p for p in enumerate_st_cores_by_paths(s, t) if is_self_conjugate(p))
+
+
+def _bar_cores(s: int, t: int) -> Iterable[Sequence[int]]:
+    """(s-bar, t-bar)-cores by the yin-yang path census, odd s and t."""
+    return enumerate_barcores_by_yy(*sorted((s, t)))
 
 
 @cache
-def _census_barcore_sizes(s: int, t: int) -> tuple[int, ...]:
-    lo, hi = sorted((s, t))
-    return tuple(sum(b) for b in enumerate_barcores_by_yy(lo, hi))
+def _census_sizes(cores: Census, s: int, t: int) -> tuple[int, ...]:
+    return tuple(sum(p) for p in cores(s, t))
 
 
-def _coprime_psi_polynomial(s: int, t: int, truncation: int) -> TruncatedSeries:
-    """Finite census polynomial of (s,t)-core sizes at gcd(s,t) = 1."""
-    if s == 1 or t == 1:
-        return TruncatedSeries.one(truncation)
-    return size_polynomial(_census_core_sizes(s, t), truncation)
+def _census_polynomial(cores: Census, s: int, t: int, truncation: int) -> TruncatedSeries:
+    """Finite census polynomial, the sum of x**|p| over ``cores(s, t)``, gcd = 1.
 
-
-def _coprime_selfconj_polynomial(s: int, t: int, truncation: int) -> TruncatedSeries:
-    """Finite census polynomial of self-conjugate (s,t)-core sizes, gcd = 1.
-
-    Uses the diagonal-hooks path census when both parameters are odd and
-    falls back to filtering the full core census otherwise.
+    ``cores`` is one of the three path censuses. The sizes are cached per
+    census and pair, not per truncation.
     """
     if s == 1 or t == 1:
         return TruncatedSeries.one(truncation)
-    return size_polynomial(_census_selfconj_sizes(s, t), truncation)
-
-
-def _coprime_barcore_polynomial(s: int, t: int, truncation: int) -> TruncatedSeries:
-    """Finite census polynomial of (s-bar, t-bar)-core sizes, gcd = 1, s, t odd."""
-    if s == 1 or t == 1:
-        return TruncatedSeries.one(truncation)
-    return size_polynomial(_census_barcore_sizes(s, t), truncation)
+    return size_polynomial(_census_sizes(cores, s, t), truncation)
 
 
 def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -277,8 +241,8 @@ def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
         raise ValueError("s and t must exceed 1")
     g = gcd(s, t)
     if g == 1:
-        return _coprime_psi_polynomial(s, t, truncation)
-    base = _coprime_psi_polynomial(s // g, t // g, truncation)
+        return _census_polynomial(enumerate_st_cores_by_paths, s, t, truncation)
+    base = _census_polynomial(enumerate_st_cores_by_paths, s // g, t // g, truncation)
     return base.substitute_power(g) ** g * core_gf(g, truncation)
 
 
@@ -297,12 +261,12 @@ def psi_star_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     if g == 1:
         raise ValueError("gcd(s, t) must exceed 1; use the finite census at g = 1")
     sp, tp = s // g, t // g
-    base = _coprime_psi_polynomial(sp, tp, truncation)
+    base = _census_polynomial(enumerate_st_cores_by_paths, sp, tp, truncation)
     result = selfconj_core_gf(g, truncation)
     if g % 2 == 0:
         return result * base.substitute_power(2 * g) ** (g // 2)
     result = result * base.substitute_power(2 * g) ** ((g - 1) // 2)
-    star_base = _coprime_selfconj_polynomial(sp, tp, truncation)
+    star_base = _census_polynomial(_selfconj_cores, sp, tp, truncation)
     return result * star_base.substitute_power(g)
 
 
@@ -316,10 +280,10 @@ def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
         raise ValueError("s and t must be odd and exceed 1")
     g = gcd(s, t)
     if g == 1:
-        return _coprime_barcore_polynomial(s, t, truncation)
+        return _census_polynomial(_bar_cores, s, t, truncation)
     sp, tp = s // g, t // g
-    bar_base = _coprime_barcore_polynomial(sp, tp, truncation)
-    base = _coprime_psi_polynomial(sp, tp, truncation)
+    bar_base = _census_polynomial(_bar_cores, sp, tp, truncation)
+    base = _census_polynomial(enumerate_st_cores_by_paths, sp, tp, truncation)
     return (
         bar_base.substitute_power(g)
         * base.substitute_power(g) ** ((g - 1) // 2)
@@ -336,7 +300,7 @@ def convolution_psi(s: int, t: int, truncation: int) -> TruncatedSeries:
     g = gcd(s, t)
     if g == 1:
         raise ValueError("gcd(s, t) must exceed 1")
-    q = _coprime_psi_polynomial(s // g, t // g, truncation) ** g
+    q = _census_polynomial(enumerate_st_cores_by_paths, s // g, t // g, truncation) ** g
     f = core_gf(g, truncation)
     out = [
         sum(q[w] * f[n - g * w] for w in range(n // g + 1))
@@ -357,7 +321,7 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
         raise ValueError("gcd(s, t) must exceed 1")
     sp, tp = s // g, t // g
     fstar = selfconj_core_gf(g, truncation)
-    base = _coprime_psi_polynomial(sp, tp, truncation)
+    base = _census_polynomial(enumerate_st_cores_by_paths, sp, tp, truncation)
     out = []
     if g % 2 == 0:
         q = base ** (g // 2)
@@ -367,7 +331,7 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
             )
     else:
         q = base ** ((g - 1) // 2)
-        star_base = _coprime_selfconj_polynomial(sp, tp, truncation)
+        star_base = _census_polynomial(_selfconj_cores, sp, tp, truncation)
         for n in range(truncation + 1):
             total = 0
             for w1 in range(n // (2 * g) + 1):
@@ -390,8 +354,8 @@ def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
     if g == 1:
         raise ValueError("gcd(s, t) must exceed 1")
     sp, tp = s // g, t // g
-    qbar = _coprime_barcore_polynomial(sp, tp, truncation) * (
-        _coprime_psi_polynomial(sp, tp, truncation) ** ((g - 1) // 2)
+    qbar = _census_polynomial(_bar_cores, sp, tp, truncation) * (
+        _census_polynomial(enumerate_st_cores_by_paths, sp, tp, truncation) ** ((g - 1) // 2)
     )
     f = barcore_gf(g, truncation)
     out = [

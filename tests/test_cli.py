@@ -58,6 +58,14 @@ def test_count_table_variants():
     assert result.output.splitlines()[-1] == "3,1"
 
 
+@pytest.mark.parametrize("variant", ("straight", "selfconj", "bar"))
+def test_count_rejects_a_unit_modulus_like_series(variant):
+    result = invoke("count", "--variant", variant, "-t", "3", "-s", "1", "-N", "4")
+    assert result.exit_code != 0
+    assert "s and t must exceed 1" in result.output
+    assert result.output == invoke("series", "--gf", "psi", "-s", "1", "-t", "3").output
+
+
 def test_grid_kinds():
     assert invoke("grid", "--kind", "yinyang", "-s", "3", "-t", "5").output == "2,-1\n"
     assert invoke("grid", "--kind", "dh", "-s", "3", "-t", "5").output == "7,1\n"

@@ -1,7 +1,10 @@
+import ast
 from math import comb
+from pathlib import Path
 
 import pytest
 
+from stcores import oracle
 from stcores.bar_partitions import is_bar_partition
 from stcores.oracle import (
     CountTable,
@@ -98,3 +101,18 @@ def test_extremal_stats_closed_form_and_exhaustive_agree():
 
 def test_barcore_counts_small_values():
     assert barcore_counts(3, 5).counts == (1, 1, 1, 0, 0, 1)
+
+
+def test_oracle_imports_only_the_partition_modules():
+    # an independent second source: no series, lattice or tower code
+    used = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            used.update(f"stcores.{name}" for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            used.add(node.module)
+    local = {name for name in used if name.split(".")[0] == "stcores"}
+    assert local <= {"stcores.partitions", "stcores.bar_partitions"}

@@ -1,3 +1,5 @@
+from math import comb
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -13,9 +15,8 @@ from stcores.series import (
     congruence_scan,
     convolution_psi,
     core_gf,
-    from_counts,
+    eta_product,
     partition_gf,
-    product_term,
     progression_extract,
     psi_bar_st_gf,
     psi_st_gf,
@@ -73,10 +74,59 @@ def test_substitute_power_spreads_coefficients():
     assert s.substitute_power(1) == s
 
 
-def test_product_term_both_signs():
-    assert product_term(1, -1, 6).coeffs == (1,) * 7
-    assert product_term(1, 1, 6).coeffs == (1, -1, 0, 0, 0, 0, 0)
-    assert product_term(2, -3, 6)[4] == 6
+def test_eta_product_single_factor_both_signs():
+    assert eta_product([(1, -1)], 6).coeffs == (1,) * 7
+    assert eta_product([(1, 1)], 6).coeffs == (1, -1, 0, 0, 0, 0, 0)
+    assert eta_product([(2, -3)], 6)[4] == 6
+    with pytest.raises(ValueError, match="a must be"):
+        eta_product([(0, 1)], 6)
+
+
+def _binomial(a, b, truncation, sign=-1):
+    """(1 + sign * x**a)**b by the binomial series, coefficient by coefficient."""
+    out = [0] * (truncation + 1)
+    for k in range(truncation // a + 1):
+        if b >= 0:
+            out[a * k] = comb(b, k) * sign**k
+        else:
+            out[a * k] = comb(k - b - 1, -b - 1) * (-sign) ** k
+    return TruncatedSeries(out)
+
+
+def _schoolbook(factors, truncation):
+    """Product of (1 + sign * x**a)**b over (a, b, sign), one dense product each."""
+    result = TruncatedSeries.one(truncation)
+    for a, b, sign in factors:
+        if a <= truncation:
+            result = _binomial(a, b, truncation, sign) * result
+    return result
+
+
+def _reference(family, t, n):
+    """The builders' product formulas, written out with 1 + x**m kept as is."""
+    ks = range(1, n + 1)
+    odd = range(1, n + 1, 2)
+    if family == "core":
+        factors = [(k, -1, -1) for k in ks] + [(t * k, t, -1) for k in ks]
+    elif family == "selfconj":
+        factors = [(2 * t * k, t // 2, -1) for k in ks] + [(m, 1, 1) for m in odd]
+        if t % 2:
+            factors += [(t * m, -1, 1) for m in odd]
+    else:
+        factors = [(k, -1, -1) for k in ks] + [(2 * k, 1, -1) for k in ks]
+        factors += [(t * k, (t + 1) // 2, -1) for k in ks]
+        factors += [(2 * t * k, -1, -1) for k in ks]
+    return _schoolbook(factors, n)
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 60, 120))
+def test_eta_builders_match_the_schoolbook_products(n):
+    assert partition_gf(n) == _schoolbook([(k, -1, -1) for k in range(1, n + 1)], n)
+    for t in range(1, 8):
+        assert core_gf(t, n) == _reference("core", t, n)
+        assert selfconj_core_gf(t, n) == _reference("selfconj", t, n)
+        if t % 2:
+            assert barcore_gf(t, n) == _reference("bar", t, n)
 
 
 def test_partition_gf_matches_known_values():
@@ -84,7 +134,7 @@ def test_partition_gf_matches_known_values():
 
 
 def test_helper_constructors():
-    assert from_counts([1, 0, 2], 4).coeffs == (1, 0, 2, 0, 0)
+    assert TruncatedSeries([1, 0, 2], truncation=4).coeffs == (1, 0, 2, 0, 0)
     assert size_polynomial([0, 3, 3], 5).coeffs == (1, 0, 0, 2, 0, 0)
 
 
