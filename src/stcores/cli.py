@@ -68,6 +68,13 @@ def _build_series(
     return joint[gf](s, t, truncation)
 
 
+# Largest truncation `count` accepts per variant. Brute force visits every
+# (self-conjugate, bar) partition of every size up to -N, and those numbers
+# grow exponentially in sqrt(N): at each cap one count takes under a minute on
+# a 2-vCPU Xeon, while p(200) alone is about 4e12 partitions.
+COUNT_CAPS = {"straight": 60, "selfconj": 150, "bar": 100}
+
+
 @main.command()
 @click.option("-t", "t", type=int, required=True, help="Modulus t.")
 @click.option("-s", "s", type=int, default=None, help="Second modulus for joint counts.")
@@ -81,8 +88,17 @@ def _build_series(
 @truncation_option
 @format_option
 def count(t: int, s: int | None, variant: str, truncation: int, fmt: str) -> None:
-    """Brute-force count table of cores by size (enumeration, not series)."""
+    """Brute-force count table of cores by size (enumeration, not series).
+
+    Refuses -N above 60 (straight), 150 (selfconj) or 100 (bar); where a
+    generating function exists, the series verb reaches any truncation.
+    """
     try:
+        if truncation > COUNT_CAPS[variant]:
+            raise ValueError(
+                f"-N {truncation} exceeds the brute-force cap {COUNT_CAPS[variant]} "
+                f"for --variant {variant}"
+            )
         if s is None:
             single = {
                 "straight": oracle.core_counts,

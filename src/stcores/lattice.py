@@ -4,7 +4,8 @@ Three grids share one path mechanism. Paths run from the bottom-left corner to
 the top-right corner of an R x C cell grid, one step right (R) or up (U) at a
 time, and are stored as strings over {R, U}. The column-height profile of a
 path, together with the grid's sign border, determines the trapped cells,
-whose values decode a partition.
+whose values decode a partition. :func:`census_by_size` counts the cores of
+each size over all paths of a grid without walking them one by one.
 """
 
 from __future__ import annotations
@@ -378,3 +379,48 @@ def enumerate_barcores_by_yy(s: int, t: int) -> Iterator[BarPartition]:
     grid = yinyang_grid(s, t)
     for path in enumerate_paths(grid.rows, grid.cols):
         yield yy_path_to_barcore(path, s, t)
+
+
+def census_by_size(grid: SignedGrid, *, beta_sets: bool = False) -> list[int]:
+    """Number of cores of each size over the monotonic paths of ``grid``.
+
+    Counts what the path enumerators above decode, without building a path or
+    a partition: the size of a core adds up over the trapped cells, so one
+    pass column by column over states (height, k, S) suffices, where k counts
+    the trapped cells so far and S sums their |values|. Every final height is
+    accepted, since the path may finish its column profile below the top.
+
+    With ``beta_sets`` (the Anderson grid) only paths weakly above the sign
+    border count, and k trapped values of sum S are a beta-set of a core of
+    size S - k(k-1)/2. Otherwise (the diagonal-hooks and yin-yang grids)
+    every path counts and the size is S.
+
+    Returns:
+        counts[n], the number of cores of size n, up to the largest size.
+    """
+    border = grid.border_heights()
+    # states[h] maps (k, S) to the number of path prefixes ending at height h.
+    states: list[dict[tuple[int, int], int]] = [{} for _ in range(grid.rows + 1)]
+    states[0][(0, 0)] = 1
+    for c, hb in enumerate(border):
+        column = [abs(grid.values[grid.rows - 1 - y][c]) for y in range(grid.rows)]
+        new: list[dict[tuple[int, int], int]] = [{} for _ in range(grid.rows + 1)]
+        reach: dict[tuple[int, int], int] = {}
+        for h in range(grid.rows + 1):
+            for key, n in states[h].items():
+                reach[key] = reach.get(key, 0) + n
+            if beta_sets and h < hb:
+                continue
+            trapped = column[hb:h] if h >= hb else column[h:hb]
+            m, w = len(trapped), sum(trapped)
+            new[h] = {(k + m, sum_ + w): n for (k, sum_), n in reach.items()}
+        states = new
+    sizes: dict[int, int] = {}
+    for level in states:
+        for (k, sum_), n in level.items():
+            size = sum_ - k * (k - 1) // 2 if beta_sets else sum_
+            sizes[size] = sizes.get(size, 0) + n
+    counts = [0] * (max(sizes) + 1)
+    for size, n in sizes.items():
+        counts[size] = n
+    return counts

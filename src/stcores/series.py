@@ -7,23 +7,30 @@ is exact for the exponents it reports.
 The four single-modulus functions (partitions, t-cores, self-conjugate
 t-cores, t-bar-cores) are eta products, products of factors (1 - x**a)**b,
 evaluated in place by :func:`eta_product`. The three joint functions multiply
-such a product by powers of finite census polynomials of coprime cores.
+such a product by powers of finite census polynomials of the reduced coprime
+pair. Each census polynomial counts cores by size with the lattice path DP
+:func:`stcores.lattice.census_by_size` on the Anderson, diagonal-hooks or
+yin-yang grid, so no path is walked and no partition is built; the path
+enumerators stay the independent source for the bijections and cross-checks.
+Only self-conjugate censuses of pairs of mixed parity, which have no grid of
+their own, filter the enumerated Anderson census.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .lattice import (
-    enumerate_barcores_by_yy,
-    enumerate_selfconj_by_dh,
+    anderson_grid,
+    census_by_size,
+    dh_grid,
     enumerate_st_cores_by_paths,
+    yinyang_grid,
 )
 from .partitions import is_self_conjugate
-
-Census = Callable[[int, int], Iterable[Sequence[int]]]
 
 
 class TruncatedSeries:
@@ -91,15 +98,19 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
-        result = TruncatedSeries.one(self.truncation)
+        if exponent == 0:
+            return TruncatedSeries.one(self.truncation)
+        # Square-and-multiply from the low bit, with no product by one and no
+        # squaring past the top bit: floor(log2 e) + popcount(e) - 1 products.
+        result = None
         base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
+        while True:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if not exponent:
+                return result
             base = base * base
-            e >>= 1
-        return result
 
     def substitute_power(self, g: int) -> "TruncatedSeries":
         """The series in x**g, at the same truncation."""
@@ -117,15 +128,6 @@ class TruncatedSeries:
         if truncation > self.truncation:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs, truncation=truncation)
-
-
-def size_polynomial(sizes: Iterable[int], truncation: int) -> TruncatedSeries:
-    """The polynomial sum of x**size over a finite census of sizes."""
-    out = [0] * (truncation + 1)
-    for n in sizes:
-        if n <= truncation:
-            out[n] += 1
-    return TruncatedSeries(out)
 
 
 def eta_product(factors: Iterable[tuple[int, int]], truncation: int) -> TruncatedSeries:
@@ -201,33 +203,36 @@ def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
     return eta_product(factors, truncation)
 
 
-def _selfconj_cores(s: int, t: int) -> Iterable[Sequence[int]]:
-    """Self-conjugate (s,t)-cores: the diagonal-hooks path census when both
-    parameters are odd, the filtered Anderson census otherwise."""
-    if s % 2 == 1 and t % 2 == 1:
-        return enumerate_selfconj_by_dh(*sorted((s, t)))
-    return (p for p in enumerate_st_cores_by_paths(s, t) if is_self_conjugate(p))
-
-
-def _bar_cores(s: int, t: int) -> Iterable[Sequence[int]]:
-    """(s-bar, t-bar)-cores by the yin-yang path census, odd s and t."""
-    return enumerate_barcores_by_yy(*sorted((s, t)))
-
-
 @cache
-def _census_sizes(cores: Census, s: int, t: int) -> tuple[int, ...]:
-    return tuple(sum(p) for p in cores(s, t))
+def _census(kind: str, s: int, t: int) -> tuple[int, ...]:
+    """Number of cores of each size in the finite census of a coprime pair.
+
+    "straight": (s,t)-cores, by the path DP on the Anderson grid.
+    "bar": (s-bar, t-bar)-cores, by the path DP on the yin-yang grid.
+    "selfconj": self-conjugate (s,t)-cores, by the path DP on the
+    diagonal-hooks grid when s and t are odd, otherwise by filtering the
+    Anderson path enumeration.
+    """
+    s, t = sorted((s, t))
+    if kind == "straight":
+        return tuple(census_by_size(anderson_grid(s, t), beta_sets=True))
+    if kind == "bar":
+        return tuple(census_by_size(yinyang_grid(s, t)))
+    if s % 2 == 1 and t % 2 == 1:
+        return tuple(census_by_size(dh_grid(s, t)))
+    sizes = Counter(sum(p) for p in enumerate_st_cores_by_paths(s, t) if is_self_conjugate(p))
+    return tuple(sizes[n] for n in range(max(sizes) + 1))
 
 
-def _census_polynomial(cores: Census, s: int, t: int, truncation: int) -> TruncatedSeries:
-    """Finite census polynomial, the sum of x**|p| over ``cores(s, t)``, gcd = 1.
+def _census_polynomial(kind: str, s: int, t: int, truncation: int) -> TruncatedSeries:
+    """Finite census polynomial, the sum of x**|p| over one census, gcd = 1.
 
-    ``cores`` is one of the three path censuses. The sizes are cached per
+    ``kind`` names the census as in :func:`_census`, which is cached per
     census and pair, not per truncation.
     """
     if s == 1 or t == 1:
         return TruncatedSeries.one(truncation)
-    return size_polynomial(_census_sizes(cores, s, t), truncation)
+    return TruncatedSeries(_census(kind, s, t), truncation=truncation)
 
 
 def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -241,8 +246,8 @@ def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
         raise ValueError("s and t must exceed 1")
     g = gcd(s, t)
     if g == 1:
-        return _census_polynomial(enumerate_st_cores_by_paths, s, t, truncation)
-    base = _census_polynomial(enumerate_st_cores_by_paths, s // g, t // g, truncation)
+        return _census_polynomial("straight", s, t, truncation)
+    base = _census_polynomial("straight", s // g, t // g, truncation)
     return base.substitute_power(g) ** g * core_gf(g, truncation)
 
 
@@ -261,12 +266,12 @@ def psi_star_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     if g == 1:
         raise ValueError("gcd(s, t) must exceed 1; use the finite census at g = 1")
     sp, tp = s // g, t // g
-    base = _census_polynomial(enumerate_st_cores_by_paths, sp, tp, truncation)
+    base = _census_polynomial("straight", sp, tp, truncation)
     result = selfconj_core_gf(g, truncation)
     if g % 2 == 0:
         return result * base.substitute_power(2 * g) ** (g // 2)
     result = result * base.substitute_power(2 * g) ** ((g - 1) // 2)
-    star_base = _census_polynomial(_selfconj_cores, sp, tp, truncation)
+    star_base = _census_polynomial("selfconj", sp, tp, truncation)
     return result * star_base.substitute_power(g)
 
 
@@ -280,10 +285,10 @@ def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
         raise ValueError("s and t must be odd and exceed 1")
     g = gcd(s, t)
     if g == 1:
-        return _census_polynomial(_bar_cores, s, t, truncation)
+        return _census_polynomial("bar", s, t, truncation)
     sp, tp = s // g, t // g
-    bar_base = _census_polynomial(_bar_cores, sp, tp, truncation)
-    base = _census_polynomial(enumerate_st_cores_by_paths, sp, tp, truncation)
+    bar_base = _census_polynomial("bar", sp, tp, truncation)
+    base = _census_polynomial("straight", sp, tp, truncation)
     return (
         bar_base.substitute_power(g)
         * base.substitute_power(g) ** ((g - 1) // 2)
@@ -300,7 +305,7 @@ def convolution_psi(s: int, t: int, truncation: int) -> TruncatedSeries:
     g = gcd(s, t)
     if g == 1:
         raise ValueError("gcd(s, t) must exceed 1")
-    q = _census_polynomial(enumerate_st_cores_by_paths, s // g, t // g, truncation) ** g
+    q = _census_polynomial("straight", s // g, t // g, truncation) ** g
     f = core_gf(g, truncation)
     out = [
         sum(q[w] * f[n - g * w] for w in range(n // g + 1))
@@ -321,7 +326,7 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
         raise ValueError("gcd(s, t) must exceed 1")
     sp, tp = s // g, t // g
     fstar = selfconj_core_gf(g, truncation)
-    base = _census_polynomial(enumerate_st_cores_by_paths, sp, tp, truncation)
+    base = _census_polynomial("straight", sp, tp, truncation)
     out = []
     if g % 2 == 0:
         q = base ** (g // 2)
@@ -331,7 +336,7 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
             )
     else:
         q = base ** ((g - 1) // 2)
-        star_base = _census_polynomial(_selfconj_cores, sp, tp, truncation)
+        star_base = _census_polynomial("selfconj", sp, tp, truncation)
         for n in range(truncation + 1):
             total = 0
             for w1 in range(n // (2 * g) + 1):
@@ -354,8 +359,8 @@ def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
     if g == 1:
         raise ValueError("gcd(s, t) must exceed 1")
     sp, tp = s // g, t // g
-    qbar = _census_polynomial(_bar_cores, sp, tp, truncation) * (
-        _census_polynomial(enumerate_st_cores_by_paths, sp, tp, truncation) ** ((g - 1) // 2)
+    qbar = _census_polynomial("bar", sp, tp, truncation) * (
+        _census_polynomial("straight", sp, tp, truncation) ** ((g - 1) // 2)
     )
     f = barcore_gf(g, truncation)
     out = [

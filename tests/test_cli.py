@@ -3,7 +3,8 @@ import json
 from click.testing import CliRunner
 import pytest
 
-from stcores.cli import main
+from stcores import oracle
+from stcores.cli import COUNT_CAPS, main
 
 
 runner = CliRunner()
@@ -64,6 +65,39 @@ def test_count_rejects_a_unit_modulus_like_series(variant):
     assert result.exit_code != 0
     assert "s and t must exceed 1" in result.output
     assert result.output == invoke("series", "--gf", "psi", "-s", "1", "-t", "3").output
+
+
+COUNTERS = {
+    "straight": "core_counts",
+    "selfconj": "selfconj_core_counts",
+    "bar": "barcore_counts",
+}
+
+
+@pytest.mark.parametrize("variant", ("straight", "selfconj", "bar"))
+def test_count_refuses_a_truncation_past_its_cap(variant, monkeypatch):
+    def never(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(oracle, COUNTERS[variant], never)
+    cap = COUNT_CAPS[variant]
+    result = invoke("count", "--variant", variant, "-t", "5", "-N", "200")
+    assert result.exit_code == 1
+    assert result.output == f"Error: -N 200 exceeds the brute-force cap {cap} for --variant {variant}\n"
+    assert invoke("count", "--variant", variant, "-t", "5", "-N", str(cap + 1)).exit_code == 1
+
+
+def test_count_caps_admit_the_documented_truncations(monkeypatch):
+    result = invoke("count", "--variant", "selfconj", "-t", "10", "-N", "60")
+    assert result.exit_code == 0
+    assert result.output.splitlines()[-1] == "60,24"
+    seen = []
+    monkeypatch.setattr(
+        oracle, "core_counts", lambda t, n: seen.append(n) or oracle.CountTable("f", (1,))
+    )
+    # the default -N of 60, as in the README's `count -t 3 -s 2`, is the cap
+    assert invoke("count", "-t", "5").exit_code == 0
+    assert seen == [COUNT_CAPS["straight"]] == [60]
 
 
 def test_grid_kinds():

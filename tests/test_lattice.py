@@ -1,4 +1,5 @@
-from math import comb
+from collections import Counter
+from math import comb, gcd
 
 from hypothesis import given, strategies as st
 import pytest
@@ -11,6 +12,7 @@ from stcores.lattice import (
     barcore_to_yy_path,
     big_gamma,
     big_gamma_inverse,
+    census_by_size,
     dh_grid,
     dh_path_to_selfconj,
     enumerate_barcores_by_yy,
@@ -25,7 +27,7 @@ from stcores.lattice import (
     yinyang_grid,
     yy_path_to_barcore,
 )
-from stcores.oracle import enumerate_self_conjugate
+from stcores.oracle import enumerate_self_conjugate, extremal_stats
 from stcores.partitions import is_self_conjugate, is_t_core
 
 
@@ -77,6 +79,38 @@ def test_path_census_counts_and_extremes(s, t, count, largest):
     assert len(set(cores)) == count
     assert max(sum(p) for p in cores) == largest
     assert all(is_st_core(p, s, t) for p in cores)
+
+
+def _counts_by_size(cores):
+    sizes = Counter(sum(p) for p in cores)
+    return [sizes[n] for n in range(max(sizes) + 1)]
+
+
+@pytest.mark.parametrize(
+    "s, t", [(s, t) for s in range(2, 12) for t in range(s + 1, 12) if gcd(s, t) == 1]
+)
+def test_anderson_dp_counts_the_enumerated_sizes(s, t):
+    want = _counts_by_size(enumerate_st_cores_by_paths(s, t))
+    assert census_by_size(anderson_grid(s, t), beta_sets=True) == want
+    assert census_by_size(anderson_grid(t, s), beta_sets=True) == want
+
+
+@pytest.mark.parametrize(
+    "s, t", [(s, t) for s in range(3, 14, 2) for t in range(s + 2, 14, 2) if gcd(s, t) == 1]
+)
+def test_dh_and_yy_dp_count_the_enumerated_sizes(s, t):
+    want = _counts_by_size(enumerate_selfconj_by_dh(s, t))
+    assert census_by_size(dh_grid(s, t)) == want
+    assert census_by_size(dh_grid(t, s)) == want
+    assert census_by_size(yinyang_grid(s, t)) == _counts_by_size(enumerate_barcores_by_yy(s, t))
+
+
+def test_anderson_dp_reaches_a_census_past_enumeration():
+    # C(30, 13) = 119,759,850 paths: far too many to walk one by one.
+    counts = census_by_size(anderson_grid(13, 17), beta_sets=True)
+    assert (sum(counts), len(counts) - 1) == (comb(30, 13) // 30, 2016)
+    assert (sum(counts), len(counts) - 1) == extremal_stats(13, 17)
+    assert counts[0] == counts[1] == counts[-1] == 1
 
 
 def test_worked_anderson_path():

@@ -22,7 +22,6 @@ from stcores.series import (
     psi_st_gf,
     psi_star_st_gf,
     selfconj_core_gf,
-    size_polynomial,
 )
 
 
@@ -39,6 +38,24 @@ def test_series_basics():
     assert (s - s).coeffs == (0,) * 6
     assert (s * s).coeffs == (1, 4, 10, 12, 9, 0)
     assert (s ** 3)[3] == 44
+
+
+@pytest.mark.parametrize("e, products", ((0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3)))
+def test_power_uses_the_fewest_square_and_multiply_products(e, products, monkeypatch):
+    base = TruncatedSeries([1, -2, 0, 3], 12)
+    expected = TruncatedSeries.one(12)
+    for _ in range(e):
+        expected = expected * base
+    calls = []
+    mul = TruncatedSeries.__mul__
+
+    def counting_mul(left, right):
+        calls.append(1)
+        return mul(left, right)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    assert base ** e == expected
+    assert len(calls) == products
 
 
 def test_indexing_past_the_truncation_fails():
@@ -135,7 +152,6 @@ def test_partition_gf_matches_known_values():
 
 def test_helper_constructors():
     assert TruncatedSeries([1, 0, 2], truncation=4).coeffs == (1, 0, 2, 0, 0)
-    assert size_polynomial([0, 3, 3], 5).coeffs == (1, 0, 0, 2, 0, 0)
 
 
 @pytest.mark.parametrize("t", (1, 2, 3, 4, 5))
@@ -157,6 +173,12 @@ def test_barcore_gf_matches_enumeration(t):
 
 def test_psi_at_the_smallest_coprime_pair():
     assert psi_st_gf(2, 3, 5).coeffs == (1, 1, 0, 0, 0, 0)
+
+
+def test_psi_over_a_reduced_pair_past_enumeration():
+    # The reduced pair (13,17) needs the path DP; below 26 no hook length
+    # can be divisible by 26 or 34, so every partition is a (26,34)-core.
+    assert psi_st_gf(26, 34, 25) == partition_gf(25)
 
 
 def test_psi_with_common_divisor_matches_enumeration():
