@@ -70,8 +70,9 @@ def _build_series(
 
 # Largest truncation `count` accepts per variant. Brute force visits every
 # (self-conjugate, bar) partition of every size up to -N, and those numbers
-# grow exponentially in sqrt(N): at each cap one count takes under a minute on
-# a 2-vCPU Xeon, while p(200) alone is about 4e12 partitions.
+# grow exponentially in sqrt(N). Measured at each cap on a 2-vCPU Xeon
+# (Python 3.11, single and joint counts): straight 30-35 s, selfconj 25-37 s,
+# bar 16-23 s, while p(200) alone is about 4e12 partitions.
 COUNT_CAPS = {"straight": 60, "selfconj": 150, "bar": 100}
 
 

@@ -157,18 +157,25 @@ def enumerate_paths(rows: int, cols: int) -> Iterator[Path]:
         raise ValueError("rows and cols must be nonnegative")
     total = rows + cols
     for up_slots in combinations(range(total), rows):
-        slots = set(up_slots)
-        yield "".join("U" if i in slots else "R" for i in range(total))
+        steps = ["R"] * total
+        for i in up_slots:
+            steps[i] = "U"
+        yield "".join(steps)
 
 
-def _trapped_values(grid: SignedGrid, path: Path) -> tuple[list[int], list[int]]:
+def _trapped_values(
+    grid: SignedGrid, path: Path, border: tuple[int, ...] | None = None
+) -> tuple[list[int], list[int]]:
     """Values between the path and the sign border, split by side.
+
+    ``border`` is ``grid.border_heights()``, passed in by callers that reuse it.
 
     Returns (above, below): above holds the positive values trapped where the
     path rises over the border, below the negative values where it dips under.
     """
     heights = path_heights(path, grid.rows, grid.cols)
-    border = grid.border_heights()
+    if border is None:
+        border = grid.border_heights()
     above: list[int] = []
     below: list[int] = []
     for c in range(grid.cols):
@@ -361,10 +368,14 @@ def enumerate_st_cores_by_paths(s: int, t: int) -> Iterator[Partition]:
     """All (s,t)-cores for coprime s, t, one per valid Anderson path."""
     grid = anderson_grid(s, t)
     border = grid.border_heights()
+    # Heights never fall, so a path stays weakly above the border once it does
+    # so at each column c where the border rises to hb: hb up steps among the
+    # first hb + c steps.
+    rises = [(hb + c, hb) for c, hb in enumerate(border) if hb > (border[c - 1] if c else 0)]
     for path in enumerate_paths(grid.rows, grid.cols):
-        heights = path_heights(path, grid.rows, grid.cols)
-        if all(hp >= hb for hp, hb in zip(heights, border)):
-            yield anderson_path_to_core(path, s, t)
+        if all(path.count("U", 0, end) >= hb for end, hb in rises):
+            above, _ = _trapped_values(grid, path, border)
+            yield from_first_column_hooks(above)
 
 
 def enumerate_selfconj_by_dh(s: int, t: int) -> Iterator[Partition]:
