@@ -68,11 +68,14 @@ def _build_series(
     return joint[gf](s, t, truncation)
 
 
-# Largest truncation `count` accepts per variant. Brute force visits every
-# (self-conjugate, bar) partition of every size up to -N, and those numbers
-# grow exponentially in sqrt(N). Measured at each cap on a 2-vCPU Xeon
-# (Python 3.11, single and joint counts): straight 30-35 s, selfconj 25-37 s,
-# bar 16-23 s, while p(200) alone is about 4e12 partitions.
+# Largest truncation `count` accepts per variant. Straight and bar counts
+# prune a partition at its first forbidden hook or bar, but a modulus above -N
+# prunes nothing: then, as self-conjugate counts always do, brute force visits
+# every (self-conjugate, bar) partition of every size up to -N, and those
+# numbers grow exponentially in sqrt(N). Measured at each cap in that worst
+# case on a 2-vCPU Xeon (Python 3.11, single and joint counts, e.g.
+# `count -t 61 -N 60`): straight 24-26 s, selfconj 37-45 s, bar 18-20 s,
+# while p(200) alone is about 4e12 partitions.
 COUNT_CAPS = {"straight": 60, "selfconj": 150, "bar": 100}
 
 
@@ -91,6 +94,9 @@ COUNT_CAPS = {"straight": 60, "selfconj": 150, "bar": 100}
 def count(t: int, s: int | None, variant: str, truncation: int, fmt: str) -> None:
     """Brute-force count table of cores by size (enumeration, not series).
 
+    Straight and bar counts build partitions part by part and drop a branch
+    at the first forbidden hook or bar; self-conjugate counts filter every
+    self-conjugate partition.
     Refuses -N above 60 (straight), 150 (selfconj) or 100 (bar); where a
     generating function exists, the series verb reaches any truncation.
     """

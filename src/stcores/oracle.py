@@ -1,9 +1,29 @@
 """Brute-force enumeration oracle.
 
-Everything here counts by generating objects and filtering with predicates
-built from the definitions alone. No generating functions and no lattice
-bijections are consulted, so these counts serve as an independent second
-source for every formula in the library.
+Everything here counts by generating objects and testing them against the
+definitions alone. No generating functions and no lattice bijections are
+consulted, so these counts serve as an independent second source for every
+formula in the library.
+
+Core counts use pruned generation: ``enumerate_cores`` and
+``enumerate_barcores`` place the parts of a partition one at a time in
+ascending order and drop a branch at the first part that creates a
+forbidden hook or bar. A cut branch can never be repaired, because each
+test is settled when its largest part is placed:
+
+- straight partitions: the part a_j at index j adds the beta value
+  b = a_j + j, larger than every earlier value. t is a hook length iff some
+  b >= t has b - t outside the beta-set. Every later value exceeds b > b - t,
+  so whether b - t is missing is settled once b is placed;
+- bar partitions: the parts are distinct, and t is a bar length iff two
+  parts sum to t or some part x >= t has x - t missing (x - t = 0 counts as
+  missing). Both tests involve only parts <= x, so they are settled once x
+  is placed.
+
+``enumerate_partitions`` with ``count_filtered`` and the predicates of
+``partitions`` and ``bar_partitions`` remain the unpruned reference that the
+generators are tested against. Self-conjugate counts filter
+``enumerate_self_conjugate``.
 """
 
 from __future__ import annotations
@@ -11,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .bar_partitions import BarPartition, enumerate_bar_partitions, is_tbar_core
+from .bar_partitions import BarPartition, enumerate_bar_partitions
 from .partitions import (
     Partition,
     from_diagonal_hooks,
@@ -86,6 +106,84 @@ def enumerate_self_conjugate(n: int) -> Iterator[Partition]:
         yield from_diagonal_hooks(hooks)
 
 
+def enumerate_cores(n: int, moduli: Iterable[int]) -> Iterator[Partition]:
+    """Partitions of n that are t-cores for every t in ``moduli``, exactly once.
+
+    Parts are placed in ascending order with the beta-set carried as an int
+    bitmask; a part whose beta value b has some t <= b with b - t missing
+    ends its branch (see the module docstring for why that is final).
+    """
+    moduli = tuple(moduli)
+    if any(t < 1 for t in moduli):
+        raise ValueError("t must be >= 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+    placed: list[int] = []
+
+    def grow(remaining: int, smallest: int, beta: int) -> Iterator[Partition]:
+        j = len(placed)
+        # bit x is set when part x at index j (beta value x + j) creates no
+        # hook of any length t
+        allowed = -1
+        for t in moduli:
+            allowed &= beta << t | (1 << t) - 1
+        allowed >>= j
+        for x in range(smallest, remaining // 2 + 1):
+            if allowed >> x & 1:
+                placed.append(x)
+                yield from grow(remaining - x, x, beta | 1 << (x + j))
+                placed.pop()
+        if remaining >= smallest and allowed >> remaining & 1:
+            yield (remaining, *reversed(placed))
+
+    yield from grow(n, 1, 0)
+
+
+def enumerate_barcores(n: int, moduli: Iterable[int]) -> Iterator[BarPartition]:
+    """Bar partitions of n that are t-bar-cores for every t in ``moduli``.
+
+    Distinct parts are placed in ascending order with the parts carried as
+    an int bitmask; a part x that sums to some t with a smaller part, or has
+    x >= t with x - t missing, ends its branch.
+    """
+    moduli = tuple(moduli)
+    if any(t < 1 or t % 2 == 0 for t in moduli):
+        raise ValueError("t must be odd and >= 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
+    placed: list[int] = []
+
+    def grow(remaining: int, smallest: int, parts: int, pairs: int) -> Iterator[BarPartition]:
+        # bit x of `pairs` is set when x sums to some t with a placed part;
+        # bit x of `allowed` is set when part x creates no bar of any length t
+        allowed = ~pairs
+        for t in moduli:
+            allowed &= parts << t | (1 << t) - 1
+        for x in range(smallest, (remaining - 1) // 2 + 1):
+            if allowed >> x & 1:
+                placed.append(x)
+                partners = pairs
+                for t in moduli:
+                    if t > x:
+                        partners |= 1 << (t - x)
+                yield from grow(remaining - x, x + 1, parts | 1 << x, partners)
+                placed.pop()
+        if remaining >= smallest and allowed >> remaining & 1:
+            yield (remaining, *reversed(placed))
+
+    yield from grow(n, 1, 0, 0)
+
+
+def _count(items: Iterable[object]) -> int:
+    return sum(1 for _ in items)
+
+
 def count_filtered(
     n: int, predicate: Callable[[tuple[int, ...]], bool], *, bar: bool = False
 ) -> int:
@@ -96,10 +194,8 @@ def count_filtered(
 
 @cache
 def core_counts(t: int, limit: int) -> CountTable:
-    """f_t(0..limit) by filtering every partition."""
-    counts = tuple(
-        count_filtered(n, lambda p: is_t_core(p, t)) for n in range(limit + 1)
-    )
+    """f_t(0..limit) by pruned enumeration."""
+    counts = tuple(_count(enumerate_cores(n, (t,))) for n in range(limit + 1))
     return CountTable(label=f"f_{t}", counts=counts)
 
 
@@ -115,11 +211,8 @@ def selfconj_core_counts(t: int, limit: int) -> CountTable:
 
 @cache
 def barcore_counts(t: int, limit: int) -> CountTable:
-    """f_tbar(0..limit) by filtering bar partitions."""
-    counts = tuple(
-        count_filtered(n, lambda b: is_tbar_core(b, t), bar=True)
-        for n in range(limit + 1)
-    )
+    """f_tbar(0..limit) by pruned enumeration."""
+    counts = tuple(_count(enumerate_barcores(n, (t,))) for n in range(limit + 1))
     return CountTable(label=f"f_{t}bar", counts=counts)
 
 
@@ -130,12 +223,9 @@ def _check_pair(s: int, t: int) -> None:
 
 @cache
 def st_core_counts(s: int, t: int, limit: int) -> CountTable:
-    """psi_{s,t}(0..limit) by filtering every partition."""
+    """psi_{s,t}(0..limit) by pruned enumeration."""
     _check_pair(s, t)
-    counts = tuple(
-        count_filtered(n, lambda p: is_t_core(p, s) and is_t_core(p, t))
-        for n in range(limit + 1)
-    )
+    counts = tuple(_count(enumerate_cores(n, (s, t))) for n in range(limit + 1))
     return CountTable(label=f"psi_{s},{t}", counts=counts)
 
 
@@ -156,30 +246,26 @@ def selfconj_st_core_counts(s: int, t: int, limit: int) -> CountTable:
 
 @cache
 def stbar_core_counts(s: int, t: int, limit: int) -> CountTable:
-    """psi_{sbar,tbar}(0..limit) by filtering bar partitions."""
+    """psi_{sbar,tbar}(0..limit) by pruned enumeration."""
     _check_pair(s, t)
-    counts = tuple(
-        count_filtered(n, lambda b: is_tbar_core(b, s) and is_tbar_core(b, t), bar=True)
-        for n in range(limit + 1)
-    )
+    counts = tuple(_count(enumerate_barcores(n, (s, t))) for n in range(limit + 1))
     return CountTable(label=f"psi_{s}bar,{t}bar", counts=counts)
 
 
 def st_core_count_at(s: int, t: int, n: int) -> int:
     """psi_{s,t}(n) for a single n, for spot checks on progressions."""
-    return count_filtered(n, lambda p: is_t_core(p, s) and is_t_core(p, t))
+    return _count(enumerate_cores(n, (s, t)))
 
 
 def not_g_core_count_at(n: int, t: int, g: int, variant: str = "straight") -> int:
     """t-cores of n that are not g-cores, for one n.
 
-    variant: "straight" filters all partitions, "selfconj" self-conjugate
-    partitions, "bar" bar partitions (odd t and g).
+    variant: "straight" counts t-cores less (t, g)-cores, "selfconj" filters
+    self-conjugate partitions, "bar" counts t-bar-cores less
+    (t-bar, g-bar)-cores (odd t and g).
     """
     if variant == "straight":
-        return count_filtered(
-            n, lambda p: is_t_core(p, t) and not is_t_core(p, g)
-        )
+        return _count(enumerate_cores(n, (t,))) - _count(enumerate_cores(n, (t, g)))
     if variant == "selfconj":
         return sum(
             1
@@ -187,19 +273,8 @@ def not_g_core_count_at(n: int, t: int, g: int, variant: str = "straight") -> in
             if is_t_core(p, t) and not is_t_core(p, g)
         )
     if variant == "bar":
-        return count_filtered(
-            n, lambda b: is_tbar_core(b, t) and not is_tbar_core(b, g), bar=True
-        )
+        return _count(enumerate_barcores(n, (t,))) - _count(enumerate_barcores(n, (t, g)))
     raise ValueError("variant must be straight, selfconj, or bar")
-
-
-@cache
-def not_g_core_counts(t: int, g: int, limit: int, variant: str = "straight") -> CountTable:
-    """Counts of t-cores that are not g-cores for 0 <= n <= limit."""
-    counts = tuple(
-        not_g_core_count_at(n, t, g, variant) for n in range(limit + 1)
-    )
-    return CountTable(label=f"psi_{t}\\{g} ({variant})", counts=counts)
 
 
 @cache
@@ -244,18 +319,7 @@ def q_bar_tuple_count(s_p: int, t_p: int, g: int, w: int) -> int:
     """
     if g < 3 or g % 2 == 0 or w < 0:
         raise ValueError("need odd g >= 3 and w >= 0")
-    if s_p == t_p:
-        bar_base = [
-            count_filtered(n, lambda b: is_tbar_core(b, t_p), bar=True)
-            for n in range(w + 1)
-        ]
-    else:
-        bar_base = [
-            count_filtered(
-                n, lambda b: is_tbar_core(b, s_p) and is_tbar_core(b, t_p), bar=True
-            )
-            for n in range(w + 1)
-        ]
+    bar_base = [_count(enumerate_barcores(n, {s_p, t_p})) for n in range(w + 1)]
     total = 0
     for w0 in range(w + 1):
         if bar_base[w0]:

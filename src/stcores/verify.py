@@ -14,7 +14,7 @@ those scales adds work only where a series is involved.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 from typing import Callable
 
@@ -148,22 +148,14 @@ def suite_counting(limit: int = 60) -> list[Check]:
             for p in census:
                 by_size.setdefault(pt.size(p), set()).add(p)
             for n in (24, 36, 48):
-                direct = {
-                    p
-                    for p in orc.enumerate_partitions(n)
-                    if pt.is_t_core(p, s) and pt.is_t_core(p, t)
-                }
+                direct = set(orc.enumerate_cores(n, (s, t)))
                 checks.append(
                     _eq(f"(7,11)-cores of size {n}, census vs enumeration", by_size.get(n, set()), direct)
                 )
         else:
             direct_all: set[pt.Partition] = set()
             for n in range(max_size + 1):
-                direct_all.update(
-                    p
-                    for p in orc.enumerate_partitions(n)
-                    if pt.is_t_core(p, s) and pt.is_t_core(p, t)
-                )
+                direct_all.update(orc.enumerate_cores(n, (s, t)))
             checks.append(
                 _eq(f"({s},{t})-core census equals the enumerated set", set(census), direct_all)
             )
@@ -505,57 +497,34 @@ def suite_bounds(limit: int = 60) -> list[Check]:
         checks.append(_all(f"every size admits a {t}-bar-core", fails, limit + cap30 + 2))
 
     marks = [m for m in (8, 16, 24, 32, 40) if m <= cap40]
-    cumulative = []
-    running = 0
-    for n in range(max(marks) + 1 if marks else 0):
-        running += orc.count_filtered(
-            n, lambda p: pt.is_t_core(p, 4) and pt.is_t_core(p, 6) and not pt.is_t_core(p, 2)
-        )
-        if n in marks:
-            cumulative.append(running)
-    checks.append(
+    appearing: list[tuple[str, Callable[[int], int]]] = [
         (
             "(4,6)-cores that are not 2-cores keep appearing",
-            all(a < b for a, b in zip(cumulative, cumulative[1:])),
-            f"cumulative counts at {marks}: {cumulative}",
-        )
-    )
-
-    cumulative = []
-    running = 0
-    for n in range(max(marks) + 1 if marks else 0):
-        running += sum(
-            1
-            for p in orc.enumerate_self_conjugate(n)
-            if pt.is_t_core(p, 4) and pt.is_t_core(p, 6) and not pt.is_t_core(p, 2)
-        )
-        if n in marks:
-            cumulative.append(running)
-    checks.append(
+            lambda n: sum(1 for p in orc.enumerate_cores(n, (4, 6)) if not pt.is_t_core(p, 2)),
+        ),
         (
             "self-conjugate (4,6)-cores that are not 2-cores keep appearing",
-            all(a < b for a, b in zip(cumulative, cumulative[1:])),
-            f"cumulative counts at {marks}: {cumulative}",
-        )
-    )
-
-    cumulative = []
-    running = 0
-    for n in range(max(marks) + 1 if marks else 0):
-        running += orc.count_filtered(
-            n,
-            lambda b: bp.is_tbar_core(b, 9) and bp.is_tbar_core(b, 15) and not bp.is_tbar_core(b, 3),
-            bar=True,
-        )
-        if n in marks:
-            cumulative.append(running)
-    checks.append(
+            lambda n: sum(
+                1
+                for p in orc.enumerate_self_conjugate(n)
+                if pt.is_t_core(p, 4) and pt.is_t_core(p, 6) and not pt.is_t_core(p, 2)
+            ),
+        ),
         (
             "(9-bar,15-bar)-cores that are not 3-bar-cores keep appearing",
-            all(a < b for a, b in zip(cumulative, cumulative[1:])),
-            f"cumulative counts at {marks}: {cumulative}",
+            lambda n: sum(1 for b in orc.enumerate_barcores(n, (9, 15)) if not bp.is_tbar_core(b, 3)),
+        ),
+    ]
+    for label, count_at in appearing:
+        running = list(accumulate(count_at(n) for n in range(max(marks, default=-1) + 1)))
+        cumulative = [running[m] for m in marks]
+        checks.append(
+            (
+                label,
+                all(a < b for a, b in zip(cumulative, cumulative[1:])),
+                f"cumulative counts at {marks}: {cumulative}",
+            )
         )
-    )
     return checks
 
 

@@ -67,6 +67,23 @@ def test_count_rejects_a_unit_modulus_like_series(variant):
     assert result.output == invoke("series", "--gf", "psi", "-s", "1", "-t", "3").output
 
 
+@pytest.mark.parametrize("truncation", ("0", "5"))
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("-t", "0"), "t must be >= 1"),
+        (("-t", "0", "-s", "5"), "s and t must exceed 1"),
+        (("--variant", "bar", "-t", "4"), "t must be odd and >= 1"),
+        (("--variant", "bar", "-t", "4", "-s", "9"), "t must be odd and >= 1"),
+        (("--variant", "bar", "-t", "9", "-s", "4"), "t must be odd and >= 1"),
+    ],
+)
+def test_count_rejects_a_bad_modulus_at_every_truncation(args, message, truncation):
+    result = invoke("count", *args, "-N", truncation)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {message}\n"
+
+
 COUNTERS = {
     "straight": "core_counts",
     "selfconj": "selfconj_core_counts",

@@ -5,17 +5,18 @@ from pathlib import Path
 import pytest
 
 from stcores import oracle
-from stcores.bar_partitions import is_bar_partition
+from stcores.bar_partitions import enumerate_bar_partitions, is_bar_partition, is_tbar_core
 from stcores.oracle import (
     CountTable,
     barcore_counts,
     core_counts,
     count_filtered,
+    enumerate_barcores,
+    enumerate_cores,
     enumerate_partitions,
     enumerate_self_conjugate,
     extremal_stats,
     not_g_core_count_at,
-    not_g_core_counts,
     q_bar_tuple_count,
     q_tuple_count,
     selfconj_core_counts,
@@ -23,7 +24,7 @@ from stcores.oracle import (
     st_core_counts,
     stbar_core_counts,
 )
-from stcores.partitions import is_partition, is_self_conjugate
+from stcores.partitions import is_partition, is_self_conjugate, is_t_core
 
 
 PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -72,8 +73,6 @@ def test_not_g_core_counts_hand_value():
     # of the three partitions of 3, all are 4-cores and only the staircase
     # (2,1) is a 2-core
     assert not_g_core_count_at(3, 4, 2) == 2
-    table = not_g_core_counts(4, 2, 3)
-    assert table.counts[3] == 2
     assert not_g_core_count_at(2, 16, 8, variant="selfconj") == 0
     assert not_g_core_count_at(9, 9, 3, variant="bar") >= 1
 
@@ -97,6 +96,45 @@ def test_extremal_stats_closed_form_and_exhaustive_agree():
     assert extremal_stats(5, 7) == (66, 48)
     assert extremal_stats(2, 3, exhaustive=True) == (2, 1)
     assert extremal_stats(3, 4, exhaustive=True) == (comb(7, 3) // 7, 5)
+    assert extremal_stats(5, 7, exhaustive=True) == (66, 48)
+    assert extremal_stats(5, 8, exhaustive=True) == (99, 63)
+
+
+@pytest.mark.parametrize(
+    "moduli", [(1,), (2,), (3,), (5,), (7,), (16,), (4, 6), (5, 7), (6, 10), (10, 15)]
+)
+def test_pruned_cores_match_the_filtered_enumeration(moduli):
+    for n in range(23):
+        got = list(enumerate_cores(n, moduli))
+        want = {p for p in enumerate_partitions(n) if all(is_t_core(p, t) for t in moduli)}
+        assert len(got) == len(set(got)), n
+        assert set(got) == want, n
+
+
+@pytest.mark.parametrize("moduli", [(1,), (3,), (5,), (7,), (3, 9), (9, 15), (21,)])
+def test_pruned_barcores_match_the_filtered_enumeration(moduli):
+    for n in range(31):
+        got = list(enumerate_barcores(n, moduli))
+        want = {
+            b for b in enumerate_bar_partitions(n) if all(is_tbar_core(b, t) for t in moduli)
+        }
+        assert len(got) == len(set(got)), n
+        assert set(got) == want, n
+
+
+@pytest.mark.parametrize(
+    "generate, moduli, message",
+    [
+        (enumerate_cores, (0,), "t must be >= 1"),
+        (enumerate_cores, (3, -2), "t must be >= 1"),
+        (enumerate_barcores, (4,), "t must be odd and >= 1"),
+        (enumerate_barcores, (9, 0), "t must be odd and >= 1"),
+    ],
+)
+def test_pruned_generators_check_moduli_before_yielding(generate, moduli, message):
+    for n in (0, 5):
+        with pytest.raises(ValueError, match=message):
+            next(generate(n, moduli))
 
 
 def test_barcore_counts_small_values():
