@@ -14,15 +14,14 @@ from math import gcd
 
 from .bar_partitions import (
     BarPartition,
-    bar_length_multiset,
     is_bar_partition,
     is_tbar_core,
 )
+from .encodings import olsson_encode
 from .partitions import (
     Partition,
     conjugate,
     from_first_column_hooks,
-    hook_length_multiset,
     is_partition,
     is_t_core,
 )
@@ -152,22 +151,6 @@ def reconstruct(tower: StraightTower) -> Partition:
     return from_first_column_hooks(beta)
 
 
-def hook_bijection_check(p: Partition, g: int, k: int) -> tuple[int, int]:
-    """Count hooks of length k*g in ``p`` and hooks of length k in its quotient.
-
-    The two counts agree for every partition; returning both sides keeps the
-    check honest.
-    """
-    if g < 2 or k < 1:
-        raise ValueError("need g >= 2 and k >= 1")
-    in_p = sum(1 for h in hook_length_multiset(p) if h == k * g)
-    tower = decompose(p, g)
-    in_quot = sum(
-        1 for q in tower.quotient for h in hook_length_multiset(q) if h == k
-    )
-    return in_p, in_quot
-
-
 def is_st_core(p: Partition, s: int, t: int) -> bool:
     """True if ``p`` is simultaneously an s-core and a t-core."""
     if s <= 1 or t <= 1:
@@ -271,32 +254,6 @@ def bar_decompose(b: BarPartition, g: int) -> BarTower:
     return BarTower(g=g, core=core, quotient=tuple(components))
 
 
-def _bar_core_charges(core: BarPartition, g: int) -> list[int]:
-    """Charges of a g-bar-core's pair classes; rejects non-cores.
-
-    A bar partition is a g-bar-core iff no part is divisible by g, each
-    populated residue class forms an initial run j, j+g, ..., and classes j
-    and g-j are never both populated.
-    """
-    by_residue: dict[int, set[int]] = {}
-    for x in core:
-        r = x % g
-        if r == 0:
-            raise ValueError("core has a part divisible by g")
-        by_residue.setdefault(r, set()).add((x - r) // g)
-    charges = []
-    for j in range(1, (g + 1) // 2):
-        pos = by_residue.get(j, set())
-        neg = by_residue.get(g - j, set())
-        if pos and neg:
-            raise ValueError(f"core populates both residue classes {j} and {g - j}")
-        run = pos or neg
-        if run != set(range(len(run))):
-            raise ValueError(f"core residue class {j if pos else g - j} is not an initial run")
-        charges.append(len(pos) - len(neg))
-    return charges
-
-
 def bar_reconstruct(tower: BarTower) -> BarPartition:
     """Rebuild the bar partition with the given g-bar-core and quotient.
 
@@ -309,7 +266,7 @@ def bar_reconstruct(tower: BarTower) -> BarPartition:
     g = tower.g
     if not is_bar_partition(tower.quotient[0]):
         raise ValueError("component 0 must have distinct parts")
-    charges = _bar_core_charges(tower.core, g)
+    charges = olsson_encode(tower.core, g)
     parts = [g * x for x in tower.quotient[0]]
     for j in range(1, (g + 1) // 2):
         lam = tower.quotient[j]
@@ -331,22 +288,6 @@ def bar_reconstruct(tower: BarTower) -> BarPartition:
     if not is_bar_partition(result):
         raise ValueError("tower does not assemble into a bar partition")
     return result
-
-
-def bar_bijection_check(b: BarPartition, g: int, k: int) -> tuple[int, int]:
-    """Count bars of length k*g in ``b`` against length-k structures in its quotient.
-
-    The quotient side counts bars of length k in component 0 plus hooks of
-    length k in the straight components; the two counts agree.
-    """
-    if g < 3 or g % 2 == 0 or k < 1:
-        raise ValueError("need odd g >= 3 and k >= 1")
-    in_b = sum(1 for v in bar_length_multiset(b) if v == k * g)
-    tower = bar_decompose(b, g)
-    in_quot = sum(1 for v in bar_length_multiset(tower.quotient[0]) if v == k)
-    for lam in tower.quotient[1:]:
-        in_quot += sum(1 for h in hook_length_multiset(lam) if h == k)
-    return in_b, in_quot
 
 
 def is_stbar_core(b: BarPartition, s: int, t: int) -> bool:

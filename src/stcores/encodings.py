@@ -11,7 +11,6 @@ from __future__ import annotations
 from .bar_partitions import BarPartition
 from .partitions import (
     Partition,
-    conjugate,
     from_first_column_hooks,
     is_self_conjugate,
     is_t_core,
@@ -193,7 +192,3 @@ def conjugate_tuple(entries: CoreTuple) -> CoreTuple:
     """
     return tuple(-a for a in reversed(entries))
 
-
-def _check_conjugation_law(p: Partition, t: int) -> bool:
-    """Literal tuple equality of the conjugation law; used by verification."""
-    return gks_encode(conjugate(p), t) == conjugate_tuple(gks_encode(p, t))

@@ -278,12 +278,6 @@ def not_g_core_count_at(n: int, t: int, g: int, variant: str = "straight") -> in
 
 
 @cache
-def _single_modulus_core_sizes(t: int, limit: int) -> tuple[int, ...]:
-    """Counts of t-cores per size up to limit, as a coefficient tuple."""
-    return core_counts(t, limit).counts
-
-
-@cache
 def q_tuple_count(s_p: int, t_p: int, g: int, w: int) -> int:
     """Number of g-tuples of (s_p, t_p)-cores with total size w.
 
@@ -293,7 +287,7 @@ def q_tuple_count(s_p: int, t_p: int, g: int, w: int) -> int:
     if g < 1 or w < 0:
         raise ValueError("need g >= 1 and w >= 0")
     if s_p == t_p:
-        base = list(_single_modulus_core_sizes(t_p, w))
+        base = core_counts(t_p, w).counts
     else:
         base = [0] * (w + 1)
         for n in range(w + 1):

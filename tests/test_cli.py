@@ -1,4 +1,6 @@
+from hashlib import sha256
 import json
+import re
 
 from click.testing import CliRunner
 import pytest
@@ -174,6 +176,18 @@ def test_verify_single_suite_passes():
     lines = result.output.splitlines()
     assert lines[-1] == "all 20 checks passed"
     assert all(" PASS " in line for line in lines[:-1])
+
+
+@pytest.mark.parametrize("truncation", ("0", "1"))
+def test_verify_all_at_a_tiny_truncation_keeps_every_check(truncation):
+    result = invoke("verify", "all", "-N", truncation)
+    assert result.exit_code == 0
+    # Two counting labels name their cap, min(N, 40); set to 40, the report
+    # is byte for byte the one `verify all -N 40` prints.
+    text = re.sub(f"enumeration to {truncation}$", "enumeration to 40", result.output, flags=re.M)
+    assert sha256(text.encode()).hexdigest() == (
+        "fd5134f05a628dee47fc9cafa32f142f2be6ee336f52f1ef663e6778e79a9ee0"
+    )
 
 
 def test_verify_rejects_unknown_suite():

@@ -3,15 +3,13 @@ import itertools
 from hypothesis import given, strategies as st
 import pytest
 
-from stcores.bar_partitions import enumerate_bar_partitions, is_tbar_core
+from stcores.bar_partitions import bar_length_multiset, enumerate_bar_partitions, is_tbar_core
 from stcores.core_quotient import (
     BarTower,
     StraightTower,
-    bar_bijection_check,
     bar_decompose,
     bar_reconstruct,
     decompose,
-    hook_bijection_check,
     is_st_core,
     is_st_core_by_quotient,
     is_stbar_core,
@@ -20,7 +18,7 @@ from stcores.core_quotient import (
     selfconjugate_tower_check,
 )
 from stcores.oracle import enumerate_partitions
-from stcores.partitions import is_self_conjugate, is_t_core, size
+from stcores.partitions import hook_length_multiset, is_self_conjugate, is_t_core, size
 
 
 partitions = st.lists(st.integers(min_value=1, max_value=10), max_size=7).map(
@@ -29,6 +27,27 @@ partitions = st.lists(st.integers(min_value=1, max_value=10), max_size=7).map(
 bar_parts = st.sets(st.integers(min_value=1, max_value=21), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
+
+
+def hook_bijection_check(p, g, k):
+    """Hooks of length k*g in ``p`` and hooks of length k in its g-quotient."""
+    in_p = sum(1 for h in hook_length_multiset(p) if h == k * g)
+    in_quot = sum(1 for q in decompose(p, g).quotient for h in hook_length_multiset(q) if h == k)
+    return in_p, in_quot
+
+
+def bar_bijection_check(b, g, k):
+    """Bars of length k*g in ``b`` against length-k bars and hooks in its quotient.
+
+    The quotient side counts bars of length k in component 0 plus hooks of
+    length k in the straight components.
+    """
+    in_b = sum(1 for v in bar_length_multiset(b) if v == k * g)
+    tower = bar_decompose(b, g)
+    in_quot = sum(1 for v in bar_length_multiset(tower.quotient[0]) if v == k)
+    for lam in tower.quotient[1:]:
+        in_quot += sum(1 for h in hook_length_multiset(lam) if h == k)
+    return in_b, in_quot
 
 
 @given(partitions, st.integers(min_value=2, max_value=6))
@@ -71,6 +90,16 @@ def test_bar_decompose_handles_deep_runners(b):
     tower = bar_decompose(b, 3)
     assert sum(b) == sum(tower.core) + 3 * tower.weight
     assert bar_reconstruct(tower) == b
+
+
+@pytest.mark.parametrize(
+    "core, match",
+    (((3,), "divisible by t"), ((4,), "gaps"), ((2, 1), "both populated")),
+)
+def test_bar_reconstruct_refuses_a_core_that_is_not_a_bar_core(core, match):
+    tower = BarTower(g=3, core=core, quotient=((), ()))
+    with pytest.raises(ValueError, match=match):
+        bar_reconstruct(tower)
 
 
 def test_bar_decompose_rejects_even_or_small_modulus():
