@@ -8,6 +8,7 @@ nonzero with a one-line diagnostic.
 from __future__ import annotations
 
 import sys
+import time
 
 import click
 
@@ -233,22 +234,36 @@ def scan(
 @main.command()
 @click.argument("suite")
 @truncation_option
-def verify(suite: str, truncation: int) -> None:
+@click.option(
+    "--report",
+    "report_path",
+    type=click.Path(dir_okay=False, writable=True),
+    default=None,
+    help="Also write each suite's wall time and every check's label, result "
+    "and detail (with its case total) to this file as JSON.",
+)
+def verify(suite: str, truncation: int, report_path: str | None) -> None:
     """Run one named check suite, or "all".
 
     Suites: bijections, bounds, congruence, convolution, counting, examples,
     genfun, structure. Prints one PASS/FAIL line per check and exits nonzero
     on any failure.
     """
+    names = sorted(verify_module.SUITES) if suite == "all" else [suite]
+    results = {}
+    wall_s = {}
     try:
-        if suite == "all":
-            results = verify_module.run_all(truncation)
-        else:
-            results = {suite: verify_module.run_suite(suite, truncation)}
+        for name in names:
+            start = time.perf_counter()
+            results[name] = verify_module.run_suite(name, truncation)
+            wall_s[name] = time.perf_counter() - start
     except ValueError as err:
         raise click.ClickException(str(err)) from None
     text, failures = formats.checks_report(results)
     click.echo(text)
+    if report_path is not None:
+        with open(report_path, "w", encoding="utf-8") as out:
+            out.write(formats.checks_report_json(results, wall_s, truncation) + "\n")
     if failures:
         sys.exit(1)
 

@@ -47,7 +47,7 @@ class StraightTower:
 
     @property
     def weight(self) -> int:
-        return sum(sum(q) for q in self.quotient)
+        return sum(map(sum, self.quotient))
 
 
 @dataclass(frozen=True)
@@ -73,32 +73,6 @@ class BarTower:
         return sum(sum(q) for q in self.quotient)
 
 
-def _padded_beta(p: Partition, n_beads: int) -> list[int]:
-    """Beta-set with exactly ``n_beads`` values, strictly decreasing."""
-    k = len(p)
-    values = [p[i] + n_beads - 1 - i for i in range(k)]
-    values.extend(range(n_beads - 1 - k, -1, -1))
-    return values
-
-
-def _runner_values(beta: list[int], g: int) -> list[list[int]]:
-    """Split beta values by residue, mapped onto runner positions (b - r) / g."""
-    runners: list[list[int]] = [[] for _ in range(g)]
-    for b in beta:
-        runners[b % g].append(b // g)
-    for r in runners:
-        r.sort(reverse=True)
-    return runners
-
-
-def _partition_from_runner(values: list[int]) -> Partition:
-    """Decode one runner's descending positions as a padded beta-set."""
-    m = len(values)
-    return tuple(
-        part for i, v in enumerate(values) if (part := v - (m - 1 - i)) > 0
-    )
-
-
 def decompose(p: Partition, g: int) -> StraightTower:
     """Split ``p`` into its g-core and g-quotient.
 
@@ -106,6 +80,12 @@ def decompose(p: Partition, g: int) -> StraightTower:
     component i collects the beta values congruent to i mod g. Adding g more
     phantom beads shifts every runner uniformly, so the result does not depend
     on the padding choice.
+
+    The fewer than g phantom beads 0, 1, ..., n_beads - k - 1 put one bead at
+    position 0 on each runner below n_beads - k. Only the real beads are then
+    placed, in ascending order, so the beads already on a runner are exactly
+    those below the new one and the part it reads is its position minus their
+    count.
 
     Args:
         p: any partition.
@@ -117,21 +97,39 @@ def decompose(p: Partition, g: int) -> StraightTower:
     """
     if g < 2:
         raise ValueError("g must be >= 2")
-    n_beads = g * ((len(p) + g - 1) // g)
-    beta = _padded_beta(p, n_beads)
-    runners = _runner_values(beta, g)
-    quotient = tuple(_partition_from_runner(r) for r in runners)
-    core_beta = []
-    for residue, r in enumerate(runners):
-        core_beta.extend(residue + g * j for j in range(len(r)))
-    core = from_first_column_hooks(core_beta)
-    return StraightTower(g=g, core=core, quotient=quotient)
+    k = len(p)
+    n_beads = g * ((k + g - 1) // g)
+    phantoms = n_beads - k
+    beads = [1] * phantoms + [0] * (g - phantoms)
+    runners: list[list[int]] = [[] for _ in range(g)]
+    for b in map(int.__add__, reversed(p), range(phantoms, n_beads)):
+        position, residue = divmod(b, g)
+        part = position - beads[residue]
+        beads[residue] += 1
+        if part:
+            runners[residue].append(part)
+    quotient = tuple([tuple(r[::-1]) for r in runners])
+    # The g-core keeps each runner's bead count, packed at the bottom. Every
+    # position below level min(beads) holds a bead; above it, a bead's part
+    # is the number of empty positions below it.
+    core: list[int] = []
+    gaps = 0
+    for x in range(g * min(beads), g * max(beads)):
+        if x // g < beads[x % g]:
+            if gaps:
+                core.append(gaps)
+        else:
+            gaps += 1
+    return StraightTower(g=g, core=tuple(core[::-1]), quotient=quotient)
 
 
 def reconstruct(tower: StraightTower) -> Partition:
     """Rebuild the unique partition with the given g-core and g-quotient.
 
-    Inverse of :func:`decompose`.
+    Inverse of :func:`decompose`. The core's beads are counted per runner as
+    in :func:`decompose`: its real beads by residue, plus the phantom beads
+    0, 1, ..., n_beads - k - 1, of which ceil((n_beads - k - r) / g) lie on
+    runner r.
 
     Raises:
         ValueError: if the tower's core is not a g-core.
@@ -139,15 +137,20 @@ def reconstruct(tower: StraightTower) -> Partition:
     g = tower.g
     if not is_t_core(tower.core, g):
         raise ValueError("tower core is not a g-core")
-    depth = max((len(q) for q in tower.quotient), default=0)
-    n_beads = g * (((len(tower.core) + g - 1) // g) + depth)
-    core_runners = _runner_values(_padded_beta(tower.core, n_beads), g)
-    beta = []
-    for residue, (positions, q) in enumerate(zip(core_runners, tower.quotient)):
-        m = len(positions)
-        # a g-core occupies each runner from the bottom up
-        padded = list(q) + [0] * (m - len(q))
-        beta.extend(residue + g * (padded[i] + m - 1 - i) for i in range(m))
+    k = len(tower.core)
+    depth = max(map(len, tower.quotient))
+    n_beads = g * (((k + g - 1) // g) + depth)
+    phantoms = n_beads - k
+    beads = [(phantoms - residue + g - 1) // g for residue in range(g)]
+    for b in map(int.__add__, tower.core, range(n_beads - 1, -1, -1)):
+        beads[b % g] += 1
+    beta: list[int] = []
+    for residue, (m, q) in enumerate(zip(beads, tower.quotient)):
+        # a g-core occupies each runner from the bottom up; q's parts lift
+        # its top len(q) beads, the rest stay at positions m - len(q) - 1, ..., 0
+        top = residue + g * (m - 1)
+        beta += [top + g * (x - i) for i, x in enumerate(q)]
+        beta += range(top - g * len(q), residue - 1, -g)
     return from_first_column_hooks(beta)
 
 
@@ -162,15 +165,29 @@ def is_st_core_by_quotient(p: Partition, s: int, t: int) -> bool:
     """Quotient-side test for (s,t)-cores when gcd(s,t) > 1.
 
     With g = gcd(s,t): true iff every component of the g-quotient is an
-    (s/g, t/g)-core. The g-core is unconstrained, since any hook divisible
-    by s or t is divisible by g and therefore lives in the quotient. Used
-    as a cross-check against :func:`is_st_core`.
+    (s/g, t/g)-core (see :func:`st_core_tower_check`). Used as a cross-check
+    against :func:`is_st_core`.
     """
     g = gcd(s, t)
     if g <= 1:
         raise ValueError("gcd(s, t) must exceed 1")
+    return st_core_tower_check(decompose(p, g), s, t)
+
+
+def st_core_tower_check(tower: StraightTower, s: int, t: int) -> bool:
+    """True iff every quotient component is an (s/g, t/g)-core, g = tower.g.
+
+    With g = gcd(s,t) this holds exactly when the tower's partition is an
+    (s,t)-core. The g-core is unconstrained, since any hook divisible by s
+    or t is divisible by g and therefore lives in the quotient.
+
+    Raises:
+        ValueError: unless gcd(s, t) equals the tower's g.
+    """
+    g = tower.g
+    if gcd(s, t) != g:
+        raise ValueError("gcd(s, t) must equal the tower's g")
     sp, tp = s // g, t // g
-    tower = decompose(p, g)
     return all(is_t_core(q, sp) and is_t_core(q, tp) for q in tower.quotient)
 
 

@@ -139,3 +139,31 @@ def checks_report(results: dict[str, list[tuple[str, bool, str]]]) -> tuple[str,
     else:
         lines.append(f"all {total} checks passed")
     return "\n".join(lines), failures
+
+
+def checks_report_json(
+    results: dict[str, list[tuple[str, bool, str]]], wall_s: dict[str, float], truncation: int
+) -> str:
+    """Verification results with each suite's wall time, as one JSON object.
+
+    Every check keeps its label, pass flag and detail; a passing check's
+    detail carries its case total (e.g. "all 9296 cases"). Unlike the text
+    report, the wall times differ from run to run.
+    """
+    return json.dumps(
+        {
+            "truncation": truncation,
+            "suites": [
+                {
+                    "name": suite,
+                    "wall_s": round(wall_s[suite], 6),
+                    "checks": [
+                        {"label": label, "passed": passed, "detail": detail}
+                        for label, passed, detail in checks
+                    ],
+                }
+                for suite, checks in results.items()
+            ],
+        },
+        **_COMPACT,
+    )

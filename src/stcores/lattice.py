@@ -77,13 +77,14 @@ def dh_grid(s: int, t: int) -> SignedGrid:
     """The floor(s/2) x floor(t/2) diagonal-hooks grid.
 
     Cell (i, j), 1-indexed, holds st - s(2j-1) - t(2i-1); all entries are odd
-    and their absolute values are pairwise distinct.
+    and their absolute values are pairwise distinct. Coprime s and t are never
+    both even, so this holds for either parity (Ford-Mai-Sze).
 
     Raises:
-        ValueError: unless s, t > 1 are odd and coprime.
+        ValueError: unless s, t > 1 are coprime.
     """
-    if s <= 1 or t <= 1 or s % 2 == 0 or t % 2 == 0:
-        raise ValueError("s and t must be odd and exceed 1")
+    if s <= 1 or t <= 1:
+        raise ValueError("s and t must exceed 1")
     if gcd(s, t) != 1:
         raise ValueError("s and t must be coprime")
     values = tuple(
@@ -379,7 +380,7 @@ def enumerate_st_cores_by_paths(s: int, t: int) -> Iterator[Partition]:
 
 
 def enumerate_selfconj_by_dh(s: int, t: int) -> Iterator[Partition]:
-    """All self-conjugate (s,t)-cores for odd coprime s, t, one per path."""
+    """All self-conjugate (s,t)-cores for coprime s, t, one per path."""
     grid = dh_grid(s, t)
     for path in enumerate_paths(grid.rows, grid.cols):
         yield dh_path_to_selfconj(path, s, t)

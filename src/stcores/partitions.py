@@ -104,15 +104,9 @@ def from_first_column_hooks(beta: Iterable[int]) -> Partition:
         raise ValueError("beta-set values must be distinct")
     if values and values[-1] < 0:
         raise ValueError("beta-set values must be nonnegative")
-    n = len(values)
-    parts = []
-    for i, v in enumerate(values):
-        part = v - (n - 1 - i)
-        if part < 0:
-            raise ValueError(f"{values} is not a valid beta-set")
-        if part > 0:
-            parts.append(part)
-    return tuple(parts)
+    # The i-th largest of n distinct nonnegative values is at least n - 1 - i,
+    # so no part decodes negative; phantom values decode to part 0.
+    return tuple([part for i, v in enumerate(values, 1 - len(values)) if (part := v + i) > 0])
 
 
 def hook_length_multiset(p: Partition) -> tuple[int, ...]:
@@ -126,11 +120,9 @@ def hook_length_multiset(p: Partition) -> tuple[int, ...]:
         A tuple of length size(p), one entry per cell.
     """
     conj = conjugate(p)
-    hooks = []
-    for i, row in enumerate(p):
-        for j in range(row):
-            hooks.append(row - j + conj[j] - i - 1)
-    return tuple(sorted(hooks, reverse=True))
+    hooks = [row - j + conj[j] - i - 1 for i, row in enumerate(p) for j in range(row)]
+    hooks.sort(reverse=True)
+    return tuple(hooks)
 
 
 def diagonal_hooks(p: Partition) -> tuple[int, ...]:
@@ -189,7 +181,8 @@ def is_t_core(p: Partition, t: int) -> bool:
 
     Uses the beta-set test: t is a hook length iff some beta value b >= t has
     b - t outside the beta-set. Equivalent, for this predicate, to having no
-    hook length divisible by t.
+    hook length divisible by t. The beta-set is an int bitmask B, so the test
+    is that B >> t has no bit outside B.
 
     Args:
         p: a partition.
@@ -197,5 +190,9 @@ def is_t_core(p: Partition, t: int) -> bool:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    beta = first_column_hooks(p)
-    return all(b < t or (b - t) in beta for b in beta)
+    k = len(p)
+    beta = 0
+    for part in p:
+        k -= 1
+        beta |= 1 << (part + k)
+    return not (beta >> t) & ~beta

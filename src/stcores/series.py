@@ -12,13 +12,10 @@ pair. Each census polynomial counts cores by size with the lattice path DP
 :func:`stcores.lattice.census_by_size` on the Anderson, diagonal-hooks or
 yin-yang grid, so no path is walked and no partition is built; the path
 enumerators stay the independent source for the bijections and cross-checks.
-Only self-conjugate censuses of pairs of mixed parity, which have no grid of
-their own, filter the enumerated Anderson census.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from math import gcd
 from typing import Iterable
@@ -27,10 +24,8 @@ from .lattice import (
     anderson_grid,
     census_by_size,
     dh_grid,
-    enumerate_st_cores_by_paths,
     yinyang_grid,
 )
-from .partitions import is_self_conjugate
 
 
 class TruncatedSeries:
@@ -210,18 +205,14 @@ def _census(kind: str, s: int, t: int) -> tuple[int, ...]:
     "straight": (s,t)-cores, by the path DP on the Anderson grid.
     "bar": (s-bar, t-bar)-cores, by the path DP on the yin-yang grid.
     "selfconj": self-conjugate (s,t)-cores, by the path DP on the
-    diagonal-hooks grid when s and t are odd, otherwise by filtering the
-    Anderson path enumeration.
+    diagonal-hooks grid.
     """
     s, t = sorted((s, t))
     if kind == "straight":
         return tuple(census_by_size(anderson_grid(s, t), beta_sets=True))
     if kind == "bar":
         return tuple(census_by_size(yinyang_grid(s, t)))
-    if s % 2 == 1 and t % 2 == 1:
-        return tuple(census_by_size(dh_grid(s, t)))
-    sizes = Counter(sum(p) for p in enumerate_st_cores_by_paths(s, t) if is_self_conjugate(p))
-    return tuple(sizes[n] for n in range(max(sizes) + 1))
+    return tuple(census_by_size(dh_grid(s, t)))
 
 
 def _census_polynomial(kind: str, s: int, t: int, truncation: int) -> TruncatedSeries:

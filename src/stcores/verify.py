@@ -16,15 +16,19 @@ family, the series builder, the brute-force table or second form, the
 parameters and the cap. ``suite_structure`` makes one pass per size over the
 partitions (self-conjugate ones included) and one over the bar partitions;
 each partition's conjugate, hook multiset and g-towers for g = 2..5 are
-computed once and feed every check on it, and each check counts only the
-sizes up to its own cap.
+computed once and feed every check on it (the joint-core quotient criterion
+included), the hook counts of each distinct quotient component are computed
+once per pass, and each check counts only the sizes up to its own cap.
+``suite_bijections`` likewise makes one pass per size over the self-conjugate
+partitions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import accumulate, product
-from math import comb
+from math import comb, gcd
 from typing import Callable
 
 from . import bar_partitions as bp
@@ -443,21 +447,38 @@ def suite_bijections(limit: int = 60) -> list[Check]:
     cap25 = min(limit, 25)
     cap30 = min(limit, 30)
 
-    for t in (3, 5, 7):
-        fails = []
-        total = 0
-        for n in range(cap25 + 1):
-            for p in orc.enumerate_self_conjugate(n):
+    # One pass per size over the self-conjugate partitions feeds the zeta
+    # round trips (to size 25) and big-gamma (to size 30).
+    zeta_fails: dict[int, list[str]] = {t: [] for t in (3, 5, 7)}
+    zeta_total = dict.fromkeys((3, 5, 7), 0)
+    big_fails: list[str] = []
+    seen: set[bp.BarPartition] = set()
+    big_total = 0
+    for n in range(cap30 + 1):
+        for p in orc.enumerate_self_conjugate(n):
+            for t in zeta_fails if n <= cap25 else ():
                 if not pt.is_t_core(p, t):
                     continue
-                total += 1
+                zeta_total[t] += 1
                 b = enc.zeta(p, t)
                 if not bp.is_bar_partition(b) or not bp.is_tbar_core(b, t):
-                    fails.append(f"zeta({p}) = {b} is not a {t}-bar-core")
+                    zeta_fails[t].append(f"zeta({p}) = {b} is not a {t}-bar-core")
                 elif enc.zeta_inverse(b, t) != p:
-                    fails.append(f"round trip fails at {p}")
+                    zeta_fails[t].append(f"round trip fails at {p}")
+            if not (pt.is_t_core(p, 9) and pt.is_t_core(p, 15)):
+                continue
+            big_total += 1
+            b = lat.big_gamma(p, 9, 15)
+            if not cq.is_stbar_core(b, 9, 15):
+                big_fails.append(f"image of {p} invalid")
+            elif lat.big_gamma_inverse(b, 9, 15) != p:
+                big_fails.append(f"round trip fails at {p}")
+            elif b in seen:
+                big_fails.append(f"two sources map to {b}")
+            seen.add(b)
+    for t, fails in zeta_fails.items():
         checks.append(
-            _all(f"zeta round trips on self-conjugate {t}-cores", fails, total)
+            _all(f"zeta round trips on self-conjugate {t}-cores", fails, zeta_total[t])
         )
 
     for t in (3, 5, 7):
@@ -503,27 +524,11 @@ def suite_bijections(limit: int = 60) -> list[Check]:
             )
         )
 
-    fails = []
-    seen: set[bp.BarPartition] = set()
-    total = 0
-    for n in range(cap30 + 1):
-        for p in orc.enumerate_self_conjugate(n):
-            if not (pt.is_t_core(p, 9) and pt.is_t_core(p, 15)):
-                continue
-            total += 1
-            b = lat.big_gamma(p, 9, 15)
-            if not cq.is_stbar_core(b, 9, 15):
-                fails.append(f"image of {p} invalid")
-            elif lat.big_gamma_inverse(b, 9, 15) != p:
-                fails.append(f"round trip fails at {p}")
-            elif b in seen:
-                fails.append(f"two sources map to {b}")
-            seen.add(b)
     checks.append(
         _all(
             "big-gamma injects self-conjugate (9,15)-cores into bar-cores",
-            fails,
-            total,
+            big_fails,
+            big_total,
         )
     )
     return checks
@@ -547,6 +552,20 @@ def suite_structure(limit: int = 60) -> list[Check]:
     gks_fails: list[str] = []
     dht_fails: list[str] = []
     gks_total = dht_total = 0
+
+    def short_lengths(lengths: tuple[int, ...]) -> tuple[int, ...]:
+        counts = Counter(lengths)
+        return tuple(counts[k] for k in range(1, 7))
+
+    # Quotient components repeat across partitions and moduli: count the
+    # hook lengths 1..6 of each distinct one once per pass.
+    @cache
+    def component_hooks(comp: pt.Partition) -> tuple[int, ...]:
+        return short_lengths(pt.hook_length_multiset(comp))
+
+    def quotient_hooks(components: tuple[pt.Partition, ...]) -> list[int]:
+        return [sum(c) for c in zip(*map(component_hooks, components))]
+
     for n in range(c25 + 1):
         for p in orc.enumerate_partitions(n):
             per_n[n] += 1
@@ -567,34 +586,32 @@ def suite_structure(limit: int = 60) -> list[Check]:
                 odd_form = tuple(2 * (p[i] - i) - 1 for i in range(len(p)) if p[i] > i)
                 if diag != odd_form or sum(diag) != n or pt.from_diagonal_hooks(diag) != p:
                     diag_fails.append(f"{p}")
+            hook_counts = Counter(hooks)
             if n <= c20:
                 for t in range(2, 9):
-                    if pt.is_t_core(p, t) != all(h % t for h in hooks):
+                    if pt.is_t_core(p, t) != all(h % t for h in hook_counts):
                         core_fails.append(f"{p} at t={t}")
 
-            hook_counts = Counter(hooks)
-            towers = [cq.decompose(p, g) for g in (2, 3, 4, 5)]
-            for tower in towers:
-                g = tower.g
+            towers = {g: cq.decompose(p, g) for g in (2, 3, 4, 5)}
+            for g, tower in towers.items():
                 if pt.size(tower.core) + g * tower.weight != n:
                     tower_fails.append(f"size identity fails for {p} at g={g}")
                     continue
                 if cq.reconstruct(tower) != p:
                     tower_fails.append(f"round trip fails for {p} at g={g}")
                     continue
-                qhooks: Counter[int] = Counter()
-                for comp in tower.quotient:
-                    qhooks.update(pt.hook_length_multiset(comp))
+                qhooks = quotient_hooks(tower.quotient)
                 for k in range(1, 7):
-                    if hook_counts[g * k] != qhooks[k]:
+                    if hook_counts[g * k] != qhooks[k - 1]:
                         transfer_fails.append(f"{p} at g={g}, k={k}")
             if n <= c22:
                 for s, t in ((4, 6), (6, 9), (6, 10), (10, 15)):
-                    if cq.is_st_core(p, s, t) != cq.is_st_core_by_quotient(p, s, t):
+                    tower = towers[gcd(s, t)]
+                    if cq.is_st_core(p, s, t) != cq.st_core_tower_check(tower, s, t):
                         eq_fails.append(f"{p} at ({s},{t})")
-                for tower in towers:
+                for g, tower in towers.items():
                     if cq.selfconjugate_tower_check(tower) != self_conjugate:
-                        sc_fails.append(f"{p} at g={tower.g}")
+                        sc_fails.append(f"{p} at g={g}")
 
             for t in (2, 3, 5, 7):
                 if not pt.is_t_core(p, t):
@@ -639,11 +656,10 @@ def suite_structure(limit: int = 60) -> list[Check]:
                 if cq.bar_reconstruct(tower) != b:
                     bt_fails.append(f"round trip fails for {b} at g={g}")
                     continue
-                qbars: Counter[int] = Counter(bp.bar_length_multiset(tower.quotient[0]))
-                for comp in tower.quotient[1:]:
-                    qbars.update(pt.hook_length_multiset(comp))
+                lam0 = short_lengths(bp.bar_length_multiset(tower.quotient[0]))
+                qbars = [x + y for x, y in zip(lam0, quotient_hooks(tower.quotient[1:]))]
                 for k in range(1, 7):
-                    if bar_counts[g * k] != qbars[k]:
+                    if bar_counts[g * k] != qbars[k - 1]:
                         btransfer_fails.append(f"{b} at g={g}, k={k}")
             if n <= c22:
                 for s, t in ((9, 15), (15, 21), (21, 33)):

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 import pytest
 
 from stcores import oracle
+from stcores import verify as verify_module
 from stcores.cli import COUNT_CAPS, main
 
 
@@ -122,8 +123,19 @@ def test_count_caps_admit_the_documented_truncations(monkeypatch):
 def test_grid_kinds():
     assert invoke("grid", "--kind", "yinyang", "-s", "3", "-t", "5").output == "2,-1\n"
     assert invoke("grid", "--kind", "dh", "-s", "3", "-t", "5").output == "7,1\n"
+    assert invoke("grid", "--kind", "dh", "-s", "4", "-t", "5").output == "11,3\n1,-7\n"
     anderson = invoke("grid", "--kind", "anderson", "-s", "2", "-t", "3")
     assert anderson.output == "1,-1,-3\n-2,-4,-6\n"
+
+
+def test_psistar_of_a_large_mixed_parity_reduced_pair_finishes():
+    # g = 3 and reduced pair (13, 14): 2.0e7 Anderson paths, 1716 diagonal-hooks paths
+    result = invoke("series", "--gf", "psistar", "-s", "39", "-t", "42", "-N", "60")
+    assert result.exit_code == 0
+    rows = result.output.splitlines()[1:]
+    assert len(rows) == 61
+    want = oracle.selfconj_st_core_counts(39, 42, 40).counts
+    assert [int(row.split(",")[1]) for row in rows[:41]] == list(want)
 
 
 def test_grid_rejects_bad_parameters():
@@ -188,6 +200,31 @@ def test_verify_all_at_a_tiny_truncation_keeps_every_check(truncation):
     assert sha256(text.encode()).hexdigest() == (
         "fd5134f05a628dee47fc9cafa32f142f2be6ee336f52f1ef663e6778e79a9ee0"
     )
+
+
+def test_verify_report_records_every_printed_check(tmp_path):
+    plain = invoke("verify", "all", "-N", "5")
+    path = tmp_path / "report.json"
+    reported = invoke("verify", "all", "-N", "5", "--report", str(path))
+    assert (reported.exit_code, reported.output) == (plain.exit_code, plain.output) == (0, plain.output)
+    report = json.loads(path.read_text())
+    assert report["truncation"] == 5
+    printed = [line.split(" PASS ", 1) for line in plain.output.splitlines()[:-1]]
+    recorded = [
+        (f"[{suite['name']}]", check["label"]) for suite in report["suites"] for check in suite["checks"]
+    ]
+    assert recorded == [tuple(line) for line in printed]
+    assert [suite["name"] for suite in report["suites"]] == sorted(verify_module.SUITES)
+    assert all(check["passed"] for suite in report["suites"] for check in suite["checks"])
+    assert all(suite["wall_s"] >= 0 for suite in report["suites"])
+    details = {check["label"]: check["detail"] for suite in report["suites"] for check in suite["checks"]}
+    assert details["conjugation is an involution preserving hooks"] == "all 19 cases"
+
+
+def test_verify_report_is_not_written_for_an_unknown_suite(tmp_path):
+    path = tmp_path / "report.json"
+    assert invoke("verify", "nope", "--report", str(path)).exit_code != 0
+    assert not path.exists()
 
 
 def test_verify_rejects_unknown_suite():

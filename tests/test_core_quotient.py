@@ -16,6 +16,7 @@ from stcores.core_quotient import (
     is_stbar_core_by_quotient,
     reconstruct,
     selfconjugate_tower_check,
+    st_core_tower_check,
 )
 from stcores.oracle import enumerate_partitions
 from stcores.partitions import hook_length_multiset, is_self_conjugate, is_t_core, size
@@ -120,6 +121,15 @@ def test_joint_core_test_agrees_with_quotient_criterion(s, t):
     for n in range(15):
         for p in enumerate_partitions(n):
             assert is_st_core(p, s, t) == is_st_core_by_quotient(p, s, t)
+
+
+def test_tower_check_needs_the_tower_modulus():
+    tower = decompose((3, 1), 3)
+    assert st_core_tower_check(tower, 6, 9) == is_st_core_by_quotient((3, 1), 6, 9)
+    with pytest.raises(ValueError, match="tower's g"):
+        st_core_tower_check(tower, 4, 6)
+    with pytest.raises(ValueError, match="exceed 1"):
+        is_st_core_by_quotient((3, 1), 4, 7)
 
 
 @pytest.mark.parametrize("s, t", ((9, 15), (15, 21)))

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import cache
 from math import comb, gcd
 
 from hypothesis import given, strategies as st
@@ -60,6 +61,8 @@ def test_anderson_grid_rejects_common_factors():
 def test_dh_and_yinyang_grid_small_values():
     assert dh_grid(3, 5).values == ((7, 1),)
     assert dh_grid(7, 11).rows == 3 and dh_grid(7, 11).cols == 5
+    assert dh_grid(4, 5).values == ((11, 3), (1, -7))
+    assert dh_grid(2, 3).values == ((1,),)
     assert yinyang_grid(3, 5).values == ((2, -1),)
 
 
@@ -81,6 +84,11 @@ def test_path_census_counts_and_extremes(s, t, count, largest):
     assert all(is_st_core(p, s, t) for p in cores)
 
 
+@cache
+def _anderson_cores(s, t):
+    return tuple(enumerate_st_cores_by_paths(s, t))
+
+
 def _counts_by_size(cores):
     sizes = Counter(sum(p) for p in cores)
     return [sizes[n] for n in range(max(sizes) + 1)]
@@ -90,7 +98,7 @@ def _counts_by_size(cores):
     "s, t", [(s, t) for s in range(2, 12) for t in range(s + 1, 12) if gcd(s, t) == 1]
 )
 def test_anderson_dp_counts_the_enumerated_sizes(s, t):
-    want = _counts_by_size(enumerate_st_cores_by_paths(s, t))
+    want = _counts_by_size(_anderson_cores(s, t))
     assert census_by_size(anderson_grid(s, t), beta_sets=True) == want
     assert census_by_size(anderson_grid(t, s), beta_sets=True) == want
 
@@ -103,6 +111,29 @@ def test_dh_and_yy_dp_count_the_enumerated_sizes(s, t):
     assert census_by_size(dh_grid(s, t)) == want
     assert census_by_size(dh_grid(t, s)) == want
     assert census_by_size(yinyang_grid(s, t)) == _counts_by_size(enumerate_barcores_by_yy(s, t))
+
+
+MIXED_PARITY = [
+    (s, t) for s in range(2, 14) for t in range(s + 1, 14) if gcd(s, t) == 1 and (s + t) % 2
+]
+
+
+@pytest.mark.parametrize("s, t", MIXED_PARITY)
+def test_dh_grid_counts_mixed_parity_pairs(s, t):
+    # Ford-Mai-Sze: C(floor(s/2) + floor(t/2), floor(s/2)) self-conjugate
+    # (s,t)-cores for every coprime pair, one per diagonal-hooks path.
+    cores = list(enumerate_selfconj_by_dh(s, t))
+    assert len(set(cores)) == len(cores) == comb(s // 2 + t // 2, s // 2)
+    assert all(is_self_conjugate(p) and is_t_core(p, s) and is_t_core(p, t) for p in cores)
+    want = _counts_by_size(cores)
+    assert census_by_size(dh_grid(s, t)) == want
+    assert census_by_size(dh_grid(t, s)) == want
+    if s <= 11 and t <= 11:
+        # the filtered Anderson enumeration is the independent source; past
+        # (10,11) it walks over a million paths
+        filtered = [p for p in _anderson_cores(s, t) if is_self_conjugate(p)]
+        assert set(cores) == set(filtered)
+        assert want == _counts_by_size(filtered)
 
 
 def test_anderson_dp_reaches_a_census_past_enumeration():
