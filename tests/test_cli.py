@@ -206,14 +206,15 @@ def test_verify_report_records_every_printed_check(tmp_path):
     plain = invoke("verify", "all", "-N", "5")
     path = tmp_path / "report.json"
     reported = invoke("verify", "all", "-N", "5", "--report", str(path))
-    assert (reported.exit_code, reported.output) == (plain.exit_code, plain.output) == (0, plain.output)
+    assert plain.exit_code == reported.exit_code == 0
+    assert reported.output == plain.output
     report = json.loads(path.read_text())
     assert report["truncation"] == 5
-    printed = [line.split(" PASS ", 1) for line in plain.output.splitlines()[:-1]]
+    printed = [tuple(line.split(" PASS ", 1)) for line in plain.output.splitlines()[:-1]]
     recorded = [
         (f"[{suite['name']}]", check["label"]) for suite in report["suites"] for check in suite["checks"]
     ]
-    assert recorded == [tuple(line) for line in printed]
+    assert recorded == printed
     assert [suite["name"] for suite in report["suites"]] == sorted(verify_module.SUITES)
     assert all(check["passed"] for suite in report["suites"] for check in suite["checks"])
     assert all(suite["wall_s"] >= 0 for suite in report["suites"])
