@@ -262,8 +262,11 @@ def verify(suite: str, truncation: int, report_path: str | None) -> None:
     text, failures = formats.checks_report(results)
     click.echo(text)
     if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as out:
-            out.write(formats.checks_report_json(results, wall_s, truncation) + "\n")
+        try:
+            with open(report_path, "w", encoding="utf-8") as out:
+                out.write(formats.checks_report_json(results, wall_s, truncation) + "\n")
+        except OSError as err:
+            raise click.ClickException(str(err)) from None
     if failures:
         sys.exit(1)
 

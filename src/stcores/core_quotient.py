@@ -47,7 +47,7 @@ class StraightTower:
 
     @property
     def weight(self) -> int:
-        return sum(map(sum, self.quotient))
+        return sum(sum(q) for q in self.quotient)
 
 
 @dataclass(frozen=True)

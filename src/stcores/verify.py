@@ -2,9 +2,10 @@
 
 Each suite returns a list of checks ``(label, passed, detail)``. Labels are
 stable strings, detail is empty on success and describes the first few
-failures otherwise. ``run_suite`` and ``run_all`` back the command-line
-``verify`` verb and the acceptance tests; everything is deterministic, so
-identical arguments always produce identical output.
+failures otherwise. ``run_suite`` backs the command-line ``verify`` verb
+(which runs every suite in sorted-name order for "all") and the acceptance
+tests; everything is deterministic, so identical arguments always produce
+identical output.
 
 The ``limit`` argument is the series truncation. Exhaustive enumerations are
 capped at the scale each invariant is stated for, so raising ``limit`` beyond
@@ -738,8 +739,3 @@ def run_suite(name: str, limit: int = 60) -> list[Check]:
         known = ", ".join(sorted(SUITES))
         raise ValueError(f"unknown suite {name!r}; choose from: {known}")
     return SUITES[name](limit)
-
-
-def run_all(limit: int = 60) -> dict[str, list[Check]]:
-    """Run every suite, keyed by name, in sorted-name order."""
-    return {name: SUITES[name](limit) for name in sorted(SUITES)}

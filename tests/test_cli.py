@@ -228,6 +228,16 @@ def test_verify_report_is_not_written_for_an_unknown_suite(tmp_path):
     assert not path.exists()
 
 
+def test_verify_report_to_a_missing_directory_is_a_one_line_error(tmp_path):
+    path = tmp_path / "no" / "such" / "report.json"
+    result = invoke("verify", "examples", "--report", str(path))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1].startswith("Error: ")
+    assert "No such file or directory" in result.output.splitlines()[-1]
+    assert not path.parent.exists()
+
+
 def test_verify_rejects_unknown_suite():
     result = invoke("verify", "nope")
     assert result.exit_code != 0

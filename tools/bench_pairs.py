@@ -1,12 +1,12 @@
 """Paired benchmark runs of a parent revision against the working tree.
 
-    python3 tools/bench_pairs.py --parent REV --out BENCH_6.json \
-        [--workload W ...] [--pairs N] [--first-seed S] [--seconds 30]
+    python3 tools/bench_pairs.py --parent REV --out BENCH_6.json [--first-seed S]
 
-Exports REV into a temporary directory with `git archive` and, for each
-workload, runs `python3 bench/run.py --workload W --seed N --seconds S
---trace 0` once in that copy and once in the working tree for each of N
-seeds, one process at a time, alternating which side runs first. Each run's
+Exports REV into a temporary directory with `git archive` and, for every
+workload in BENCHMARK.json, runs `python3 bench/run.py --workload W --seed N
+--seconds 30 --trace 0` once in that copy and once in the working tree for
+each of 10 seeds from S on, one process at a time, alternating which side
+runs first. Each run's
 last stdout line is its result; the script reads the end-to-end metrics from
 it and writes, per workload and metric, the median and quartiles of both
 sides, the number of pairs the change wins and loses (by the metric's
@@ -33,6 +33,8 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+SECONDS = 30
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -50,12 +52,12 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def bench_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_once(tree: Path, workload: str, seed: int) -> dict:
     """One bench/run.py run in ``tree``; its parsed result line plus the wall time."""
     proc = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0",
+            "--seconds", str(SECONDS), "--trace", "0",
         ],
         cwd=tree,
         capture_output=True,
@@ -105,16 +107,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="Revision to compare against.")
     parser.add_argument("--out", required=True, type=Path, help="JSON report to write.")
-    parser.add_argument("--workload", action="append", dest="workloads")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=601)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args()
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     parent_commit = git("rev-parse", args.parent)
     head = git("rev-parse", "HEAD")
@@ -122,14 +119,13 @@ def main() -> int:
 
     report: dict = {
         "script": "tools/bench_pairs.py",
-        "command": "python3 bench/run.py --workload W --seed N --seconds S --trace 0",
+        "command": f"python3 bench/run.py --workload W --seed N --seconds {SECONDS} --trace 0",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "parent_commit": parent_commit,
         "change_commit": head,
         "change_has_uncommitted_edits": dirty,
-        "seconds": args.seconds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -138,12 +134,12 @@ def main() -> int:
         trees = {"parent": parent_tree, "change": REPO}
         for workload in workloads:
             runs = []
-            seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+            seeds = list(range(args.first_seed, args.first_seed + PAIRS))
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 run: dict = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = bench_once(trees[side], workload, seed, args.seconds)
+                    run[side] = bench_once(trees[side], workload, seed)
                 runs.append(run)
                 print(
                     f"{workload} seed {seed}: "
