@@ -77,7 +77,7 @@ def _build_series(
 # case on a 2-vCPU Xeon (Python 3.11, single and joint counts, e.g.
 # `count -t 61 -N 60`): straight 24-26 s, selfconj 37-45 s, bar 18-20 s,
 # while p(200) alone is about 4e12 partitions.
-COUNT_CAPS = {"straight": 60, "selfconj": 150, "bar": 100}
+COUNT_CAPS = {"straight": 60, "selfconj": 180, "bar": 100}
 
 
 @main.command()
@@ -95,10 +95,10 @@ COUNT_CAPS = {"straight": 60, "selfconj": 150, "bar": 100}
 def count(t: int, s: int | None, variant: str, truncation: int, fmt: str) -> None:
     """Brute-force count table of cores by size (enumeration, not series).
 
-    Straight and bar counts build partitions part by part and drop a branch
-    at the first forbidden hook or bar; self-conjugate counts filter every
-    self-conjugate partition.
-    Refuses -N above 60 (straight), 150 (selfconj) or 100 (bar); where a
+    Builds partitions part by part (self-conjugate ones by distinct odd
+    diagonal hooks) in one walk over every size, dropping a branch at the
+    first forbidden hook or bar.
+    Refuses -N above 60 (straight), 180 (selfconj) or 100 (bar); where a
     generating function exists, the series verb reaches any truncation.
     """
     try:

@@ -132,11 +132,16 @@ def reconstruct(tower: StraightTower) -> Partition:
     runner r.
 
     Raises:
-        ValueError: if the tower's core is not a g-core.
+        ValueError: if the tower's core is not a g-core, or a quotient
+            component is not a partition.
     """
     g = tower.g
     if not is_t_core(tower.core, g):
         raise ValueError("tower core is not a g-core")
+    for j, q in enumerate(tower.quotient):
+        # most components are empty, and () is a partition
+        if q and not is_partition(q):
+            raise ValueError(f"component {j} is not a partition")
     k = len(tower.core)
     depth = max(map(len, tower.quotient))
     n_beads = g * (((k + g - 1) // g) + depth)

@@ -12,7 +12,6 @@ import json
 from typing import Iterable, Sequence
 
 from .bar_partitions import BarPartition, as_bar_partition
-from .core_quotient import BarTower, StraightTower
 from .lattice import SignedGrid
 from .oracle import CountTable
 from .partitions import Partition, as_partition
@@ -29,23 +28,6 @@ def partition_to_json(p: Partition) -> str:
 def bar_to_json(b: BarPartition) -> str:
     """Tagged object, e.g. `{"kind":"bar","parts":[6]}`."""
     return json.dumps({"kind": "bar", "parts": list(b)}, **_COMPACT)
-
-
-def tower_to_json(tower: StraightTower | BarTower) -> str:
-    """Core, quotient, and weight as one object; bar towers carry a tag."""
-    payload: dict[str, object] = {}
-    if isinstance(tower, BarTower):
-        payload["kind"] = "bar"
-    payload["g"] = tower.g
-    payload["core"] = list(tower.core)
-    payload["quotient"] = [list(comp) for comp in tower.quotient]
-    payload["weight"] = tower.weight
-    return json.dumps(payload, **_COMPACT)
-
-
-def core_tuple_to_json(entries: tuple[int, ...], t: int) -> str:
-    """Runner tuple with its modulus, e.g. `{"t":3,"entries":[2,0,-2]}`."""
-    return json.dumps({"t": t, "entries": list(entries)}, **_COMPACT)
 
 
 def scan_report_json(g: int, modulus: int, residues: Sequence[int], verified_to: int) -> str:

@@ -5,11 +5,10 @@ definitions alone. No generating functions and no lattice bijections are
 consulted, so these counts serve as an independent second source for every
 formula in the library.
 
-Core counts use pruned generation: ``enumerate_cores`` and
-``enumerate_barcores`` place the parts of a partition one at a time in
-ascending order and drop a branch at the first part that creates a
-forbidden hook or bar. A cut branch can never be repaired, because each
-test is settled when its largest part is placed:
+Core counts use pruned generation: the pieces of a partition are placed one
+at a time in ascending order, and a branch is dropped at the first piece
+that creates a forbidden hook or bar. A cut branch can never be repaired,
+because each test is settled when its largest piece is placed:
 
 - straight partitions: the part a_j at index j adds the beta value
   b = a_j + j, larger than every earlier value. t is a hook length iff some
@@ -18,12 +17,23 @@ test is settled when its largest part is placed:
 - bar partitions: the parts are distinct, and t is a bar length iff two
   parts sum to t or some part x >= t has x - t missing (x - t = 0 counts as
   missing). Both tests involve only parts <= x, so they are settled once x
-  is placed.
+  is placed;
+- self-conjugate partitions are given by their set D of distinct odd
+  diagonal hooks. By Ford-Mai-Sze (J. Number Theory 2009, Prop. 3.3) such a
+  partition is a t-core iff no h in D equals t, every h in D with h > 2t has
+  h - 2t in D, and no two elements of D sum to 2t. Each test involves only
+  hooks <= h, so it is settled once h is placed.
 
-``enumerate_partitions`` with ``count_filtered`` and the predicates of
-``partitions`` and ``bar_partitions`` remain the unpruned reference that the
-generators are tested against. Self-conjugate counts filter
-``enumerate_self_conjugate``.
+Every node of such a tree is itself a core, so the count tables
+(``core_counts`` and the rest) walk the tree once up to the largest size
+with an explicit stack and count each accepted node by its size; no
+partition is built. ``enumerate_cores`` and ``enumerate_barcores`` yield the
+cores of one size for callers that need the partitions themselves.
+
+``enumerate_partitions``, ``enumerate_bar_partitions`` and
+``enumerate_self_conjugate`` with the predicates of ``partitions`` and
+``bar_partitions`` remain the unpruned reference that the walks and
+generators are tested against.
 """
 
 from __future__ import annotations
@@ -34,12 +44,7 @@ from math import comb, gcd
 from typing import Callable, Iterable, Iterator
 
 from .bar_partitions import BarPartition, enumerate_bar_partitions
-from .partitions import (
-    Partition,
-    from_diagonal_hooks,
-    is_self_conjugate,
-    is_t_core,
-)
+from .partitions import Partition, from_diagonal_hooks
 
 
 @dataclass(frozen=True)
@@ -180,8 +185,112 @@ def enumerate_barcores(n: int, moduli: Iterable[int]) -> Iterator[BarPartition]:
     yield from grow(n, 1, 0, 0)
 
 
-def _count(items: Iterable[object]) -> int:
-    return sum(1 for _ in items)
+def _straight_walk(moduli: tuple[int, ...], limit: int) -> list[int]:
+    # A node is a partition whose parts were placed in ascending order; the
+    # part x at index j has beta value x + j, and bit b of `allowed` is set
+    # when beta value b creates no hook of any length t.
+    counts = [0] * (limit + 1)
+    counts[0] = 1
+    stack = [(0, 1, 0, 0)]  # size, smallest next part, beta-set bitmask, parts placed
+    while stack:
+        size, smallest, beta, j = stack.pop()
+        allowed = -1
+        for t in moduli:
+            allowed &= beta << t | (1 << t) - 1
+        room = limit - size
+        # bit i of `bits` is the part smallest + i
+        bits = allowed >> (smallest + j) & (1 << (room - smallest + 1)) - 1
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            x = smallest + low.bit_length() - 1
+            counts[size + x] += 1
+            if x + x <= room:
+                stack.append((size + x, x, beta | low << (smallest + j), j + 1))
+    return counts
+
+
+def _bar_walk(moduli: tuple[int, ...], limit: int) -> list[int]:
+    # A node is a bar partition whose distinct parts were placed in ascending
+    # order; bit x of `pairs` is set when x sums to some t with a placed part.
+    counts = [0] * (limit + 1)
+    counts[0] = 1
+    stack = [(0, 1, 0, 0)]  # size, smallest next part, parts bitmask, pairs bitmask
+    while stack:
+        size, smallest, parts, pairs = stack.pop()
+        allowed = ~pairs
+        for t in moduli:
+            allowed &= parts << t | (1 << t) - 1
+        room = limit - size
+        bits = allowed >> smallest & (1 << (room - smallest + 1)) - 1
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            x = smallest + low.bit_length() - 1
+            counts[size + x] += 1
+            if x + x < room:
+                partners = pairs
+                for t in moduli:
+                    if t > x:
+                        partners |= 1 << (t - x)
+                stack.append((size + x, x + 1, parts | low << smallest, partners))
+    return counts
+
+
+def _selfconj_walk(moduli: tuple[int, ...], limit: int) -> list[int]:
+    # A node is a self-conjugate partition given by its set D of distinct odd
+    # diagonal hooks, placed in ascending order; bit h of `pairs` is set when
+    # h + d = 2t for some d in D.
+    counts = [0] * (limit + 1)
+    counts[0] = 1
+    odd = 0
+    for h in range(1, limit + 1, 2):
+        odd |= 1 << h
+    for t in moduli:
+        odd &= ~(1 << t)
+    doubled = [2 * t for t in moduli]
+    stack = [(0, 1, 0, 0)]  # size, smallest next hook, D bitmask, pairs bitmask
+    while stack:
+        size, smallest, hooks, pairs = stack.pop()
+        allowed = odd & ~pairs
+        for t2 in doubled:
+            allowed &= hooks << t2 | (1 << t2 + 1) - 1
+        room = limit - size
+        bits = allowed >> smallest & (1 << (room - smallest + 1)) - 1
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            h = smallest + low.bit_length() - 1
+            counts[size + h] += 1
+            if h + h + 2 <= room:
+                partners = pairs
+                for t2 in doubled:
+                    if t2 > h:
+                        partners |= 1 << (t2 - h)
+                stack.append((size + h, h + 2, hooks | low << smallest, partners))
+    return counts
+
+
+_WALKS: dict[str, Callable[[tuple[int, ...], int], list[int]]] = {
+    "straight": _straight_walk,
+    "selfconj": _selfconj_walk,
+    "bar": _bar_walk,
+}
+
+
+@cache
+def _counts(variant: str, moduli: tuple[int, ...], limit: int) -> tuple[int, ...]:
+    """Cores of every size 0..limit for all of ``moduli``, from one walk."""
+    if variant == "bar":
+        if any(t < 1 or t % 2 == 0 for t in moduli):
+            raise ValueError("t must be odd and >= 1")
+    elif any(t < 1 for t in moduli):
+        raise ValueError("t must be >= 1")
+    if limit < 0:
+        return ()
+    # no hook, bar or diagonal-hook sum of a partition of size <= limit
+    # reaches a modulus above limit, so such a modulus prunes nothing
+    return tuple(_WALKS[variant](tuple(t for t in moduli if t <= limit), limit))
 
 
 def count_filtered(
@@ -192,28 +301,19 @@ def count_filtered(
     return sum(1 for p in items if predicate(p))
 
 
-@cache
 def core_counts(t: int, limit: int) -> CountTable:
-    """f_t(0..limit) by pruned enumeration."""
-    counts = tuple(_count(enumerate_cores(n, (t,))) for n in range(limit + 1))
-    return CountTable(label=f"f_{t}", counts=counts)
+    """f_t(0..limit) by one pruned walk."""
+    return CountTable(label=f"f_{t}", counts=_counts("straight", (t,), limit))
 
 
-@cache
 def selfconj_core_counts(t: int, limit: int) -> CountTable:
-    """f*_t(0..limit) by filtering self-conjugate partitions."""
-    counts = tuple(
-        sum(1 for p in enumerate_self_conjugate(n) if is_t_core(p, t))
-        for n in range(limit + 1)
-    )
-    return CountTable(label=f"f*_{t}", counts=counts)
+    """f*_t(0..limit) by one pruned walk over diagonal hooks."""
+    return CountTable(label=f"f*_{t}", counts=_counts("selfconj", (t,), limit))
 
 
-@cache
 def barcore_counts(t: int, limit: int) -> CountTable:
-    """f_tbar(0..limit) by pruned enumeration."""
-    counts = tuple(_count(enumerate_barcores(n, (t,))) for n in range(limit + 1))
-    return CountTable(label=f"f_{t}bar", counts=counts)
+    """f_tbar(0..limit) by one pruned walk."""
+    return CountTable(label=f"f_{t}bar", counts=_counts("bar", (t,), limit))
 
 
 def _check_pair(s: int, t: int) -> None:
@@ -221,60 +321,39 @@ def _check_pair(s: int, t: int) -> None:
         raise ValueError("s and t must exceed 1")
 
 
-@cache
 def st_core_counts(s: int, t: int, limit: int) -> CountTable:
-    """psi_{s,t}(0..limit) by pruned enumeration."""
+    """psi_{s,t}(0..limit) by one pruned walk."""
     _check_pair(s, t)
-    counts = tuple(_count(enumerate_cores(n, (s, t))) for n in range(limit + 1))
-    return CountTable(label=f"psi_{s},{t}", counts=counts)
+    return CountTable(label=f"psi_{s},{t}", counts=_counts("straight", (s, t), limit))
 
 
-@cache
 def selfconj_st_core_counts(s: int, t: int, limit: int) -> CountTable:
-    """psi*_{s,t}(0..limit) by filtering self-conjugate partitions."""
+    """psi*_{s,t}(0..limit) by one pruned walk over diagonal hooks."""
     _check_pair(s, t)
-    counts = tuple(
-        sum(
-            1
-            for p in enumerate_self_conjugate(n)
-            if is_t_core(p, s) and is_t_core(p, t)
-        )
-        for n in range(limit + 1)
-    )
-    return CountTable(label=f"psi*_{s},{t}", counts=counts)
+    return CountTable(label=f"psi*_{s},{t}", counts=_counts("selfconj", (s, t), limit))
 
 
-@cache
 def stbar_core_counts(s: int, t: int, limit: int) -> CountTable:
-    """psi_{sbar,tbar}(0..limit) by pruned enumeration."""
+    """psi_{sbar,tbar}(0..limit) by one pruned walk."""
     _check_pair(s, t)
-    counts = tuple(_count(enumerate_barcores(n, (s, t))) for n in range(limit + 1))
-    return CountTable(label=f"psi_{s}bar,{t}bar", counts=counts)
+    return CountTable(label=f"psi_{s}bar,{t}bar", counts=_counts("bar", (s, t), limit))
 
 
-def st_core_count_at(s: int, t: int, n: int) -> int:
-    """psi_{s,t}(n) for a single n, for spot checks on progressions."""
-    return _count(enumerate_cores(n, (s, t)))
+def not_g_core_counts(t: int, g: int, limit: int, variant: str = "straight") -> CountTable:
+    """t-cores that are not g-cores, sizes 0..limit.
 
-
-def not_g_core_count_at(n: int, t: int, g: int, variant: str = "straight") -> int:
-    """t-cores of n that are not g-cores, for one n.
-
-    variant: "straight" counts t-cores less (t, g)-cores, "selfconj" filters
-    self-conjugate partitions, "bar" counts t-bar-cores less
-    (t-bar, g-bar)-cores (odd t and g).
+    The t-core table less the (t, g)-core table of the same variant:
+    "straight", "selfconj" (self-conjugate partitions) or "bar" (odd t and
+    g, t-bar-cores less (t-bar, g-bar)-cores).
     """
-    if variant == "straight":
-        return _count(enumerate_cores(n, (t,))) - _count(enumerate_cores(n, (t, g)))
-    if variant == "selfconj":
-        return sum(
-            1
-            for p in enumerate_self_conjugate(n)
-            if is_t_core(p, t) and not is_t_core(p, g)
-        )
-    if variant == "bar":
-        return _count(enumerate_barcores(n, (t,))) - _count(enumerate_barcores(n, (t, g)))
-    raise ValueError("variant must be straight, selfconj, or bar")
+    if variant not in _WALKS:
+        raise ValueError("variant must be straight, selfconj, or bar")
+    single = _counts(variant, (t,), limit)
+    joint = _counts(variant, (t, g), limit)
+    return CountTable(
+        label=f"{variant} {t}-cores not {g}-cores",
+        counts=tuple(a - b for a, b in zip(single, joint)),
+    )
 
 
 @cache
@@ -286,12 +365,7 @@ def q_tuple_count(s_p: int, t_p: int, g: int, w: int) -> int:
     """
     if g < 1 or w < 0:
         raise ValueError("need g >= 1 and w >= 0")
-    if s_p == t_p:
-        base = core_counts(t_p, w).counts
-    else:
-        base = [0] * (w + 1)
-        for n in range(w + 1):
-            base[n] = st_core_count_at(s_p, t_p, n)
+    base = _counts("straight", tuple(sorted({s_p, t_p})), w)
     vec = [1] + [0] * w
     for _ in range(g):
         nxt = [0] * (w + 1)
@@ -313,7 +387,7 @@ def q_bar_tuple_count(s_p: int, t_p: int, g: int, w: int) -> int:
     """
     if g < 3 or g % 2 == 0 or w < 0:
         raise ValueError("need odd g >= 3 and w >= 0")
-    bar_base = [_count(enumerate_barcores(n, {s_p, t_p})) for n in range(w + 1)]
+    bar_base = _counts("bar", tuple(sorted({s_p, t_p})), w)
     total = 0
     for w0 in range(w + 1):
         if bar_base[w0]:
@@ -337,13 +411,9 @@ def extremal_stats(s: int, t: int, *, exhaustive: bool = False) -> tuple[int, in
     total = comb(s + t, t) // (s + t)
     max_size = (s * s - 1) * (t * t - 1) // 24
     if exhaustive:
-        seen = 0
-        seen_max = 0
-        for n in range(max_size + 1):
-            c = st_core_count_at(s, t, n)
-            if c:
-                seen += c
-                seen_max = n
+        counts = st_core_counts(s, t, max_size).counts
+        seen = sum(counts)
+        seen_max = max(n for n, c in enumerate(counts) if c)
         if seen != total or seen_max != max_size:
             raise ValueError(
                 f"enumeration found {seen} cores with max size {seen_max}, "

@@ -292,9 +292,10 @@ def suite_congruence(limit: int = 60) -> list[Check]:
     )
     for label, t, g, variant, modulus, residues in progressions:
         points = sorted(n for r in residues for n in range(r, cap50 + 1, g))
+        table = orc.not_g_core_counts(t, g, cap50, variant)
         fails = []
         for n in points:
-            val = orc.not_g_core_count_at(n, t, g, variant)
+            val = table[n]
             if val % modulus:
                 fails.append(f"n={n}: {val}")
         checks.append(_all(label, fails, len(points)))
@@ -308,9 +309,10 @@ def suite_bounds(limit: int = 60) -> list[Check]:
     cap35 = min(limit, 35)
     cap30 = min(limit, 30)
 
+    table = orc.not_g_core_counts(16, 4, cap40)
     fails = []
     for n in range(4, cap40 + 1):
-        val = orc.not_g_core_count_at(n, 16, 4)
+        val = table[n]
         floor_sum = sum(orc.q_tuple_count(4, 4, 4, w) for w in range(1, n // 4 + 1))
         if val < floor_sum:
             fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
@@ -324,9 +326,10 @@ def suite_bounds(limit: int = 60) -> list[Check]:
     # leftover self-conjugate core can exist; size 2 admits none.
     for t in (16, 32):
         tp = t // 8
+        table = orc.not_g_core_counts(t, 8, cap40, variant="selfconj")
         fails = []
         for n in range(cap40 + 1):
-            val = orc.not_g_core_count_at(n, t, 8, variant="selfconj")
+            val = table[n]
             live = [w for w in range(1, n // 16 + 1) if n - 16 * w != 2]
             floor_sum = sum(orc.q_tuple_count(tp, tp, 4, w) for w in live)
             if val < floor_sum:
@@ -348,9 +351,10 @@ def suite_bounds(limit: int = 60) -> list[Check]:
     for t in (22, 44):
         tp = t // 11
         sc_table = orc.selfconj_core_counts(tp, cap40)
+        table = orc.not_g_core_counts(t, 11, cap40, variant="selfconj")
         fails = []
         for n in range(cap40 + 1):
-            val = orc.not_g_core_count_at(n, t, 11, variant="selfconj")
+            val = table[n]
             m = n // 11
             floor_sum = 0
             for w1 in range(m // 2 + 1):
@@ -375,9 +379,10 @@ def suite_bounds(limit: int = 60) -> list[Check]:
             )
         )
 
+    table = orc.not_g_core_counts(21, 7, cap35, variant="bar")
     fails = []
     for n in range(7, cap35 + 1):
-        val = orc.not_g_core_count_at(n, 21, 7, variant="bar")
+        val = table[n]
         floor_sum = sum(orc.q_bar_tuple_count(3, 3, 7, w) for w in range(1, n // 7 + 1))
         if val < floor_sum:
             fails.append(f"n={n}: {val} < tuple sum {floor_sum}")

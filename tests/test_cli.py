@@ -79,6 +79,16 @@ def test_count_rejects_a_unit_modulus_like_series(variant):
         (("--variant", "bar", "-t", "4"), "t must be odd and >= 1"),
         (("--variant", "bar", "-t", "4", "-s", "9"), "t must be odd and >= 1"),
         (("--variant", "bar", "-t", "9", "-s", "4"), "t must be odd and >= 1"),
+        (("-t", "-3"), "t must be >= 1"),
+        (("--variant", "selfconj", "-t", "0"), "t must be >= 1"),
+        (("--variant", "selfconj", "-t", "-3"), "t must be >= 1"),
+        (("--variant", "bar", "-t", "0"), "t must be odd and >= 1"),
+        (("--variant", "bar", "-t", "2"), "t must be odd and >= 1"),
+        (("-t", "3", "-s", "1"), "s and t must exceed 1"),
+        (("--variant", "selfconj", "-t", "0", "-s", "5"), "s and t must exceed 1"),
+        (("--variant", "selfconj", "-t", "3", "-s", "-2"), "s and t must exceed 1"),
+        (("--variant", "bar", "-t", "1", "-s", "3"), "s and t must exceed 1"),
+        (("--variant", "bar", "-t", "4", "-s", "0"), "s and t must exceed 1"),
     ],
 )
 def test_count_rejects_a_bad_modulus_at_every_truncation(args, message, truncation):

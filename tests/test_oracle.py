@@ -1,4 +1,5 @@
 import ast
+from functools import cache
 from math import comb
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from stcores.oracle import (
     enumerate_partitions,
     enumerate_self_conjugate,
     extremal_stats,
-    not_g_core_count_at,
+    not_g_core_counts,
     q_bar_tuple_count,
     q_tuple_count,
     selfconj_core_counts,
@@ -72,14 +73,14 @@ def test_joint_count_tables_small_values():
 def test_not_g_core_counts_hand_value():
     # of the three partitions of 3, all are 4-cores and only the staircase
     # (2,1) is a 2-core
-    assert not_g_core_count_at(3, 4, 2) == 2
-    assert not_g_core_count_at(2, 16, 8, variant="selfconj") == 0
-    assert not_g_core_count_at(9, 9, 3, variant="bar") >= 1
+    assert not_g_core_counts(4, 2, 3)[3] == 2
+    assert not_g_core_counts(16, 8, 2, variant="selfconj")[2] == 0
+    assert not_g_core_counts(9, 3, 9, variant="bar")[9] >= 1
 
 
 def test_not_g_core_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
-        not_g_core_count_at(3, 4, 2, variant="typo")
+        not_g_core_counts(4, 2, 3, variant="typo")
 
 
 def test_q_tuple_counts():
@@ -135,6 +136,77 @@ def test_pruned_generators_check_moduli_before_yielding(generate, moduli, messag
     for n in (0, 5):
         with pytest.raises(ValueError, match=message):
             next(generate(n, moduli))
+
+
+LIMIT = 35
+# t = 1 and 2, even and non-coprime pairs, and a modulus above LIMIT
+STRAIGHT_MODULI = (
+    (1,), (2,), (3,), (5,), (16,), (22,), (37,),
+    (4, 6), (6, 9), (8, 12), (16, 8), (16, 4), (22, 11), (9, 15), (5, 7),
+)
+BAR_MODULI = ((1,), (3,), (5,), (9,), (21,), (37,), (9, 3), (21, 3), (9, 15), (15, 21), (7, 11))
+
+
+@cache
+def _reference_counts(family):
+    """Unpruned tables for every moduli set of ``family``, n <= LIMIT.
+
+    Each partition (straight and self-conjugate) or bar partition is tested
+    with ``is_t_core`` or ``is_tbar_core`` once per distinct modulus.
+    """
+    items, is_core, moduli_sets = {
+        "straight": (enumerate_partitions, is_t_core, STRAIGHT_MODULI),
+        "selfconj": (enumerate_self_conjugate, is_t_core, STRAIGHT_MODULI),
+        "bar": (enumerate_bar_partitions, is_tbar_core, BAR_MODULI),
+    }[family]
+    distinct = sorted({t for m in moduli_sets for t in m})
+    tables = {m: [0] * (LIMIT + 1) for m in moduli_sets}
+    for n in range(LIMIT + 1):
+        for p in items(n):
+            cores = {t for t in distinct if is_core(p, t)}
+            for m in moduli_sets:
+                if cores.issuperset(m):
+                    tables[m][n] += 1
+    return {m: tuple(c) for m, c in tables.items()}
+
+
+def _table(family, moduli, limit):
+    if len(moduli) == 1:
+        single = {"straight": core_counts, "selfconj": selfconj_core_counts, "bar": barcore_counts}
+        return single[family](moduli[0], limit).counts
+    joint = {"straight": st_core_counts, "selfconj": selfconj_st_core_counts, "bar": stbar_core_counts}
+    return joint[family](*moduli, limit).counts
+
+
+@pytest.mark.parametrize(
+    "family, moduli",
+    [("straight", m) for m in STRAIGHT_MODULI]
+    + [("selfconj", m) for m in STRAIGHT_MODULI]
+    + [("bar", m) for m in BAR_MODULI],
+)
+def test_count_walks_match_the_unpruned_reference(family, moduli):
+    want = _reference_counts(family)[moduli]
+    assert _table(family, moduli, LIMIT) == want
+    # a table that ends at a modulus is the prefix of the longer one
+    short = min(moduli[0], LIMIT)
+    assert _table(family, moduli, short) == want[: short + 1]
+
+
+@pytest.mark.parametrize(
+    "t, g, variant",
+    [
+        (16, 4, "straight"),
+        (22, 11, "straight"),
+        (16, 8, "selfconj"),
+        (22, 11, "selfconj"),
+        (9, 3, "bar"),
+        (21, 3, "bar"),
+    ],
+)
+def test_not_g_core_counts_match_the_unpruned_reference(t, g, variant):
+    reference = _reference_counts(variant)
+    want = tuple(a - b for a, b in zip(reference[(t,)], reference[(t, g)]))
+    assert not_g_core_counts(t, g, LIMIT, variant).counts == want
 
 
 def test_barcore_counts_small_values():
