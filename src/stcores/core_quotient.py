@@ -138,10 +138,6 @@ def reconstruct(tower: StraightTower) -> Partition:
     g = tower.g
     if not is_t_core(tower.core, g):
         raise ValueError("tower core is not a g-core")
-    for j, q in enumerate(tower.quotient):
-        # most components are empty, and () is a partition
-        if q and not is_partition(q):
-            raise ValueError(f"component {j} is not a partition")
     k = len(tower.core)
     depth = max(map(len, tower.quotient))
     n_beads = g * (((k + g - 1) // g) + depth)
@@ -151,6 +147,9 @@ def reconstruct(tower: StraightTower) -> Partition:
         beads[b % g] += 1
     beta: list[int] = []
     for residue, (m, q) in enumerate(zip(beads, tower.quotient)):
+        # most components are empty, and () is a partition
+        if q and not is_partition(q):
+            raise ValueError(f"component {residue} is not a partition")
         # a g-core occupies each runner from the bottom up; q's parts lift
         # its top len(q) beads, the rest stay at positions m - len(q) - 1, ..., 0
         top = residue + g * (m - 1)
