@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .partitions import check_modulus
+
 BarPartition = tuple[int, ...]
 
 
@@ -94,8 +96,7 @@ def is_tbar_core(b: BarPartition, t: int) -> bool:
         b: a bar partition.
         t: odd integer >= 1.
     """
-    if t < 1 or t % 2 == 0:
-        raise ValueError("t must be odd and >= 1")
+    check_modulus(t, odd=True)
     parts = set(b)
     for x in b:
         other = t - x

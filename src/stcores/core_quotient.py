@@ -20,6 +20,8 @@ from .bar_partitions import (
 from .encodings import olsson_encode
 from .partitions import (
     Partition,
+    check_pair,
+    common_divisor,
     conjugate,
     from_first_column_hooks,
     is_partition,
@@ -160,22 +162,8 @@ def reconstruct(tower: StraightTower) -> Partition:
 
 def is_st_core(p: Partition, s: int, t: int) -> bool:
     """True if ``p`` is simultaneously an s-core and a t-core."""
-    if s <= 1 or t <= 1:
-        raise ValueError("s and t must exceed 1")
+    check_pair(s, t)
     return is_t_core(p, s) and is_t_core(p, t)
-
-
-def is_st_core_by_quotient(p: Partition, s: int, t: int) -> bool:
-    """Quotient-side test for (s,t)-cores when gcd(s,t) > 1.
-
-    With g = gcd(s,t): true iff every component of the g-quotient is an
-    (s/g, t/g)-core (see :func:`st_core_tower_check`). Used as a cross-check
-    against :func:`is_st_core`.
-    """
-    g = gcd(s, t)
-    if g <= 1:
-        raise ValueError("gcd(s, t) must exceed 1")
-    return st_core_tower_check(decompose(p, g), s, t)
 
 
 def st_core_tower_check(tower: StraightTower, s: int, t: int) -> bool:
@@ -313,20 +301,18 @@ def bar_reconstruct(tower: BarTower) -> BarPartition:
 
 def is_stbar_core(b: BarPartition, s: int, t: int) -> bool:
     """True if ``b`` is simultaneously an s-bar-core and a t-bar-core."""
-    if s <= 1 or t <= 1 or s % 2 == 0 or t % 2 == 0:
-        raise ValueError("s and t must be odd and exceed 1")
+    check_pair(s, t, odd=True)
     return is_tbar_core(b, s) and is_tbar_core(b, t)
 
 
 def is_stbar_core_by_quotient(b: BarPartition, s: int, t: int) -> bool:
-    """Quotient-side test for (s-bar, t-bar)-cores when gcd(s,t) > 1 is odd.
+    """Quotient-side test for (s-bar, t-bar)-cores, odd s and t with gcd(s,t) > 1.
 
     Component 0 must be an (s'-bar, t'-bar)-core and every straight component
     an (s', t')-core. Cross-check for :func:`is_stbar_core`.
     """
-    g = gcd(s, t)
-    if g <= 1 or g % 2 == 0:
-        raise ValueError("gcd(s, t) must be odd and exceed 1")
+    check_pair(s, t, odd=True)
+    g = common_divisor(s, t)
     sp, tp = s // g, t // g
     tower = bar_decompose(b, g)
     if not (is_tbar_core(tower.quotient[0], sp) and is_tbar_core(tower.quotient[0], tp)):

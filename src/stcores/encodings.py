@@ -11,6 +11,7 @@ from __future__ import annotations
 from .bar_partitions import BarPartition
 from .partitions import (
     Partition,
+    check_modulus,
     from_first_column_hooks,
     is_self_conjugate,
     is_t_core,
@@ -30,10 +31,9 @@ def gks_encode(p: Partition, t: int) -> CoreTuple:
     (-a_{t-1},...,-a_0).
 
     Raises:
-        ValueError: if ``p`` is not a t-core.
+        ValueError: if t < 1 or ``p`` is not a t-core.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    check_modulus(t)
     if not is_t_core(p, t):
         raise ValueError("input is not a t-core")
     k = len(p)
@@ -114,10 +114,10 @@ def olsson_encode(b: BarPartition, t: int) -> BarTuple:
     has no part divisible by t.
 
     Raises:
-        ValueError: for even t or input that is not a t-bar-core.
+        ValueError: unless t is odd and >= 1, or for input that is not a
+            t-bar-core.
     """
-    if t < 3 or t % 2 == 0:
-        raise ValueError("t must be odd and >= 3")
+    check_modulus(t, odd=True)
     by_residue: dict[int, set[int]] = {}
     for x in b:
         r = x % t
@@ -162,10 +162,10 @@ def zeta(p: Partition, t: int) -> BarPartition:
     t-bar-cores; does not preserve size.
 
     Raises:
-        ValueError: for even t, non-t-core, or non-self-conjugate input.
+        ValueError: unless t is odd and >= 1, or for non-t-core or
+            non-self-conjugate input.
     """
-    if t % 2 == 0:
-        raise ValueError("t must be odd")
+    check_modulus(t, odd=True)
     if not is_self_conjugate(p):
         raise ValueError("input is not self-conjugate")
     entries = gks_encode(p, t)
@@ -176,10 +176,10 @@ def zeta_inverse(b: BarPartition, t: int) -> Partition:
     """Send a t-bar-core back to its self-conjugate t-core (odd t).
 
     Raises:
-        ValueError: for even t or input that is not a t-bar-core.
+        ValueError: unless t is odd and >= 1, or for input that is not a
+            t-bar-core.
     """
-    if t % 2 == 0:
-        raise ValueError("t must be odd")
+    check_modulus(t, odd=True)
     half = olsson_encode(b, t)
     entries = half + (0,) + tuple(-a for a in reversed(half))
     return gks_decode(entries, t)

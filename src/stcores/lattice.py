@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 from typing import Iterator
 
 from .bar_partitions import BarPartition, is_tbar_core
@@ -20,6 +19,8 @@ from .core_quotient import BarTower, bar_decompose, bar_reconstruct, decompose, 
 from .encodings import zeta, zeta_inverse
 from .partitions import (
     Partition,
+    check_pair,
+    common_divisor,
     conjugate,
     diagonal_hooks,
     from_diagonal_hooks,
@@ -62,10 +63,7 @@ def anderson_grid(s: int, t: int) -> SignedGrid:
     Raises:
         ValueError: unless s, t > 1 are coprime.
     """
-    if s <= 1 or t <= 1:
-        raise ValueError("s and t must exceed 1")
-    if gcd(s, t) != 1:
-        raise ValueError("s and t must be coprime")
+    check_pair(s, t, coprime=True)
     base = s * t - s - t
     values = tuple(
         tuple(base - c * s - r * t for c in range(t)) for r in range(s)
@@ -83,10 +81,7 @@ def dh_grid(s: int, t: int) -> SignedGrid:
     Raises:
         ValueError: unless s, t > 1 are coprime.
     """
-    if s <= 1 or t <= 1:
-        raise ValueError("s and t must exceed 1")
-    if gcd(s, t) != 1:
-        raise ValueError("s and t must be coprime")
+    check_pair(s, t, coprime=True)
     values = tuple(
         tuple(s * t - s * (2 * j - 1) - t * (2 * i - 1) for j in range(1, t // 2 + 1))
         for i in range(1, s // 2 + 1)
@@ -103,12 +98,12 @@ def yinyang_grid(s: int, t: int) -> SignedGrid:
     (t-s)/2 (top right) and s(t-1)/2 - t (bottom right).
 
     Raises:
-        ValueError: unless 1 < s < t are odd and coprime.
+        ValueError: unless s and t are odd, coprime and exceed 1 (checked
+            first, as for every pair), then unless s < t.
     """
-    if s <= 1 or t <= s or s % 2 == 0 or t % 2 == 0:
-        raise ValueError("need odd 1 < s < t")
-    if gcd(s, t) != 1:
-        raise ValueError("s and t must be coprime")
+    check_pair(s, t, odd=True, coprime=True)
+    if s >= t:
+        raise ValueError("s must be less than t")
     values = tuple(
         tuple(t * ((s + 1) // 2 - i) - s * j for j in range(1, (t - 1) // 2 + 1))
         for i in range(1, (s - 1) // 2 + 1)
@@ -291,8 +286,7 @@ def gamma(p: Partition, s: int, t: int) -> BarPartition:
             self-conjugate (s,t)-core.
     """
     s, t = sorted((s, t))
-    if s % 2 == 0 or t % 2 == 0 or s <= 1 or gcd(s, t) != 1:
-        raise ValueError("s and t must be odd, coprime, and exceed 1")
+    check_pair(s, t, odd=True, coprime=True)
     path = selfconj_to_dh_path(p, s, t)
     return yy_path_to_barcore(path, s, t)
 
@@ -300,8 +294,7 @@ def gamma(p: Partition, s: int, t: int) -> BarPartition:
 def gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
     """Inverse of :func:`gamma`: read the bar-core's path in the other grid."""
     s, t = sorted((s, t))
-    if s % 2 == 0 or t % 2 == 0 or s <= 1 or gcd(s, t) != 1:
-        raise ValueError("s and t must be odd, coprime, and exceed 1")
+    check_pair(s, t, odd=True, coprime=True)
     path = barcore_to_yy_path(b, s, t)
     return dh_path_to_selfconj(path, s, t)
 
@@ -315,12 +308,11 @@ def big_gamma(p: Partition, s: int, t: int) -> BarPartition:
     parameters.
 
     Raises:
-        ValueError: unless s, t, gcd(s,t) are odd, gcd(s,t) > 1, and ``p`` is
+        ValueError: unless s, t > 1 are odd with gcd(s,t) > 1, and ``p`` is
             a self-conjugate (s,t)-core.
     """
-    g = gcd(s, t)
-    if s % 2 == 0 or t % 2 == 0 or g % 2 == 0 or g <= 1:
-        raise ValueError("s, t, and gcd(s,t) must be odd with gcd(s,t) > 1")
+    check_pair(s, t, odd=True)
+    g = common_divisor(s, t)
     if not is_self_conjugate(p):
         raise ValueError("input is not self-conjugate")
     if not (is_t_core(p, s) and is_t_core(p, t)):
@@ -343,12 +335,11 @@ def big_gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
     """Inverse of :func:`big_gamma`.
 
     Raises:
-        ValueError: unless s, t, gcd(s,t) are odd, gcd(s,t) > 1, and ``b`` is
+        ValueError: unless s, t > 1 are odd with gcd(s,t) > 1, and ``b`` is
             an (s-bar, t-bar)-core.
     """
-    g = gcd(s, t)
-    if s % 2 == 0 or t % 2 == 0 or g % 2 == 0 or g <= 1:
-        raise ValueError("s, t, and gcd(s,t) must be odd with gcd(s,t) > 1")
+    check_pair(s, t, odd=True)
+    g = common_divisor(s, t)
     if not (is_tbar_core(b, s) and is_tbar_core(b, t)):
         raise ValueError("input is not an (s-bar, t-bar)-core")
     sp, tp = s // g, t // g

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import comb, gcd
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .bar_partitions import BarPartition, enumerate_bar_partitions
-from .partitions import Partition, from_diagonal_hooks
+from .partitions import Partition, check_modulus, check_pair, from_diagonal_hooks
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,18 @@ def enumerate_self_conjugate(n: int) -> Iterator[Partition]:
         yield from_diagonal_hooks(hooks)
 
 
+def _moduli(variant: str, moduli: Iterable[int], limit: int) -> tuple[int, ...]:
+    """The ``moduli`` of a walk or generator up to size ``limit``, validated.
+
+    No hook, bar or diagonal-hook sum of a partition of size <= limit reaches
+    a modulus above limit, so such a modulus prunes nothing and is dropped.
+    """
+    moduli = tuple(moduli)
+    for t in moduli:
+        check_modulus(t, odd=variant == "bar")
+    return tuple(t for t in moduli if t <= limit)
+
+
 def enumerate_cores(n: int, moduli: Iterable[int]) -> Iterator[Partition]:
     """Partitions of n that are t-cores for every t in ``moduli``, exactly once.
 
@@ -118,9 +130,7 @@ def enumerate_cores(n: int, moduli: Iterable[int]) -> Iterator[Partition]:
     bitmask; a part whose beta value b has some t <= b with b - t missing
     ends its branch (see the module docstring for why that is final).
     """
-    moduli = tuple(moduli)
-    if any(t < 1 for t in moduli):
-        raise ValueError("t must be >= 1")
+    moduli = _moduli("straight", moduli, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -154,9 +164,7 @@ def enumerate_barcores(n: int, moduli: Iterable[int]) -> Iterator[BarPartition]:
     an int bitmask; a part x that sums to some t with a smaller part, or has
     x >= t with x - t missing, ends its branch.
     """
-    moduli = tuple(moduli)
-    if any(t < 1 or t % 2 == 0 for t in moduli):
-        raise ValueError("t must be odd and >= 1")
+    moduli = _moduli("bar", moduli, n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -281,16 +289,10 @@ _WALKS: dict[str, Callable[[tuple[int, ...], int], list[int]]] = {
 @cache
 def _counts(variant: str, moduli: tuple[int, ...], limit: int) -> tuple[int, ...]:
     """Cores of every size 0..limit for all of ``moduli``, from one walk."""
-    if variant == "bar":
-        if any(t < 1 or t % 2 == 0 for t in moduli):
-            raise ValueError("t must be odd and >= 1")
-    elif any(t < 1 for t in moduli):
-        raise ValueError("t must be >= 1")
+    moduli = _moduli(variant, moduli, limit)
     if limit < 0:
         return ()
-    # no hook, bar or diagonal-hook sum of a partition of size <= limit
-    # reaches a modulus above limit, so such a modulus prunes nothing
-    return tuple(_WALKS[variant](tuple(t for t in moduli if t <= limit), limit))
+    return tuple(_WALKS[variant](moduli, limit))
 
 
 def count_filtered(
@@ -316,26 +318,21 @@ def barcore_counts(t: int, limit: int) -> CountTable:
     return CountTable(label=f"f_{t}bar", counts=_counts("bar", (t,), limit))
 
 
-def _check_pair(s: int, t: int) -> None:
-    if s <= 1 or t <= 1:
-        raise ValueError("s and t must exceed 1")
-
-
 def st_core_counts(s: int, t: int, limit: int) -> CountTable:
     """psi_{s,t}(0..limit) by one pruned walk."""
-    _check_pair(s, t)
+    check_pair(s, t)
     return CountTable(label=f"psi_{s},{t}", counts=_counts("straight", (s, t), limit))
 
 
 def selfconj_st_core_counts(s: int, t: int, limit: int) -> CountTable:
     """psi*_{s,t}(0..limit) by one pruned walk over diagonal hooks."""
-    _check_pair(s, t)
+    check_pair(s, t)
     return CountTable(label=f"psi*_{s},{t}", counts=_counts("selfconj", (s, t), limit))
 
 
 def stbar_core_counts(s: int, t: int, limit: int) -> CountTable:
     """psi_{sbar,tbar}(0..limit) by one pruned walk."""
-    _check_pair(s, t)
+    check_pair(s, t, odd=True)
     return CountTable(label=f"psi_{s}bar,{t}bar", counts=_counts("bar", (s, t), limit))
 
 
@@ -405,9 +402,7 @@ def extremal_stats(s: int, t: int, *, exhaustive: bool = False) -> tuple[int, in
     Raises:
         ValueError: for non-coprime input (or a failed exhaustive check).
     """
-    _check_pair(s, t)
-    if gcd(s, t) != 1:
-        raise ValueError("s and t must be coprime")
+    check_pair(s, t, coprime=True)
     total = comb(s + t, t) // (s + t)
     max_size = (s * s - 1) * (t * t - 1) // 24
     if exhaustive:

@@ -3,13 +3,44 @@
 A partition is represented as a tuple of weakly decreasing positive integers;
 the empty tuple is the empty partition of 0. All functions are pure and all
 values immutable, so everything here is safe to share between threads.
+
+This leaf module also holds the parameter policy: :func:`check_modulus`,
+:func:`check_pair` and :func:`common_divisor` are the only places that refuse
+a modulus or a pair, so each condition has one message in every verb.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable
 
 Partition = tuple[int, ...]
+
+
+def check_modulus(t: int, *, odd: bool = False) -> None:
+    """Refuse t < 1 for t-cores; with ``odd``, also even t (t-bar-cores, zeta)."""
+    if t < 1 or odd and t % 2 == 0:
+        raise ValueError("t must be odd and >= 1" if odd else "t must be >= 1")
+
+
+def check_pair(s: int, t: int, *, odd: bool = False, coprime: bool = False) -> None:
+    """Refuse s or t <= 1 for joint cores.
+
+    With ``odd``, also even s or t (bar cores); with ``coprime``, then
+    gcd(s, t) > 1 (the finite censuses and their grids).
+    """
+    if s <= 1 or t <= 1 or odd and (s % 2 == 0 or t % 2 == 0):
+        raise ValueError("s and t must be odd and exceed 1" if odd else "s and t must exceed 1")
+    if coprime and gcd(s, t) != 1:
+        raise ValueError("s and t must be coprime")
+
+
+def common_divisor(s: int, t: int) -> int:
+    """g = gcd(s, t), refused unless g > 1 (the g-core/g-quotient constructions)."""
+    g = gcd(s, t)
+    if g <= 1:
+        raise ValueError("gcd(s, t) must exceed 1")
+    return g
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
@@ -188,8 +219,7 @@ def is_t_core(p: Partition, t: int) -> bool:
         p: a partition.
         t: integer >= 1.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    check_modulus(t)
     k = len(p)
     beta = 0
     for part in p:

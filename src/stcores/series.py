@@ -26,6 +26,7 @@ from .lattice import (
     dh_grid,
     yinyang_grid,
 )
+from .partitions import check_modulus, check_pair, common_divisor
 
 
 class TruncatedSeries:
@@ -158,8 +159,7 @@ def partition_gf(truncation: int) -> TruncatedSeries:
 
 def core_gf(t: int, truncation: int) -> TruncatedSeries:
     """Coefficients f_t(0..N): the product of (1 - x**(t n))**t / (1 - x**n)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    check_modulus(t)
     factors = [(n, -1) for n in range(1, truncation + 1)]
     factors += [(t * n, t) for n in range(1, truncation // t + 1)]
     return eta_product(factors, truncation)
@@ -172,8 +172,7 @@ def selfconj_core_gf(t: int, truncation: int) -> TruncatedSeries:
     Odd t: product of (1 - x**(2tn))**((t-1)/2) (1 + x**(2n-1)) / (1 + x**(t(2n-1))).
     Each 1 + x**m enters as (1 - x**(2m)) / (1 - x**m).
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    check_modulus(t)
     factors = [(2 * t * n, t // 2) for n in range(1, truncation // (2 * t) + 1)]
     for m in range(1, truncation + 1, 2):
         factors += [(2 * m, 1), (m, -1)]
@@ -189,8 +188,7 @@ def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
     The product of (1 - x**(2n)) (1 - x**(tn))**((t+1)/2) over
     (1 - x**n) (1 - x**(2tn)).
     """
-    if t < 1 or t % 2 == 0:
-        raise ValueError("t must be odd and >= 1")
+    check_modulus(t, odd=True)
     factors = [(n, -1) for n in range(1, truncation + 1)]
     factors += [(2 * n, 1) for n in range(1, truncation // 2 + 1)]
     factors += [(t * n, (t + 1) // 2) for n in range(1, truncation // t + 1)]
@@ -233,8 +231,7 @@ def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     g = gcd(s,t) and reduced parameters s' = s/g, t' = t/g, the series is
     Psi_{s',t'}(x**g)**g * F_g(x).
     """
-    if s <= 1 or t <= 1:
-        raise ValueError("s and t must exceed 1")
+    check_pair(s, t)
     g = gcd(s, t)
     if g == 1:
         return _census_polynomial("straight", s, t, truncation)
@@ -243,19 +240,18 @@ def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
 
 
 def psi_star_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
-    """Generating function for self-conjugate (s,t)-cores, for g = gcd(s,t) > 1.
+    """Generating function for self-conjugate (s,t)-cores.
+
+    Coprime parameters give the finite diagonal-hooks census polynomial;
+    otherwise, with g = gcd(s,t) and reduced parameters s', t':
 
     Even g: F*_g(x) * Psi_{s',t'}(x**(2g))**(g/2).
     Odd g:  F*_g(x) * Psi_{s',t'}(x**(2g))**((g-1)/2) * Psi*_{s',t'}(x**g).
-
-    Raises:
-        ValueError: when gcd(s,t) = 1 (the finite census covers that case).
     """
-    if s <= 1 or t <= 1:
-        raise ValueError("s and t must exceed 1")
+    check_pair(s, t)
     g = gcd(s, t)
     if g == 1:
-        raise ValueError("gcd(s, t) must exceed 1; use the finite census at g = 1")
+        return _census_polynomial("selfconj", s, t, truncation)
     sp, tp = s // g, t // g
     base = _census_polynomial("straight", sp, tp, truncation)
     result = selfconj_core_gf(g, truncation)
@@ -272,8 +268,7 @@ def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     Coprime parameters give the finite census polynomial; otherwise the series
     is Psi-bar_{s',t'}(x**g) * Psi_{s',t'}(x**g)**((g-1)/2) * F_gbar(x).
     """
-    if s <= 1 or t <= 1 or s % 2 == 0 or t % 2 == 0:
-        raise ValueError("s and t must be odd and exceed 1")
+    check_pair(s, t, odd=True)
     g = gcd(s, t)
     if g == 1:
         return _census_polynomial("bar", s, t, truncation)
@@ -293,9 +288,8 @@ def convolution_psi(s: int, t: int, truncation: int) -> TruncatedSeries:
     psi(n) = sum over w of q(w) f_g(n - gw), with q(w) the number of g-tuples
     of (s',t')-cores of total size w. Equals :func:`psi_st_gf` coefficientwise.
     """
-    g = gcd(s, t)
-    if g == 1:
-        raise ValueError("gcd(s, t) must exceed 1")
+    check_pair(s, t)
+    g = common_divisor(s, t)
     q = _census_polynomial("straight", s // g, t // g, truncation) ** g
     f = core_gf(g, truncation)
     out = [
@@ -312,9 +306,8 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
     Odd g:  psi*(n) = sum over w1, w2 of q_{(g-1)/2}(w1) psi*_{s',t'}(w2)
             f*_g(n - (2 w1 + w2) g).
     """
-    g = gcd(s, t)
-    if g == 1:
-        raise ValueError("gcd(s, t) must exceed 1")
+    check_pair(s, t)
+    g = common_divisor(s, t)
     sp, tp = s // g, t // g
     fstar = selfconj_core_gf(g, truncation)
     base = _census_polynomial("straight", sp, tp, truncation)
@@ -344,11 +337,8 @@ def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
     quotients made of one (s'-bar, t'-bar)-core and (g-1)/2 straight
     (s',t')-cores with total size w.
     """
-    if s % 2 == 0 or t % 2 == 0:
-        raise ValueError("s and t must be odd")
-    g = gcd(s, t)
-    if g == 1:
-        raise ValueError("gcd(s, t) must exceed 1")
+    check_pair(s, t, odd=True)
+    g = common_divisor(s, t)
     sp, tp = s // g, t // g
     qbar = _census_polynomial("bar", sp, tp, truncation) * (
         _census_polynomial("straight", sp, tp, truncation) ** ((g - 1) // 2)

@@ -62,12 +62,67 @@ def test_count_table_variants():
     assert result.output.splitlines()[-1] == "3,1"
 
 
+# The generating functions that count each variant: single modulus, pair.
+FAMILIES = {
+    "straight": ("core", "psi"),
+    "selfconj": ("selfconj", "psistar"),
+    "bar": ("barcore", "psibar"),
+}
+PAIR_ERRORS = {
+    "straight": "s and t must exceed 1",
+    "selfconj": "s and t must exceed 1",
+    "bar": "s and t must be odd and exceed 1",
+}
+MODULUS_ERRORS = {
+    "straight": "t must be >= 1",
+    "selfconj": "t must be >= 1",
+    "bar": "t must be odd and >= 1",
+}
+
+
 @pytest.mark.parametrize("variant", ("straight", "selfconj", "bar"))
 def test_count_rejects_a_unit_modulus_like_series(variant):
     result = invoke("count", "--variant", variant, "-t", "3", "-s", "1", "-N", "4")
-    assert result.exit_code != 0
-    assert "s and t must exceed 1" in result.output
-    assert result.output == invoke("series", "--gf", "psi", "-s", "1", "-t", "3").output
+    assert result.exit_code == 1
+    assert result.output == f"Error: {PAIR_ERRORS[variant]}\n"
+    assert result.output == invoke("series", "--gf", FAMILIES[variant][1], "-s", "1", "-t", "3").output
+
+
+@pytest.mark.parametrize("variant", ("straight", "selfconj", "bar"))
+@pytest.mark.parametrize(
+    "moduli, refused_by",
+    [
+        ((4, 6), {"bar"}),
+        ((1, 5), {"straight", "selfconj", "bar"}),
+        ((-3, 5), {"straight", "selfconj", "bar"}),
+        ((2, 4), {"bar"}),
+        ((0,), {"straight", "selfconj", "bar"}),
+        ((-3,), {"straight", "selfconj", "bar"}),
+        ((2,), {"bar"}),
+    ],
+)
+def test_count_series_and_scan_print_the_same_error(variant, moduli, refused_by):
+    *s, t = moduli
+    params = ("-s", str(s[0]), "-t", str(t)) if s else ("-t", str(t))
+    gf = FAMILIES[variant][1 if s else 0]
+    results = [
+        invoke("count", "--variant", variant, *params, "-N", "5"),
+        invoke("series", "--gf", gf, *params, "-N", "5"),
+        invoke("scan", "--gf", gf, *params, "-g", "2", "--mod", "2", "-N", "5"),
+    ]
+    if variant not in refused_by:
+        assert [r.exit_code for r in results] == [0, 0, 0]
+        return
+    message = (PAIR_ERRORS if s else MODULUS_ERRORS)[variant]
+    assert [r.exit_code for r in results] == [1, 1, 1]
+    assert [r.output for r in results] == [f"Error: {message}\n"] * 3
+
+
+def test_zeta_and_its_inverse_print_the_same_error():
+    for map_name in ("zeta", "zeta-inverse"):
+        result = invoke("bijection", "--map", map_name, "-t", "-3", "--input", "[]")
+        assert result.exit_code == 1
+        assert result.output == "Error: t must be odd and >= 1\n"
 
 
 @pytest.mark.parametrize("truncation", ("0", "5"))
@@ -77,8 +132,8 @@ def test_count_rejects_a_unit_modulus_like_series(variant):
         (("-t", "0"), "t must be >= 1"),
         (("-t", "0", "-s", "5"), "s and t must exceed 1"),
         (("--variant", "bar", "-t", "4"), "t must be odd and >= 1"),
-        (("--variant", "bar", "-t", "4", "-s", "9"), "t must be odd and >= 1"),
-        (("--variant", "bar", "-t", "9", "-s", "4"), "t must be odd and >= 1"),
+        (("--variant", "bar", "-t", "4", "-s", "9"), "s and t must be odd and exceed 1"),
+        (("--variant", "bar", "-t", "9", "-s", "4"), "s and t must be odd and exceed 1"),
         (("-t", "-3"), "t must be >= 1"),
         (("--variant", "selfconj", "-t", "0"), "t must be >= 1"),
         (("--variant", "selfconj", "-t", "-3"), "t must be >= 1"),
@@ -87,8 +142,8 @@ def test_count_rejects_a_unit_modulus_like_series(variant):
         (("-t", "3", "-s", "1"), "s and t must exceed 1"),
         (("--variant", "selfconj", "-t", "0", "-s", "5"), "s and t must exceed 1"),
         (("--variant", "selfconj", "-t", "3", "-s", "-2"), "s and t must exceed 1"),
-        (("--variant", "bar", "-t", "1", "-s", "3"), "s and t must exceed 1"),
-        (("--variant", "bar", "-t", "4", "-s", "0"), "s and t must exceed 1"),
+        (("--variant", "bar", "-t", "1", "-s", "3"), "s and t must be odd and exceed 1"),
+        (("--variant", "bar", "-t", "4", "-s", "0"), "s and t must be odd and exceed 1"),
     ],
 )
 def test_count_rejects_a_bad_modulus_at_every_truncation(args, message, truncation):

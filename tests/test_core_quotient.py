@@ -1,4 +1,5 @@
 import itertools
+from math import gcd
 
 from hypothesis import given, strategies as st
 import pytest
@@ -11,7 +12,6 @@ from stcores.core_quotient import (
     bar_reconstruct,
     decompose,
     is_st_core,
-    is_st_core_by_quotient,
     is_stbar_core,
     is_stbar_core_by_quotient,
     reconstruct,
@@ -137,16 +137,14 @@ def test_bars_divisible_by_kg_match_quotient_count(b, g, k):
 def test_joint_core_test_agrees_with_quotient_criterion(s, t):
     for n in range(15):
         for p in enumerate_partitions(n):
-            assert is_st_core(p, s, t) == is_st_core_by_quotient(p, s, t)
+            assert is_st_core(p, s, t) == st_core_tower_check(decompose(p, gcd(s, t)), s, t)
 
 
 def test_tower_check_needs_the_tower_modulus():
     tower = decompose((3, 1), 3)
-    assert st_core_tower_check(tower, 6, 9) == is_st_core_by_quotient((3, 1), 6, 9)
+    assert st_core_tower_check(tower, 6, 9) == is_st_core((3, 1), 6, 9)
     with pytest.raises(ValueError, match="tower's g"):
         st_core_tower_check(tower, 4, 6)
-    with pytest.raises(ValueError, match="exceed 1"):
-        is_st_core_by_quotient((3, 1), 4, 7)
 
 
 @pytest.mark.parametrize("s, t", ((9, 15), (15, 21)))

@@ -86,6 +86,19 @@ def test_worked_zeta_pair():
     assert zeta_inverse((4, 1), 3) == (4, 2, 1, 1)
 
 
+def test_zeta_round_trips_at_t_1():
+    assert zeta((), 1) == ()
+    assert zeta_inverse((), 1) == ()
+    assert olsson_encode((), 1) == ()
+
+
+@pytest.mark.parametrize("t", (-3, 0, 2))
+def test_zeta_and_its_inverse_refuse_the_same_moduli(t):
+    for convert in (zeta, zeta_inverse, olsson_encode):
+        with pytest.raises(ValueError, match="^t must be odd and >= 1$"):
+            convert((), t)
+
+
 def test_zeta_rejects_bad_inputs():
     with pytest.raises(ValueError, match="odd"):
         zeta((1,), 2)

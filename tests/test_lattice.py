@@ -72,6 +72,11 @@ def test_yinyang_grid_needs_odd_interior_s(s):
         yinyang_grid(s, 5)
 
 
+def test_yinyang_grid_needs_s_below_t():
+    with pytest.raises(ValueError, match="^s must be less than t$"):
+        yinyang_grid(5, 3)
+
+
 @pytest.mark.parametrize(
     "s, t, count, largest",
     ((2, 3, 2, 1), (3, 4, 5, 5), (5, 7, 66, 48)),
@@ -183,9 +188,9 @@ def test_dh_and_yy_paths_round_trip(s, t):
 
 
 def test_big_gamma_rejects_trivial_or_even_parameters():
-    with pytest.raises(ValueError, match="odd"):
+    with pytest.raises(ValueError, match=r"^gcd\(s, t\) must exceed 1$"):
         big_gamma((1,), 3, 5)
-    with pytest.raises(ValueError, match="odd"):
+    with pytest.raises(ValueError, match="^s and t must be odd and exceed 1$"):
         big_gamma((1,), 6, 10)
 
 

@@ -138,6 +138,19 @@ def test_pruned_generators_check_moduli_before_yielding(generate, moduli, messag
             next(generate(n, moduli))
 
 
+def test_a_modulus_above_the_size_prunes_nothing():
+    # 10**7 rather than 10**9, so that a generator that kept it would still finish
+    far = 10**7 + 1
+    for n in range(13):
+        assert list(enumerate_cores(n, (far,))) == list(enumerate_cores(n, ()))
+        assert list(enumerate_cores(n, (3, far))) == list(enumerate_cores(n, (3,)))
+        assert list(enumerate_barcores(n, (far,))) == list(enumerate_barcores(n, ()))
+        assert list(enumerate_barcores(n, (far, 5))) == list(enumerate_barcores(n, (5,)))
+    assert oracle._moduli("bar", (3, far), 12) == (3,)
+    with pytest.raises(ValueError, match="^t must be odd and >= 1$"):
+        next(enumerate_barcores(3, (10**9,)))
+
+
 LIMIT = 35
 # t = 1 and 2, even and non-coprime pairs, and a modulus above LIMIT
 STRAIGHT_MODULI = (

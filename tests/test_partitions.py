@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 from hypothesis import given, strategies as st
 import pytest
 
+from stcores import partitions as partitions_module
 from stcores.partitions import (
     as_partition,
     conjugate,
@@ -112,3 +116,23 @@ def test_self_conjugate_detection():
     assert is_self_conjugate(())
     assert is_self_conjugate((3, 1, 1))
     assert not is_self_conjugate((3, 1))
+
+
+PARAMETER_MESSAGES = (
+    "t must be >= 1",
+    "t must be odd and >= 1",
+    "s and t must exceed 1",
+    "s and t must be odd and exceed 1",
+    "s and t must be coprime",
+    "gcd(s, t) must exceed 1",
+)
+
+
+def test_parameter_messages_appear_only_in_the_validators():
+    # one message per condition in every verb: no other module restates a check
+    found = {}
+    for path in sorted(Path(partitions_module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in PARAMETER_MESSAGES:
+                found.setdefault(node.value, set()).add(path.name)
+    assert found == {message: {"partitions.py"} for message in PARAMETER_MESSAGES}

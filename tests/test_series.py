@@ -7,6 +7,7 @@ from stcores.oracle import (
     barcore_counts,
     core_counts,
     selfconj_core_counts,
+    selfconj_st_core_counts,
     st_core_counts,
 )
 from stcores.series import (
@@ -14,6 +15,8 @@ from stcores.series import (
     barcore_gf,
     congruence_scan,
     convolution_psi,
+    convolution_psi_bar,
+    convolution_psi_star,
     core_gf,
     eta_product,
     partition_gf,
@@ -186,9 +189,19 @@ def test_psi_with_common_divisor_matches_enumeration():
     assert convolution_psi(4, 6, 14) == psi_st_gf(4, 6, 14)
 
 
-def test_psi_star_requires_a_common_divisor():
-    with pytest.raises(ValueError, match="census"):
-        psi_star_st_gf(3, 5, 10)
+@pytest.mark.parametrize("s, t", ((4, 5), (5, 7), (7, 11)))
+def test_psi_star_at_a_coprime_pair_is_the_finite_census(s, t):
+    largest = (s * s - 1) * (t * t - 1) // 24
+    assert psi_star_st_gf(s, t, largest).coeffs == selfconj_st_core_counts(s, t, largest).counts
+
+
+@pytest.mark.parametrize("s, t", ((0, 6), (6, 0)))
+def test_convolutions_refuse_a_modulus_below_two(s, t):
+    for convolution in (convolution_psi, convolution_psi_star):
+        with pytest.raises(ValueError, match="^s and t must exceed 1$"):
+            convolution(s, t, 8)
+    with pytest.raises(ValueError, match="^s and t must be odd and exceed 1$"):
+        convolution_psi_bar(s, t, 8)
 
 
 def test_psi_star_and_bar_small_smoke():
