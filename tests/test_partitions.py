@@ -7,6 +7,8 @@ import pytest
 from stcores import partitions as partitions_module
 from stcores.partitions import (
     as_partition,
+    check_pair,
+    common_divisor,
     conjugate,
     diagonal_hooks,
     first_column_hooks,
@@ -126,6 +128,15 @@ PARAMETER_MESSAGES = (
     "s and t must be coprime",
     "gcd(s, t) must exceed 1",
 )
+
+
+def test_pairs_are_checked_for_range_and_parity_before_their_gcd():
+    with pytest.raises(ValueError, match="^s and t must be odd and exceed 1$"):
+        check_pair(6, 9, odd=True, coprime=True)
+    with pytest.raises(ValueError, match="^s and t must be coprime$"):
+        check_pair(9, 3, odd=True, coprime=True)
+    check_pair(4, 6)
+    assert common_divisor(6, 9) == 3
 
 
 def test_parameter_messages_appear_only_in_the_validators():
