@@ -132,8 +132,8 @@ def test_zeta_and_its_inverse_print_the_same_error():
         (("-t", "0"), "t must be >= 1"),
         (("-t", "0", "-s", "5"), "s and t must exceed 1"),
         (("--variant", "bar", "-t", "4"), "t must be odd and >= 1"),
-        (("--variant", "bar", "-t", "4", "-s", "9"), "s and t must be odd and exceed 1"),
-        (("--variant", "bar", "-t", "9", "-s", "4"), "s and t must be odd and exceed 1"),
+        (("--variant", "bar", "-t", "6"), "t must be odd and >= 1"),
+        (("--variant", "bar", "-t", "-1"), "t must be odd and >= 1"),
         (("-t", "-3"), "t must be >= 1"),
         (("--variant", "selfconj", "-t", "0"), "t must be >= 1"),
         (("--variant", "selfconj", "-t", "-3"), "t must be >= 1"),
@@ -142,6 +142,10 @@ def test_zeta_and_its_inverse_print_the_same_error():
         (("-t", "3", "-s", "1"), "s and t must exceed 1"),
         (("--variant", "selfconj", "-t", "0", "-s", "5"), "s and t must exceed 1"),
         (("--variant", "selfconj", "-t", "3", "-s", "-2"), "s and t must exceed 1"),
+        (("-t", "1", "-s", "3"), "s and t must exceed 1"),
+        (("--variant", "selfconj", "-t", "4", "-s", "1"), "s and t must exceed 1"),
+        (("--variant", "bar", "-t", "4", "-s", "9"), "s and t must be odd and exceed 1"),
+        (("--variant", "bar", "-t", "9", "-s", "4"), "s and t must be odd and exceed 1"),
         (("--variant", "bar", "-t", "1", "-s", "3"), "s and t must be odd and exceed 1"),
         (("--variant", "bar", "-t", "4", "-s", "0"), "s and t must be odd and exceed 1"),
     ],
