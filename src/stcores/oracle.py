@@ -27,13 +27,15 @@ because each test is settled when its largest piece is placed:
 Every node of such a tree is itself a core, so the count tables
 (``core_counts`` and the rest) walk the tree once up to the largest size
 with an explicit stack and count each accepted node by its size; no
-partition is built. ``enumerate_cores`` and ``enumerate_barcores`` yield the
-cores of one size for callers that need the partitions themselves.
+partition is built. These three walks are the only pruned enumerations
+here, so each pruning rule is written once. A per-size count is read off a
+table, and ``not_g_core_counts`` takes a tuple of moduli: the (4,6)-cores
+that are not 2-cores are the (4,6) table less the (4,6,2) table.
 
-``enumerate_partitions``, ``enumerate_bar_partitions`` and
+``enumerate_partitions``, ``bar_partitions.enumerate_bar_partitions`` and
 ``enumerate_self_conjugate`` with the predicates of ``partitions`` and
-``bar_partitions`` remain the unpruned reference that the walks and
-generators are tested against.
+``bar_partitions`` remain the unpruned reference that the walks are tested
+against.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from functools import cache
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .bar_partitions import BarPartition, enumerate_bar_partitions
 from .partitions import Partition, check_modulus, check_pair, from_diagonal_hooks
 
 
@@ -112,7 +113,7 @@ def enumerate_self_conjugate(n: int) -> Iterator[Partition]:
 
 
 def _moduli(variant: str, moduli: Iterable[int], limit: int) -> tuple[int, ...]:
-    """The ``moduli`` of a walk or generator up to size ``limit``, validated.
+    """The ``moduli`` of a walk up to size ``limit``, validated.
 
     No hook, bar or diagonal-hook sum of a partition of size <= limit reaches
     a modulus above limit, so such a modulus prunes nothing and is dropped.
@@ -121,76 +122,6 @@ def _moduli(variant: str, moduli: Iterable[int], limit: int) -> tuple[int, ...]:
     for t in moduli:
         check_modulus(t, odd=variant == "bar")
     return tuple(t for t in moduli if t <= limit)
-
-
-def enumerate_cores(n: int, moduli: Iterable[int]) -> Iterator[Partition]:
-    """Partitions of n that are t-cores for every t in ``moduli``, exactly once.
-
-    Parts are placed in ascending order with the beta-set carried as an int
-    bitmask; a part whose beta value b has some t <= b with b - t missing
-    ends its branch (see the module docstring for why that is final).
-    """
-    moduli = _moduli("straight", moduli, n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    placed: list[int] = []
-
-    def grow(remaining: int, smallest: int, beta: int) -> Iterator[Partition]:
-        j = len(placed)
-        # bit x is set when part x at index j (beta value x + j) creates no
-        # hook of any length t
-        allowed = -1
-        for t in moduli:
-            allowed &= beta << t | (1 << t) - 1
-        allowed >>= j
-        for x in range(smallest, remaining // 2 + 1):
-            if allowed >> x & 1:
-                placed.append(x)
-                yield from grow(remaining - x, x, beta | 1 << (x + j))
-                placed.pop()
-        if remaining >= smallest and allowed >> remaining & 1:
-            yield (remaining, *reversed(placed))
-
-    yield from grow(n, 1, 0)
-
-
-def enumerate_barcores(n: int, moduli: Iterable[int]) -> Iterator[BarPartition]:
-    """Bar partitions of n that are t-bar-cores for every t in ``moduli``.
-
-    Distinct parts are placed in ascending order with the parts carried as
-    an int bitmask; a part x that sums to some t with a smaller part, or has
-    x >= t with x - t missing, ends its branch.
-    """
-    moduli = _moduli("bar", moduli, n)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    placed: list[int] = []
-
-    def grow(remaining: int, smallest: int, parts: int, pairs: int) -> Iterator[BarPartition]:
-        # bit x of `pairs` is set when x sums to some t with a placed part;
-        # bit x of `allowed` is set when part x creates no bar of any length t
-        allowed = ~pairs
-        for t in moduli:
-            allowed &= parts << t | (1 << t) - 1
-        for x in range(smallest, (remaining - 1) // 2 + 1):
-            if allowed >> x & 1:
-                placed.append(x)
-                partners = pairs
-                for t in moduli:
-                    if t > x:
-                        partners |= 1 << (t - x)
-                yield from grow(remaining - x, x + 1, parts | 1 << x, partners)
-                placed.pop()
-        if remaining >= smallest and allowed >> remaining & 1:
-            yield (remaining, *reversed(placed))
-
-    yield from grow(n, 1, 0, 0)
 
 
 def _straight_walk(moduli: tuple[int, ...], limit: int) -> list[int]:
@@ -295,12 +226,9 @@ def _counts(variant: str, moduli: tuple[int, ...], limit: int) -> tuple[int, ...
     return tuple(_WALKS[variant](moduli, limit))
 
 
-def count_filtered(
-    n: int, predicate: Callable[[tuple[int, ...]], bool], *, bar: bool = False
-) -> int:
-    """Number of partitions (or bar partitions) of n satisfying a predicate."""
-    items = enumerate_bar_partitions(n) if bar else enumerate_partitions(n)
-    return sum(1 for p in items if predicate(p))
+def count_filtered(n: int, predicate: Callable[[Partition], bool]) -> int:
+    """Number of partitions of n satisfying a predicate."""
+    return sum(1 for p in enumerate_partitions(n) if predicate(p))
 
 
 def core_counts(t: int, limit: int) -> CountTable:
@@ -336,19 +264,24 @@ def stbar_core_counts(s: int, t: int, limit: int) -> CountTable:
     return CountTable(label=f"psi_{s}bar,{t}bar", counts=_counts("bar", (s, t), limit))
 
 
-def not_g_core_counts(t: int, g: int, limit: int, variant: str = "straight") -> CountTable:
-    """t-cores that are not g-cores, sizes 0..limit.
+def not_g_core_counts(
+    moduli: tuple[int, ...], g: int, limit: int, variant: str = "straight"
+) -> CountTable:
+    """Cores for every modulus in ``moduli`` that are not g-cores, sizes 0..limit.
 
-    The t-core table less the (t, g)-core table of the same variant:
-    "straight", "selfconj" (self-conjugate partitions) or "bar" (odd t and
-    g, t-bar-cores less (t-bar, g-bar)-cores).
+    The ``moduli`` table less the ``moduli + (g,)`` table of the same
+    variant: "straight", "selfconj" (self-conjugate partitions) or "bar"
+    (odd moduli and g, bar-cores less bar-cores that are also g-bar-cores).
     """
     if variant not in _WALKS:
         raise ValueError("variant must be straight, selfconj, or bar")
-    single = _counts(variant, (t,), limit)
-    joint = _counts(variant, (t, g), limit)
+    single = _counts(variant, moduli, limit)
+    joint = _counts(variant, (*moduli, g), limit)
+    name = ",".join(map(str, moduli))
+    if len(moduli) > 1:
+        name = f"({name})"
     return CountTable(
-        label=f"{variant} {t}-cores not {g}-cores",
+        label=f"{variant} {name}-cores not {g}-cores",
         counts=tuple(a - b for a, b in zip(single, joint)),
     )
 
@@ -392,27 +325,14 @@ def q_bar_tuple_count(s_p: int, t_p: int, g: int, w: int) -> int:
     return total
 
 
-def extremal_stats(s: int, t: int, *, exhaustive: bool = False) -> tuple[int, int]:
+def extremal_stats(s: int, t: int) -> tuple[int, int]:
     """Total count and largest size of (s,t)-cores for coprime s, t.
 
-    Evaluates binomial(s+t, t)/(s+t) and (s*s - 1)(t*t - 1)/24. With
-    ``exhaustive`` set, additionally enumerates every partition up to the
-    formula's maximum size and checks both values, raising on mismatch.
+    Evaluates binomial(s+t, t)/(s+t) and (s*s - 1)(t*t - 1)/24; the
+    ``counting`` suite of ``verify`` checks both against the path census.
 
     Raises:
-        ValueError: for non-coprime input (or a failed exhaustive check).
+        ValueError: for non-coprime input.
     """
     check_pair(s, t, coprime=True)
-    total = comb(s + t, t) // (s + t)
-    max_size = (s * s - 1) * (t * t - 1) // 24
-    if exhaustive:
-        counts = st_core_counts(s, t, max_size).counts
-        seen = sum(counts)
-        seen_max = max(n for n, c in enumerate(counts) if c)
-        if seen != total or seen_max != max_size:
-            raise ValueError(
-                f"enumeration found {seen} cores with max size {seen_max}, "
-                f"formulas give {total} and {max_size}"
-            )
-    return total, max_size
-
+    return comb(s + t, t) // (s + t), (s * s - 1) * (t * t - 1) // 24

@@ -124,21 +124,30 @@ def suite_counting(limit: int = 60) -> list[Check]:
         checks.append(
             _eq(f"({s},{t}) closed-form count and extreme", orc.extremal_stats(s, t), (count, max_size))
         )
+        # The census equals the enumerated set exactly when none of its
+        # distinct partitions is a non-core and it holds as many partitions
+        # of each size as the count table: a missing, repeated or foreign
+        # core changes a count.
+        non_cores = sorted({p for p in census if not cq.is_st_core(p, s, t)})
+        per_size = Counter(sizes)
         if (s, t) == (7, 11):
-            by_size: dict[int, set[pt.Partition]] = {}
-            for p in census:
-                by_size.setdefault(pt.size(p), set()).add(p)
+            table = orc.st_core_counts(s, t, 48)
             for n in (24, 36, 48):
-                direct = set(orc.enumerate_cores(n, (s, t)))
                 checks.append(
-                    _eq(f"(7,11)-cores of size {n}, census vs enumeration", by_size.get(n, set()), direct)
+                    _eq(
+                        f"(7,11)-cores of size {n}, census vs enumeration",
+                        ([p for p in non_cores if pt.size(p) == n], per_size[n]),
+                        ([], table[n]),
+                    )
                 )
         else:
-            direct_all: set[pt.Partition] = set()
-            for n in range(max_size + 1):
-                direct_all.update(orc.enumerate_cores(n, (s, t)))
+            table = orc.st_core_counts(s, t, max_size)
             checks.append(
-                _eq(f"({s},{t})-core census equals the enumerated set", set(census), direct_all)
+                _eq(
+                    f"({s},{t})-core census equals the enumerated set",
+                    (non_cores, tuple(per_size[n] for n in range(max(per_size) + 1))),
+                    ([], table.counts),
+                )
             )
 
     for s, t in ((5, 7), (7, 11)):
@@ -292,7 +301,7 @@ def suite_congruence(limit: int = 60) -> list[Check]:
     )
     for label, t, g, variant, modulus, residues in progressions:
         points = sorted(n for r in residues for n in range(r, cap50 + 1, g))
-        table = orc.not_g_core_counts(t, g, cap50, variant)
+        table = orc.not_g_core_counts((t,), g, cap50, variant)
         fails = []
         for n in points:
             val = table[n]
@@ -309,7 +318,7 @@ def suite_bounds(limit: int = 60) -> list[Check]:
     cap35 = min(limit, 35)
     cap30 = min(limit, 30)
 
-    table = orc.not_g_core_counts(16, 4, cap40)
+    table = orc.not_g_core_counts((16,), 4, cap40)
     fails = []
     for n in range(4, cap40 + 1):
         val = table[n]
@@ -326,7 +335,7 @@ def suite_bounds(limit: int = 60) -> list[Check]:
     # leftover self-conjugate core can exist; size 2 admits none.
     for t in (16, 32):
         tp = t // 8
-        table = orc.not_g_core_counts(t, 8, cap40, variant="selfconj")
+        table = orc.not_g_core_counts((t,), 8, cap40, variant="selfconj")
         fails = []
         for n in range(cap40 + 1):
             val = table[n]
@@ -351,7 +360,7 @@ def suite_bounds(limit: int = 60) -> list[Check]:
     for t in (22, 44):
         tp = t // 11
         sc_table = orc.selfconj_core_counts(tp, cap40)
-        table = orc.not_g_core_counts(t, 11, cap40, variant="selfconj")
+        table = orc.not_g_core_counts((t,), 11, cap40, variant="selfconj")
         fails = []
         for n in range(cap40 + 1):
             val = table[n]
@@ -379,7 +388,7 @@ def suite_bounds(limit: int = 60) -> list[Check]:
             )
         )
 
-    table = orc.not_g_core_counts(21, 7, cap35, variant="bar")
+    table = orc.not_g_core_counts((21,), 7, cap35, variant="bar")
     fails = []
     for n in range(7, cap35 + 1):
         val = table[n]
@@ -416,26 +425,13 @@ def suite_bounds(limit: int = 60) -> list[Check]:
             checks.append(_all(label.format(t), fails, limit + cap30 + 2))
 
     marks = [m for m in (8, 16, 24, 32, 40) if m <= cap40]
-    appearing: list[tuple[str, Callable[[int], int]]] = [
-        (
-            "(4,6)-cores that are not 2-cores keep appearing",
-            lambda n: sum(1 for p in orc.enumerate_cores(n, (4, 6)) if not pt.is_t_core(p, 2)),
-        ),
-        (
-            "self-conjugate (4,6)-cores that are not 2-cores keep appearing",
-            lambda n: sum(
-                1
-                for p in orc.enumerate_self_conjugate(n)
-                if pt.is_t_core(p, 4) and pt.is_t_core(p, 6) and not pt.is_t_core(p, 2)
-            ),
-        ),
-        (
-            "(9-bar,15-bar)-cores that are not 3-bar-cores keep appearing",
-            lambda n: sum(1 for b in orc.enumerate_barcores(n, (9, 15)) if not bp.is_tbar_core(b, 3)),
-        ),
-    ]
-    for label, count_at in appearing:
-        running = list(accumulate(count_at(n) for n in range(max(marks, default=-1) + 1)))
+    appearing = (
+        ("(4,6)-cores that are not 2-cores keep appearing", (4, 6), 2, "straight"),
+        ("self-conjugate (4,6)-cores that are not 2-cores keep appearing", (4, 6), 2, "selfconj"),
+        ("(9-bar,15-bar)-cores that are not 3-bar-cores keep appearing", (9, 15), 3, "bar"),
+    )
+    for label, moduli, g, variant in appearing:
+        running = list(accumulate(orc.not_g_core_counts(moduli, g, cap40, variant).counts))
         cumulative = [running[m] for m in marks]
         checks.append(
             (

@@ -12,8 +12,6 @@ from stcores.oracle import (
     barcore_counts,
     core_counts,
     count_filtered,
-    enumerate_barcores,
-    enumerate_cores,
     enumerate_partitions,
     enumerate_self_conjugate,
     extremal_stats,
@@ -49,8 +47,9 @@ def test_enumerate_self_conjugate_counts():
 
 def test_count_filtered_agrees_with_direct_enumeration():
     assert count_filtered(6, lambda p: len(p) <= 2) == 4
-    assert count_filtered(6, is_bar_partition, bar=True) == 4
     assert count_filtered(0, lambda p: True) == 1
+    # (6), (5,1), (4,2), (3,2,1)
+    assert sum(1 for b in enumerate_bar_partitions(6) if is_bar_partition(b)) == 4
 
 
 def test_count_tables_expose_rows():
@@ -73,14 +72,18 @@ def test_joint_count_tables_small_values():
 def test_not_g_core_counts_hand_value():
     # of the three partitions of 3, all are 4-cores and only the staircase
     # (2,1) is a 2-core
-    assert not_g_core_counts(4, 2, 3)[3] == 2
-    assert not_g_core_counts(16, 8, 2, variant="selfconj")[2] == 0
-    assert not_g_core_counts(9, 3, 9, variant="bar")[9] >= 1
+    assert not_g_core_counts((4,), 2, 3)[3] == 2
+    assert not_g_core_counts((16,), 8, 2, variant="selfconj")[2] == 0
+    assert not_g_core_counts((9,), 3, 9, variant="bar")[9] >= 1
+    # (2,1) is a (4,6)-core and a 2-core, (3) and (1,1,1) are not 2-cores
+    assert not_g_core_counts((4, 6), 2, 3)[3] == 2
+    assert not_g_core_counts((4,), 2, 3).label == "straight 4-cores not 2-cores"
+    assert not_g_core_counts((4, 6), 2, 3).label == "straight (4,6)-cores not 2-cores"
 
 
 def test_not_g_core_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
-        not_g_core_counts(4, 2, 3, variant="typo")
+        not_g_core_counts((4,), 2, 3, variant="typo")
 
 
 def test_q_tuple_counts():
@@ -94,70 +97,88 @@ def test_q_tuple_counts():
 
 def test_extremal_stats_closed_form_and_exhaustive_agree():
     assert extremal_stats(2, 3) == (2, 1)
+    assert extremal_stats(3, 4) == (comb(7, 3) // 7, 5)
     assert extremal_stats(5, 7) == (66, 48)
-    assert extremal_stats(2, 3, exhaustive=True) == (2, 1)
-    assert extremal_stats(3, 4, exhaustive=True) == (comb(7, 3) // 7, 5)
-    assert extremal_stats(5, 7, exhaustive=True) == (66, 48)
-    assert extremal_stats(5, 8, exhaustive=True) == (99, 63)
+    assert extremal_stats(5, 8) == (99, 63)
+    # the pruned walk to the largest size finds the same total and extreme
+    for s, t in ((2, 3), (3, 4), (5, 7), (5, 8)):
+        total, max_size = extremal_stats(s, t)
+        counts = st_core_counts(s, t, max_size).counts
+        assert (sum(counts), max(n for n, c in enumerate(counts) if c)) == (total, max_size)
 
 
 @pytest.mark.parametrize(
     "moduli", [(1,), (2,), (3,), (5,), (7,), (16,), (4, 6), (5, 7), (6, 10), (10, 15)]
 )
 def test_pruned_cores_match_the_filtered_enumeration(moduli):
-    for n in range(23):
-        got = list(enumerate_cores(n, moduli))
-        want = {p for p in enumerate_partitions(n) if all(is_t_core(p, t) for t in moduli)}
-        assert len(got) == len(set(got)), n
-        assert set(got) == want, n
+    # each set filtered on its own, apart from the shared reference below
+    want = [
+        sum(1 for p in enumerate_partitions(n) if all(is_t_core(p, t) for t in moduli))
+        for n in range(23)
+    ]
+    assert _table("straight", moduli, 22) == tuple(want)
 
 
 @pytest.mark.parametrize("moduli", [(1,), (3,), (5,), (7,), (3, 9), (9, 15), (21,)])
 def test_pruned_barcores_match_the_filtered_enumeration(moduli):
-    for n in range(31):
-        got = list(enumerate_barcores(n, moduli))
-        want = {
-            b for b in enumerate_bar_partitions(n) if all(is_tbar_core(b, t) for t in moduli)
-        }
-        assert len(got) == len(set(got)), n
-        assert set(got) == want, n
+    want = [
+        sum(1 for b in enumerate_bar_partitions(n) if all(is_tbar_core(b, t) for t in moduli))
+        for n in range(31)
+    ]
+    assert _table("bar", moduli, 30) == tuple(want)
 
 
 @pytest.mark.parametrize(
-    "generate, moduli, message",
+    "variant, moduli, message",
     [
-        (enumerate_cores, (0,), "t must be >= 1"),
-        (enumerate_cores, (3, -2), "t must be >= 1"),
-        (enumerate_barcores, (4,), "t must be odd and >= 1"),
-        (enumerate_barcores, (9, 0), "t must be odd and >= 1"),
+        ("straight", (0,), "t must be >= 1"),
+        ("straight", (3, -2), "t must be >= 1"),
+        ("bar", (4,), "t must be odd and >= 1"),
+        ("bar", (9, 0), "t must be odd and >= 1"),
     ],
 )
-def test_pruned_generators_check_moduli_before_yielding(generate, moduli, message):
-    for n in (0, 5):
+def test_count_tables_check_moduli_before_walking(variant, moduli, message):
+    for limit in (0, 5):
         with pytest.raises(ValueError, match=message):
-            next(generate(n, moduli))
+            not_g_core_counts(moduli, 3, limit, variant)
+        with pytest.raises(ValueError, match=message):
+            not_g_core_counts((3,), moduli[-1], limit, variant)
 
 
 def test_a_modulus_above_the_size_prunes_nothing():
-    # 10**7 rather than 10**9, so that a generator that kept it would still finish
+    # 10**7 rather than 10**9, so that a walk that kept it would still finish
     far = 10**7 + 1
-    for n in range(13):
-        assert list(enumerate_cores(n, (far,))) == list(enumerate_cores(n, ()))
-        assert list(enumerate_cores(n, (3, far))) == list(enumerate_cores(n, (3,)))
-        assert list(enumerate_barcores(n, (far,))) == list(enumerate_barcores(n, ()))
-        assert list(enumerate_barcores(n, (far, 5))) == list(enumerate_barcores(n, (5,)))
-    assert oracle._moduli("bar", (3, far), 12) == (3,)
+    limit = 12
+    partitions = tuple(sum(1 for _ in enumerate_partitions(n)) for n in range(limit + 1))
+    bar_partitions = tuple(sum(1 for _ in enumerate_bar_partitions(n)) for n in range(limit + 1))
+    assert core_counts(far, limit).counts == partitions
+    assert st_core_counts(3, far, limit).counts == core_counts(3, limit).counts
+    assert barcore_counts(far, limit).counts == bar_partitions
+    assert stbar_core_counts(far, 5, limit).counts == barcore_counts(5, limit).counts
+    assert not_g_core_counts((3,), far, limit).counts == (0,) * (limit + 1)
+    assert oracle._moduli("bar", (3, far), limit) == (3,)
     with pytest.raises(ValueError, match="^t must be odd and >= 1$"):
-        next(enumerate_barcores(3, (10**9,)))
+        barcore_counts(10**9, 3)
 
 
 LIMIT = 35
-# t = 1 and 2, even and non-coprime pairs, and a modulus above LIMIT
-STRAIGHT_MODULI = (
-    (1,), (2,), (3,), (5,), (16,), (22,), (37,),
-    (4, 6), (6, 9), (8, 12), (16, 8), (16, 4), (22, 11), (9, 15), (5, 7),
+# t = 1 and 2, even and non-coprime pairs, a modulus above LIMIT and the
+# triples whose tables verify reads. The cases run one group of sets after
+# another, so a set added in a later group leaves each earlier case id
+# naming the same case.
+STRAIGHT_GROUPS = (
+    (
+        (1,), (2,), (3,), (5,), (16,), (22,), (37,),
+        (4, 6), (6, 9), (8, 12), (16, 8), (16, 4), (22, 11), (9, 15), (5, 7),
+    ),
+    ((7,), (6, 10), (10, 15), (4, 6, 2)),
 )
-BAR_MODULI = ((1,), (3,), (5,), (9,), (21,), (37,), (9, 3), (21, 3), (9, 15), (15, 21), (7, 11))
+BAR_GROUPS = (
+    ((1,), (3,), (5,), (9,), (21,), (37,), (9, 3), (21, 3), (9, 15), (15, 21), (7, 11)),
+    ((7,), (3, 9), (9, 15, 3)),
+)
+STRAIGHT_MODULI = sum(STRAIGHT_GROUPS, ())
+BAR_MODULI = sum(BAR_GROUPS, ())
 
 
 @cache
@@ -184,6 +205,12 @@ def _reference_counts(family):
 
 
 def _table(family, moduli, limit):
+    if len(moduli) == 3:
+        # a triple is read the way verify reads it: the pair table less the
+        # table of pair-cores that are not cores for the third modulus
+        pair = _table(family, moduli[:2], limit)
+        not_third = not_g_core_counts(moduli[:2], moduli[2], limit, family).counts
+        return tuple(a - b for a, b in zip(pair, not_third))
     if len(moduli) == 1:
         single = {"straight": core_counts, "selfconj": selfconj_core_counts, "bar": barcore_counts}
         return single[family](moduli[0], limit).counts
@@ -193,9 +220,12 @@ def _table(family, moduli, limit):
 
 @pytest.mark.parametrize(
     "family, moduli",
-    [("straight", m) for m in STRAIGHT_MODULI]
-    + [("selfconj", m) for m in STRAIGHT_MODULI]
-    + [("bar", m) for m in BAR_MODULI],
+    [
+        (family, m)
+        for straight, bar in zip(STRAIGHT_GROUPS, BAR_GROUPS)
+        for family, sets in (("straight", straight), ("selfconj", straight), ("bar", bar))
+        for m in sets
+    ],
 )
 def test_count_walks_match_the_unpruned_reference(family, moduli):
     want = _reference_counts(family)[moduli]
@@ -219,7 +249,7 @@ def test_count_walks_match_the_unpruned_reference(family, moduli):
 def test_not_g_core_counts_match_the_unpruned_reference(t, g, variant):
     reference = _reference_counts(variant)
     want = tuple(a - b for a, b in zip(reference[(t,)], reference[(t, g)]))
-    assert not_g_core_counts(t, g, LIMIT, variant).counts == want
+    assert not_g_core_counts((t,), g, LIMIT, variant).counts == want
 
 
 def test_barcore_counts_small_values():
