@@ -124,10 +124,9 @@ def suite_counting(limit: int = 60) -> list[Check]:
         checks.append(
             _eq(f"({s},{t}) closed-form count and extreme", orc.extremal_stats(s, t), (count, max_size))
         )
-        # The census equals the enumerated set exactly when none of its
-        # distinct partitions is a non-core and it holds as many partitions
-        # of each size as the count table: a missing, repeated or foreign
-        # core changes a count.
+        # The census equals the enumerated set exactly when it lists no
+        # non-core and holds as many partitions of each size as the count
+        # table: a missing or repeated core changes a count.
         non_cores = sorted({p for p in census if not cq.is_st_core(p, s, t)})
         per_size = Counter(sizes)
         if (s, t) == (7, 11):
