@@ -20,6 +20,7 @@ from .bar_partitions import (
 from .encodings import olsson_encode
 from .partitions import (
     Partition,
+    check_divisor,
     check_pair,
     common_divisor,
     conjugate,
@@ -42,8 +43,7 @@ class StraightTower:
     quotient: tuple[Partition, ...]
 
     def __post_init__(self) -> None:
-        if self.g < 2:
-            raise ValueError("g must be >= 2")
+        check_divisor(self.g)
         if len(self.quotient) != self.g:
             raise ValueError("quotient must have exactly g components")
 
@@ -65,8 +65,7 @@ class BarTower:
     quotient: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.g < 3 or self.g % 2 == 0:
-            raise ValueError("g must be odd and >= 3")
+        check_divisor(self.g, odd=True)
         if len(self.quotient) != (self.g + 1) // 2:
             raise ValueError("quotient must have exactly (g+1)/2 components")
 
@@ -97,8 +96,7 @@ def decompose(p: Partition, g: int) -> StraightTower:
         StraightTower with is_t_core(core, g) true and
         sum(p) = sum(core) + g * weight.
     """
-    if g < 2:
-        raise ValueError("g must be >= 2")
+    check_divisor(g)
     k = len(p)
     n_beads = g * ((k + g - 1) // g)
     phantoms = n_beads - k
@@ -247,8 +245,7 @@ def bar_decompose(b: BarPartition, g: int) -> BarTower:
         b: a bar partition.
         g: odd integer >= 3.
     """
-    if g < 3 or g % 2 == 0:
-        raise ValueError("g must be odd and >= 3")
+    check_divisor(g, odd=True)
     lam0 = tuple(sorted((x // g for x in b if x % g == 0), reverse=True))
     components: list[tuple[int, ...]] = [lam0]
     core_parts: list[int] = []

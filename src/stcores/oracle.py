@@ -8,26 +8,29 @@ formula in the library.
 Core counts use pruned generation: the pieces of a partition are placed one
 at a time in ascending order, and a branch is dropped at the first piece
 that creates a forbidden hook or bar. A cut branch can never be repaired,
-because each test is settled when its largest piece is placed:
+because each test is settled when its largest piece is placed. Two walks
+do all the work:
 
-- straight partitions: the part a_j at index j adds the beta value
-  b = a_j + j, larger than every earlier value. t is a hook length iff some
-  b >= t has b - t outside the beta-set. Every later value exceeds b > b - t,
-  so whether b - t is missing is settled once b is placed;
-- bar partitions: the parts are distinct, and t is a bar length iff two
-  parts sum to t or some part x >= t has x - t missing (x - t = 0 counts as
-  missing). Both tests involve only parts <= x, so they are settled once x
-  is placed;
-- self-conjugate partitions are given by their set D of distinct odd
-  diagonal hooks. By Ford-Mai-Sze (J. Number Theory 2009, Prop. 3.3) such a
-  partition is a t-core iff no h in D equals t, every h in D with h > 2t has
-  h - 2t in D, and no two elements of D sum to 2t. Each test involves only
-  hooks <= h, so it is settled once h is placed.
+- ``_straight_walk`` places parts: the part a_j at index j adds the beta
+  value b = a_j + j, larger than every earlier value. t is a hook length iff
+  some b >= t has b - t outside the beta-set. Every later value exceeds
+  b > b - t, so whether b - t is missing is settled once b is placed;
+- ``_distinct_walk`` places distinct values and tests them against a set of
+  sums T: a value v >= T needs v - T placed (v - T = 0 counts as missing),
+  and no two values, nor one value twice, may sum to T. Both tests involve
+  only values <= v, so they are settled once v is placed. With T running
+  over the moduli and every positive value allowed this is the t-bar-core
+  test of a bar partition (a value equal to T/2 never occurs, as every
+  t-bar modulus is odd). Self-conjugate partitions are given by their set D
+  of distinct odd diagonal hooks, and by Ford-Mai-Sze (J. Number Theory
+  2009, Prop. 3.3) such a partition is a t-core iff D passes the 2t-bar-core
+  test (h > 2t needs h - 2t in D, no two members sum to 2t) and has no
+  h = t, which is h + h = 2t; so they walk the odd values with T = 2t.
 
 Every node of such a tree is itself a core, so the count tables
 (``core_counts`` and the rest) walk the tree once up to the largest size
 with an explicit stack and count each accepted node by its size; no
-partition is built. These three walks are the only pruned enumerations
+partition is built. These two walks are the only pruned enumerations
 here, so each pruning rule is written once. A per-size count is read off a
 table, and ``not_g_core_counts`` takes a tuple of moduli: the (4,6)-cores
 that are not 2-cores are the (4,6) table less the (4,6,2) table.
@@ -57,10 +60,6 @@ class CountTable:
 
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
-
-    @property
-    def limit(self) -> int:
-        return len(self.counts) - 1
 
     def rows(self) -> Iterator[tuple[int, int]]:
         return iter(enumerate(self.counts))
@@ -149,71 +148,45 @@ def _straight_walk(moduli: tuple[int, ...], limit: int) -> list[int]:
     return counts
 
 
-def _bar_walk(moduli: tuple[int, ...], limit: int) -> list[int]:
-    # A node is a bar partition whose distinct parts were placed in ascending
-    # order; bit x of `pairs` is set when x sums to some t with a placed part.
+def _distinct_walk(sums: tuple[int, ...], alphabet: range, limit: int) -> list[int]:
+    # A node is a set of distinct values from `alphabet` placed in ascending
+    # order. A value v >= T needs v - T placed, and bit v of `pairs` is set
+    # when v sums to some T with a placed value or with itself (v = T/2).
     counts = [0] * (limit + 1)
     counts[0] = 1
-    stack = [(0, 1, 0, 0)]  # size, smallest next part, parts bitmask, pairs bitmask
+    values = sum(1 << v for v in alphabet)
+    seed = 0
+    for total in sums:
+        if total % 2 == 0:
+            seed |= 1 << total // 2
+    stack = [(0, 1, 0, seed)]  # size, smallest next value, placed bitmask, pairs bitmask
     while stack:
-        size, smallest, parts, pairs = stack.pop()
-        allowed = ~pairs
-        for t in moduli:
-            allowed &= parts << t | (1 << t) - 1
+        size, smallest, placed, pairs = stack.pop()
+        allowed = values & ~pairs
+        for total in sums:
+            allowed &= placed << total | (1 << total) - 1
         room = limit - size
         bits = allowed >> smallest & (1 << (room - smallest + 1)) - 1
         while bits:
             low = bits & -bits
             bits ^= low
-            x = smallest + low.bit_length() - 1
-            counts[size + x] += 1
-            if x + x < room:
+            v = smallest + low.bit_length() - 1
+            counts[size + v] += 1
+            if v + v < room:
                 partners = pairs
-                for t in moduli:
-                    if t > x:
-                        partners |= 1 << (t - x)
-                stack.append((size + x, x + 1, parts | low << smallest, partners))
-    return counts
-
-
-def _selfconj_walk(moduli: tuple[int, ...], limit: int) -> list[int]:
-    # A node is a self-conjugate partition given by its set D of distinct odd
-    # diagonal hooks, placed in ascending order; bit h of `pairs` is set when
-    # h + d = 2t for some d in D.
-    counts = [0] * (limit + 1)
-    counts[0] = 1
-    odd = 0
-    for h in range(1, limit + 1, 2):
-        odd |= 1 << h
-    for t in moduli:
-        odd &= ~(1 << t)
-    doubled = [2 * t for t in moduli]
-    stack = [(0, 1, 0, 0)]  # size, smallest next hook, D bitmask, pairs bitmask
-    while stack:
-        size, smallest, hooks, pairs = stack.pop()
-        allowed = odd & ~pairs
-        for t2 in doubled:
-            allowed &= hooks << t2 | (1 << t2 + 1) - 1
-        room = limit - size
-        bits = allowed >> smallest & (1 << (room - smallest + 1)) - 1
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            h = smallest + low.bit_length() - 1
-            counts[size + h] += 1
-            if h + h + 2 <= room:
-                partners = pairs
-                for t2 in doubled:
-                    if t2 > h:
-                        partners |= 1 << (t2 - h)
-                stack.append((size + h, h + 2, hooks | low << smallest, partners))
+                for total in sums:
+                    if total > v:
+                        partners |= 1 << (total - v)
+                stack.append((size + v, v + 1, placed | low << smallest, partners))
     return counts
 
 
 _WALKS: dict[str, Callable[[tuple[int, ...], int], list[int]]] = {
     "straight": _straight_walk,
-    "selfconj": _selfconj_walk,
-    "bar": _bar_walk,
+    "selfconj": lambda moduli, limit: _distinct_walk(
+        tuple(2 * t for t in moduli), range(1, limit + 1, 2), limit
+    ),
+    "bar": lambda moduli, limit: _distinct_walk(moduli, range(1, limit + 1), limit),
 }
 
 
@@ -284,45 +257,6 @@ def not_g_core_counts(
         label=f"{variant} {name}-cores not {g}-cores",
         counts=tuple(a - b for a, b in zip(single, joint)),
     )
-
-
-@cache
-def q_tuple_count(s_p: int, t_p: int, g: int, w: int) -> int:
-    """Number of g-tuples of (s_p, t_p)-cores with total size w.
-
-    s_p == t_p means plain t_p-cores (the single-modulus tuple count).
-    Computed as a coefficient of the g-th power of the per-size count vector.
-    """
-    if g < 1 or w < 0:
-        raise ValueError("need g >= 1 and w >= 0")
-    base = _counts("straight", tuple(sorted({s_p, t_p})), w)
-    vec = [1] + [0] * w
-    for _ in range(g):
-        nxt = [0] * (w + 1)
-        for i, a in enumerate(vec):
-            if a:
-                for j in range(w + 1 - i):
-                    if base[j]:
-                        nxt[i + j] += a * base[j]
-        vec = nxt
-    return vec[w]
-
-
-@cache
-def q_bar_tuple_count(s_p: int, t_p: int, g: int, w: int) -> int:
-    """Number of bar quotients of total size w for odd g.
-
-    One (s_p-bar, t_p-bar)-core component plus (g-1)/2 straight
-    (s_p, t_p)-core components; s_p == t_p means single-modulus cores.
-    """
-    if g < 3 or g % 2 == 0 or w < 0:
-        raise ValueError("need odd g >= 3 and w >= 0")
-    bar_base = _counts("bar", tuple(sorted({s_p, t_p})), w)
-    total = 0
-    for w0 in range(w + 1):
-        if bar_base[w0]:
-            total += bar_base[w0] * q_tuple_count(s_p, t_p, (g - 1) // 2, w - w0)
-    return total
 
 
 def extremal_stats(s: int, t: int) -> tuple[int, int]:

@@ -35,6 +35,12 @@ def check_pair(s: int, t: int, *, odd: bool = False, coprime: bool = False) -> N
         raise ValueError("s and t must be coprime")
 
 
+def check_divisor(g: int, *, odd: bool = False) -> None:
+    """Refuse g < 2 for g-towers; with ``odd``, g even or g < 3 (bar towers)."""
+    if g < 2 or odd and (g < 3 or g % 2 == 0):
+        raise ValueError("g must be odd and >= 3" if odd else "g must be >= 2")
+
+
 def common_divisor(s: int, t: int) -> int:
     """g = gcd(s, t), refused unless g > 1 (the g-core/g-quotient constructions)."""
     g = gcd(s, t)

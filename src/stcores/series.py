@@ -26,7 +26,7 @@ from .lattice import (
     dh_grid,
     yinyang_grid,
 )
-from .partitions import check_modulus, check_pair, common_divisor
+from .partitions import check_divisor, check_modulus, check_pair, common_divisor
 
 
 class TruncatedSeries:
@@ -362,8 +362,7 @@ def progression_extract(
     Raises:
         ValueError: unless 1 <= r <= g - 1.
     """
-    if g < 2:
-        raise ValueError("g must be >= 2")
+    check_divisor(g)
     if not 1 <= r <= g - 1:
         raise ValueError("r must satisfy 1 <= r <= g - 1")
     n = min(a_series.truncation, b_series.truncation)

@@ -317,11 +317,14 @@ def suite_bounds(limit: int = 60) -> list[Check]:
     cap35 = min(limit, 35)
     cap30 = min(limit, 30)
 
+    # Each floor sums the coefficients of a quotient-tuple series, read off
+    # the series kernel; the counts it bounds come from the oracle walks.
     table = orc.not_g_core_counts((16,), 4, cap40)
+    tuples = sr.core_gf(4, cap40) ** 4
     fails = []
     for n in range(4, cap40 + 1):
         val = table[n]
-        floor_sum = sum(orc.q_tuple_count(4, 4, 4, w) for w in range(1, n // 4 + 1))
+        floor_sum = sum(tuples[w] for w in range(1, n // 4 + 1))
         if val < floor_sum:
             fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
         elif val < 4 * (n // 4):
@@ -335,11 +338,12 @@ def suite_bounds(limit: int = 60) -> list[Check]:
     for t in (16, 32):
         tp = t // 8
         table = orc.not_g_core_counts((t,), 8, cap40, variant="selfconj")
+        tuples = sr.core_gf(tp, cap40) ** 4
         fails = []
         for n in range(cap40 + 1):
             val = table[n]
             live = [w for w in range(1, n // 16 + 1) if n - 16 * w != 2]
-            floor_sum = sum(orc.q_tuple_count(tp, tp, 4, w) for w in live)
+            floor_sum = sum(tuples[w] for w in live)
             if val < floor_sum:
                 fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
             elif not live and val != 0:
@@ -358,18 +362,14 @@ def suite_bounds(limit: int = 60) -> list[Check]:
 
     for t in (22, 44):
         tp = t // 11
-        sc_table = orc.selfconj_core_counts(tp, cap40)
         table = orc.not_g_core_counts((t,), 11, cap40, variant="selfconj")
+        # weight v = 2 * w1 + w2: five paired tp-cores of total w1 and a
+        # self-conjugate tp-core of size w2
+        tuples = (sr.core_gf(tp, cap40) ** 5).substitute_power(2) * sr.selfconj_core_gf(tp, cap40)
         fails = []
         for n in range(cap40 + 1):
             val = table[n]
-            m = n // 11
-            floor_sum = 0
-            for w1 in range(m // 2 + 1):
-                for w2 in range(m - 2 * w1 + 1):
-                    v = 2 * w1 + w2
-                    if v >= 1 and n - 11 * v != 2:
-                        floor_sum += orc.q_tuple_count(tp, tp, 5, w1) * sc_table[w2]
+            floor_sum = sum(tuples[v] for v in range(1, n // 11 + 1) if n - 11 * v != 2)
             if val < floor_sum:
                 fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
             elif n == 11 + 2 or n < 11:
@@ -388,10 +388,11 @@ def suite_bounds(limit: int = 60) -> list[Check]:
         )
 
     table = orc.not_g_core_counts((21,), 7, cap35, variant="bar")
+    tuples = sr.barcore_gf(3, cap35) * sr.core_gf(3, cap35) ** 3
     fails = []
     for n in range(7, cap35 + 1):
         val = table[n]
-        floor_sum = sum(orc.q_bar_tuple_count(3, 3, 7, w) for w in range(1, n // 7 + 1))
+        floor_sum = sum(tuples[w] for w in range(1, n // 7 + 1))
         if val < floor_sum:
             fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
         elif val < 4:

@@ -67,8 +67,19 @@ def test_g_core_decomposes_trivially():
 
 
 def test_decompose_rejects_trivial_modulus():
-    with pytest.raises(ValueError, match="g must be"):
-        decompose((2, 1), 1)
+    for g in (-1, 0, 1):
+        with pytest.raises(ValueError, match="^g must be >= 2$"):
+            decompose((2, 1), g)
+        with pytest.raises(ValueError, match="^g must be >= 2$"):
+            StraightTower(g=g, core=(), quotient=((),) * max(g, 0))
+
+
+@pytest.mark.parametrize("g", (0, 1, 2, 4))
+def test_bar_towers_reject_an_even_or_small_modulus(g):
+    with pytest.raises(ValueError, match="^g must be odd and >= 3$"):
+        bar_decompose((3, 1), g)
+    with pytest.raises(ValueError, match="^g must be odd and >= 3$"):
+        BarTower(g=g, core=(), quotient=((),) * ((g + 1) // 2))
 
 
 @pytest.mark.parametrize(

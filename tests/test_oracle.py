@@ -16,8 +16,6 @@ from stcores.oracle import (
     enumerate_self_conjugate,
     extremal_stats,
     not_g_core_counts,
-    q_bar_tuple_count,
-    q_tuple_count,
     selfconj_core_counts,
     selfconj_st_core_counts,
     st_core_counts,
@@ -84,15 +82,6 @@ def test_not_g_core_counts_hand_value():
 def test_not_g_core_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
         not_g_core_counts((4,), 2, 3, variant="typo")
-
-
-def test_q_tuple_counts():
-    assert q_tuple_count(2, 2, 4, 0) == 1
-    # one component holds the single box, and a 1-box 2-core exists
-    assert q_tuple_count(2, 2, 4, 1) == 4
-    assert q_tuple_count(2, 3, 2, 1) == 2
-    assert q_bar_tuple_count(3, 3, 7, 0) == 1
-    assert q_bar_tuple_count(3, 3, 7, 1) == 4
 
 
 def test_extremal_stats_closed_form_and_exhaustive_agree():

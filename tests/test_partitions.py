@@ -127,6 +127,8 @@ PARAMETER_MESSAGES = (
     "s and t must be odd and exceed 1",
     "s and t must be coprime",
     "gcd(s, t) must exceed 1",
+    "g must be >= 2",
+    "g must be odd and >= 3",
 )
 
 

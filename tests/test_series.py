@@ -166,12 +166,22 @@ def test_core_gf_matches_enumeration(t):
 
 @pytest.mark.parametrize("t", (2, 3, 6, 7))
 def test_selfconj_core_gf_matches_enumeration(t):
-    assert selfconj_core_gf(t, 14).coeffs == selfconj_core_counts(t, 14).counts
+    assert selfconj_core_gf(t, 150).coeffs == selfconj_core_counts(t, 150).counts
 
 
 @pytest.mark.parametrize("t", (3, 5, 7))
 def test_barcore_gf_matches_enumeration(t):
-    assert barcore_gf(t, 14).coeffs == barcore_counts(t, 14).counts
+    assert barcore_gf(t, 100).coeffs == barcore_counts(t, 100).counts
+
+
+def test_tuple_counts_are_coefficients_of_series_powers():
+    # the quotient-tuple floors of verify's bounds suite, at weights 0 and 1
+    tuples = core_gf(2, 1) ** 4
+    assert (tuples[0], tuples[1]) == (1, 4)  # one component holds the box
+    pairs = psi_st_gf(2, 3, 1) ** 2
+    assert (pairs[0], pairs[1]) == (1, 2)
+    bar_quotients = barcore_gf(3, 1) * core_gf(3, 1) ** 3
+    assert (bar_quotients[0], bar_quotients[1]) == (1, 4)
 
 
 def test_psi_at_the_smallest_coprime_pair():
@@ -219,6 +229,8 @@ def test_progression_extract_matches_the_substituted_product():
     assert lhs == [c[3 * k + 1] for k in range(len(lhs))]
     with pytest.raises(ValueError, match="r"):
         progression_extract(a, b, 3, 0)
+    with pytest.raises(ValueError, match="^g must be >= 2$"):
+        progression_extract(a, b, 1, 1)
 
 
 def test_congruence_scan_finds_known_residues():
