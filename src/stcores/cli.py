@@ -7,10 +7,10 @@ nonzero with a one-line diagnostic.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 import time
-
-import click
 
 from . import __version__, formats, lattice, oracle
 from . import series as series_module
@@ -19,30 +19,12 @@ from .bar_partitions import as_bar_partition
 from .encodings import zeta, zeta_inverse
 from .series import TruncatedSeries
 
-truncation_option = click.option(
-    "-N",
-    "--truncation",
-    type=click.IntRange(min=0),
-    default=60,
-    show_default=True,
-    envvar="STCORES_TRUNCATION",
-    help="Largest size/exponent computed (STCORES_TRUNCATION overrides the default).",
-)
-
-format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json"]),
-    default="csv",
-    show_default=True,
-    help="Output encoding.",
-)
+GENERATING_FUNCTIONS = ["partition", "core", "selfconj", "barcore", "psi", "psistar", "psibar"]
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="stcores")
-def main() -> None:
-    """Exact counts, series, grids, and bijections for joint core partitions."""
+def _echo(text: str) -> None:
+    # flushed at once, so stdout stays ahead of a later one-line error
+    print(text, flush=True)
 
 
 def _build_series(
@@ -79,18 +61,6 @@ def _build_series(
 COUNT_CAPS = {"straight": 60, "selfconj": 180, "bar": 100}
 
 
-@main.command()
-@click.option("-t", "t", type=int, required=True, help="Modulus t.")
-@click.option("-s", "s", type=int, default=None, help="Second modulus for joint counts.")
-@click.option(
-    "--variant",
-    type=click.Choice(["straight", "selfconj", "bar"]),
-    default="straight",
-    show_default=True,
-    help="Which partitions to count.",
-)
-@truncation_option
-@format_option
 def count(t: int, s: int | None, variant: str, truncation: int, fmt: str) -> None:
     """Brute-force count table of cores by size (enumeration, not series).
 
@@ -100,60 +70,34 @@ def count(t: int, s: int | None, variant: str, truncation: int, fmt: str) -> Non
     Refuses -N above 60 (straight), 180 (selfconj) or 100 (bar); where a
     generating function exists, the series verb reaches any truncation.
     """
-    try:
-        if truncation > COUNT_CAPS[variant]:
-            raise ValueError(
-                f"-N {truncation} exceeds the brute-force cap {COUNT_CAPS[variant]} "
-                f"for --variant {variant}"
-            )
-        if s is None:
-            single = {
-                "straight": oracle.core_counts,
-                "selfconj": oracle.selfconj_core_counts,
-                "bar": oracle.barcore_counts,
-            }
-            table = single[variant](t, truncation)
-        else:
-            joint = {
-                "straight": oracle.st_core_counts,
-                "selfconj": oracle.selfconj_st_core_counts,
-                "bar": oracle.stbar_core_counts,
-            }
-            table = joint[variant](s, t, truncation)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from None
-    click.echo(formats.count_table_csv(table) if fmt == "csv" else formats.count_table_json(table))
+    if truncation > COUNT_CAPS[variant]:
+        raise ValueError(
+            f"-N {truncation} exceeds the brute-force cap {COUNT_CAPS[variant]} "
+            f"for --variant {variant}"
+        )
+    if s is None:
+        single = {
+            "straight": oracle.core_counts,
+            "selfconj": oracle.selfconj_core_counts,
+            "bar": oracle.barcore_counts,
+        }
+        table = single[variant](t, truncation)
+    else:
+        joint = {
+            "straight": oracle.st_core_counts,
+            "selfconj": oracle.selfconj_st_core_counts,
+            "bar": oracle.stbar_core_counts,
+        }
+        table = joint[variant](s, t, truncation)
+    _echo(formats.count_table_csv(table) if fmt == "csv" else formats.count_table_json(table))
 
 
-@main.command()
-@click.option(
-    "--gf",
-    type=click.Choice(["partition", "core", "selfconj", "barcore", "psi", "psistar", "psibar"]),
-    required=True,
-    help="Which generating function to expand.",
-)
-@click.option("-s", "s", type=int, default=None)
-@click.option("-t", "t", type=int, default=None)
-@truncation_option
-@format_option
 def series(gf: str, s: int | None, t: int | None, truncation: int, fmt: str) -> None:
     """Exact coefficients of a generating function up to the truncation."""
-    try:
-        result = _build_series(gf, s, t, truncation)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from None
-    click.echo(formats.series_csv(result) if fmt == "csv" else formats.series_json(result))
+    result = _build_series(gf, s, t, truncation)
+    _echo(formats.series_csv(result) if fmt == "csv" else formats.series_json(result))
 
 
-@main.command()
-@click.option(
-    "--kind",
-    type=click.Choice(["anderson", "dh", "yinyang"]),
-    required=True,
-    help="Which signed grid to print.",
-)
-@click.option("-s", "s", type=int, required=True)
-@click.option("-t", "t", type=int, required=True)
 def grid(kind: str, s: int, t: int) -> None:
     """Signed lattice grid as integer CSV, top row first."""
     builders = {
@@ -161,86 +105,39 @@ def grid(kind: str, s: int, t: int) -> None:
         "dh": lattice.dh_grid,
         "yinyang": lattice.yinyang_grid,
     }
-    try:
-        result = builders[kind](s, t)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from None
-    click.echo(formats.grid_csv(result))
+    _echo(formats.grid_csv(builders[kind](s, t)))
 
 
-@main.command()
-@click.option(
-    "--map",
-    "map_name",
-    type=click.Choice(
-        ["zeta", "zeta-inverse", "gamma", "gamma-inverse", "big-gamma", "big-gamma-inverse"]
-    ),
-    required=True,
-    help="Which correspondence to apply.",
-)
-@click.option("-s", "s", type=int, default=None, help="First parameter (pair maps only).")
-@click.option("-t", "t", type=int, required=True)
-@click.option("--input", "input_text", required=True, help="Partition as JSON.")
 def bijection(map_name: str, s: int | None, t: int, input_text: str) -> None:
     """Apply zeta, gamma, or big-gamma (or an inverse) to one partition."""
-    try:
-        kind, parts = formats.parse_partition_argument(input_text)
-        forward = not map_name.endswith("inverse")
-        if forward and kind == "bar":
-            raise ValueError(f"{map_name} expects a straight partition as input")
-        if not forward:
-            parts = as_bar_partition(parts)
-        if map_name in ("zeta", "zeta-inverse"):
-            result = zeta(parts, t) if forward else zeta_inverse(parts, t)
-        else:
-            if s is None:
-                raise ValueError(f"{map_name} needs both -s and -t")
-            pair_maps = {
-                "gamma": lattice.gamma,
-                "gamma-inverse": lattice.gamma_inverse,
-                "big-gamma": lattice.big_gamma,
-                "big-gamma-inverse": lattice.big_gamma_inverse,
-            }
-            result = pair_maps[map_name](parts, s, t)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from None
-    click.echo(formats.bar_to_json(result) if forward else formats.partition_to_json(result))
+    kind, parts = formats.parse_partition_argument(input_text)
+    forward = not map_name.endswith("inverse")
+    if forward and kind == "bar":
+        raise ValueError(f"{map_name} expects a straight partition as input")
+    if not forward:
+        parts = as_bar_partition(parts)
+    if map_name in ("zeta", "zeta-inverse"):
+        result = zeta(parts, t) if forward else zeta_inverse(parts, t)
+    else:
+        if s is None:
+            raise ValueError(f"{map_name} needs both -s and -t")
+        pair_maps = {
+            "gamma": lattice.gamma,
+            "gamma-inverse": lattice.gamma_inverse,
+            "big-gamma": lattice.big_gamma,
+            "big-gamma-inverse": lattice.big_gamma_inverse,
+        }
+        result = pair_maps[map_name](parts, s, t)
+    _echo(formats.bar_to_json(result) if forward else formats.partition_to_json(result))
 
 
-@main.command()
-@click.option(
-    "--gf",
-    type=click.Choice(["partition", "core", "selfconj", "barcore", "psi", "psistar", "psibar"]),
-    required=True,
-)
-@click.option("-s", "s", type=int, default=None)
-@click.option("-t", "t", type=int, default=None)
-@click.option("-g", "--progression", "g", type=int, required=True, help="Progression step.")
-@click.option("--mod", "modulus", type=int, required=True, help="Divisibility modulus.")
-@truncation_option
-def scan(
-    gf: str, s: int | None, t: int | None, g: int, modulus: int, truncation: int
-) -> None:
+def scan(gf: str, s: int | None, t: int | None, g: int, modulus: int, truncation: int) -> None:
     """Residues r where every coefficient on gk+r is divisible by the modulus."""
-    try:
-        result = _build_series(gf, s, t, truncation)
-        residues = series_module.congruence_scan(result, g, modulus)
-    except ValueError as err:
-        raise click.ClickException(str(err)) from None
-    click.echo(formats.scan_report_json(g, modulus, residues, truncation))
+    result = _build_series(gf, s, t, truncation)
+    residues = series_module.congruence_scan(result, g, modulus)
+    _echo(formats.scan_report_json(g, modulus, residues, truncation))
 
 
-@main.command()
-@click.argument("suite")
-@truncation_option
-@click.option(
-    "--report",
-    "report_path",
-    type=click.Path(dir_okay=False, writable=True),
-    default=None,
-    help="Also write each suite's wall time and every check's label, result "
-    "and detail (with its case total) to this file as JSON.",
-)
 def verify(suite: str, truncation: int, report_path: str | None) -> None:
     """Run one named check suite, or "all".
 
@@ -251,23 +148,146 @@ def verify(suite: str, truncation: int, report_path: str | None) -> None:
     names = sorted(verify_module.SUITES) if suite == "all" else [suite]
     results = {}
     wall_s = {}
-    try:
-        for name in names:
-            start = time.perf_counter()
-            results[name] = verify_module.run_suite(name, truncation)
-            wall_s[name] = time.perf_counter() - start
-    except ValueError as err:
-        raise click.ClickException(str(err)) from None
+    for name in names:
+        start = time.perf_counter()
+        results[name] = verify_module.run_suite(name, truncation)
+        wall_s[name] = time.perf_counter() - start
     text, failures = formats.checks_report(results)
-    click.echo(text)
+    _echo(text)
     if report_path is not None:
-        try:
-            with open(report_path, "w", encoding="utf-8") as out:
-                out.write(formats.checks_report_json(results, wall_s, truncation) + "\n")
-        except OSError as err:
-            raise click.ClickException(str(err)) from None
+        with open(report_path, "w", encoding="utf-8") as out:
+            out.write(formats.checks_report_json(results, wall_s, truncation) + "\n")
     if failures:
         sys.exit(1)
+
+
+def _truncation(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
+    return value
+
+
+def _parser(prog_name: str) -> argparse.ArgumentParser:
+    # Built per call, so STCORES_TRUNCATION is read when main runs. argparse
+    # passes a string default through the option's type, so a bad value in
+    # the variable is refused like a bad -N.
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
+    parser.add_argument("--version", action="version", version=f"stcores, version {__version__}")
+    verbs = parser.add_subparsers(title="commands", required=True, metavar="COMMAND")
+
+    def command(function) -> argparse.ArgumentParser:
+        doc = function.__doc__
+        verb = verbs.add_parser(
+            function.__name__, help=doc.split("\n")[0], description=doc, allow_abbrev=False
+        )
+        verb.set_defaults(verb=function)
+        return verb
+
+    def truncation_option(verb: argparse.ArgumentParser) -> None:
+        verb.add_argument(
+            "-N",
+            "--truncation",
+            type=_truncation,
+            default=os.environ.get("STCORES_TRUNCATION") or "60",
+            help="Largest size/exponent computed (default: 60; STCORES_TRUNCATION "
+            "overrides the default).",
+        )
+
+    def format_option(verb: argparse.ArgumentParser) -> None:
+        verb.add_argument(
+            "--format",
+            dest="fmt",
+            choices=["csv", "json"],
+            default="csv",
+            help="Output encoding (default: %(default)s).",
+        )
+
+    verb = command(count)
+    verb.add_argument("-t", type=int, required=True, help="Modulus t.")
+    verb.add_argument("-s", type=int, help="Second modulus for joint counts.")
+    verb.add_argument(
+        "--variant",
+        choices=["straight", "selfconj", "bar"],
+        default="straight",
+        help="Which partitions to count (default: %(default)s).",
+    )
+    truncation_option(verb)
+    format_option(verb)
+
+    verb = command(series)
+    verb.add_argument(
+        "--gf", choices=GENERATING_FUNCTIONS, required=True, help="Which generating function to expand."
+    )
+    verb.add_argument("-s", type=int)
+    verb.add_argument("-t", type=int)
+    truncation_option(verb)
+    format_option(verb)
+
+    verb = command(grid)
+    verb.add_argument(
+        "--kind", choices=["anderson", "dh", "yinyang"], required=True, help="Which signed grid to print."
+    )
+    verb.add_argument("-s", type=int, required=True)
+    verb.add_argument("-t", type=int, required=True)
+
+    verb = command(bijection)
+    verb.add_argument(
+        "--map",
+        dest="map_name",
+        choices=["zeta", "zeta-inverse", "gamma", "gamma-inverse", "big-gamma", "big-gamma-inverse"],
+        required=True,
+        help="Which correspondence to apply.",
+    )
+    verb.add_argument("-s", type=int, help="First parameter (pair maps only).")
+    verb.add_argument("-t", type=int, required=True)
+    verb.add_argument("--input", dest="input_text", required=True, help="Partition as JSON.")
+
+    verb = command(scan)
+    verb.add_argument("--gf", choices=GENERATING_FUNCTIONS, required=True)
+    verb.add_argument("-s", type=int)
+    verb.add_argument("-t", type=int)
+    verb.add_argument("-g", "--progression", dest="g", type=int, required=True, help="Progression step.")
+    verb.add_argument("--mod", dest="modulus", type=int, required=True, help="Divisibility modulus.")
+    truncation_option(verb)
+
+    verb = command(verify)
+    verb.add_argument("suite")
+    truncation_option(verb)
+    verb.add_argument(
+        "--report",
+        dest="report_path",
+        metavar="PATH",
+        help="Also write each suite's wall time and every check's label, result "
+        "and detail (with its case total) to this file as JSON.",
+    )
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "stcores") -> None:
+    """Exact counts, series, grids, and bijections for joint core partitions."""
+    options = vars(_parser(prog_name).parse_args(args))
+    verb = options.pop("verb")
+    try:
+        verb(**options)
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): exit 1 quietly, as click
+        # did, with stdout pointed at devnull so the final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except (ValueError, OSError) as err:
+        print(f"Error: {err}", file=sys.stderr)
+        sys.exit(1)
+
+
+# click.testing.CliRunner, which the tests and bench/ drive the CLI with,
+# reads the program name from `main.name` and calls `main.main(args=...,
+# prog_name=...)`; these two attributes answer it without importing click.
+main.name = "stcores"
+main.main = main
 
 
 if __name__ == "__main__":

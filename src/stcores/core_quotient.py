@@ -9,7 +9,6 @@ fermionic strip per component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .bar_partitions import (
@@ -19,6 +18,7 @@ from .bar_partitions import (
 )
 from .encodings import olsson_encode
 from .partitions import (
+    Frozen,
     Partition,
     check_divisor,
     check_pair,
@@ -30,44 +30,50 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class StraightTower:
+class StraightTower(Frozen):
     """A partition split into its g-core and g-quotient.
 
     Invariants: the core is a g-core, weight is the total quotient size, and
     the reconstructed partition has size core.size + g * weight.
     """
 
+    __slots__ = ("g", "core", "quotient")
     g: int
     core: Partition
     quotient: tuple[Partition, ...]
 
-    def __post_init__(self) -> None:
-        check_divisor(self.g)
-        if len(self.quotient) != self.g:
+    def __init__(self, g: int, core: Partition, quotient: tuple[Partition, ...]) -> None:
+        check_divisor(g)
+        if len(quotient) != g:
             raise ValueError("quotient must have exactly g components")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "quotient", quotient)
 
     @property
     def weight(self) -> int:
         return sum(sum(q) for q in self.quotient)
 
 
-@dataclass(frozen=True)
-class BarTower:
+class BarTower(Frozen):
     """A bar partition split into its g-bar-core and g-bar-quotient.
 
     The quotient holds (g+1)/2 components: component 0 is a bar partition,
     the rest are straight partitions.
     """
 
+    __slots__ = ("g", "core", "quotient")
     g: int
     core: BarPartition
     quotient: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        check_divisor(self.g, odd=True)
-        if len(self.quotient) != (self.g + 1) // 2:
+    def __init__(self, g: int, core: BarPartition, quotient: tuple[tuple[int, ...], ...]) -> None:
+        check_divisor(g, odd=True)
+        if len(quotient) != (g + 1) // 2:
             raise ValueError("quotient must have exactly (g+1)/2 components")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "quotient", quotient)
 
     @property
     def weight(self) -> int:

@@ -10,7 +10,6 @@ each size over all paths of a grid without walking them one by one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -18,6 +17,7 @@ from .bar_partitions import BarPartition, is_tbar_core
 from .core_quotient import BarTower, bar_decompose, bar_reconstruct, decompose, reconstruct, StraightTower
 from .encodings import zeta, zeta_inverse
 from .partitions import (
+    Frozen,
     Partition,
     check_pair,
     common_divisor,
@@ -32,8 +32,7 @@ from .partitions import (
 Path = str
 
 
-@dataclass(frozen=True)
-class SignedGrid:
+class SignedGrid(Frozen):
     """A rows x cols matrix of signed integers with a monotone sign border.
 
     values[r][c] uses matrix indexing, row 0 at the top. For the coprime
@@ -42,9 +41,15 @@ class SignedGrid:
     right.
     """
 
+    __slots__ = ("rows", "cols", "values")
     rows: int
     cols: int
     values: tuple[tuple[int, ...], ...]
+
+    def __init__(self, rows: int, cols: int, values: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "values", values)
 
     def border_heights(self) -> tuple[int, ...]:
         """Per column, the number of negative cells (measured from the bottom)."""

@@ -43,20 +43,23 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .partitions import Partition, check_modulus, check_pair, from_diagonal_hooks
+from .partitions import Frozen, Partition, check_modulus, check_pair, from_diagonal_hooks
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(Frozen):
     """Counts indexed by size, with the parameters that produced them."""
 
+    __slots__ = ("label", "counts")
     label: str
     counts: tuple[int, ...]
+
+    def __init__(self, label: str, counts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "counts", counts)
 
     def __getitem__(self, n: int) -> int:
         return self.counts[n]

@@ -1,16 +1,10 @@
 import ast
 from pathlib import Path
+import subprocess
+import sys
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [p for p in sorted((ROOT / "src" / "stcores").glob("*.py")) if p.name != "__init__.py"]
-
-
-def _is_cli_command(function: ast.FunctionDef) -> bool:
-    # click registers @main.command() functions; nothing calls them by name
-    return any(
-        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in {"command", "group"}
-        for d in function.decorator_list
-    )
 
 
 def _shared_names() -> set[str]:
@@ -32,7 +26,8 @@ def _shared_names() -> set[str]:
 def test_every_public_function_has_a_caller_outside_the_tests():
     # No helper that only tests call. A function counts as used when its
     # own module names it, or another module, bench/ or tools/ imports it or
-    # reads it as an attribute.
+    # reads it as an attribute. The CLI verbs count too: the parser in
+    # cli.py names each one.
     shared = _shared_names()
     unused = []
     for path in MODULES:
@@ -43,7 +38,6 @@ def test_every_public_function_has_a_caller_outside_the_tests():
             for node in tree.body
             if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_")
-            and not _is_cli_command(node)
             and node.name not in shared | local
         ]
     assert unused == []
@@ -64,3 +58,20 @@ def test_every_public_method_has_a_caller_outside_the_tests():
         and node.name not in shared
     ]
     assert unused == []
+
+
+def test_the_cli_imports_neither_click_nor_dataclasses():
+    # Every cold CLI call pays for what `stcores.cli` imports: click cost
+    # about 34 ms of it and dataclasses (with inspect) about 14 ms. -S keeps
+    # site from importing any of them first, which would hide them here.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import stcores.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    imported = set(done.stdout.split())
+    assert {"stcores.cli", "stcores.verify", "argparse"} <= imported
+    assert imported.isdisjoint({"click", "dataclasses", "inspect"})

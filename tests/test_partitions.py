@@ -1,10 +1,14 @@
 import ast
 from pathlib import Path
+import pickle
 
 from hypothesis import given, strategies as st
 import pytest
 
 from stcores import partitions as partitions_module
+from stcores.core_quotient import BarTower, StraightTower
+from stcores.lattice import SignedGrid
+from stcores.oracle import CountTable
 from stcores.partitions import (
     as_partition,
     check_pair,
@@ -149,3 +153,47 @@ def test_parameter_messages_appear_only_in_the_validators():
             if isinstance(node, ast.Constant) and node.value in PARAMETER_MESSAGES:
                 found.setdefault(node.value, set()).add(path.name)
     assert found == {message: {"partitions.py"} for message in PARAMETER_MESSAGES}
+
+
+# Per value class: fields, fields that differ in one place, and the repr the
+# frozen dataclass it replaces printed.
+VALUE_CLASSES = (
+    (StraightTower, (2, (1,), ((), ())), (2, (), ((), ())), "StraightTower(g=2, core=(1,), quotient=((), ()))"),
+    (BarTower, (3, (1,), ((), ())), (3, (1,), ((1,), ())), "BarTower(g=3, core=(1,), quotient=((), ()))"),
+    (SignedGrid, (1, 2, ((1, -1),)), (1, 2, ((1, -3),)), "SignedGrid(rows=1, cols=2, values=((1, -1),))"),
+    (CountTable, ("f_5", (1, 1, 2, 3)), ("f_7", (1, 1, 2, 3)), "CountTable(label='f_5', counts=(1, 1, 2, 3))"),
+)
+
+
+@pytest.mark.parametrize("cls, fields, other, text", VALUE_CLASSES, ids=[row[0].__name__ for row in VALUE_CLASSES])
+def test_value_classes_keep_the_frozen_dataclass_behaviour(cls, fields, other, text):
+    value = cls(*fields)
+    assert repr(value) == text
+    assert value == cls(*fields) and hash(value) == hash(cls(*fields)) == hash(fields)
+    assert value != cls(*other)
+    # equal only within one class: never to the plain tuple, nor to a subclass
+    assert value != fields and fields != value
+    assert value != type("Twin", (cls,), {})(*fields)
+    with pytest.raises(AttributeError):
+        setattr(value, cls.__slots__[0], fields[0])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(value, cls.__slots__[0])
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize(
+    "cls, g, quotient, message",
+    (
+        (StraightTower, 2, ((),), "^quotient must have exactly g components$"),
+        (StraightTower, 3, ((), (), (), ()), "^quotient must have exactly g components$"),
+        (StraightTower, 1, ((),), "^g must be >= 2$"),
+        (BarTower, 5, ((), ()), r"^quotient must have exactly \(g\+1\)/2 components$"),
+        (BarTower, 3, ((),), r"^quotient must have exactly \(g\+1\)/2 components$"),
+        (BarTower, 4, ((), ()), "^g must be odd and >= 3$"),
+    ),
+)
+def test_tower_constructors_check_their_fields(cls, g, quotient, message):
+    with pytest.raises(ValueError, match=message):
+        cls(g=g, core=(), quotient=quotient)

@@ -2,20 +2,22 @@
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_6.json [--first-seed S]
 
-Exports REV into a temporary directory with `git archive` and, for every
-workload in BENCHMARK.json, runs `python3 bench/run.py --workload W --seed N
---seconds 30 --trace 0` once in that copy and once in the working tree for
-each of 10 seeds from S on, one process at a time, alternating which side
-runs first. Each run's
-last stdout line is its result; the script reads the end-to-end metrics from
-it and writes, per workload and metric, the median and quartiles of both
-sides, the number of pairs the change wins and loses (by the metric's
-direction in BENCHMARK.json), and the change's median over the parent's.
-The report also records the Python version, the CPU count, both commits,
-the seeds and every run.
+Exports REV into a temporary directory with `git archive`, then replaces
+the export's bench/ and BENCHMARK.json by the working tree's, so one harness
+measures both sides' src/ and a change to the benchmark itself can be paired
+against its parent. For every workload in BENCHMARK.json it runs `python3
+bench/run.py --workload W --seed N --seconds 30 --trace 0` once in that copy
+and once in the working tree for each of 10 seeds from S on, one process at
+a time, alternating which side runs first. Each run's last stdout line is
+its result; the script reads the end-to-end metrics from it and writes, per
+workload and metric, the median and quartiles of both sides, the number of
+pairs the change wins and loses (by the metric's direction in
+BENCHMARK.json), and the change's median over the parent's. The report also
+records the Python version, the CPU count, both commits, whether the
+harness differs from REV's, the seeds and every run.
 
 The script only launches bench/run.py; it imports and edits nothing under
-bench/.
+the working tree's bench/.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -35,6 +38,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SECONDS = 30
 PAIRS = 10
+# What both sides run from the working tree: the benchmark and its spec.
+HARNESS = ("bench", "BENCHMARK.json")
 
 
 def git(*args: str) -> str:
@@ -50,6 +55,13 @@ def export(rev: str, dest: Path) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def use_harness(tree: Path) -> None:
+    """Replace the harness files in ``tree`` by the working tree's."""
+    shutil.rmtree(tree / "bench", ignore_errors=True)
+    shutil.copytree(REPO / "bench", tree / "bench", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(REPO / "BENCHMARK.json", tree / "BENCHMARK.json")
 
 
 def bench_once(tree: Path, workload: str, seed: int) -> dict:
@@ -116,6 +128,10 @@ def main() -> int:
     parent_commit = git("rev-parse", args.parent)
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    harness_changed = (
+        subprocess.run(["git", "diff", "--quiet", parent_commit, "--", *HARNESS], cwd=REPO).returncode
+        != 0
+    )
 
     report: dict = {
         "script": "tools/bench_pairs.py",
@@ -126,11 +142,14 @@ def main() -> int:
         "parent_commit": parent_commit,
         "change_commit": head,
         "change_has_uncommitted_edits": dirty,
+        "harness": "the working tree's bench/ and BENCHMARK.json, on both sides",
+        "harness_differs_from_parent": harness_changed,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_tree = Path(tmp)
         export(parent_commit, parent_tree)
+        use_harness(parent_tree)
         trees = {"parent": parent_tree, "change": REPO}
         for workload in workloads:
             runs = []
