@@ -4,7 +4,8 @@ Straight towers use the classical abacus: spread a padded beta-set over g
 runners, push beads to the bottom for the core, and read each runner as a
 smaller partition for the quotient. Bar towers use paired runners on a Maya
 diagram, with the two residue classes {j, g-j} merged into one charged
-fermionic strip per component.
+fermionic strip per component: the strip is read as a beta-set of the
+component, and the strip charges are the signed run lengths of the core.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .bar_partitions import (
     is_bar_partition,
     is_tbar_core,
 )
-from .encodings import olsson_encode
+from .encodings import olsson_decode, olsson_encode
 from .partitions import (
     Frozen,
     Partition,
@@ -24,6 +25,7 @@ from .partitions import (
     check_pair,
     common_divisor,
     conjugate,
+    first_column_hooks,
     from_first_column_hooks,
     is_partition,
     is_t_core,
@@ -201,42 +203,21 @@ def selfconjugate_tower_check(tower: StraightTower) -> bool:
     )
 
 
-def _pair_class_beads(parts: tuple[int, ...], j: int, g: int) -> tuple[list[int], set[int], int]:
-    """Bead data for the merged residue classes {j, g-j} of a bar partition.
+def _pair_class_component(b: BarPartition, j: int, g: int) -> tuple[Partition, int]:
+    """The straight component and the charge of the residue classes {j, g-j} of ``b``.
 
-    Parts j + alpha*g put beads at nonnegative positions alpha; parts
-    (g-j) + m*g remove the bead at position -1-m. Returns the nonnegative bead
-    positions (descending), the removed-position indices m, and the charge.
+    The two classes form one Maya strip: a part j + q*g puts a bead at
+    position q >= 0, a part (g-j) + m*g leaves a hole at position -1-m, and
+    every other negative position holds a bead. Shifted up by one more than
+    its deepest hole, the strip's beads are a beta-set of the component. The
+    charge, the beads at nonnegative positions minus the holes, is the
+    beta-set's size minus the shift.
     """
-    alphas = sorted((x - j) // g for x in parts if x % g == j)
-    holes = {(x - (g - j)) // g for x in parts if x % g == g - j}
-    charge = len(alphas) - len(holes)
-    return sorted(alphas, reverse=True), holes, charge
-
-
-def _component_from_beads(alphas: list[int], holes: set[int], charge: int) -> Partition:
-    """Decode a charged Maya strip into a straight partition.
-
-    Bead positions descend as q_i = part_i + charge - i (1-indexed); beads sit
-    at every alpha and at -1-m for m not in holes.
-    """
-    depth = len(alphas) + len(holes) + abs(charge) + 2
-    if holes:
-        # the window must reach past the deepest removed position
-        depth += max(holes) + 1
-    beads = list(alphas)
-    m = 0
-    while len(beads) < depth + len(holes):
-        if m not in holes:
-            beads.append(-1 - m)
-        m += 1
-    parts = []
-    for i, q in enumerate(beads, start=1):
-        part = q - charge + i
-        if part <= 0:
-            break
-        parts.append(part)
-    return tuple(parts)
+    holes = {(x - (g - j)) // g for x in b if x % g == g - j}
+    shift = max(holes, default=-1) + 1
+    beta = [(x - j) // g + shift for x in b if x % g == j]
+    beta += [shift - 1 - m for m in range(shift) if m not in holes]
+    return from_first_column_hooks(beta), len(beta) - shift
 
 
 def bar_decompose(b: BarPartition, g: int) -> BarTower:
@@ -245,7 +226,7 @@ def bar_decompose(b: BarPartition, g: int) -> BarTower:
     Component 0 collects the parts divisible by g, each divided by g (a bar
     partition). Component j (1 <= j <= (g-1)/2) reads the merged residue
     classes {j, g-j} as one charged Maya strip and decodes it as a straight
-    partition; the strip's charge survives into the core.
+    partition; the strip charges are the signed run lengths of the core.
 
     Args:
         b: a bar partition.
@@ -254,22 +235,20 @@ def bar_decompose(b: BarPartition, g: int) -> BarTower:
     check_divisor(g, odd=True)
     lam0 = tuple(sorted((x // g for x in b if x % g == 0), reverse=True))
     components: list[tuple[int, ...]] = [lam0]
-    core_parts: list[int] = []
+    charges = []
     for j in range(1, (g + 1) // 2):
-        alphas, holes, charge = _pair_class_beads(b, j, g)
-        components.append(_component_from_beads(alphas, holes, charge))
-        if charge > 0:
-            core_parts.extend(j + ell * g for ell in range(charge))
-        elif charge < 0:
-            core_parts.extend((g - j) + ell * g for ell in range(-charge))
-    core = tuple(sorted(core_parts, reverse=True))
-    return BarTower(g=g, core=core, quotient=tuple(components))
+        lam, charge = _pair_class_component(b, j, g)
+        components.append(lam)
+        charges.append(charge)
+    return BarTower(g=g, core=olsson_decode(tuple(charges), g), quotient=tuple(components))
 
 
 def bar_reconstruct(tower: BarTower) -> BarPartition:
     """Rebuild the bar partition with the given g-bar-core and quotient.
 
-    Inverse of :func:`bar_decompose`.
+    Inverse of :func:`bar_decompose`: strip j holds the beta-set of component
+    j shifted up by its charge minus its length, and every position below
+    that shift.
 
     Raises:
         ValueError: if the core is not a g-bar-core or component 0 is not a
@@ -284,18 +263,11 @@ def bar_reconstruct(tower: BarTower) -> BarPartition:
         lam = tower.quotient[j]
         if not is_partition(lam):
             raise ValueError(f"component {j} is not a partition")
-        charge = charges[j - 1]
-        depth = len(lam) + abs(charge) + 2
-        beads = {lam[i - 1] + charge - i if i <= len(lam) else charge - i for i in range(1, depth + 1)}
-        floor = charge - depth
-        for q in beads:
-            if q >= 0:
-                parts.append(j + q * g)
-        m = 0
-        while -1 - m > floor:
-            if -1 - m not in beads:
-                parts.append((g - j) + m * g)
-            m += 1
+        shift = charges[j - 1] - len(lam)
+        beads = {h + shift for h in first_column_hooks(lam)}.union(range(shift))
+        parts += [j + q * g for q in beads if q >= 0]
+        # a hole at position q = -1-m stands for the part (g-j) + m*g
+        parts += [-(j + q * g) for q in range(shift, 0) if q not in beads]
     result = tuple(sorted(parts, reverse=True))
     if not is_bar_partition(result):
         raise ValueError("tower does not assemble into a bar partition")

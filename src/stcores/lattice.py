@@ -1,16 +1,17 @@
 """Signed lattice grids and the monotonic-path bijections, including gamma.
 
-Three grids share one path mechanism. Paths run from the bottom-left corner to
-the top-right corner of an R x C cell grid, one step right (R) or up (U) at a
-time, and are stored as strings over {R, U}. The column-height profile of a
-path, together with the grid's sign border, determines the trapped cells,
-whose values decode a partition. :func:`census_by_size` counts the cores of
-each size over all paths of a grid without walking them one by one.
+Three grids share one path mechanism. A monotonic path from the bottom-left
+to the top-right corner of an R x C cell grid is stored as its column
+heights: a non-decreasing C-tuple over 0..R whose entry c counts the cells of
+column c below the path. The heights, together with the grid's sign border,
+determine the trapped cells, whose values decode a partition.
+:func:`census_by_size` counts the cores of each size over all paths of a grid
+without walking them one by one.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .bar_partitions import BarPartition, is_tbar_core
@@ -29,7 +30,7 @@ from .partitions import (
     is_t_core,
 )
 
-Path = str
+Path = tuple[int, ...]
 
 
 class SignedGrid(Frozen):
@@ -116,52 +117,18 @@ def yinyang_grid(s: int, t: int) -> SignedGrid:
     return SignedGrid(rows=(s - 1) // 2, cols=(t - 1) // 2, values=values)
 
 
-def path_heights(path: Path, rows: int, cols: int) -> tuple[int, ...]:
-    """Column-height profile of a monotonic path.
-
-    heights[c] is the level (0 = bottom) at which the path crosses column c.
-
-    Raises:
-        ValueError: on malformed step strings or wrong step counts.
-    """
-    heights = []
-    y = 0
-    for step in path:
-        if step == "R":
-            heights.append(y)
-        elif step == "U":
-            y += 1
-        else:
-            raise ValueError(f"path steps must be R or U, got {step!r}")
-    if len(heights) != cols or y != rows:
-        raise ValueError(f"path does not fit a {rows} x {cols} grid")
-    return tuple(heights)
-
-
-def heights_to_path(heights: tuple[int, ...], rows: int) -> Path:
-    """Inverse of :func:`path_heights` for a non-decreasing profile."""
-    steps = []
-    y = 0
-    for h in heights:
-        if h < y or h > rows:
-            raise ValueError("heights must be non-decreasing and within the grid")
-        steps.append("U" * (h - y))
-        steps.append("R")
-        y = h
-    steps.append("U" * (rows - y))
-    return "".join(steps)
-
-
 def enumerate_paths(rows: int, cols: int) -> Iterator[Path]:
-    """All monotonic paths of an R x C grid, exactly once, in a fixed order."""
+    """All monotonic paths of an R x C grid, exactly once, in lexicographic order."""
     if rows < 0 or cols < 0:
         raise ValueError("rows and cols must be nonnegative")
-    total = rows + cols
-    for up_slots in combinations(range(total), rows):
-        steps = ["R"] * total
-        for i in up_slots:
-            steps[i] = "U"
-        yield "".join(steps)
+    yield from combinations_with_replacement(range(rows + 1), cols)
+
+
+def _check_path(path: Path, rows: int, cols: int) -> None:
+    """Refuse anything but ``cols`` non-decreasing heights within 0..rows."""
+    rising = not any(map(int.__gt__, path, path[1:]))
+    if len(path) != cols or not rising or path and not 0 <= path[0] <= path[-1] <= rows:
+        raise ValueError(f"path does not fit a {rows} x {cols} grid")
 
 
 def _trapped_values(
@@ -174,13 +141,13 @@ def _trapped_values(
     Returns (above, below): above holds the positive values trapped where the
     path rises over the border, below the negative values where it dips under.
     """
-    heights = path_heights(path, grid.rows, grid.cols)
+    _check_path(path, grid.rows, grid.cols)
     if border is None:
         border = grid.border_heights()
     above: list[int] = []
     below: list[int] = []
     for c in range(grid.cols):
-        hp, hb = heights[c], border[c]
+        hp, hb = path[c], border[c]
         for y in range(hb, hp):
             above.append(grid.values[grid.rows - 1 - y][c])
         for y in range(hp, hb):
@@ -244,10 +211,9 @@ def _path_from_marked(grid: SignedGrid, marked: set[int]) -> Path:
         if up and down:
             raise ValueError("marked values straddle the border in one column")
         heights.append(hb + up - down)
-    for c in range(grid.cols - 1):
-        if heights[c] > heights[c + 1]:
-            raise ValueError("marked values do not trace a monotonic path")
-    return heights_to_path(tuple(heights), grid.rows)
+    if any(map(int.__gt__, heights, heights[1:])):
+        raise ValueError("marked values do not trace a monotonic path")
+    return tuple(heights)
 
 
 def selfconj_to_dh_path(p: Partition, s: int, t: int) -> Path:
@@ -365,12 +331,8 @@ def enumerate_st_cores_by_paths(s: int, t: int) -> Iterator[Partition]:
     """All (s,t)-cores for coprime s, t, one per valid Anderson path."""
     grid = anderson_grid(s, t)
     border = grid.border_heights()
-    # Heights never fall, so a path stays weakly above the border once it does
-    # so at each column c where the border rises to hb: hb up steps among the
-    # first hb + c steps.
-    rises = [(hb + c, hb) for c, hb in enumerate(border) if hb > (border[c - 1] if c else 0)]
     for path in enumerate_paths(grid.rows, grid.cols):
-        if all(path.count("U", 0, end) >= hb for end, hb in rises):
+        if all(map(int.__ge__, path, border)):
             above, _ = _trapped_values(grid, path, border)
             yield from_first_column_hooks(above)
 

@@ -68,18 +68,6 @@ class TruncatedSeries:
         tail = ", ..." if self.truncation >= 8 else ""
         return f"TruncatedSeries([{head}{tail}], truncation={self.truncation})"
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.truncation, other.truncation)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.truncation, other.truncation)
-        return TruncatedSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.truncation, other.truncation)
         out = [0] * (n + 1)
@@ -388,10 +376,11 @@ def congruence_scan(series: TruncatedSeries, g: int, modulus: int) -> tuple[int,
     means the congruence holds up to the truncation, nothing more.
 
     Raises:
-        ValueError: unless g >= 2 and modulus >= 2.
+        ValueError: unless g >= 2 (checked first) and modulus >= 2.
     """
-    if g < 2 or modulus < 2:
-        raise ValueError("need g >= 2 and modulus >= 2")
+    check_divisor(g)
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
     out = []
     for r in range(g):
         if all(

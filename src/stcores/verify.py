@@ -72,8 +72,8 @@ def _series_vs_table(
 
 def suite_examples(limit: int = 60) -> list[Check]:
     """Worked small cases pinned to exact values."""
-    core = lat.anderson_path_to_core("URUURRURURURRURRRR", 7, 11)
-    sc = lat.dh_path_to_selfconj("RURRRUUR", 7, 11)
+    core = lat.anderson_path_to_core((1, 3, 3, 4, 5, 6, 6, 7, 7, 7, 7), 7, 11)
+    sc = lat.dh_path_to_selfconj((0, 1, 1, 1, 3), 7, 11)
     lam = (21, 20, 12, 12, 12, 12, 11, 11, 10, 9, 8, 6, 2, 2, 2, 2, 2, 2, 2, 2, 1)
     tower = cq.decompose(lam, 3)
     bar = lat.big_gamma(lam, 21, 33)
@@ -92,7 +92,7 @@ def suite_examples(limit: int = 60) -> list[Check]:
         ("zeta((4,2,1,1)) at t=3", enc.zeta((4, 2, 1, 1), 3), (4, 1)),
         ("(7,11) diagonal-hooks path decodes to (3,3,3)", sc, (3, 3, 3)),
         ("diagonal hooks of the decoded (3,3,3)", pt.diagonal_hooks(sc), (5, 3, 1)),
-        ("(7,11) yin-yang path decodes to (6,)", lat.yy_path_to_barcore("RURRRUUR", 7, 11), (6,)),
+        ("(7,11) yin-yang path decodes to (6,)", lat.yy_path_to_barcore((0, 1, 1, 1, 3), 7, 11), (6,)),
         ("gamma((3,3,3)) at (7,11)", lat.gamma((3, 3, 3), 7, 11), (6,)),
         ("calibration partition size", pt.size(lam), 161),
         ("calibration partition is self-conjugate", pt.is_self_conjugate(lam), True),

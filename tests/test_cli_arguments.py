@@ -76,6 +76,19 @@ def test_a_refused_parameter_is_one_line_on_stderr(capsys):
     assert run(capsys, "count", "-t", "0", "-N", "5") == (1, "", "Error: t must be >= 1\n")
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    (
+        (("-g", "1", "--mod", "2"), "g must be >= 2"),
+        (("-g", "0", "--mod", "1"), "g must be >= 2"),
+        (("-g", "2", "--mod", "1"), "modulus must be >= 2"),
+        (("-g", "5", "--mod", "-3"), "modulus must be >= 2"),
+    ),
+)
+def test_scan_refuses_a_small_divisor_or_modulus_in_one_line(capsys, params, message):
+    assert run(capsys, "scan", "--gf", "partition", *params, "-N", "5") == (1, "", f"Error: {message}\n")
+
+
 def test_a_report_path_that_is_a_directory_is_a_one_line_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "examples", "--report", str(tmp_path))
     assert code == 1

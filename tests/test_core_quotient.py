@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import gcd
 
@@ -111,6 +112,24 @@ def test_bar_decompose_reconstruct_round_trip(b, g):
     assert len(tower.quotient) == (g + 1) // 2
     assert is_tbar_core(tower.core, g)
     assert sum(b) == sum(tower.core) + g * tower.weight
+
+
+# sha256 of repr(bar_decompose(b, g)), one line per tower, over every bar
+# partition of size <= 30 in enumeration order and g in (3, 5, 7, 9, 11). A
+# round trip alone would pass a different but self-consistent tower.
+BAR_TOWERS_SHA256 = "d718609705a6434bee5e63d8a80900b2aaded27f5f256db3cb1f64629459be6c"
+
+
+def test_bar_towers_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    towers = 0
+    for n in range(31):
+        for b in enumerate_bar_partitions(n):
+            for g in (3, 5, 7, 9, 11):
+                digest.update(repr(bar_decompose(b, g)).encode() + b"\n")
+                towers += 1
+    assert towers == 10175
+    assert digest.hexdigest() == BAR_TOWERS_SHA256
 
 
 # single parts far down one runner once forced the bead window too shallow

@@ -1,8 +1,8 @@
 from collections import Counter
 from functools import cache
+from itertools import product
 from math import comb, gcd
 
-from hypothesis import given, strategies as st
 import pytest
 
 from stcores.bar_partitions import is_tbar_core
@@ -22,8 +22,6 @@ from stcores.lattice import (
     enumerate_st_cores_by_paths,
     gamma,
     gamma_inverse,
-    heights_to_path,
-    path_heights,
     selfconj_to_dh_path,
     yinyang_grid,
     yy_path_to_barcore,
@@ -34,15 +32,28 @@ from stcores.partitions import is_self_conjugate, is_t_core
 
 def test_enumerate_paths_is_the_binomial_family():
     paths = list(enumerate_paths(2, 2))
-    assert paths == ["UURR", "URUR", "URRU", "RUUR", "RURU", "RRUU"]
+    assert paths == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     assert len(list(enumerate_paths(3, 4))) == comb(7, 3)
 
 
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5))
-def test_heights_round_trip(rows, cols):
-    for path in enumerate_paths(rows, cols):
-        heights = path_heights(path, rows, cols)
-        assert heights_to_path(heights, rows) == path
+def test_enumerate_paths_yields_every_height_profile_once():
+    for rows, cols in product(range(6), repeat=2):
+        paths = list(enumerate_paths(rows, cols))
+        profiles = [h for h in product(range(rows + 1), repeat=cols) if list(h) == sorted(h)]
+        assert paths == profiles
+        assert len(set(paths)) == comb(rows + cols, rows)
+
+
+@pytest.mark.parametrize(
+    "path",
+    ((0, 1, 1, 1), (0, 1, 1, 1, 3, 3), (0, 2, 1, 1, 3), (0, 1, 1, 1, 4), (-1, 1, 1, 1, 3)),
+    ids=("too short", "too long", "falling step", "above the grid", "below the grid"),
+)
+def test_decoders_refuse_a_malformed_path(path):
+    # the (7,11) diagonal-hooks and yin-yang grids are 3 x 5
+    for decode in (dh_path_to_selfconj, yy_path_to_barcore):
+        with pytest.raises(ValueError, match=r"^path does not fit a 3 x 5 grid$"):
+            decode(path, 7, 11)
 
 
 def test_anderson_grid_small_values():
@@ -150,13 +161,13 @@ def test_anderson_dp_reaches_a_census_past_enumeration():
 
 
 def test_worked_anderson_path():
-    p = anderson_path_to_core("URUURRURURURRURRRR", 7, 11)
+    p = anderson_path_to_core((1, 3, 3, 4, 5, 6, 6, 7, 7, 7, 7), 7, 11)
     assert p == (5, 3, 3, 3, 2, 2, 1, 1, 1)
 
 
 def test_worked_dh_and_yy_paths():
-    assert dh_path_to_selfconj("RURRRUUR", 7, 11) == (3, 3, 3)
-    assert yy_path_to_barcore("RURRRUUR", 7, 11) == (6,)
+    assert dh_path_to_selfconj((0, 1, 1, 1, 3), 7, 11) == (3, 3, 3)
+    assert yy_path_to_barcore((0, 1, 1, 1, 3), 7, 11) == (6,)
 
 
 def test_worked_gamma_pair():

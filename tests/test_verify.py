@@ -13,12 +13,18 @@ def _non_core_like(p):
     return next(q for q in enumerate_partitions(sum(p)) if not is_st_core(q, 5, 7))
 
 
-# each mutation touches census[1], a (5,7)-core of size 36
+def _first_of_size(census, n):
+    """Position of the first partition of size n in the census."""
+    return next(i for i, p in enumerate(census) if sum(p) == n)
+
+
+# each mutation touches census[i], the first (5,7)-core of size 36, wherever
+# the enumeration order puts it
 MUTATIONS = {
-    "drop a core": lambda census: census[:1] + census[2:],
-    "swap a core for a non-core": lambda census: census[:1] + [_non_core_like(census[1])] + census[2:],
-    "add a non-core": lambda census: census + [_non_core_like(census[1])],
-    "repeat a core": lambda census: census + census[1:2],
+    "drop a core": lambda census, i: census[:i] + census[i + 1 :],
+    "swap a core for a non-core": lambda census, i: census[:i] + [_non_core_like(census[i])] + census[i + 1 :],
+    "add a non-core": lambda census, i: census + [_non_core_like(census[i])],
+    "repeat a core": lambda census, i: census + census[i : i + 1],
 }
 
 
@@ -33,7 +39,7 @@ def test_the_counting_suite_catches_a_bad_path_census(mutation, monkeypatch):
 
     def census(s, t):
         cores = list(real(s, t))
-        return MUTATIONS[mutation](cores) if (s, t) == (5, 7) else cores
+        return MUTATIONS[mutation](cores, _first_of_size(cores, 36)) if (s, t) == (5, 7) else cores
 
     monkeypatch.setattr(lattice, "enumerate_st_cores_by_paths", census)
     checks = {label: (ok, detail) for label, ok, detail in suite_counting(10)}
