@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .partitions import check_modulus
+from .partitions import as_partition, check_modulus, is_partition
 
 BarPartition = tuple[int, ...]
 
@@ -18,26 +18,17 @@ def as_bar_partition(parts: Iterable[int]) -> BarPartition:
     """Canonicalize into a strictly decreasing tuple of positive integers.
 
     Raises:
-        ValueError: on repeated, negative, or non-integer parts.
+        ValueError: on repeated parts, or as :func:`as_partition` does.
     """
-    cleaned = []
-    for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"bar partition parts must be integers, got {p!r}")
-        if p < 0:
-            raise ValueError(f"bar partition parts must be nonnegative, got {p}")
-        if p > 0:
-            cleaned.append(p)
+    cleaned = as_partition(parts)
     if len(cleaned) != len(set(cleaned)):
         raise ValueError("bar partition parts must be distinct")
-    return tuple(sorted(cleaned, reverse=True))
+    return cleaned
 
 
 def is_bar_partition(parts: tuple[int, ...]) -> bool:
     """True if ``parts`` is strictly decreasing with positive entries."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
-        parts[i] > parts[i + 1] for i in range(len(parts) - 1)
-    )
+    return is_partition(parts) and len(set(parts)) == len(parts)
 
 
 def bar_length_multiset(b: BarPartition) -> tuple[int, ...]:

@@ -146,6 +146,10 @@ def verify(suite: str, truncation: int, report_path: str | None) -> None:
     on any failure.
     """
     names = sorted(verify_module.SUITES) if suite == "all" else [suite]
+    if names[0] not in verify_module.SUITES:
+        verify_module.run_suite(suite, truncation)  # refuses the name, runs nothing
+    # Opened first, so a path that cannot be written fails before any check.
+    report = None if report_path is None else open(report_path, "w", encoding="utf-8")
     results = {}
     wall_s = {}
     for name in names:
@@ -154,9 +158,9 @@ def verify(suite: str, truncation: int, report_path: str | None) -> None:
         wall_s[name] = time.perf_counter() - start
     text, failures = formats.checks_report(results)
     _echo(text)
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as out:
-            out.write(formats.checks_report_json(results, wall_s, truncation) + "\n")
+    if report is not None:
+        with report:
+            report.write(formats.checks_report_json(results, wall_s, truncation) + "\n")
     if failures:
         sys.exit(1)
 

@@ -231,8 +231,13 @@ def bar_decompose(b: BarPartition, g: int) -> BarTower:
     Args:
         b: a bar partition.
         g: odd integer >= 3.
+
+    Raises:
+        ValueError: unless g is odd and >= 3 and ``b`` is a bar partition.
     """
     check_divisor(g, odd=True)
+    if not is_bar_partition(b):
+        raise ValueError("input is not a bar partition")
     lam0 = tuple(sorted((x // g for x in b if x % g == 0), reverse=True))
     components: list[tuple[int, ...]] = [lam0]
     charges = []
@@ -240,7 +245,7 @@ def bar_decompose(b: BarPartition, g: int) -> BarTower:
         lam, charge = _pair_class_component(b, j, g)
         components.append(lam)
         charges.append(charge)
-    return BarTower(g=g, core=olsson_decode(tuple(charges), g), quotient=tuple(components))
+    return BarTower(g=g, core=olsson_decode(tuple(charges)), quotient=tuple(components))
 
 
 def bar_reconstruct(tower: BarTower) -> BarPartition:

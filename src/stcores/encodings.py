@@ -47,18 +47,12 @@ def gks_encode(p: Partition, t: int) -> CoreTuple:
     return tuple(c - level for c in counts)
 
 
-def gks_decode(entries: CoreTuple, t: int | None = None) -> Partition:
-    """The unique t-core whose runner-surplus tuple is ``entries``.
-
-    Args:
-        entries: integers summing to zero.
-        t: optional, must equal len(entries) when given.
+def gks_decode(entries: CoreTuple) -> Partition:
+    """The unique t-core, t = len(entries), whose runner-surplus tuple is ``entries``.
 
     Raises:
-        ValueError: if the entries do not sum to zero or t mismatches.
+        ValueError: if the tuple is empty or its entries do not sum to zero.
     """
-    if t is not None and t != len(entries):
-        raise ValueError("t must equal the tuple length")
     t = len(entries)
     if t < 1:
         raise ValueError("tuple must be nonempty")
@@ -80,10 +74,9 @@ def is_selfconjugate_tuple(entries: CoreTuple) -> bool:
     Raises:
         ValueError: for even length.
     """
-    t = len(entries)
-    if t % 2 == 0:
+    if len(entries) % 2 == 0:
         raise ValueError("tuple length must be odd")
-    return all(entries[i] == -entries[t - 1 - i] for i in range(t))
+    return tuple(entries) == conjugate_tuple(entries)
 
 
 def diagonal_hooks_from_tuple(entries: CoreTuple) -> tuple[int, ...]:
@@ -137,21 +130,17 @@ def olsson_encode(b: BarPartition, t: int) -> BarTuple:
     return tuple(entries)
 
 
-def olsson_decode(entries: BarTuple, t: int | None = None) -> BarPartition:
-    """The unique t-bar-core whose signed run-length tuple is ``entries``.
+def olsson_decode(entries: BarTuple) -> BarPartition:
+    """The unique t-bar-core, t = 2 len(entries) + 1, with signed run lengths ``entries``.
 
     Entry b'_i > 0 contributes parts i, i+t, ..., i+(b'_i - 1)t; a negative
     entry contributes (t-i), (t-i)+t, ... instead.
     """
-    if t is not None and t != 2 * len(entries) + 1:
-        raise ValueError("t must equal 2 * len(entries) + 1")
     t = 2 * len(entries) + 1
     parts = []
     for i, bp in enumerate(entries, start=1):
-        if bp > 0:
-            parts.extend(i + ell * t for ell in range(bp))
-        elif bp < 0:
-            parts.extend((t - i) + ell * t for ell in range(-bp))
+        first = i if bp > 0 else t - i
+        parts.extend(first + ell * t for ell in range(abs(bp)))
     return tuple(sorted(parts, reverse=True))
 
 
@@ -168,8 +157,7 @@ def zeta(p: Partition, t: int) -> BarPartition:
     check_modulus(t, odd=True)
     if not is_self_conjugate(p):
         raise ValueError("input is not self-conjugate")
-    entries = gks_encode(p, t)
-    return olsson_decode(entries[: (t - 1) // 2], t)
+    return olsson_decode(gks_encode(p, t)[: (t - 1) // 2])
 
 
 def zeta_inverse(b: BarPartition, t: int) -> Partition:
@@ -181,8 +169,7 @@ def zeta_inverse(b: BarPartition, t: int) -> Partition:
     """
     check_modulus(t, odd=True)
     half = olsson_encode(b, t)
-    entries = half + (0,) + tuple(-a for a in reversed(half))
-    return gks_decode(entries, t)
+    return gks_decode(half + (0,) + conjugate_tuple(half))
 
 
 def conjugate_tuple(entries: CoreTuple) -> CoreTuple:

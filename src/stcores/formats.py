@@ -75,7 +75,7 @@ def _int_list(value: object) -> list[int]:
 def count_table_csv(table: CountTable) -> str:
     """`n,count` header plus one row per size."""
     lines = ["n,count"]
-    lines.extend(f"{n},{c}" for n, c in table.rows())
+    lines.extend(f"{n},{c}" for n, c in enumerate(table.counts))
     return "\n".join(lines)
 
 

@@ -64,9 +64,6 @@ class CountTable(Frozen):
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
 
-    def rows(self) -> Iterator[tuple[int, int]]:
-        return iter(enumerate(self.counts))
-
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n as weakly decreasing tuples, exactly once.

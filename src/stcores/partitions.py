@@ -237,21 +237,10 @@ def from_diagonal_hooks(diag: Iterable[int]) -> Partition:
         raise ValueError("diagonal hooks must be distinct")
     if any(v <= 0 or v % 2 == 0 for v in values):
         raise ValueError("diagonal hooks must be odd and positive")
-    # Diag hook d at diagonal cell i spans an arm and a leg of (d-1)/2 cells.
-    rows: list[int] = []
-    for i, d in enumerate(values):
-        arm = (d - 1) // 2
-        rows.append(arm + i + 1)
-    # rows[i] is the length of row i out to the end of its arm; below the
-    # diagonal the shape is forced by symmetry.
-    parts = list(rows)
-    for i in range(len(values)):
-        for j in range(i + 1, rows[i]):
-            if j >= len(parts):
-                parts.append(0)
-            if j > i:
-                parts[j] = max(parts[j], i + 1)
-    return tuple(p for p in parts if p > 0)
+    # Diagonal cell i with hook d has an arm of (d-1)/2 cells, so row i runs
+    # to i + (d+1)/2; below the Durfee square the shape is the mirror image.
+    rows = tuple([i + (d + 1) // 2 for i, d in enumerate(values)])
+    return rows + conjugate(rows)[len(rows) :]
 
 
 def is_t_core(p: Partition, t: int) -> bool:

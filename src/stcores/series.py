@@ -108,11 +108,6 @@ class TruncatedSeries:
             out[i * g] = a
         return TruncatedSeries(out)
 
-    def truncate(self, truncation: int) -> "TruncatedSeries":
-        if truncation > self.truncation:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs, truncation=truncation)
-
 
 def eta_product(factors: Iterable[tuple[int, int]], truncation: int) -> TruncatedSeries:
     """The product of (1 - x**a)**b over the (a, b) pairs, any integer b.
@@ -242,10 +237,10 @@ def psi_star_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
         return _census_polynomial("selfconj", s, t, truncation)
     sp, tp = s // g, t // g
     base = _census_polynomial("straight", sp, tp, truncation)
-    result = selfconj_core_gf(g, truncation)
+    # g // 2 is g/2 for even g and (g-1)/2 for odd g.
+    result = selfconj_core_gf(g, truncation) * base.substitute_power(2 * g) ** (g // 2)
     if g % 2 == 0:
-        return result * base.substitute_power(2 * g) ** (g // 2)
-    result = result * base.substitute_power(2 * g) ** ((g - 1) // 2)
+        return result
     star_base = _census_polynomial("selfconj", sp, tp, truncation)
     return result * star_base.substitute_power(g)
 
@@ -270,6 +265,17 @@ def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     )
 
 
+def _convolve(q: TruncatedSeries, f: TruncatedSeries, step: int) -> TruncatedSeries:
+    """Sum over w of q(w) f(n - step*w), for n up to f's truncation.
+
+    Summed term by term, not by ``__mul__``: the convolution forms are the
+    second source that the generating-function products are checked against.
+    """
+    return TruncatedSeries(
+        [sum(q[w] * f[n - step * w] for w in range(n // step + 1)) for n in range(f.truncation + 1)]
+    )
+
+
 def convolution_psi(s: int, t: int, truncation: int) -> TruncatedSeries:
     """(s,t)-core counts by the explicit core/quotient convolution.
 
@@ -279,12 +285,7 @@ def convolution_psi(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t)
     g = common_divisor(s, t)
     q = _census_polynomial("straight", s // g, t // g, truncation) ** g
-    f = core_gf(g, truncation)
-    out = [
-        sum(q[w] * f[n - g * w] for w in range(n // g + 1))
-        for n in range(truncation + 1)
-    ]
-    return TruncatedSeries(out)
+    return _convolve(q, core_gf(g, truncation), g)
 
 
 def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -292,30 +293,16 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
 
     Even g: psi*(n) = sum over w of q_{g/2}(w) f*_g(n - 2wg).
     Odd g:  psi*(n) = sum over w1, w2 of q_{(g-1)/2}(w1) psi*_{s',t'}(w2)
-            f*_g(n - (2 w1 + w2) g).
+            f*_g(n - (2 w1 + w2) g), summed over w2 first.
     """
     check_pair(s, t)
     g = common_divisor(s, t)
     sp, tp = s // g, t // g
     fstar = selfconj_core_gf(g, truncation)
+    if g % 2:
+        fstar = _convolve(_census_polynomial("selfconj", sp, tp, truncation), fstar, g)
     base = _census_polynomial("straight", sp, tp, truncation)
-    out = []
-    if g % 2 == 0:
-        q = base ** (g // 2)
-        for n in range(truncation + 1):
-            out.append(
-                sum(q[w] * fstar[n - 2 * w * g] for w in range(n // (2 * g) + 1))
-            )
-    else:
-        q = base ** ((g - 1) // 2)
-        star_base = _census_polynomial("selfconj", sp, tp, truncation)
-        for n in range(truncation + 1):
-            total = 0
-            for w1 in range(n // (2 * g) + 1):
-                for w2 in range((n - 2 * w1 * g) // g + 1):
-                    total += q[w1] * star_base[w2] * fstar[n - (2 * w1 + w2) * g]
-            out.append(total)
-    return TruncatedSeries(out)
+    return _convolve(base ** (g // 2), fstar, 2 * g)
 
 
 def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -331,12 +318,7 @@ def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
     qbar = _census_polynomial("bar", sp, tp, truncation) * (
         _census_polynomial("straight", sp, tp, truncation) ** ((g - 1) // 2)
     )
-    f = barcore_gf(g, truncation)
-    out = [
-        sum(qbar[w] * f[n - g * w] for w in range(n // g + 1))
-        for n in range(truncation + 1)
-    ]
-    return TruncatedSeries(out)
+    return _convolve(qbar, barcore_gf(g, truncation), g)
 
 
 def progression_extract(
@@ -354,7 +336,8 @@ def progression_extract(
     if not 1 <= r <= g - 1:
         raise ValueError("r must satisfy 1 <= r <= g - 1")
     n = min(a_series.truncation, b_series.truncation)
-    c_series = a_series.truncate(n).substitute_power(g) * b_series.truncate(n)
+    # The product truncates to the shorter operand, so c_series stops at n.
+    c_series = a_series.substitute_power(g) * b_series
     lhs = []
     rhs = []
     for k in range((n - r) // g + 1):

@@ -70,7 +70,7 @@ def _series_vs_table(
     return (label, True, f"coefficients 0..{limit}")
 
 
-def suite_examples(limit: int = 60) -> list[Check]:
+def suite_examples(limit: int) -> list[Check]:
     """Worked small cases pinned to exact values."""
     core = lat.anderson_path_to_core((1, 3, 3, 4, 5, 6, 6, 7, 7, 7, 7), 7, 11)
     sc = lat.dh_path_to_selfconj((0, 1, 1, 1, 3), 7, 11)
@@ -88,7 +88,7 @@ def suite_examples(limit: int = 60) -> list[Check]:
         ),
         ("diagonal hooks of (4,2,1,1)", pt.diagonal_hooks((4, 2, 1, 1)), (7, 1)),
         ("runner-surplus tuple of (4,2,1,1) at t=3", enc.gks_encode((4, 2, 1, 1), 3), (2, 0, -2)),
-        ("signed-run decode of (2,) at t=3", enc.olsson_decode((2,), 3), (4, 1)),
+        ("signed-run decode of (2,) at t=3", enc.olsson_decode((2,)), (4, 1)),
         ("zeta((4,2,1,1)) at t=3", enc.zeta((4, 2, 1, 1), 3), (4, 1)),
         ("(7,11) diagonal-hooks path decodes to (3,3,3)", sc, (3, 3, 3)),
         ("diagonal hooks of the decoded (3,3,3)", pt.diagonal_hooks(sc), (5, 3, 1)),
@@ -111,7 +111,7 @@ def suite_examples(limit: int = 60) -> list[Check]:
     return [_eq(label, got, want) for label, got, want in rows]
 
 
-def suite_counting(limit: int = 60) -> list[Check]:
+def suite_counting(limit: int) -> list[Check]:
     """Path censuses against closed-form counts and brute-force enumeration."""
     checks: list[Check] = []
     expected = {(2, 3): (2, 1), (5, 7): (66, 48), (7, 11): (1768, 240)}
@@ -181,7 +181,7 @@ def suite_counting(limit: int = 60) -> list[Check]:
     return checks
 
 
-def suite_genfun(limit: int = 60) -> list[Check]:
+def suite_genfun(limit: int) -> list[Check]:
     """Every generating function against brute-force count tables."""
     cap30 = min(limit, 30)
     cap40 = min(limit, 40)
@@ -217,7 +217,7 @@ def suite_genfun(limit: int = 60) -> list[Check]:
     return checks
 
 
-def suite_convolution(limit: int = 60) -> list[Check]:
+def suite_convolution(limit: int) -> list[Check]:
     """Core-times-quotient convolution forms against the closed products."""
     cap = min(limit, 40)
     rows = (
@@ -247,7 +247,7 @@ def suite_convolution(limit: int = 60) -> list[Check]:
     return checks
 
 
-def suite_congruence(limit: int = 60) -> list[Check]:
+def suite_congruence(limit: int) -> list[Check]:
     """Arithmetic-progression divisibility scans plus brute-force confirmation."""
     checks: list[Check] = []
     member_scans = [
@@ -310,7 +310,7 @@ def suite_congruence(limit: int = 60) -> list[Check]:
     return checks
 
 
-def suite_bounds(limit: int = 60) -> list[Check]:
+def suite_bounds(limit: int) -> list[Check]:
     """Lower bounds, positivity, and cumulative-growth checks, brute-forced."""
     checks: list[Check] = []
     cap40 = min(limit, 40)
@@ -443,7 +443,7 @@ def suite_bounds(limit: int = 60) -> list[Check]:
     return checks
 
 
-def suite_bijections(limit: int = 60) -> list[Check]:
+def suite_bijections(limit: int) -> list[Check]:
     """Round trips and image coverage for zeta, gamma, and big-gamma."""
     checks: list[Check] = []
     cap25 = min(limit, 25)
@@ -490,7 +490,7 @@ def suite_bijections(limit: int = 60) -> list[Check]:
         total = 0
         for half in product(range(-3, 4), repeat=h):
             total += 1
-            full = half + (0,) + tuple(-a for a in reversed(half))
+            full = half + (0,) + enc.conjugate_tuple(half)
             p = enc.gks_decode(full)
             b = enc.zeta(p, t)
             if enc.olsson_encode(b, t) != half:
@@ -536,7 +536,7 @@ def suite_bijections(limit: int = 60) -> list[Check]:
     return checks
 
 
-def suite_structure(limit: int = 60) -> list[Check]:
+def suite_structure(limit: int) -> list[Check]:
     """Exhaustive structural invariants at their stated scales."""
     c25 = min(limit, 25)
     c22 = min(limit, 22)
@@ -620,7 +620,7 @@ def suite_structure(limit: int = 60) -> list[Check]:
                     continue
                 gks_total += 1
                 entries = enc.gks_encode(p, t)
-                if sum(entries) != 0 or enc.gks_decode(entries, t) != p:
+                if sum(entries) != 0 or enc.gks_decode(entries) != p:
                     gks_fails.append(f"{p} at t={t}")
                 elif enc.gks_encode(q, t) != enc.conjugate_tuple(entries):
                     gks_fails.append(f"conjugation law fails for {p} at t={t}")
@@ -680,14 +680,12 @@ def suite_structure(limit: int = 60) -> list[Check]:
                 dec_fails.append(f"{entries}")
 
     pair_fails: list[str] = []
-    grid = lat.dh_grid(7, 11)
-    paths = list(lat.enumerate_paths(grid.rows, grid.cols))
-    for path in paths:
-        core = lat.dh_path_to_selfconj(path, 7, 11)
+    cores = list(lat.enumerate_selfconj_by_dh(7, 11))
+    for core in cores:
         diag = pt.diagonal_hooks(core)
         for t in (7, 11):
             if any((a + b) % (2 * t) == 0 for a in diag for b in diag):
-                pair_fails.append(f"path {path} at t={t}")
+                pair_fails.append(f"{core} at t={t}")
 
     total, total20, total22 = sum(per_n), sum(per_n[: c20 + 1]), sum(per_n[: c22 + 1])
     btotal, btotal22 = sum(bar_per_n), sum(bar_per_n[: c22 + 1])
@@ -713,7 +711,7 @@ def suite_structure(limit: int = 60) -> list[Check]:
         _all(
             "no two diagonal hooks of a trapped core sum to a forbidden multiple",
             pair_fails,
-            len(paths) * 2,
+            len(cores) * 2,
         ),
     ]
 
@@ -730,7 +728,7 @@ SUITES: dict[str, Callable[[int], list[Check]]] = {
 }
 
 
-def run_suite(name: str, limit: int = 60) -> list[Check]:
+def run_suite(name: str, limit: int) -> list[Check]:
     """Run one named suite at the given series truncation.
 
     Raises:

@@ -27,6 +27,19 @@ def test_as_bar_partition_rejects_duplicates():
 
 
 @pytest.mark.parametrize(
+    "parts, message",
+    (
+        ([2, -1], "^partition parts must be nonnegative, got -1$"),
+        ([2, 1.0], "^partition parts must be integers, got 1.0$"),
+        ([True], "^partition parts must be integers, got True$"),
+    ),
+)
+def test_as_bar_partition_refuses_parts_as_as_partition_does(parts, message):
+    with pytest.raises(ValueError, match=message):
+        as_bar_partition(parts)
+
+
+@pytest.mark.parametrize(
     "parts, ok",
     (
         ((), True),

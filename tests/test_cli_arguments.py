@@ -90,9 +90,10 @@ def test_scan_refuses_a_small_divisor_or_modulus_in_one_line(capsys, params, mes
 
 
 def test_a_report_path_that_is_a_directory_is_a_one_line_error(capsys, tmp_path):
+    # The report is opened before any suite runs, so no check prints.
     code, out, err = run(capsys, "verify", "examples", "--report", str(tmp_path))
     assert code == 1
-    assert out.splitlines()[-1] == "all 20 checks passed"
+    assert out == ""
     assert err.startswith("Error: ") and "Is a directory" in err and err.count("\n") == 1
 
 

@@ -157,6 +157,12 @@ def test_bar_decompose_rejects_even_or_small_modulus():
         bar_decompose((2, 1), 1)
 
 
+@pytest.mark.parametrize("b, g", (((3, 3), 3), ((4, 0), 3), ((2, 2), 5)))
+def test_bar_decompose_refuses_input_that_is_not_a_bar_partition(b, g):
+    with pytest.raises(ValueError, match="^input is not a bar partition$"):
+        bar_decompose(b, g)
+
+
 @given(bar_parts, st.sampled_from((3, 5)), st.integers(min_value=1, max_value=4))
 def test_bars_divisible_by_kg_match_quotient_count(b, g, k):
     got, want = bar_bijection_check(b, g, k)

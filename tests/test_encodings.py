@@ -25,7 +25,6 @@ def zero_sum_tuples(t: int):
 
 def test_worked_gks_pair():
     assert gks_encode((4, 2, 1, 1), 3) == (2, 0, -2)
-    assert gks_decode((2, 0, -2), 3) == (4, 2, 1, 1)
     assert gks_decode((2, 0, -2)) == (4, 2, 1, 1)
 
 
@@ -43,14 +42,14 @@ def test_gks_round_trip_over_small_cores(t):
             entries = gks_encode(p, t)
             assert len(entries) == t
             assert sum(entries) == 0
-            assert gks_decode(entries, t) == p
+            assert gks_decode(entries) == p
 
 
 @pytest.mark.parametrize("t", (2, 3, 4, 5))
 @given(data=st.data())
 def test_gks_decode_then_encode_is_the_identity(t, data):
     entries = data.draw(zero_sum_tuples(t))
-    p = gks_decode(entries, t)
+    p = gks_decode(entries)
     assert is_t_core(p, t)
     assert gks_encode(p, t) == entries
 
@@ -59,13 +58,12 @@ def test_gks_decode_then_encode_is_the_identity(t, data):
 @given(data=st.data())
 def test_conjugation_reverses_and_negates_the_tuple(t, data):
     entries = data.draw(zero_sum_tuples(t))
-    p = gks_decode(entries, t)
+    p = gks_decode(entries)
     assert gks_encode(conjugate(p), t) == conjugate_tuple(entries)
     assert is_selfconjugate_tuple(entries) == is_self_conjugate(p)
 
 
 def test_worked_olsson_pair():
-    assert olsson_decode((2,), 3) == (4, 1)
     assert olsson_decode((2,)) == (4, 1)
     assert olsson_encode((4, 1), 3) == (2,)
 
@@ -76,7 +74,7 @@ def test_olsson_round_trip(t, data):
     entries = data.draw(
         st.tuples(*[st.integers(min_value=-2, max_value=2)] * ((t - 1) // 2))
     )
-    b = olsson_decode(entries, t)
+    b = olsson_decode(entries)
     assert is_tbar_core(b, t)
     assert olsson_encode(b, t) == entries
 
@@ -132,5 +130,5 @@ def test_diagonal_hooks_read_off_the_tuple(t, data):
         st.tuples(*[st.integers(min_value=-2, max_value=2)] * ((t - 1) // 2))
     )
     entries = half + (0,) + tuple(-a for a in reversed(half))
-    p = gks_decode(entries, t)
+    p = gks_decode(entries)
     assert diagonal_hooks_from_tuple(entries) == diagonal_hooks(p)

@@ -55,7 +55,6 @@ def test_count_tables_expose_rows():
     assert isinstance(table, CountTable)
     assert table.label == "f_2"
     assert table.counts == (1, 1, 0, 1, 0, 0, 1)
-    assert list(table.rows()) == [(n, c) for n, c in enumerate(table.counts)]
     assert table[3] == 1
 
 

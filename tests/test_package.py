@@ -3,6 +3,8 @@ from pathlib import Path
 import subprocess
 import sys
 
+import stcores
+
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [p for p in sorted((ROOT / "src" / "stcores").glob("*.py")) if p.name != "__init__.py"]
 
@@ -75,3 +77,17 @@ def test_the_cli_imports_neither_click_nor_dataclasses():
     imported = set(done.stdout.split())
     assert {"stcores.cli", "stcores.verify", "argparse"} <= imported
     assert imported.isdisjoint({"click", "dataclasses", "inspect"})
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    # __all__ is a second copy of the import list in __init__.py; the two
+    # must not drift apart.
+    tree = ast.parse((ROOT / "src" / "stcores" / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert len(stcores.__all__) == len(set(stcores.__all__))
+    assert set(stcores.__all__) == set(imported)

@@ -1,3 +1,4 @@
+from hashlib import sha256
 import ast
 from pathlib import Path
 import pickle
@@ -196,3 +197,22 @@ def test_tower_constructors_check_their_quotient_length(cls, g, quotient, messag
     # the divisor checks are in tests/test_core_quotient.py
     with pytest.raises(ValueError, match=message):
         cls(g=g, core=(), quotient=quotient)
+
+
+def _odd_hook_sets(room: int, below: int | None = None):
+    # Every set of distinct odd hooks with sum <= room, largest first.
+    yield ()
+    for d in range(1, room + 1 if below is None else min(room + 1, below), 2):
+        for rest in _odd_hook_sets(room - d, d):
+            yield (d, *rest)
+
+
+# sha256 of repr([(hooks, from_diagonal_hooks(hooks)), ...]) over
+# _odd_hook_sets(45), computed with the former nested fill loop.
+DIAGONAL_HOOKS_DIGEST = "b254235bf9295c10214879366f0fffd0dac055fb314389dc9785163047c64293"
+
+
+def test_from_diagonal_hooks_matches_its_pinned_digest():
+    pairs = [(hooks, from_diagonal_hooks(hooks)) for hooks in _odd_hook_sets(45)]
+    assert all(is_self_conjugate(p) and diagonal_hooks(p) == hooks for hooks, p in pairs)
+    assert sha256(repr(pairs).encode()).hexdigest() == DIAGONAL_HOOKS_DIGEST

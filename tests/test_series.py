@@ -1,3 +1,4 @@
+from hashlib import sha256
 from math import comb
 
 from hypothesis import given, strategies as st
@@ -226,7 +227,7 @@ def test_progression_extract_matches_the_substituted_product():
     a = core_gf(2, 12)
     b = core_gf(3, 12)
     lhs, rhs = progression_extract(a, b, 3, 1)
-    c = a.substitute_power(3).truncate(12) * b
+    c = a.substitute_power(3) * b
     assert lhs == rhs
     assert lhs == [c[3 * k + 1] for k in range(len(lhs))]
     with pytest.raises(ValueError, match="r"):
@@ -247,3 +248,31 @@ def test_congruence_scan_finds_known_residues():
     assert 4 in congruence_scan(core_gf(5, 60), 5, 5)
     assert 5 in congruence_scan(core_gf(7, 60), 7, 7)
     assert 6 in congruence_scan(core_gf(11, 60), 11, 11)
+
+
+# sha256 of repr() of the coefficient tuples of convolution_psi,
+# convolution_psi_star and (odd pairs only) convolution_psi_bar at N = 90,
+# computed with the former hand-written sums.
+CONVOLUTION_DIGESTS = {
+    (4, 6): "292c4d0da02b03c0ae6fd2ca4d10e44700adb401ec813d2e21ae2168578f2505",
+    (6, 9): "fd77af152cb4b261922adb7275abc8acf0b4da266faa1c44453f2abe04e1b7e3",
+    (6, 10): "a3bbaf776c4a18dbd8363715d8f7f328bcb625bd4a026e05188acada1cc25ae9",
+    (10, 15): "d799f3079ede213aedb521409d1f4609bafef9386cace78e4aba15fca6e29ee9",
+    (9, 15): "fb90ccef0ae1fc0127b96a1e65377013cef4906ee2f96f54d85bb40b7f8548e5",
+    (15, 21): "285e70803aee73dd16c82ae8c279194ed0cf80c6f6b394e734d8a37c0dee9f3f",
+    (15, 25): "6fec6a8e010ff897dd7bbdc49681b1cf4f0daff0e740a5fb05995f3af421f350",
+    (21, 33): "a48f2a3c08bc741f823d078bd0759ad28ff506de2deab89b98ab01edbc1c93a5",
+    (14, 21): "880d1c3569bfe84596540128c897c976a43b0a1efcdced0a0b7eae8fb3e91a3b",
+    (12, 18): "f1fd4bf03ed34e5c2087f1f1565d7de9d7346581361b7923184a4cb21873e31f",
+}
+
+
+@pytest.mark.parametrize("s, t", CONVOLUTION_DIGESTS)
+def test_convolution_forms_match_their_pinned_digests(s, t):
+    pairs = [(convolution_psi, psi_st_gf), (convolution_psi_star, psi_star_st_gf)]
+    if s % 2 and t % 2:
+        pairs.append((convolution_psi_bar, psi_bar_st_gf))
+    forms = [convolve(s, t, 90) for convolve, _ in pairs]
+    assert forms == [product(s, t, 90) for _, product in pairs]
+    digest = sha256(repr([form.coeffs for form in forms]).encode()).hexdigest()
+    assert digest == CONVOLUTION_DIGESTS[s, t]
