@@ -1,5 +1,5 @@
-from hashlib import sha256
 import ast
+from hashlib import sha256
 from pathlib import Path
 import pickle
 
