@@ -17,6 +17,7 @@ from . import series as series_module
 from . import verify as verify_module
 from .bar_partitions import as_bar_partition
 from .encodings import zeta, zeta_inverse
+from .partitions import as_partition
 from .series import TruncatedSeries
 
 GENERATING_FUNCTIONS = ["partition", "core", "selfconj", "barcore", "psi", "psistar", "psibar"]
@@ -114,8 +115,8 @@ def bijection(map_name: str, s: int | None, t: int, input_text: str) -> None:
     forward = not map_name.endswith("inverse")
     if forward and kind == "bar":
         raise ValueError(f"{map_name} expects a straight partition as input")
-    if not forward:
-        parts = as_bar_partition(parts)
+    # One canonical form per input: the kind the map reads.
+    parts = as_partition(parts) if forward else as_bar_partition(parts)
     if map_name in ("zeta", "zeta-inverse"):
         result = zeta(parts, t) if forward else zeta_inverse(parts, t)
     else:

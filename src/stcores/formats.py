@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .bar_partitions import BarPartition, as_bar_partition
+from .bar_partitions import BarPartition
 from .lattice import SignedGrid
 from .oracle import CountTable
-from .partitions import Partition, as_partition
+from .partitions import Partition
 from .series import TruncatedSeries
 
 _COMPACT = {"separators": (",", ":")}
@@ -48,7 +48,8 @@ def parse_partition_argument(text: str) -> tuple[str, tuple[int, ...]]:
 
     Accepts a JSON array for a straight partition and either a JSON array or
     a `{"kind":"bar","parts":[...]}` object for a bar partition; the caller
-    decides which kind it needs.
+    decides which kind it needs. The parts come back as given, integers in
+    their input order: the caller canonicalizes them as that kind, once.
 
     Raises:
         ValueError: on malformed JSON or a wrong shape.
@@ -60,16 +61,16 @@ def parse_partition_argument(text: str) -> tuple[str, tuple[int, ...]]:
     if isinstance(value, dict):
         if value.get("kind") != "bar" or "parts" not in value:
             raise ValueError('object input must look like {"kind":"bar","parts":[...]}')
-        return "bar", as_bar_partition(_int_list(value["parts"]))
-    return "straight", as_partition(_int_list(value))
+        return "bar", _int_tuple(value["parts"])
+    return "straight", _int_tuple(value)
 
 
-def _int_list(value: object) -> list[int]:
+def _int_tuple(value: object) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(
         isinstance(x, int) and not isinstance(x, bool) for x in value
     ):
         raise ValueError("parts must be a JSON array of integers")
-    return value
+    return tuple(value)
 
 
 def count_table_csv(table: CountTable) -> str:

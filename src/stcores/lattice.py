@@ -5,8 +5,8 @@ to the top-right corner of an R x C cell grid is stored as its column
 heights: a non-decreasing C-tuple over 0..R whose entry c counts the cells of
 column c below the path. The heights, together with the grid's sign border,
 determine the trapped cells, whose values decode a partition.
-:func:`census_by_size` counts the cores of each size over all paths of a grid
-without walking them one by one.
+:func:`census_by_size` counts the cores of each size up to a limit over all
+paths of a grid without walking them one by one.
 """
 
 from __future__ import annotations
@@ -327,14 +327,27 @@ def big_gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
     return reconstruct(StraightTower(g=g, core=core, quotient=tuple(quotient)))
 
 
+def _paths_above(border: tuple[int, ...], rows: int, low: int = 0) -> Iterator[Path]:
+    """The paths with every height h_c >= border[c], in lexicographic order.
+
+    Each height starts at the larger of the previous height (``low``) and the
+    border, so no path that dips below the border is generated.
+    """
+    if not border:
+        yield ()
+        return
+    for h in range(max(low, border[0]), rows + 1):
+        for rest in _paths_above(border[1:], rows, h):
+            yield (h,) + rest
+
+
 def enumerate_st_cores_by_paths(s: int, t: int) -> Iterator[Partition]:
     """All (s,t)-cores for coprime s, t, one per valid Anderson path."""
     grid = anderson_grid(s, t)
     border = grid.border_heights()
-    for path in enumerate_paths(grid.rows, grid.cols):
-        if all(map(int.__ge__, path, border)):
-            above, _ = _trapped_values(grid, path, border)
-            yield from_first_column_hooks(above)
+    for path in _paths_above(border, grid.rows):
+        above, _ = _trapped_values(grid, path, border)
+        yield from_first_column_hooks(above)
 
 
 def enumerate_selfconj_by_dh(s: int, t: int) -> Iterator[Partition]:
@@ -351,8 +364,8 @@ def enumerate_barcores_by_yy(s: int, t: int) -> Iterator[BarPartition]:
         yield yy_path_to_barcore(path, s, t)
 
 
-def census_by_size(grid: SignedGrid, *, beta_sets: bool = False) -> list[int]:
-    """Number of cores of each size over the monotonic paths of ``grid``.
+def census_by_size(grid: SignedGrid, limit: int, *, beta_sets: bool = False) -> list[int]:
+    """Number of cores of each size up to ``limit`` over the monotonic paths of ``grid``.
 
     Counts what the path enumerators above decode, without building a path or
     a partition: the size of a core adds up over the trapped cells, so one
@@ -365,8 +378,14 @@ def census_by_size(grid: SignedGrid, *, beta_sets: bool = False) -> list[int]:
     size S - k(k-1)/2. Otherwise (the diagonal-hooks and yin-yang grids)
     every path counts and the size is S.
 
+    Every trapped |value| is a hook length of the core (a first-column hook,
+    a diagonal hook or a bar part), so at most its size: a column height that
+    traps a value above ``limit`` is skipped. Where the size is S, which only
+    grows along the path, a state with S > limit is dropped as well; the
+    Anderson size does not grow monotonically, so it is cut only at the end.
+
     Returns:
-        counts[n], the number of cores of size n, up to the largest size.
+        counts[n], the number of cores of size n, for n = 0..limit.
     """
     border = grid.border_heights()
     # states[h] maps (k, S) to the number of path prefixes ending at height h.
@@ -382,15 +401,19 @@ def census_by_size(grid: SignedGrid, *, beta_sets: bool = False) -> list[int]:
             if beta_sets and h < hb:
                 continue
             trapped = column[hb:h] if h >= hb else column[h:hb]
+            if max(trapped, default=0) > limit:
+                continue
             m, w = len(trapped), sum(trapped)
-            new[h] = {(k + m, sum_ + w): n for (k, sum_), n in reach.items()}
+            new[h] = {
+                (k + m, sum_ + w): n
+                for (k, sum_), n in reach.items()
+                if beta_sets or sum_ + w <= limit
+            }
         states = new
-    sizes: dict[int, int] = {}
+    counts = [0] * (limit + 1)
     for level in states:
         for (k, sum_), n in level.items():
             size = sum_ - k * (k - 1) // 2 if beta_sets else sum_
-            sizes[size] = sizes.get(size, 0) + n
-    counts = [0] * (max(sizes) + 1)
-    for size, n in sizes.items():
-        counts[size] = n
+            if size <= limit:
+                counts[size] += n
     return counts

@@ -5,13 +5,16 @@ c_0..c_N; arithmetic never silently exceeds the truncation, so every operation
 is exact for the exponents it reports.
 
 The four single-modulus functions (partitions, t-cores, self-conjugate
-t-cores, t-bar-cores) are eta products, products of factors (1 - x**a)**b,
-evaluated in place by :func:`eta_product`. The three joint functions multiply
-such a product by powers of finite census polynomials of the reduced coprime
-pair. Each census polynomial counts cores by size with the lattice path DP
-:func:`stcores.lattice.census_by_size` on the Anderson, diagonal-hooks or
-yin-yang grid, so no path is walked and no partition is built; the path
-enumerators stay the independent source for the bijections and cross-checks.
+t-cores, t-bar-cores) are eta quotients, products of powers of
+P(x**d) = prod (1 - x**(dn)), evaluated in place over Euler's pentagonal
+series by :func:`eta_quotient`. The three joint functions multiply such a
+quotient by powers of finite census polynomials of the reduced coprime pair,
+substituted at x**g or x**(2g). Each census polynomial counts cores by size
+with the lattice path DP :func:`stcores.lattice.census_by_size` on the
+Anderson, diagonal-hooks or yin-yang grid, only up to the size its
+substitution can reach within the truncation, so no path is walked and no
+partition is built; the path enumerators stay the independent source for the
+bijections and cross-checks.
 """
 
 from __future__ import annotations
@@ -70,11 +73,15 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.truncation, other.truncation)
+        left, right = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        # The outer loop skips zeros, so it runs over the sparser factor.
+        if left.count(0) < right.count(0):
+            left, right = right, left
         out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
+        for i, a in enumerate(left):
             if a:
                 for j in range(n + 1 - i):
-                    b = other.coeffs[j]
+                    b = right[j]
                     if b:
                         out[i + j] += a * b
         return TruncatedSeries(out)
@@ -109,43 +116,78 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
 
-def eta_product(factors: Iterable[tuple[int, int]], truncation: int) -> TruncatedSeries:
-    """The product of (1 - x**a)**b over the (a, b) pairs, any integer b.
+def eta_quotient(exponents: dict[int, int], truncation: int) -> TruncatedSeries:
+    """The product of P(x**d)**e over the (d, e) items, P(y) = prod (1 - y**n).
 
-    Evaluated in place on one coefficient list, one pass per unit of |b|:
-    multiplying by 1 - x**a is c[i] -= c[i-a] from the top down, dividing by
-    it is c[i] += c[i-a] from the bottom up. Factors with a > truncation are
-    1 within the truncation and cost nothing.
+    By Euler's pentagonal number theorem P(y) is the sum of (-1)**j y**k over
+    the generalized pentagonal numbers k = j(3j -+ 1)/2, so P(x**d) has
+    O(sqrt(N/d)) terms within the truncation N. Each unit of |e| is one pass
+    over them, in place on one coefficient list: multiplying by P(x**d) runs
+    from the top down, dividing by it (its constant term is 1) from the bottom
+    up. Factors with d > truncation are 1 within the truncation and cost
+    nothing.
     """
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     c = [1] + [0] * truncation
-    for a, b in factors:
-        if a < 1:
-            raise ValueError("a must be >= 1")
-        if a > truncation:
+    for d, e in exponents.items():
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        if d > truncation or not e:
             continue
-        for _ in range(abs(b)):
-            if b > 0:
-                for i in range(truncation, a - 1, -1):
-                    c[i] -= c[i - a]
-            else:
-                for i in range(a, truncation + 1):
-                    c[i] += c[i - a]
+        # The pentagonal exponents of P(x**d) up to the truncation, by the
+        # sign of their term: odd j gives -1, even j gives +1.
+        minus: list[int] = []
+        plus: list[int] = []
+        j = 1
+        while (k := d * j * (3 * j - 1) // 2) <= truncation:
+            side = minus if j % 2 else plus
+            side.append(k)
+            if k + d * j <= truncation:
+                side.append(k + d * j)
+            j += 1
+        # With total = sum of c[i-k] over minus - sum over plus, multiplying
+        # adds -total to c[i] while the c[i-k] are still unchanged (top down);
+        # dividing adds +total over c[i-k] already divided (bottom up).
+        if e < 0:
+            sign, order = 1, range(d, truncation + 1)
+        else:
+            sign, order = -1, range(truncation, d - 1, -1)
+        for _ in range(abs(e)):
+            for i in order:
+                total = 0
+                for k in minus:
+                    if k > i:
+                        break
+                    total += c[i - k]
+                for k in plus:
+                    if k > i:
+                        break
+                    total -= c[i - k]
+                c[i] += sign * total
     return TruncatedSeries(c)
 
 
+def _exponents(*pairs: tuple[int, int]) -> dict[int, int]:
+    """The (d, e) pairs as an exponent map, with the e of equal d summed."""
+    out: dict[int, int] = {}
+    for d, e in pairs:
+        out[d] = out.get(d, 0) + e
+    return out
+
+
 def partition_gf(truncation: int) -> TruncatedSeries:
-    """Coefficients p(0..N): the product of 1/(1 - x**n)."""
-    return eta_product(((n, -1) for n in range(1, truncation + 1)), truncation)
+    """Coefficients p(0..N): 1/P(x), the product of 1/(1 - x**n)."""
+    return eta_quotient({1: -1}, truncation)
 
 
 def core_gf(t: int, truncation: int) -> TruncatedSeries:
-    """Coefficients f_t(0..N): the product of (1 - x**(t n))**t / (1 - x**n)."""
+    """Coefficients f_t(0..N): P(x**t)**t / P(x).
+
+    That is the product of (1 - x**(t n))**t / (1 - x**n).
+    """
     check_modulus(t)
-    factors = [(n, -1) for n in range(1, truncation + 1)]
-    factors += [(t * n, t) for n in range(1, truncation // t + 1)]
-    return eta_product(factors, truncation)
+    return eta_quotient(_exponents((1, -1), (t, t)), truncation)
 
 
 def selfconj_core_gf(t: int, truncation: int) -> TruncatedSeries:
@@ -153,35 +195,30 @@ def selfconj_core_gf(t: int, truncation: int) -> TruncatedSeries:
 
     Even t: product of (1 - x**(2tn))**(t/2) (1 + x**(2n-1)).
     Odd t: product of (1 - x**(2tn))**((t-1)/2) (1 + x**(2n-1)) / (1 + x**(t(2n-1))).
-    Each 1 + x**m enters as (1 - x**(2m)) / (1 - x**m).
+    As eta quotients, the product of 1 + x**(2n-1) is P(x**2)**2 / (P(x) P(x**4)),
+    and for odd t its divisor at x**t is P(x**(2t))**2 / (P(x**t) P(x**(4t))).
     """
     check_modulus(t)
-    factors = [(2 * t * n, t // 2) for n in range(1, truncation // (2 * t) + 1)]
-    for m in range(1, truncation + 1, 2):
-        factors += [(2 * m, 1), (m, -1)]
+    pairs = [(2 * t, t // 2), (2, 2), (1, -1), (4, -1)]
     if t % 2 == 1:
-        for m in range(t, truncation + 1, 2 * t):
-            factors += [(2 * m, -1), (m, 1)]
-    return eta_product(factors, truncation)
+        pairs += [(2 * t, -2), (t, 1), (4 * t, 1)]
+    return eta_quotient(_exponents(*pairs), truncation)
 
 
 def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
     """Coefficients f_tbar(0..N) for t-bar-cores, odd t.
 
     The product of (1 - x**(2n)) (1 - x**(tn))**((t+1)/2) over
-    (1 - x**n) (1 - x**(2tn)).
+    (1 - x**n) (1 - x**(2tn)), that is
+    P(x**2) P(x**t)**((t+1)/2) / (P(x) P(x**(2t))).
     """
     check_modulus(t, odd=True)
-    factors = [(n, -1) for n in range(1, truncation + 1)]
-    factors += [(2 * n, 1) for n in range(1, truncation // 2 + 1)]
-    factors += [(t * n, (t + 1) // 2) for n in range(1, truncation // t + 1)]
-    factors += [(2 * t * n, -1) for n in range(1, truncation // (2 * t) + 1)]
-    return eta_product(factors, truncation)
+    return eta_quotient(_exponents((2, 1), (t, (t + 1) // 2), (1, -1), (2 * t, -1)), truncation)
 
 
 @cache
-def _census(kind: str, s: int, t: int) -> tuple[int, ...]:
-    """Number of cores of each size in the finite census of a coprime pair.
+def _census(kind: str, s: int, t: int, limit: int) -> tuple[int, ...]:
+    """Number of cores of each size 0..limit in the finite census of a coprime pair.
 
     "straight": (s,t)-cores, by the path DP on the Anderson grid.
     "bar": (s-bar, t-bar)-cores, by the path DP on the yin-yang grid.
@@ -190,21 +227,23 @@ def _census(kind: str, s: int, t: int) -> tuple[int, ...]:
     """
     s, t = sorted((s, t))
     if kind == "straight":
-        return tuple(census_by_size(anderson_grid(s, t), beta_sets=True))
+        return tuple(census_by_size(anderson_grid(s, t), limit, beta_sets=True))
     if kind == "bar":
-        return tuple(census_by_size(yinyang_grid(s, t)))
-    return tuple(census_by_size(dh_grid(s, t)))
+        return tuple(census_by_size(yinyang_grid(s, t), limit))
+    return tuple(census_by_size(dh_grid(s, t), limit))
 
 
-def _census_polynomial(kind: str, s: int, t: int, truncation: int) -> TruncatedSeries:
-    """Finite census polynomial, the sum of x**|p| over one census, gcd = 1.
+def _census_polynomial(kind: str, s: int, t: int, truncation: int, g: int = 1) -> TruncatedSeries:
+    """Finite census polynomial in x**g, the sum of x**(g|p|) over one census, gcd = 1.
 
-    ``kind`` names the census as in :func:`_census`, which is cached per
-    census and pair, not per truncation.
+    ``kind`` names the census as in :func:`_census`. Only the cores of size
+    up to truncation // g reach the truncation, so only those are counted.
     """
     if s == 1 or t == 1:
         return TruncatedSeries.one(truncation)
-    return TruncatedSeries(_census(kind, s, t), truncation=truncation)
+    coeffs = [0] * (truncation + 1)
+    coeffs[::g] = _census(kind, s, t, truncation // g)
+    return TruncatedSeries(coeffs)
 
 
 def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -218,8 +257,8 @@ def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     g = gcd(s, t)
     if g == 1:
         return _census_polynomial("straight", s, t, truncation)
-    base = _census_polynomial("straight", s // g, t // g, truncation)
-    return base.substitute_power(g) ** g * core_gf(g, truncation)
+    base = _census_polynomial("straight", s // g, t // g, truncation, g)
+    return base ** g * core_gf(g, truncation)
 
 
 def psi_star_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -236,13 +275,12 @@ def psi_star_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     if g == 1:
         return _census_polynomial("selfconj", s, t, truncation)
     sp, tp = s // g, t // g
-    base = _census_polynomial("straight", sp, tp, truncation)
+    base = _census_polynomial("straight", sp, tp, truncation, 2 * g)
     # g // 2 is g/2 for even g and (g-1)/2 for odd g.
-    result = selfconj_core_gf(g, truncation) * base.substitute_power(2 * g) ** (g // 2)
+    result = selfconj_core_gf(g, truncation) * base ** (g // 2)
     if g % 2 == 0:
         return result
-    star_base = _census_polynomial("selfconj", sp, tp, truncation)
-    return result * star_base.substitute_power(g)
+    return result * _census_polynomial("selfconj", sp, tp, truncation, g)
 
 
 def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -256,13 +294,9 @@ def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     if g == 1:
         return _census_polynomial("bar", s, t, truncation)
     sp, tp = s // g, t // g
-    bar_base = _census_polynomial("bar", sp, tp, truncation)
-    base = _census_polynomial("straight", sp, tp, truncation)
-    return (
-        bar_base.substitute_power(g)
-        * base.substitute_power(g) ** ((g - 1) // 2)
-        * barcore_gf(g, truncation)
-    )
+    bar_base = _census_polynomial("bar", sp, tp, truncation, g)
+    base = _census_polynomial("straight", sp, tp, truncation, g)
+    return bar_base * base ** ((g - 1) // 2) * barcore_gf(g, truncation)
 
 
 def _convolve(q: TruncatedSeries, f: TruncatedSeries, step: int) -> TruncatedSeries:
@@ -284,7 +318,8 @@ def convolution_psi(s: int, t: int, truncation: int) -> TruncatedSeries:
     """
     check_pair(s, t)
     g = common_divisor(s, t)
-    q = _census_polynomial("straight", s // g, t // g, truncation) ** g
+    # Only q(w) for gw up to the truncation is read.
+    q = _census_polynomial("straight", s // g, t // g, truncation // g) ** g
     return _convolve(q, core_gf(g, truncation), g)
 
 
@@ -300,8 +335,8 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
     sp, tp = s // g, t // g
     fstar = selfconj_core_gf(g, truncation)
     if g % 2:
-        fstar = _convolve(_census_polynomial("selfconj", sp, tp, truncation), fstar, g)
-    base = _census_polynomial("straight", sp, tp, truncation)
+        fstar = _convolve(_census_polynomial("selfconj", sp, tp, truncation // g), fstar, g)
+    base = _census_polynomial("straight", sp, tp, truncation // (2 * g))
     return _convolve(base ** (g // 2), fstar, 2 * g)
 
 
@@ -315,8 +350,8 @@ def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t, odd=True)
     g = common_divisor(s, t)
     sp, tp = s // g, t // g
-    qbar = _census_polynomial("bar", sp, tp, truncation) * (
-        _census_polynomial("straight", sp, tp, truncation) ** ((g - 1) // 2)
+    qbar = _census_polynomial("bar", sp, tp, truncation // g) * (
+        _census_polynomial("straight", sp, tp, truncation // g) ** ((g - 1) // 2)
     )
     return _convolve(qbar, barcore_gf(g, truncation), g)
 

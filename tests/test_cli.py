@@ -5,7 +5,7 @@ import re
 from click.testing import CliRunner
 import pytest
 
-from stcores import oracle
+from stcores import cli, oracle
 from stcores import verify as verify_module
 from stcores.cli import COUNT_CAPS, main
 
@@ -237,6 +237,40 @@ def test_bijection_rejects_mismatched_input_kinds():
     result = invoke("bijection", "--map", "gamma", "-t", "11", "--input", "[3,3,3]")
     assert result.exit_code != 0
     assert "-s" in result.output
+
+
+def test_bijection_canonicalizes_each_input_once_as_the_kind_its_map_reads(monkeypatch):
+    calls = []
+    for name in ("as_partition", "as_bar_partition"):
+
+        def counted(parts, real=getattr(cli, name), name=name):
+            calls.append(name)
+            return real(parts)
+
+        monkeypatch.setattr(cli, name, counted)
+    bar = '{"kind":"bar","parts":[1,4]}'
+    result = invoke("bijection", "--map", "zeta-inverse", "-t", "3", "--input", bar)
+    assert result.output == "[4,2,1,1]\n"
+    result = invoke("bijection", "--map", "zeta", "-t", "3", "--input", "[1,0,1,2,4]")
+    assert result.output == '{"kind":"bar","parts":[4,1]}\n'
+    result = invoke("bijection", "--map", "gamma-inverse", "-s", "7", "-t", "11", "--input", "[6]")
+    assert result.output == "[3,3,3]\n"
+    assert calls == ["as_bar_partition", "as_partition", "as_bar_partition"]
+
+
+@pytest.mark.parametrize(
+    "map_name, text, message",
+    (
+        ("zeta-inverse", '{"kind":"bar","parts":[2,2]}', "bar partition parts must be distinct"),
+        ("zeta-inverse", "[3,-1]", "partition parts must be nonnegative, got -1"),
+        ("zeta", "[3,-1]", "partition parts must be nonnegative, got -1"),
+        ("zeta", '{"kind":"bar","parts":[2,2]}', "zeta expects a straight partition as input"),
+    ),
+)
+def test_bijection_refuses_bad_parts_in_one_line(map_name, text, message):
+    result = invoke("bijection", "--map", map_name, "-t", "3", "--input", text)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {message}\n"
 
 
 def test_bijection_rejects_bad_json():

@@ -73,6 +73,9 @@ def test_scan_report_matches_the_documented_shape():
         ("[]", "straight", ()),
         ('{"kind":"bar","parts":[6]}', "bar", (6,)),
         ('{"kind": "bar", "parts": []}', "bar", ()),
+        # parts come back as given; the caller canonicalizes them once
+        ("[1,0,3]", "straight", (1, 0, 3)),
+        ('{"kind":"bar","parts":[1,4,4]}', "bar", (1, 4, 4)),
     ),
 )
 def test_parse_partition_argument(text, kind, parts):

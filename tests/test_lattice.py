@@ -100,33 +100,57 @@ def test_path_census_counts_and_extremes(s, t, count, largest):
     assert all(is_st_core(p, s, t) for p in cores)
 
 
+@pytest.mark.parametrize("s, t", ((2, 3), (3, 2), (3, 5), (4, 7), (5, 7), (7, 11), (11, 7)))
+def test_bounded_anderson_walk_yields_what_the_filtered_walk_did(s, t):
+    # the walk generates only heights at or above the sign border; the
+    # reference filters every height profile, and the order must not change
+    border = anderson_grid(s, t).border_heights()
+    want = [
+        anderson_path_to_core(path, s, t)
+        for path in enumerate_paths(s, t)
+        if all(map(int.__ge__, path, border))
+    ]
+    assert list(enumerate_st_cores_by_paths(s, t)) == want
+
+
 @cache
 def _anderson_cores(s, t):
     return tuple(enumerate_st_cores_by_paths(s, t))
 
 
-def _counts_by_size(cores):
+def _largest(s, t):
+    """(s^2 - 1)(t^2 - 1)/24: the largest (s,t)-core and self-conjugate
+    (s,t)-core size, and an upper bound on the (s-bar, t-bar)-core sizes."""
+    return (s * s - 1) * (t * t - 1) // 24
+
+
+def _counts_by_size(cores, limit):
+    """counts[0..limit] of the cores by size."""
     sizes = Counter(sum(p) for p in cores)
-    return [sizes[n] for n in range(max(sizes) + 1)]
+    assert max(sizes) <= limit
+    return [sizes[n] for n in range(limit + 1)]
 
 
 @pytest.mark.parametrize(
     "s, t", [(s, t) for s in range(2, 12) for t in range(s + 1, 12) if gcd(s, t) == 1]
 )
 def test_anderson_dp_counts_the_enumerated_sizes(s, t):
-    want = _counts_by_size(_anderson_cores(s, t))
-    assert census_by_size(anderson_grid(s, t), beta_sets=True) == want
-    assert census_by_size(anderson_grid(t, s), beta_sets=True) == want
+    want = _counts_by_size(_anderson_cores(s, t), _largest(s, t))
+    assert census_by_size(anderson_grid(s, t), _largest(s, t), beta_sets=True) == want
+    assert census_by_size(anderson_grid(t, s), _largest(s, t), beta_sets=True) == want
+    assert want[-1] == 1  # the bound is the largest size, padded with nothing
 
 
 @pytest.mark.parametrize(
     "s, t", [(s, t) for s in range(3, 14, 2) for t in range(s + 2, 14, 2) if gcd(s, t) == 1]
 )
 def test_dh_and_yy_dp_count_the_enumerated_sizes(s, t):
-    want = _counts_by_size(enumerate_selfconj_by_dh(s, t))
-    assert census_by_size(dh_grid(s, t)) == want
-    assert census_by_size(dh_grid(t, s)) == want
-    assert census_by_size(yinyang_grid(s, t)) == _counts_by_size(enumerate_barcores_by_yy(s, t))
+    limit = _largest(s, t)
+    want = _counts_by_size(enumerate_selfconj_by_dh(s, t), limit)
+    assert census_by_size(dh_grid(s, t), limit) == want
+    assert census_by_size(dh_grid(t, s), limit) == want
+    bar = _counts_by_size(enumerate_barcores_by_yy(s, t), limit)
+    assert census_by_size(yinyang_grid(s, t), limit) == bar
 
 
 MIXED_PARITY = [
@@ -141,20 +165,52 @@ def test_dh_grid_counts_mixed_parity_pairs(s, t):
     cores = list(enumerate_selfconj_by_dh(s, t))
     assert len(set(cores)) == len(cores) == comb(s // 2 + t // 2, s // 2)
     assert all(is_self_conjugate(p) and is_t_core(p, s) and is_t_core(p, t) for p in cores)
-    want = _counts_by_size(cores)
-    assert census_by_size(dh_grid(s, t)) == want
-    assert census_by_size(dh_grid(t, s)) == want
+    want = _counts_by_size(cores, _largest(s, t))
+    assert census_by_size(dh_grid(s, t), _largest(s, t)) == want
+    assert census_by_size(dh_grid(t, s), _largest(s, t)) == want
     if s <= 11 and t <= 11:
         # the filtered Anderson enumeration is the independent source; past
         # (10,11) it walks over a million paths
         filtered = [p for p in _anderson_cores(s, t) if is_self_conjugate(p)]
         assert set(cores) == set(filtered)
-        assert want == _counts_by_size(filtered)
+        assert want == _counts_by_size(filtered, _largest(s, t))
+
+
+COPRIME_TO_10_11 = [(s, t) for s in range(2, 11) for t in range(s + 1, 12) if gcd(s, t) == 1]
+
+
+@pytest.mark.parametrize("s, t", COPRIME_TO_10_11)
+def test_truncated_census_is_the_full_census_cut_at_the_limit(s, t):
+    grids = [(anderson_grid(s, t), True), (dh_grid(s, t), False)]
+    if s % 2 and t % 2:
+        grids.append((yinyang_grid(s, t), False))
+    for grid, beta_sets in grids:
+        full = census_by_size(grid, _largest(s, t), beta_sets=beta_sets)
+        for limit in (0, 1, 5, 17, 40, 80):
+            want = (full + [0] * limit)[: limit + 1]
+            assert census_by_size(grid, limit, beta_sets=beta_sets) == want
+
+
+@pytest.mark.parametrize("s, t, limit", ((19, 23, 18), (101, 103, 40)))
+def test_small_sizes_of_a_large_pair_count_every_partition(s, t, limit):
+    # No hook of a partition of n < min(s, t) reaches s or t, so every such
+    # partition is an (s,t)-core; p(n) comes from Euler's recurrence here.
+    # (101,103) stops at 40: every subset of 1..limit is a trapped set
+    # there, and the DP took 0.4 s at 40, 1.8 s at 60 and 5.1 s at 80.
+    p = [1]
+    for n in range(1, limit + 1):
+        total = 0
+        for j in range(1, n + 1):
+            for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if k <= n:
+                    total += (-1) ** (j + 1) * p[n - k]
+        p.append(total)
+    assert census_by_size(anderson_grid(s, t), limit, beta_sets=True) == p
 
 
 def test_anderson_dp_reaches_a_census_past_enumeration():
     # C(30, 13) = 119,759,850 paths: far too many to walk one by one.
-    counts = census_by_size(anderson_grid(13, 17), beta_sets=True)
+    counts = census_by_size(anderson_grid(13, 17), _largest(13, 17), beta_sets=True)
     assert (sum(counts), len(counts) - 1) == (comb(30, 13) // 30, 2016)
     assert (sum(counts), len(counts) - 1) == extremal_stats(13, 17)
     assert counts[0] == counts[1] == counts[-1] == 1

@@ -19,7 +19,7 @@ from stcores.series import (
     convolution_psi_bar,
     convolution_psi_star,
     core_gf,
-    eta_product,
+    eta_quotient,
     partition_gf,
     progression_extract,
     psi_bar_st_gf,
@@ -97,12 +97,94 @@ def test_substitute_power_spreads_coefficients():
     assert s.substitute_power(1) == s
 
 
-def test_eta_product_single_factor_both_signs():
-    assert eta_product([(1, -1)], 6).coeffs == (1,) * 7
-    assert eta_product([(1, 1)], 6).coeffs == (1, -1, 0, 0, 0, 0, 0)
-    assert eta_product([(2, -3)], 6)[4] == 6
-    with pytest.raises(ValueError, match="a must be"):
-        eta_product([(0, 1)], 6)
+def test_eta_quotient_single_factor_both_signs():
+    # P(x) = prod (1 - x**n) = 1 - x - x**2 + x**5 + x**7 - ... (Euler)
+    assert eta_quotient({1: -1}, 6).coeffs == (1, 1, 2, 3, 5, 7, 11)
+    assert eta_quotient({1: 1}, 8).coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0)
+    # 1/P(x**2)**3 counts 3-coloured partitions at even exponents: 1, 3, 9, 22
+    assert eta_quotient({2: -3}, 6).coeffs == (1, 0, 3, 0, 9, 0, 22)
+    # P(y)**2 = 1 - 2y - y**2 + 2y**3 + ..., at y = x**3
+    assert eta_quotient({3: 2}, 9).coeffs == (1, 0, 0, -2, 0, 0, -1, 0, 0, 2)
+    # Gauss: P(x)**2 / P(x**2) = 1 + 2 * sum of (-1)**n x**(n*n)
+    assert eta_quotient({1: 2, 2: -1}, 9).coeffs == (1, -2, 0, 0, 2, 0, 0, 0, 0, -2)
+    assert eta_quotient({7: 5, 1: 0}, 6) == TruncatedSeries.one(6)
+    with pytest.raises(ValueError, match="^d must be >= 1$"):
+        eta_quotient({0: 1}, 6)
+    with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+        eta_quotient({1: 1}, -1)
+
+
+def _eta_product(factors, truncation):
+    """The product of (1 - x**a)**b over (a, b), one in-place pass per unit of |b|.
+
+    The per-factor evaluation the builders used before they became eta
+    quotients, kept here as their reference.
+    """
+    c = [1] + [0] * truncation
+    for a, b in factors:
+        if a > truncation:
+            continue
+        for _ in range(abs(b)):
+            if b > 0:
+                for i in range(truncation, a - 1, -1):
+                    c[i] -= c[i - a]
+            else:
+                for i in range(a, truncation + 1):
+                    c[i] += c[i - a]
+    return TruncatedSeries(c)
+
+
+def _factor_lists(t, n):
+    """The builders' former factor lists (a, b) at modulus t and truncation n."""
+    ks = range(1, n + 1)
+    partition = [(k, -1) for k in ks]
+    core = partition + [(t * k, t) for k in range(1, n // t + 1)]
+    selfconj = [(2 * t * k, t // 2) for k in range(1, n // (2 * t) + 1)]
+    for m in range(1, n + 1, 2):
+        selfconj += [(2 * m, 1), (m, -1)]
+    if t % 2:
+        for m in range(t, n + 1, 2 * t):
+            selfconj += [(2 * m, -1), (m, 1)]
+    bar = partition + [(2 * k, 1) for k in range(1, n // 2 + 1)]
+    bar += [(t * k, (t + 1) // 2) for k in range(1, n // t + 1)]
+    bar += [(2 * t * k, -1) for k in range(1, n // (2 * t) + 1)]
+    return partition, core, selfconj, bar
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 3, 7, 30, 120, 500))
+def test_eta_quotients_match_the_per_factor_products(n):
+    # t = 1, 2 and 4 merge equal d (2t or 4t meets 1, 2 or 4) and cancel
+    for t in range(1, 25):
+        partition, core, selfconj, bar = _factor_lists(t, n)
+        if t == 1:
+            assert partition_gf(n) == _eta_product(partition, n)
+        assert core_gf(t, n) == _eta_product(core, n)
+        assert selfconj_core_gf(t, n) == _eta_product(selfconj, n)
+        if t % 2:
+            assert barcore_gf(t, n) == _eta_product(bar, n)
+
+
+def _product_by_definition(a, b):
+    """c(k) = sum over i + j = k of a(i) b(j), to the shorter truncation."""
+    n = min(a.truncation, b.truncation)
+    return TruncatedSeries([sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)])
+
+
+def test_products_match_the_definition_on_dense_sparse_and_substituted_operands():
+    operands = [
+        core_gf(3, 40),  # dense
+        partition_gf(33),  # dense, no zeros
+        TruncatedSeries([2, 0, 0, -5, 0, 0, 0, 0, 0, 1], 37),  # sparse
+        TruncatedSeries([0, 0, 0, 0, 7], 25),  # a single term
+        TruncatedSeries.one(29),
+        TruncatedSeries([0], 31),
+        partition_gf(40).substitute_power(3),  # substituted
+        psi_st_gf(2, 3, 44).substitute_power(5) ** 2,
+        selfconj_core_gf(4, 36).substitute_power(2),
+    ]
+    for a in operands:
+        for b in operands:
+            assert a * b == _product_by_definition(a, b)
 
 
 def _binomial(a, b, truncation, sign=-1):
