@@ -7,7 +7,6 @@ nonzero with a one-line diagnostic.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
@@ -172,109 +171,187 @@ def _truncation(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"{text!r} is not a nonnegative integer")
     return value
 
 
-def _parser(prog_name: str) -> argparse.ArgumentParser:
-    # Built per call, so STCORES_TRUNCATION is read when main runs. argparse
-    # passes a string default through the option's type, so a bad value in
-    # the variable is refused like a bad -N.
-    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
-    parser.add_argument("--version", action="version", version=f"stcores, version {__version__}")
-    verbs = parser.add_subparsers(title="commands", required=True, metavar="COMMAND")
+def _option(*flags: str, **settings) -> tuple[tuple[str, ...], dict]:
+    """One row of the option table: argparse's flags and keyword arguments."""
+    return flags, settings
 
-    def command(function) -> argparse.ArgumentParser:
+
+# Stands for -N's default, read from STCORES_TRUNCATION on every call.
+_FROM_ENVIRONMENT = object()
+
+_VERSION = _option("--version", action="version", version=f"stcores, version {__version__}")
+_TRUNCATION = _option(
+    "-N",
+    "--truncation",
+    dest="truncation",
+    type=_truncation,
+    default=_FROM_ENVIRONMENT,
+    help="Largest size/exponent computed (default: 60; STCORES_TRUNCATION "
+    "overrides the default).",
+)
+_FORMAT = _option(
+    "--format", dest="fmt", choices=["csv", "json"], default="csv", help="Output encoding (default: %(default)s)."
+)
+
+# Every verb's options, in the order its usage line lists them. Optional
+# arguments name their dest; a positional argument is its own dest.
+OPTIONS = {
+    count: (
+        _option("-t", dest="t", type=int, required=True, help="Modulus t."),
+        _option("-s", dest="s", type=int, help="Second modulus for joint counts."),
+        _option(
+            "--variant",
+            dest="variant",
+            choices=["straight", "selfconj", "bar"],
+            default="straight",
+            help="Which partitions to count (default: %(default)s).",
+        ),
+        _TRUNCATION,
+        _FORMAT,
+    ),
+    series: (
+        _option(
+            "--gf", dest="gf", choices=GENERATING_FUNCTIONS, required=True,
+            help="Which generating function to expand.",
+        ),
+        _option("-s", dest="s", type=int),
+        _option("-t", dest="t", type=int),
+        _TRUNCATION,
+        _FORMAT,
+    ),
+    grid: (
+        _option(
+            "--kind", dest="kind", choices=["anderson", "dh", "yinyang"], required=True,
+            help="Which signed grid to print.",
+        ),
+        _option("-s", dest="s", type=int, required=True),
+        _option("-t", dest="t", type=int, required=True),
+    ),
+    bijection: (
+        _option(
+            "--map",
+            dest="map_name",
+            choices=["zeta", "zeta-inverse", "gamma", "gamma-inverse", "big-gamma", "big-gamma-inverse"],
+            required=True,
+            help="Which correspondence to apply.",
+        ),
+        _option("-s", dest="s", type=int, help="First parameter (pair maps only)."),
+        _option("-t", dest="t", type=int, required=True),
+        _option("--input", dest="input_text", required=True, help="Partition as JSON."),
+    ),
+    scan: (
+        _option("--gf", dest="gf", choices=GENERATING_FUNCTIONS, required=True),
+        _option("-s", dest="s", type=int),
+        _option("-t", dest="t", type=int),
+        _option("-g", "--progression", dest="g", type=int, required=True, help="Progression step."),
+        _option("--mod", dest="modulus", type=int, required=True, help="Divisibility modulus."),
+        _TRUNCATION,
+    ),
+    verify: (
+        _option("suite"),
+        _TRUNCATION,
+        _option(
+            "--report",
+            dest="report_path",
+            metavar="PATH",
+            help="Also write each suite's wall time and every check's label, result "
+            "and detail (with its case total) to this file as JSON.",
+        ),
+    ),
+}
+_VERBS = {verb.__name__: verb for verb in OPTIONS}
+
+
+def _default(settings: dict):
+    # argparse passes a string default through the option's type, so a bad
+    # STCORES_TRUNCATION is refused like a bad -N.
+    default = settings.get("default")
+    return (os.environ.get("STCORES_TRUNCATION") or "60") if default is _FROM_ENVIRONMENT else default
+
+
+def _read(argv: list[str]) -> dict | None:
+    """Read a canonical call from the option table, or return None.
+
+    Canonical is `--version` alone (printed here, as argparse would), or a
+    verb, its positional arguments, then OPTION VALUE pairs: each option
+    spelled as in the table, each dest at most once, no value starting with
+    "-", every required option present, every value accepted by its type
+    and choices. Anything else, help included, is left to `_parser`, which
+    either reads it the same way or prints argparse's message.
+    """
+    flags, settings = _VERSION
+    if tuple(argv) == flags:
+        sys.stdout.write(settings["version"] + "\n")
+        sys.exit(0)
+    verb = _VERBS.get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    options = {"verb": verb}
+    words = argv[1:]
+    by_flag = {}
+    for flags, settings in OPTIONS[verb]:
+        if flags[0].startswith("-"):
+            by_flag.update(dict.fromkeys(flags, settings))
+        elif words and not words[0].startswith("-"):
+            options[flags[0]] = words.pop(0)
+        else:
+            return None
+    if len(words) % 2:
+        return None
+    given = {}
+    for flag, text in zip(words[::2], words[1::2]):
+        settings = by_flag.get(flag)
+        if settings is None or settings["dest"] in given or text.startswith("-"):
+            return None
+        given[settings["dest"]] = text
+    for flags, settings in OPTIONS[verb]:
+        dest = settings.get("dest")
+        if dest is None:  # a positional argument, read above
+            continue
+        if dest not in given and settings.get("required"):
+            return None
+        value = given.get(dest, _default(settings))
+        if isinstance(value, str):
+            try:
+                value = settings.get("type", str)(value)
+            except Exception:  # argparse reports it
+                return None
+        if "choices" in settings and value not in settings["choices"]:
+            return None
+        options[dest] = value
+    return options
+
+
+def _parser(prog_name: str):
+    """The argparse parser built from the option table, with help and errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog=prog_name, description=main.__doc__, allow_abbrev=False)
+    parser.add_argument(*_VERSION[0], **_VERSION[1])
+    verbs = parser.add_subparsers(title="commands", required=True, metavar="COMMAND")
+    for function, options in OPTIONS.items():
         doc = function.__doc__
         verb = verbs.add_parser(
             function.__name__, help=doc.split("\n")[0], description=doc, allow_abbrev=False
         )
         verb.set_defaults(verb=function)
-        return verb
-
-    def truncation_option(verb: argparse.ArgumentParser) -> None:
-        verb.add_argument(
-            "-N",
-            "--truncation",
-            type=_truncation,
-            default=os.environ.get("STCORES_TRUNCATION") or "60",
-            help="Largest size/exponent computed (default: 60; STCORES_TRUNCATION "
-            "overrides the default).",
-        )
-
-    def format_option(verb: argparse.ArgumentParser) -> None:
-        verb.add_argument(
-            "--format",
-            dest="fmt",
-            choices=["csv", "json"],
-            default="csv",
-            help="Output encoding (default: %(default)s).",
-        )
-
-    verb = command(count)
-    verb.add_argument("-t", type=int, required=True, help="Modulus t.")
-    verb.add_argument("-s", type=int, help="Second modulus for joint counts.")
-    verb.add_argument(
-        "--variant",
-        choices=["straight", "selfconj", "bar"],
-        default="straight",
-        help="Which partitions to count (default: %(default)s).",
-    )
-    truncation_option(verb)
-    format_option(verb)
-
-    verb = command(series)
-    verb.add_argument(
-        "--gf", choices=GENERATING_FUNCTIONS, required=True, help="Which generating function to expand."
-    )
-    verb.add_argument("-s", type=int)
-    verb.add_argument("-t", type=int)
-    truncation_option(verb)
-    format_option(verb)
-
-    verb = command(grid)
-    verb.add_argument(
-        "--kind", choices=["anderson", "dh", "yinyang"], required=True, help="Which signed grid to print."
-    )
-    verb.add_argument("-s", type=int, required=True)
-    verb.add_argument("-t", type=int, required=True)
-
-    verb = command(bijection)
-    verb.add_argument(
-        "--map",
-        dest="map_name",
-        choices=["zeta", "zeta-inverse", "gamma", "gamma-inverse", "big-gamma", "big-gamma-inverse"],
-        required=True,
-        help="Which correspondence to apply.",
-    )
-    verb.add_argument("-s", type=int, help="First parameter (pair maps only).")
-    verb.add_argument("-t", type=int, required=True)
-    verb.add_argument("--input", dest="input_text", required=True, help="Partition as JSON.")
-
-    verb = command(scan)
-    verb.add_argument("--gf", choices=GENERATING_FUNCTIONS, required=True)
-    verb.add_argument("-s", type=int)
-    verb.add_argument("-t", type=int)
-    verb.add_argument("-g", "--progression", dest="g", type=int, required=True, help="Progression step.")
-    verb.add_argument("--mod", dest="modulus", type=int, required=True, help="Divisibility modulus.")
-    truncation_option(verb)
-
-    verb = command(verify)
-    verb.add_argument("suite")
-    truncation_option(verb)
-    verb.add_argument(
-        "--report",
-        dest="report_path",
-        metavar="PATH",
-        help="Also write each suite's wall time and every check's label, result "
-        "and detail (with its case total) to this file as JSON.",
-    )
+        for flags, settings in options:
+            verb.add_argument(*flags, **{**settings, "default": _default(settings)})
     return parser
 
 
 def main(args: list[str] | None = None, prog_name: str = "stcores") -> None:
     """Exact counts, series, grids, and bijections for joint core partitions."""
-    options = vars(_parser(prog_name).parse_args(args))
+    argv = sys.argv[1:] if args is None else list(args)
+    options = _read(argv)
+    if options is None:
+        options = vars(_parser(prog_name).parse_args(argv))
     verb = options.pop("verb")
     try:
         verb(**options)

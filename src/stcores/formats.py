@@ -3,12 +3,14 @@
 All emitters return strings without a trailing newline and are deterministic:
 compact JSON separators, insertion-ordered keys, fixed row order. Partitions
 are JSON arrays (largest part first); bar partitions are tagged objects so
-the two kinds cannot be confused downstream.
+the two kinds cannot be confused downstream. Integer-only JSON is written
+directly, byte for byte as `json.dumps(..., separators=(",", ":"))` writes
+it; `json` is imported only where a string is serialized or the input is not
+a compact integer array.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 from .bar_partitions import BarPartition
@@ -17,29 +19,28 @@ from .oracle import CountTable
 from .partitions import Partition
 from .series import TruncatedSeries
 
-_COMPACT = {"separators": (",", ":")}
+_BAR_PREFIX = '{"kind":"bar","parts":'
+
+
+def _int_array(values: Iterable[int]) -> str:
+    return "[" + ",".join(map(str, values)) + "]"
 
 
 def partition_to_json(p: Partition) -> str:
     """`[5,3,3]` style array, `[]` for the empty partition."""
-    return json.dumps(list(p), **_COMPACT)
+    return _int_array(p)
 
 
 def bar_to_json(b: BarPartition) -> str:
     """Tagged object, e.g. `{"kind":"bar","parts":[6]}`."""
-    return json.dumps({"kind": "bar", "parts": list(b)}, **_COMPACT)
+    return _BAR_PREFIX + _int_array(b) + "}"
 
 
 def scan_report_json(g: int, modulus: int, residues: Sequence[int], verified_to: int) -> str:
     """Congruence scan result, e.g. `{"modulus":2,"g":5,"residues":[3,4],"verified_to":60}`."""
-    return json.dumps(
-        {
-            "modulus": modulus,
-            "g": g,
-            "residues": list(residues),
-            "verified_to": verified_to,
-        },
-        **_COMPACT,
+    return (
+        f'{{"modulus":{modulus},"g":{g},"residues":{_int_array(residues)},'
+        f'"verified_to":{verified_to}}}'
     )
 
 
@@ -54,6 +55,12 @@ def parse_partition_argument(text: str) -> tuple[str, tuple[int, ...]]:
     Raises:
         ValueError: on malformed JSON or a wrong shape.
     """
+    bar = text.startswith(_BAR_PREFIX) and text.endswith("}")
+    parts = _compact_int_array(text[len(_BAR_PREFIX) : -1] if bar else text)
+    if parts is not None:
+        return ("bar" if bar else "straight"), parts
+    import json
+
     try:
         value = json.loads(text)
     except json.JSONDecodeError as err:
@@ -63,6 +70,23 @@ def parse_partition_argument(text: str) -> tuple[str, tuple[int, ...]]:
             raise ValueError('object input must look like {"kind":"bar","parts":[...]}')
         return "bar", _int_tuple(value["parts"])
     return "straight", _int_tuple(value)
+
+
+def _compact_int_array(text: str) -> tuple[int, ...] | None:
+    # The integers of a JSON array written without spaces, such as `[3,3,1]`,
+    # or None for any other text: each item must be a JSON integer (ASCII
+    # digits, an optional minus sign, no leading zero), so json.loads would
+    # read the same list.
+    if text[:1] != "[" or text[-1:] != "]":
+        return None
+    if text == "[]":
+        return ()
+    items = text[1:-1].split(",")
+    for item in items:
+        digits = item[1:] if item[:1] == "-" else item
+        if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
+            return None
+    return tuple(map(int, items))
 
 
 def _int_tuple(value: object) -> tuple[int, ...]:
@@ -81,7 +105,9 @@ def count_table_csv(table: CountTable) -> str:
 
 
 def count_table_json(table: CountTable) -> str:
-    return json.dumps({"label": table.label, "counts": list(table.counts)}, **_COMPACT)
+    import json
+
+    return f'{{"label":{json.dumps(table.label)},"counts":{_int_array(table.counts)}}}'
 
 
 def series_csv(series: TruncatedSeries) -> str:
@@ -92,7 +118,7 @@ def series_csv(series: TruncatedSeries) -> str:
 
 
 def series_json(series: TruncatedSeries) -> str:
-    return json.dumps({"coefficients": list(series.coeffs)}, **_COMPACT)
+    return f'{{"coefficients":{_int_array(series.coeffs)}}}'
 
 
 def grid_csv(grid: SignedGrid) -> str:
@@ -133,6 +159,8 @@ def checks_report_json(
     detail carries its case total (e.g. "all 9296 cases"). Unlike the text
     report, the wall times differ from run to run.
     """
+    import json
+
     return json.dumps(
         {
             "truncation": truncation,
@@ -148,5 +176,5 @@ def checks_report_json(
                 for suite, checks in results.items()
             ],
         },
-        **_COMPACT,
+        separators=(",", ":"),
     )

@@ -390,8 +390,10 @@ def progression_extract(
 def congruence_scan(series: TruncatedSeries, g: int, modulus: int) -> tuple[int, ...]:
     """Residues r with every coefficient on the progression gk + r divisible.
 
-    Scans 0 <= r <= g - 1 over the whole truncation range; a reported residue
-    means the congruence holds up to the truncation, nothing more.
+    Scans 0 <= r <= g - 1 over the whole truncation range. A residue is
+    reported only when at least one coefficient on it was checked (r <= the
+    truncation), and it means the congruence holds up to the truncation,
+    nothing more.
 
     Raises:
         ValueError: unless g >= 2 (checked first) and modulus >= 2.
@@ -399,11 +401,9 @@ def congruence_scan(series: TruncatedSeries, g: int, modulus: int) -> tuple[int,
     check_divisor(g)
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    out = []
-    for r in range(g):
-        if all(
-            series[n] % modulus == 0
-            for n in range(r, series.truncation + 1, g)
-        ):
-            out.append(r)
-    return tuple(out)
+    top = series.truncation
+    return tuple(
+        r
+        for r in range(min(g, top + 1))
+        if all(series[n] % modulus == 0 for n in range(r, top + 1, g))
+    )

@@ -89,6 +89,13 @@ def test_scan_refuses_a_small_divisor_or_modulus_in_one_line(capsys, params, mes
     assert run(capsys, "scan", "--gf", "partition", *params, "-N", "5") == (1, "", f"Error: {message}\n")
 
 
+def test_scan_reports_no_residue_beyond_the_truncation(capsys):
+    # p(1) = 1: at -N 0 no residue but 0 has a coefficient to check.
+    assert run(capsys, "scan", "--gf", "partition", "-g", "5", "--mod", "5", "-N", "0") == (
+        0, '{"modulus":5,"g":5,"residues":[],"verified_to":0}\n', ""
+    )
+
+
 def test_a_report_path_that_is_a_directory_is_a_one_line_error(capsys, tmp_path):
     # The report is opened before any suite runs, so no check prints.
     code, out, err = run(capsys, "verify", "examples", "--report", str(tmp_path))

@@ -1,9 +1,11 @@
 import json
 
+from hypothesis import given, strategies as st
 import pytest
 
 from stcores.core_quotient import BarTower, StraightTower, bar_decompose, decompose
 from stcores.formats import (
+    _compact_int_array,
     bar_to_json,
     checks_report,
     count_table_csv,
@@ -16,7 +18,7 @@ from stcores.formats import (
     series_json,
 )
 from stcores.lattice import yinyang_grid
-from stcores.oracle import core_counts
+from stcores.oracle import CountTable, core_counts
 from stcores.series import TruncatedSeries
 
 
@@ -124,3 +126,49 @@ def test_checks_report_text():
     assert failures == 1
     assert "[demo] FAIL breaks: n=2" in text
     assert text.endswith("1 of 2 checks failed")
+
+
+# Negative, small and multi-hundred-digit integers.
+INTS = st.one_of(st.integers(-1000, 1000), st.integers(-(10**400), 10**400))
+COMPACT = {"separators": (",", ":")}
+
+
+@given(st.lists(INTS, max_size=8), st.lists(INTS, max_size=8), INTS, INTS, INTS, st.text(max_size=12))
+def test_the_direct_emitters_write_what_json_dumps_writes(parts, coeffs, g, modulus, top, label):
+    assert partition_to_json(parts) == json.dumps(parts, **COMPACT)
+    assert bar_to_json(parts) == json.dumps({"kind": "bar", "parts": parts}, **COMPACT)
+    assert scan_report_json(g, modulus, parts, top) == json.dumps(
+        {"modulus": modulus, "g": g, "residues": parts, "verified_to": top}, **COMPACT
+    )
+    series = TruncatedSeries(coeffs, max(len(coeffs) - 1, 0))
+    assert series_json(series) == json.dumps({"coefficients": list(series.coeffs)}, **COMPACT)
+    table = CountTable(label, tuple(coeffs))
+    assert count_table_json(table) == json.dumps({"label": label, "counts": coeffs}, **COMPACT)
+
+
+@given(
+    st.one_of(
+        st.lists(INTS, max_size=6).map(lambda parts: json.dumps(parts, **COMPACT)),
+        st.text(alphabet="[]{},-0123456789 .e+\"abkindpartsr\u0663", max_size=16),
+    ),
+    st.booleans(),
+)
+def test_compact_arrays_are_read_as_json_reads_them(text, tagged):
+    # The fast path reads only what json.loads reads as a list of integers;
+    # anything else falls through to json and its messages.
+    parts = _compact_int_array(text)
+    if parts is not None:
+        assert list(parts) == json.loads(text)
+    if tagged:
+        text = '{"kind":"bar","parts":' + text + "}"
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = None
+    if isinstance(value, dict):
+        value = value.get("parts")
+    if isinstance(value, list) and all(type(x) is int for x in value):
+        assert parse_partition_argument(text) == ("bar" if tagged else "straight", tuple(value))
+    else:
+        with pytest.raises(ValueError):
+            parse_partition_argument(text)

@@ -62,21 +62,53 @@ def test_every_public_method_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+# One canonical call per verb, as the option table reads it without argparse.
+CANONICAL_CALLS = [
+    ["--version"],
+    ["count", "-t", "3", "-s", "2", "-N", "10"],
+    ["series", "--gf", "psi", "-s", "2", "-t", "3", "-N", "5", "--format", "json"],
+    ["grid", "--kind", "anderson", "-s", "7", "-t", "11"],
+    ["bijection", "--map", "gamma", "-s", "7", "-t", "11", "--input", "[3,3,3]"],
+    ["bijection", "--map", "zeta-inverse", "-t", "3", "--input", '{"kind":"bar","parts":[4,1]}'],
+    ["scan", "--gf", "partition", "-g", "5", "--mod", "5", "-N", "30"],
+    ["verify", "examples", "-N", "10"],
+]
+
+
 def test_the_cli_imports_neither_click_nor_dataclasses():
-    # Every cold CLI call pays for what `stcores.cli` imports: click cost
-    # about 34 ms of it and dataclasses (with inspect) about 14 ms. -S keeps
-    # site from importing any of them first, which would hide them here.
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-        "import stcores.cli; print(*sorted(set(sys.modules) - before))"
-    )
+    # Every cold CLI call pays for what it imports: click cost about 34 ms of
+    # it, dataclasses (with inspect) about 14 ms, and argparse (with gettext,
+    # locale and textwrap) and json about 9 ms more. Only help, a rejected
+    # argument, a JSON string or the verify report needs argparse or json.
+    # -S keeps site from importing any of them first, which would hide them.
+    code = f"""
+import os, sys
+sys.path.insert(0, sys.argv[1])
+seen = set(sys.modules)
+import stcores.cli
+stages = [("import", set(sys.modules) - seen)]
+sys.stdout = open(os.devnull, "w")
+for argv in {CANONICAL_CALLS!r}:
+    seen = set(sys.modules)
+    try:
+        stcores.cli.main(argv)
+    except SystemExit as stop:
+        assert stop.code == 0, argv
+    stages.append((" ".join(argv), set(sys.modules) - seen))
+for stage, modules in stages:
+    print(stage, *sorted(modules), sep="\t", file=sys.__stdout__)
+"""
     done = subprocess.run(
         [sys.executable, "-S", "-c", code, str(ROOT / "src")],
         capture_output=True, text=True, check=True, timeout=60,
     )
-    imported = set(done.stdout.split())
-    assert {"stcores.cli", "stcores.verify", "argparse"} <= imported
-    assert imported.isdisjoint({"click", "dataclasses", "inspect"})
+    stages = {
+        stage: set(modules) for stage, *modules in (line.split("\t") for line in done.stdout.splitlines())
+    }
+    assert len(stages) == len(CANONICAL_CALLS) + 1
+    assert {"stcores.cli", "stcores.verify"} <= stages["import"]
+    forbidden = {"argparse", "gettext", "locale", "textwrap", "json", "click", "dataclasses", "inspect"}
+    assert {stage: modules & forbidden for stage, modules in stages.items() if modules & forbidden} == {}
 
 
 def test_all_lists_exactly_the_names_the_package_imports():

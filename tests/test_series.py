@@ -325,6 +325,12 @@ def test_congruence_scan_refuses_a_small_divisor_then_a_small_modulus():
         congruence_scan(core_gf(5, 10), 2, 1)
 
 
+def test_congruence_scan_reports_no_residue_beyond_the_truncation():
+    # p(1) = 1, so no progression 5k + r is divisible by 5 on what is checked.
+    assert congruence_scan(partition_gf(3), 5, 5) == ()
+    assert congruence_scan(partition_gf(4), 5, 5) == (4,)
+
+
 def test_congruence_scan_finds_known_residues():
     assert congruence_scan(barcore_gf(5, 60), 5, 2) == (3, 4)
     assert 4 in congruence_scan(core_gf(5, 60), 5, 5)
