@@ -131,6 +131,7 @@ def argvs(draw) -> list[str]:
         argv.append(values(draw, {}))
     optional = [(flags, kw) for flags, kw in options if flags[0].startswith("-")]
     for flags, kw in draw(st.permutations(optional)):
+        # Usually once; sometimes repeated, sometimes left out.
         for _ in range(1 + sometimes(draw, 12) - sometimes(draw, 8 if kw.get("required") else 2)):
             flag, value = draw(st.sampled_from(flags)), values(draw, kw)
             argv += [f"{flag}={value}"] if sometimes(draw, 10) else [flag, value]
