@@ -365,9 +365,10 @@ def main(args: list[str] | None = None, prog_name: str = "stcores") -> None:
         sys.exit(1)
 
 
-# click.testing.CliRunner, which the tests and bench/ drive the CLI with,
-# reads the program name from `main.name` and calls `main.main(args=...,
-# prog_name=...)`; these two attributes answer it without importing click.
+# bench/test_bench.py, the one remaining user of click, drives the CLI with
+# click.testing.CliRunner, which reads the program name from `main.name` and
+# calls `main.main(args=..., prog_name=...)`; these two attributes answer it
+# without importing click.
 main.name = "stcores"
 main.main = main
 

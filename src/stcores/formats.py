@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .bar_partitions import BarPartition
-from .lattice import SignedGrid
+from .lattice import Grid
 from .oracle import CountTable
 from .partitions import Partition
 from .series import TruncatedSeries
@@ -121,9 +121,9 @@ def series_json(series: TruncatedSeries) -> str:
     return f'{{"coefficients":{_int_array(series.coeffs)}}}'
 
 
-def grid_csv(grid: SignedGrid) -> str:
+def grid_csv(grid: Grid) -> str:
     """Plain integer CSV, one grid row per line, top row first."""
-    return "\n".join(",".join(str(v) for v in row) for row in grid.values)
+    return "\n".join(",".join(str(v) for v in row) for row in reversed(list(zip(*grid))))
 
 
 def checks_report(results: dict[str, list[tuple[str, bool, str]]]) -> tuple[str, int]:

@@ -3,8 +3,10 @@
 Three grids share one path mechanism. A monotonic path from the bottom-left
 to the top-right corner of an R x C cell grid is stored as its column
 heights: a non-decreasing C-tuple over 0..R whose entry c counts the cells of
-column c below the path. The heights, together with the grid's sign border,
-determine the trapped cells, whose values decode a partition.
+column c below the path. A grid is stored the same way, as its C columns from
+left to right, each read from the bottom row up. The heights, together with
+the grid's sign border, determine the trapped cells, whose values decode a
+partition.
 :func:`census_by_size` counts the cores of each size up to a limit over all
 paths of a grid without walking them one by one.
 """
@@ -18,7 +20,6 @@ from .bar_partitions import BarPartition, is_tbar_core
 from .core_quotient import BarTower, bar_decompose, bar_reconstruct, decompose, reconstruct, StraightTower
 from .encodings import zeta, zeta_inverse
 from .partitions import (
-    Frozen,
     Partition,
     check_pair,
     common_divisor,
@@ -31,77 +32,58 @@ from .partitions import (
 )
 
 Path = tuple[int, ...]
+# The columns from left to right, each from the bottom row up. For the
+# coprime parameters used here no entry is zero, and signs split along a
+# monotonic path: every column has its negatives at the bottom, every row at
+# the right.
+Grid = tuple[tuple[int, ...], ...]
 
 
-class SignedGrid(Frozen):
-    """A rows x cols matrix of signed integers with a monotone sign border.
-
-    values[r][c] uses matrix indexing, row 0 at the top. For the coprime
-    parameters used here no entry is zero, and signs split along a monotonic
-    path: every column has its negatives at the bottom, every row at the
-    right.
-    """
-
-    __slots__ = ("rows", "cols", "values")
-    rows: int
-    cols: int
-    values: tuple[tuple[int, ...], ...]
-
-    def __init__(self, rows: int, cols: int, values: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "values", values)
-
-    def border_heights(self) -> tuple[int, ...]:
-        """Per column, the number of negative cells (measured from the bottom)."""
-        return tuple(
-            sum(1 for r in range(self.rows) if self.values[r][c] < 0)
-            for c in range(self.cols)
-        )
+def _border_heights(grid: Grid) -> tuple[int, ...]:
+    """Per column, the number of negative cells (measured from the bottom)."""
+    return tuple(sum(v < 0 for v in column) for column in grid)
 
 
-def anderson_grid(s: int, t: int) -> SignedGrid:
+def anderson_grid(s: int, t: int) -> Grid:
     """The s x t grid with st - s - t at the top left.
 
-    A right step subtracts s, a down step subtracts t: cell (r, c) holds
-    st - s - t - c*s - r*t.
+    A right step subtracts s, a down step subtracts t: cell (r, c), row r from
+    the top, holds st - s - t - c*s - r*t, which is y*t - (c+1)*s at height
+    y = s - 1 - r.
 
     Raises:
         ValueError: unless s, t > 1 are coprime.
     """
     check_pair(s, t, coprime=True)
-    base = s * t - s - t
-    values = tuple(
-        tuple(base - c * s - r * t for c in range(t)) for r in range(s)
-    )
-    return SignedGrid(rows=s, cols=t, values=values)
+    return tuple(tuple(y * t - (c + 1) * s for y in range(s)) for c in range(t))
 
 
-def dh_grid(s: int, t: int) -> SignedGrid:
+def dh_grid(s: int, t: int) -> Grid:
     """The floor(s/2) x floor(t/2) diagonal-hooks grid.
 
-    Cell (i, j), 1-indexed, holds st - s(2j-1) - t(2i-1); all entries are odd
-    and their absolute values are pairwise distinct. Coprime s and t are never
-    both even, so this holds for either parity (Ford-Mai-Sze).
+    Cell (i, j), 1-indexed from the top left, holds st - s(2j-1) - t(2i-1), so
+    row i is at height floor(s/2) - i; all entries are odd and their absolute
+    values are pairwise distinct. Coprime s and t are never both even, so this
+    holds for either parity (Ford-Mai-Sze).
 
     Raises:
         ValueError: unless s, t > 1 are coprime.
     """
     check_pair(s, t, coprime=True)
-    values = tuple(
-        tuple(s * t - s * (2 * j - 1) - t * (2 * i - 1) for j in range(1, t // 2 + 1))
-        for i in range(1, s // 2 + 1)
+    return tuple(
+        tuple(s * t - s * (2 * j - 1) - t * (2 * i - 1) for i in range(s // 2, 0, -1))
+        for j in range(1, t // 2 + 1)
     )
-    return SignedGrid(rows=s // 2, cols=t // 2, values=values)
 
 
-def yinyang_grid(s: int, t: int) -> SignedGrid:
+def yinyang_grid(s: int, t: int) -> Grid:
     """The (s-1)/2 x (t-1)/2 Yin-Yang grid for odd coprime s < t.
 
-    Cell (i, j), 1-indexed, holds t((s+1)/2 - i) - s*j, so a right step
-    subtracts s and a down step subtracts t. Corners: top left t(s-1)/2 - s,
-    bottom left t - s, and on the negative side the absolute values are
-    (t-s)/2 (top right) and s(t-1)/2 - t (bottom right).
+    Cell (i, j), 1-indexed from the top left, holds t((s+1)/2 - i) - s*j, which
+    is t*k - s*j with k = (s+1)/2 - i counting the rows from the bottom. A
+    right step subtracts s and a down step subtracts t. Corners: top left
+    t(s-1)/2 - s, bottom left t - s, and on the negative side the absolute
+    values are (t-s)/2 (top right) and s(t-1)/2 - t (bottom right).
 
     Raises:
         ValueError: unless s and t are odd, coprime and exceed 1 (checked
@@ -110,11 +92,7 @@ def yinyang_grid(s: int, t: int) -> SignedGrid:
     check_pair(s, t, odd=True, coprime=True)
     if s >= t:
         raise ValueError("s must be less than t")
-    values = tuple(
-        tuple(t * ((s + 1) // 2 - i) - s * j for j in range(1, (t - 1) // 2 + 1))
-        for i in range(1, (s - 1) // 2 + 1)
-    )
-    return SignedGrid(rows=(s - 1) // 2, cols=(t - 1) // 2, values=values)
+    return tuple(tuple(t * k - s * j for k in range(1, (s + 1) // 2)) for j in range(1, (t + 1) // 2))
 
 
 def enumerate_paths(rows: int, cols: int) -> Iterator[Path]:
@@ -132,26 +110,23 @@ def _check_path(path: Path, rows: int, cols: int) -> None:
 
 
 def _trapped_values(
-    grid: SignedGrid, path: Path, border: tuple[int, ...] | None = None
+    grid: Grid, path: Path, border: tuple[int, ...] | None = None
 ) -> tuple[list[int], list[int]]:
     """Values between the path and the sign border, split by side.
 
-    ``border`` is ``grid.border_heights()``, passed in by callers that reuse it.
+    ``border`` is ``_border_heights(grid)``, passed in by callers that reuse it.
 
     Returns (above, below): above holds the positive values trapped where the
     path rises over the border, below the negative values where it dips under.
     """
-    _check_path(path, grid.rows, grid.cols)
+    _check_path(path, len(grid[0]), len(grid))
     if border is None:
-        border = grid.border_heights()
+        border = _border_heights(grid)
     above: list[int] = []
     below: list[int] = []
-    for c in range(grid.cols):
-        hp, hb = path[c], border[c]
-        for y in range(hb, hp):
-            above.append(grid.values[grid.rows - 1 - y][c])
-        for y in range(hp, hb):
-            below.append(grid.values[grid.rows - 1 - y][c])
+    for column, hp, hb in zip(grid, path, border):
+        above += column[hb:hp]
+        below += column[hp:hb]
     return above, below
 
 
@@ -188,7 +163,7 @@ def yy_path_to_barcore(path: Path, s: int, t: int) -> BarPartition:
     return tuple(sorted((abs(v) for v in above + below), reverse=True))
 
 
-def _path_from_marked(grid: SignedGrid, marked: set[int]) -> Path:
+def _path_from_marked(grid: Grid, marked: set[int]) -> Path:
     """Recover the path trapping exactly the cells whose |value| is marked.
 
     Works because the grids used here never repeat an absolute value: per
@@ -198,16 +173,10 @@ def _path_from_marked(grid: SignedGrid, marked: set[int]) -> Path:
     Raises:
         ValueError: if no monotonic path traps exactly the marked set.
     """
-    border = grid.border_heights()
     heights = []
-    for c in range(grid.cols):
-        hb = border[c]
-        up = sum(
-            1 for y in range(hb, grid.rows) if abs(grid.values[grid.rows - 1 - y][c]) in marked
-        )
-        down = sum(
-            1 for y in range(0, hb) if abs(grid.values[grid.rows - 1 - y][c]) in marked
-        )
+    for column, hb in zip(grid, _border_heights(grid)):
+        up = sum(abs(v) in marked for v in column[hb:])
+        down = sum(abs(v) in marked for v in column[:hb])
         if up and down:
             raise ValueError("marked values straddle the border in one column")
         heights.append(hb + up - down)
@@ -344,8 +313,8 @@ def _paths_above(border: tuple[int, ...], rows: int, low: int = 0) -> Iterator[P
 def enumerate_st_cores_by_paths(s: int, t: int) -> Iterator[Partition]:
     """All (s,t)-cores for coprime s, t, one per valid Anderson path."""
     grid = anderson_grid(s, t)
-    border = grid.border_heights()
-    for path in _paths_above(border, grid.rows):
+    border = _border_heights(grid)
+    for path in _paths_above(border, s):
         above, _ = _trapped_values(grid, path, border)
         yield from_first_column_hooks(above)
 
@@ -353,18 +322,18 @@ def enumerate_st_cores_by_paths(s: int, t: int) -> Iterator[Partition]:
 def enumerate_selfconj_by_dh(s: int, t: int) -> Iterator[Partition]:
     """All self-conjugate (s,t)-cores for coprime s, t, one per path."""
     grid = dh_grid(s, t)
-    for path in enumerate_paths(grid.rows, grid.cols):
+    for path in enumerate_paths(len(grid[0]), len(grid)):
         yield dh_path_to_selfconj(path, s, t)
 
 
 def enumerate_barcores_by_yy(s: int, t: int) -> Iterator[BarPartition]:
     """All (s-bar, t-bar)-cores for odd coprime s < t, one per path."""
     grid = yinyang_grid(s, t)
-    for path in enumerate_paths(grid.rows, grid.cols):
+    for path in enumerate_paths(len(grid[0]), len(grid)):
         yield yy_path_to_barcore(path, s, t)
 
 
-def census_by_size(grid: SignedGrid, limit: int, *, beta_sets: bool = False) -> list[int]:
+def census_by_size(grid: Grid, limit: int, *, beta_sets: bool = False) -> list[int]:
     """Number of cores of each size up to ``limit`` over the monotonic paths of ``grid``.
 
     Counts what the path enumerators above decode, without building a path or
@@ -387,15 +356,15 @@ def census_by_size(grid: SignedGrid, limit: int, *, beta_sets: bool = False) -> 
     Returns:
         counts[n], the number of cores of size n, for n = 0..limit.
     """
-    border = grid.border_heights()
+    heights = range(len(grid[0]) + 1)
     # states[h] maps (k, S) to the number of path prefixes ending at height h.
-    states: list[dict[tuple[int, int], int]] = [{} for _ in range(grid.rows + 1)]
+    states: list[dict[tuple[int, int], int]] = [{} for _ in heights]
     states[0][(0, 0)] = 1
-    for c, hb in enumerate(border):
-        column = [abs(grid.values[grid.rows - 1 - y][c]) for y in range(grid.rows)]
-        new: list[dict[tuple[int, int], int]] = [{} for _ in range(grid.rows + 1)]
+    for values, hb in zip(grid, _border_heights(grid)):
+        column = [abs(v) for v in values]
+        new: list[dict[tuple[int, int], int]] = [{} for _ in heights]
         reach: dict[tuple[int, int], int] = {}
-        for h in range(grid.rows + 1):
+        for h in heights:
             for key, n in states[h].items():
                 reach[key] = reach.get(key, 0) + n
             if beta_sets and h < hb:

@@ -51,7 +51,7 @@ def common_divisor(s: int, t: int) -> int:
 
 
 class Frozen:
-    """Base of the immutable value classes (towers, grids, count tables).
+    """Base of the immutable value classes (towers and count tables).
 
     A subclass names its fields in ``__slots__`` and sets them once, in
     ``__init__``, with ``object.__setattr__``. As with a frozen dataclass,

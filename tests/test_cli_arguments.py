@@ -13,21 +13,10 @@ import sys
 import pytest
 
 import stcores
-from stcores.cli import main
 
 
-def run(capsys, *args: str) -> tuple[int, str, str]:
-    try:
-        main(list(args))
-        code = 0
-    except SystemExit as stop:
-        code = stop.code
-    out, err = capsys.readouterr()
-    return code, out, err
-
-
-def test_version_prints_the_program_and_version(capsys):
-    assert run(capsys, "--version") == (0, "stcores, version 0.1.0\n", "")
+def test_version_prints_the_program_and_version(run):
+    assert run("--version") == (0, "stcores, version 0.1.0\n", "")
 
 
 @pytest.mark.parametrize(
@@ -39,20 +28,20 @@ def test_version_prints_the_program_and_version(capsys):
         ("verify", "examples"),
     ),
 )
-def test_a_negative_truncation_is_refused(capsys, args):
-    code, out, err = run(capsys, *args, "-N", "-1")
+def test_a_negative_truncation_is_refused(run, args):
+    code, out, err = run(*args, "-N", "-1")
     assert (code, out) == (2, "")
     assert "argument -N/--truncation: '-1' is not a nonnegative integer" in err
 
 
 @pytest.mark.parametrize("value", ("-1", "abc"))
-def test_a_bad_truncation_in_the_environment_is_refused(capsys, monkeypatch, value):
+def test_a_bad_truncation_in_the_environment_is_refused(run, monkeypatch, value):
     monkeypatch.setenv("STCORES_TRUNCATION", value)
-    code, out, err = run(capsys, "series", "--gf", "partition")
+    code, out, err = run("series", "--gf", "partition")
     assert (code, out) == (2, "")
     assert f"argument -N/--truncation: '{value}' is not a nonnegative integer" in err
     # an explicit -N wins and never reads the variable
-    assert run(capsys, "series", "--gf", "partition", "-N", "2") == (0, "n,coefficient\n0,1\n1,1\n2,2\n", "")
+    assert run("series", "--gf", "partition", "-N", "2") == (0, "n,coefficient\n0,1\n1,1\n2,2\n", "")
 
 
 @pytest.mark.parametrize(
@@ -66,14 +55,14 @@ def test_a_bad_truncation_in_the_environment_is_refused(capsys, monkeypatch, val
         (("bijection", "--map", "omega", "-t", "3", "--input", "[]"), "--map"),
     ),
 )
-def test_an_unknown_choice_is_refused(capsys, args, option):
-    code, out, err = run(capsys, *args)
+def test_an_unknown_choice_is_refused(run, args, option):
+    code, out, err = run(*args)
     assert (code, out) == (2, "")
     assert f"argument {option}: invalid choice" in err
 
 
-def test_a_refused_parameter_is_one_line_on_stderr(capsys):
-    assert run(capsys, "count", "-t", "0", "-N", "5") == (1, "", "Error: t must be >= 1\n")
+def test_a_refused_parameter_is_one_line_on_stderr(run):
+    assert run("count", "-t", "0", "-N", "5") == (1, "", "Error: t must be >= 1\n")
 
 
 @pytest.mark.parametrize(
@@ -85,20 +74,20 @@ def test_a_refused_parameter_is_one_line_on_stderr(capsys):
         (("-g", "5", "--mod", "-3"), "modulus must be >= 2"),
     ),
 )
-def test_scan_refuses_a_small_divisor_or_modulus_in_one_line(capsys, params, message):
-    assert run(capsys, "scan", "--gf", "partition", *params, "-N", "5") == (1, "", f"Error: {message}\n")
+def test_scan_refuses_a_small_divisor_or_modulus_in_one_line(run, params, message):
+    assert run("scan", "--gf", "partition", *params, "-N", "5") == (1, "", f"Error: {message}\n")
 
 
-def test_scan_reports_no_residue_beyond_the_truncation(capsys):
+def test_scan_reports_no_residue_beyond_the_truncation(run):
     # p(1) = 1: at -N 0 no residue but 0 has a coefficient to check.
-    assert run(capsys, "scan", "--gf", "partition", "-g", "5", "--mod", "5", "-N", "0") == (
+    assert run("scan", "--gf", "partition", "-g", "5", "--mod", "5", "-N", "0") == (
         0, '{"modulus":5,"g":5,"residues":[],"verified_to":0}\n', ""
     )
 
 
-def test_a_report_path_that_is_a_directory_is_a_one_line_error(capsys, tmp_path):
+def test_a_report_path_that_is_a_directory_is_a_one_line_error(run, tmp_path):
     # The report is opened before any suite runs, so no check prints.
-    code, out, err = run(capsys, "verify", "examples", "--report", str(tmp_path))
+    code, out, err = run("verify", "examples", "--report", str(tmp_path))
     assert code == 1
     assert out == ""
     assert err.startswith("Error: ") and "Is a directory" in err and err.count("\n") == 1

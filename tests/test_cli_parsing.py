@@ -58,18 +58,12 @@ def assert_read_like_argparse(argv: list[str], accepted: bool = False) -> None:
     reason="captured from Python 3.11's argparse, whose wording and layout vary by version",
 )
 @pytest.mark.parametrize("case", MESSAGES, ids=lambda case: shlex.join(case["argv"]) or "(none)")
-def test_help_and_usage_errors_are_byte_identical(case, capsys, monkeypatch):
+def test_help_and_usage_errors_are_byte_identical(case, run, monkeypatch):
     monkeypatch.delenv("STCORES_TRUNCATION", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     for name, value in case["env"].items():
         monkeypatch.setenv(name, value)
-    try:
-        cli.main(case["argv"])
-        code = 0
-    except SystemExit as stop:
-        code = stop.code
-    out, err = capsys.readouterr()
-    assert (code, out, err) == (case["code"], case["stdout"], case["stderr"])
+    assert run(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 def bench_pool() -> list[tuple[str, ...]]:

@@ -14,7 +14,6 @@ import shlex
 
 import pytest
 
-from stcores.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -74,14 +73,13 @@ def test_every_documented_command_but_verify_has_a_digest():
 
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))
-def test_documented_command_prints_its_pinned_output(command, capsys, monkeypatch):
+def test_documented_command_prints_its_pinned_output(command, run, monkeypatch):
     words = shlex.split(command, comments=True)
     monkeypatch.delenv("STCORES_TRUNCATION", raising=False)
     while "=" in words[0]:
         name, value = words.pop(0).split("=", 1)
         monkeypatch.setenv(name, value)
     assert words[0] == "stcores"
-    main(words[1:])
-    out, err = capsys.readouterr()
-    assert err == ""
+    code, out, err = run(*words[1:])
+    assert (code, err) == (0, "")
     assert sha256(out.encode()).hexdigest() == DIGESTS[command]

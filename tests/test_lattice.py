@@ -8,6 +8,7 @@ import pytest
 from stcores.bar_partitions import is_tbar_core
 from stcores.core_quotient import is_st_core, is_stbar_core
 from stcores.lattice import (
+    _border_heights,
     anderson_grid,
     anderson_path_to_core,
     barcore_to_yy_path,
@@ -58,10 +59,10 @@ def test_decoders_refuse_a_malformed_path(path):
 
 def test_anderson_grid_small_values():
     grid = anderson_grid(2, 3)
-    # value at row r, column c is st - s - t - cs - rt, zero-indexed
-    assert grid.rows == 2 and grid.cols == 3
-    assert grid.values == ((1, -1, -3), (-2, -4, -6))
-    assert grid.border_heights() == (1, 2, 2)
+    # value at row r, column c is st - s - t - cs - rt, zero-indexed from the
+    # top left; a grid is its columns, left to right, each from the bottom up
+    assert grid == ((-2, 1), (-4, -1), (-6, -3))
+    assert _border_heights(grid) == (1, 2, 2)
 
 
 def test_anderson_grid_rejects_common_factors():
@@ -70,11 +71,12 @@ def test_anderson_grid_rejects_common_factors():
 
 
 def test_dh_and_yinyang_grid_small_values():
-    assert dh_grid(3, 5).values == ((7, 1),)
-    assert dh_grid(7, 11).rows == 3 and dh_grid(7, 11).cols == 5
-    assert dh_grid(4, 5).values == ((11, 3), (1, -7))
-    assert dh_grid(2, 3).values == ((1,),)
-    assert yinyang_grid(3, 5).values == ((2, -1),)
+    # columns left to right, each from the bottom up
+    assert dh_grid(3, 5) == ((7,), (1,))
+    assert [len(column) for column in dh_grid(7, 11)] == [3] * 5
+    assert dh_grid(4, 5) == ((1, 11), (-7, 3))
+    assert dh_grid(2, 3) == ((1,),)
+    assert yinyang_grid(3, 5) == ((2,), (-1,))
 
 
 @pytest.mark.parametrize("s", (1, 4))
@@ -104,7 +106,7 @@ def test_path_census_counts_and_extremes(s, t, count, largest):
 def test_bounded_anderson_walk_yields_what_the_filtered_walk_did(s, t):
     # the walk generates only heights at or above the sign border; the
     # reference filters every height profile, and the order must not change
-    border = anderson_grid(s, t).border_heights()
+    border = _border_heights(anderson_grid(s, t))
     want = [
         anderson_path_to_core(path, s, t)
         for path in enumerate_paths(s, t)

@@ -8,7 +8,6 @@ import pytest
 
 from stcores import partitions as partitions_module
 from stcores.core_quotient import BarTower, StraightTower
-from stcores.lattice import SignedGrid
 from stcores.oracle import CountTable
 from stcores.partitions import (
     as_partition,
@@ -161,7 +160,6 @@ def test_parameter_messages_appear_only_in_the_validators():
 VALUE_CLASSES = (
     (StraightTower, (2, (1,), ((), ())), (2, (), ((), ())), "StraightTower(g=2, core=(1,), quotient=((), ()))"),
     (BarTower, (3, (1,), ((), ())), (3, (1,), ((1,), ())), "BarTower(g=3, core=(1,), quotient=((), ()))"),
-    (SignedGrid, (1, 2, ((1, -1),)), (1, 2, ((1, -3),)), "SignedGrid(rows=1, cols=2, values=((1, -1),))"),
     (CountTable, ("f_5", (1, 1, 2, 3)), ("f_7", (1, 1, 2, 3)), "CountTable(label='f_5', counts=(1, 1, 2, 3))"),
 )
 
