@@ -5,8 +5,8 @@ compact JSON separators, insertion-ordered keys, fixed row order. Partitions
 are JSON arrays (largest part first); bar partitions are tagged objects so
 the two kinds cannot be confused downstream. Integer-only JSON is written
 directly, byte for byte as `json.dumps(..., separators=(",", ":"))` writes
-it; `json` is imported only where a string is serialized or the input is not
-a compact integer array.
+it; `json` is imported only where a string is serialized or a `bijection
+--input` is read.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ def parse_partition_argument(text: str) -> tuple[str, tuple[int, ...]]:
     Raises:
         ValueError: on malformed JSON or a wrong shape.
     """
-    bar = text.startswith(_BAR_PREFIX) and text.endswith("}")
-    parts = _compact_int_array(text[len(_BAR_PREFIX) : -1] if bar else text)
-    if parts is not None:
-        return ("bar" if bar else "straight"), parts
     import json
 
     try:
@@ -70,23 +66,6 @@ def parse_partition_argument(text: str) -> tuple[str, tuple[int, ...]]:
             raise ValueError('object input must look like {"kind":"bar","parts":[...]}')
         return "bar", _int_tuple(value["parts"])
     return "straight", _int_tuple(value)
-
-
-def _compact_int_array(text: str) -> tuple[int, ...] | None:
-    # The integers of a JSON array written without spaces, such as `[3,3,1]`,
-    # or None for any other text: each item must be a JSON integer (ASCII
-    # digits, an optional minus sign, no leading zero), so json.loads would
-    # read the same list.
-    if text[:1] != "[" or text[-1:] != "]":
-        return None
-    if text == "[]":
-        return ()
-    items = text[1:-1].split(",")
-    for item in items:
-        digits = item[1:] if item[:1] == "-" else item
-        if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and len(digits) > 1):
-            return None
-    return tuple(map(int, items))
 
 
 def _int_tuple(value: object) -> tuple[int, ...]:

@@ -322,15 +322,19 @@ def enumerate_st_cores_by_paths(s: int, t: int) -> Iterator[Partition]:
 def enumerate_selfconj_by_dh(s: int, t: int) -> Iterator[Partition]:
     """All self-conjugate (s,t)-cores for coprime s, t, one per path."""
     grid = dh_grid(s, t)
+    border = _border_heights(grid)
     for path in enumerate_paths(len(grid[0]), len(grid)):
-        yield dh_path_to_selfconj(path, s, t)
+        above, below = _trapped_values(grid, path, border)
+        yield from_diagonal_hooks([abs(v) for v in above + below])
 
 
 def enumerate_barcores_by_yy(s: int, t: int) -> Iterator[BarPartition]:
     """All (s-bar, t-bar)-cores for odd coprime s < t, one per path."""
     grid = yinyang_grid(s, t)
+    border = _border_heights(grid)
     for path in enumerate_paths(len(grid[0]), len(grid)):
-        yield yy_path_to_barcore(path, s, t)
+        above, below = _trapped_values(grid, path, border)
+        yield tuple(sorted((abs(v) for v in above + below), reverse=True))
 
 
 def census_by_size(grid: Grid, limit: int, *, beta_sets: bool = False) -> list[int]:

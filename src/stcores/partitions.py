@@ -117,9 +117,9 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 
 def is_partition(parts: tuple[int, ...]) -> bool:
-    """True if ``parts`` is already a canonical partition tuple."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
+    """True if ``parts`` is already a canonical partition tuple; like as_partition, refuses bools."""
+    return all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in parts) and all(
+        map(int.__ge__, parts, parts[1:])
     )
 
 
@@ -146,7 +146,8 @@ def conjugate(p: Partition) -> Partition:
 
 def is_self_conjugate(p: Partition) -> bool:
     """True if the partition equals its conjugate."""
-    return p == conjugate(p)
+    # Its first row must then equal its first column; conjugating costs p[0] steps.
+    return not p or p[0] == len(p) and p == conjugate(p)
 
 
 def first_column_hooks(p: Partition) -> frozenset[int]:

@@ -251,22 +251,28 @@ def suite_congruence(limit: int) -> list[Check]:
     """Arithmetic-progression divisibility scans plus brute-force confirmation."""
     checks: list[Check] = []
     member_scans = [
-        ("5-core counts on 5k+4 divisible by 5", sr.core_gf(5, limit), 5, 5, 4),
-        ("7-core counts on 7k+5 divisible by 7", sr.core_gf(7, limit), 7, 7, 5),
-        ("11-core counts on 11k+6 divisible by 11", sr.core_gf(11, limit), 11, 11, 6),
-        ("(10,15)-core counts on 5k+4 divisible by 5", sr.psi_st_gf(10, 15, limit), 5, 5, 4),
-        ("(14,21)-core counts on 7k+5 divisible by 7", sr.psi_st_gf(14, 21, limit), 7, 7, 5),
-        ("(22,33)-core counts on 11k+6 divisible by 11", sr.psi_st_gf(22, 33, limit), 11, 11, 6),
+        ("5-core counts on 5k+4 divisible by 5", sr.core_gf(5, limit), 5, 5, (4,)),
+        ("7-core counts on 7k+5 divisible by 7", sr.core_gf(7, limit), 7, 7, (5,)),
+        ("11-core counts on 11k+6 divisible by 11", sr.core_gf(11, limit), 11, 11, (6,)),
+        ("(10,15)-core counts on 5k+4 divisible by 5", sr.psi_st_gf(10, 15, limit), 5, 5, (4,)),
+        ("(14,21)-core counts on 7k+5 divisible by 7", sr.psi_st_gf(14, 21, limit), 7, 7, (5,)),
+        ("(22,33)-core counts on 11k+6 divisible by 11", sr.psi_st_gf(22, 33, limit), 11, 11, (6,)),
     ]
+
     # The scan reports no residue above the truncation, where no coefficient
     # lies, so each expected residue is checked only where it can be; a check
-    # whose residue lies above the truncation passes and says it saw nothing.
-    for label, series, g, modulus, residue in member_scans:
-        if residue > limit:
-            checks.append((label, True, f"no coefficient on {g}k+{residue} up to {limit}"))
-            continue
+    # whose residues all lie above the truncation passes and says it saw nothing.
+    def scan_check(
+        label: str, series: sr.TruncatedSeries, g: int, modulus: int, residues: tuple[int, ...]
+    ) -> Check:
+        if min(residues) > limit:
+            progressions = " or ".join(f"{g}k+{r}" for r in residues)
+            return label, True, f"no coefficient on {progressions} up to {limit}"
         found = sr.congruence_scan(series, g, modulus)
-        checks.append((label, residue in found, f"scan to {limit} reports residues {found}"))
+        passed = all(r in found for r in residues if r <= limit)
+        return label, passed, f"scan to {limit} reports residues {found}"
+
+    checks.extend(scan_check(*scan) for scan in member_scans)
 
     qnr = tuple(r for r in range(1, 5) if pow(24 * r + 1, 2, 5) == 4)
     found = sr.congruence_scan(sr.barcore_gf(5, limit), 5, 2)
@@ -277,14 +283,8 @@ def suite_congruence(limit: int) -> list[Check]:
             tuple(r for r in qnr if r <= limit),
         )
     )
-    bar_found = sr.congruence_scan(sr.psi_bar_st_gf(15, 25, limit), 5, 2)
-    checks.append(
-        (
-            "(15-bar,25-bar)-core counts even on the nonresidue progressions",
-            all(r in bar_found for r in qnr if r <= limit),
-            f"scan to {limit} reports residues {bar_found}",
-        )
-    )
+    bar_label = "(15-bar,25-bar)-core counts even on the nonresidue progressions"
+    checks.append(scan_check(bar_label, sr.psi_bar_st_gf(15, 25, limit), 5, 2, qnr))
 
     cap50 = min(limit, 50)
     progressions = (

@@ -344,6 +344,14 @@ def test_verify_report_says_which_member_scans_saw_no_coefficient(run, tmp_path)
     run("verify", "congruence", "-N", "4", "--report", str(path))
     (suite,) = json.loads(path.read_text())["suites"]
     assert suite["checks"][0]["detail"] == "scan to 4 reports residues (4,)"
+    # the (15-bar,25-bar) check reads the nonresidues 5k+3 and 5k+4 together:
+    # -N 2 reaches neither, and -N 3 scans the first of them
+    bar_label = "(15-bar,25-bar)-core counts even on the nonresidue progressions"
+    for limit, detail in (("2", "no coefficient on 5k+3 or 5k+4 up to 2"), ("3", "scan to 3 reports residues (3,)")):
+        code, out, err = run("verify", "congruence", "-N", limit, "--report", str(path))
+        assert (code, err, out.splitlines()[-1]) == (0, "", "all 12 checks passed")
+        (suite,) = json.loads(path.read_text())["suites"]
+        assert suite["checks"][7] == {"label": bar_label, "passed": True, "detail": detail}
 
 
 def test_verify_report_is_not_written_for_an_unknown_suite(run, tmp_path):

@@ -107,3 +107,19 @@ def test_a_closed_stdout_ends_the_call_quietly():
     child.stderr.close()
     assert child.wait(timeout=60) == 1
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "map_name, pair",
+    (("zeta", ("-t", "3")), ("gamma", ("-s", "7", "-t", "11")), ("big-gamma", ("-s", "21", "-t", "33"))),
+)
+def test_a_forward_map_refuses_a_huge_part_at_once(map_name, pair):
+    # Conjugating takes one step per column: the self-conjugacy test compares
+    # the first row with the first column before it conjugates.
+    src = str(Path(stcores.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "stcores.cli", "bijection", "--map", map_name, *pair, "--input", f"[{10**30}]"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "Error: input is not self-conjugate\n")

@@ -91,10 +91,12 @@ def test_bar_towers_reject_an_even_or_small_modulus(g):
         (((0, 0, 3), (1,)), 0),
         (((1, 3), ()), 0),
         (((2,), (1, 0)), 1),
+        (((2, True), ()), 0),
     ),
 )
 def test_reconstruct_refuses_a_component_that_is_not_a_partition(quotient, j):
-    # ((1, 3), ()) used to give (3, 2, 2, 1), whose 2-quotient is ((2, 2), ())
+    # ((1, 3), ()) used to give (3, 2, 2, 1), whose 2-quotient is ((2, 2), ());
+    # ((2, True), ()) gave (3, 1, 1, 1), reading True as the part 1
     tower = StraightTower(g=2, core=(), quotient=quotient)
     with pytest.raises(ValueError, match=f"^component {j} is not a partition$"):
         reconstruct(tower)
@@ -157,7 +159,7 @@ def test_bar_decompose_rejects_even_or_small_modulus():
         bar_decompose((2, 1), 1)
 
 
-@pytest.mark.parametrize("b, g", (((3, 3), 3), ((4, 0), 3), ((2, 2), 5)))
+@pytest.mark.parametrize("b, g", (((3, 3), 3), ((4, 0), 3), ((2, 2), 5), ((True,), 3)))
 def test_bar_decompose_refuses_input_that_is_not_a_bar_partition(b, g):
     with pytest.raises(ValueError, match="^input is not a bar partition$"):
         bar_decompose(b, g)

@@ -5,7 +5,6 @@ import pytest
 
 from stcores.core_quotient import BarTower, StraightTower, bar_decompose, decompose
 from stcores.formats import (
-    _compact_int_array,
     bar_to_json,
     checks_report,
     count_table_csv,
@@ -146,29 +145,32 @@ def test_the_direct_emitters_write_what_json_dumps_writes(parts, coeffs, g, modu
     assert count_table_json(table) == json.dumps({"label": label, "counts": coeffs}, **COMPACT)
 
 
-@given(
-    st.one_of(
-        st.lists(INTS, max_size=6).map(lambda parts: json.dumps(parts, **COMPACT)),
-        st.text(alphabet="[]{},-0123456789 .e+\"abkindpartsr\u0663", max_size=16),
+# Int lists as json.dumps writes them, compact and spaced, bare and tagged.
+DUMPED = st.builds(
+    lambda parts, tagged, separators: json.dumps(
+        {"kind": "bar", "parts": parts} if tagged else parts, separators=separators
     ),
+    st.lists(INTS, max_size=6),
     st.booleans(),
+    st.sampled_from([(",", ":"), (", ", ": ")]),
 )
-def test_compact_arrays_are_read_as_json_reads_them(text, tagged):
-    # The fast path reads only what json.loads reads as a list of integers;
-    # anything else falls through to json and its messages.
-    parts = _compact_int_array(text)
-    if parts is not None:
-        assert list(parts) == json.loads(text)
-    if tagged:
-        text = '{"kind":"bar","parts":' + text + "}"
+JUNK = st.text(alphabet="[]{},:-0123456789 .e+\"abkindpartsr\u0663", max_size=16)
+
+
+@given(st.one_of(DUMPED, JUNK, JUNK.map(lambda text: '{"kind":"bar","parts":' + text + "}")))
+def test_partition_arguments_are_read_as_json_reads_them(text):
     try:
         value = json.loads(text)
-    except ValueError:
-        value = None
-    if isinstance(value, dict):
-        value = value.get("parts")
+    except json.JSONDecodeError as err:
+        with pytest.raises(ValueError) as raised:
+            parse_partition_argument(text)
+        assert str(raised.value) == f"input is not valid JSON: {err}"
+        return
+    kind = "straight"
+    if isinstance(value, dict) and value.get("kind") == "bar":
+        kind, value = "bar", value.get("parts")
     if isinstance(value, list) and all(type(x) is int for x in value):
-        assert parse_partition_argument(text) == ("bar" if tagged else "straight", tuple(value))
+        assert parse_partition_argument(text) == (kind, tuple(value))
     else:
         with pytest.raises(ValueError):
             parse_partition_argument(text)

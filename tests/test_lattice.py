@@ -5,6 +5,7 @@ from math import comb, gcd
 
 import pytest
 
+from stcores import lattice as lattice_module
 from stcores.bar_partitions import is_tbar_core
 from stcores.core_quotient import is_st_core, is_stbar_core
 from stcores.lattice import (
@@ -113,6 +114,23 @@ def test_bounded_anderson_walk_yields_what_the_filtered_walk_did(s, t):
         if all(map(int.__ge__, path, border))
     ]
     assert list(enumerate_st_cores_by_paths(s, t)) == want
+
+
+@pytest.mark.parametrize("s, t", ((3, 5), (5, 7), (7, 11)))
+def test_self_conjugate_and_bar_walks_build_their_grid_once(monkeypatch, s, t):
+    # each walk builds its grid and border once and decodes every path
+    # in place, in the order the per-path decoders give
+    calls = Counter()
+    for name in ("dh_grid", "yinyang_grid"):
+        build = getattr(lattice_module, name)
+        monkeypatch.setattr(lattice_module, name, lambda s, t, f=build, n=name: calls.update([n]) or f(s, t))
+    selfconj = list(enumerate_selfconj_by_dh(s, t))
+    assert calls == {"dh_grid": 1}
+    bars = list(enumerate_barcores_by_yy(s, t))
+    assert calls == {"dh_grid": 1, "yinyang_grid": 1}
+    paths = list(enumerate_paths(s // 2, t // 2))
+    assert selfconj == [dh_path_to_selfconj(path, s, t) for path in paths]
+    assert bars == [yy_path_to_barcore(path, s, t) for path in paths]
 
 
 @cache

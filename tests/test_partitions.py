@@ -49,6 +49,15 @@ def test_as_partition_rejects_negative_parts():
         ((5, 5, 2), True),
         ((1, 2), False),
         ((2, -1), False),
+        # parts are read as as_partition reads them: a bool is not a part
+        ((True,), False),
+        ((2, True), False),
+        ((1.0,), False),
+        (("a",), False),
+        ((0,), False),
+        # any sequence is read, not only the canonical tuple
+        ([3, 1], True),
+        ([1, 3], False),
     ),
 )
 def test_is_partition(parts, ok):
