@@ -63,15 +63,19 @@ def test_every_public_method_has_a_caller_outside_the_tests():
 
 
 # One canonical call per verb, as the option table reads it without argparse.
+# The calls share one interpreter, so each stage only shows the modules that
+# are new since the stage before it. The bijection calls import json to read
+# their --input, so they come last: every other stage runs before json is
+# loaded and is checked for it.
 CANONICAL_CALLS = [
     ["--version"],
     ["count", "-t", "3", "-s", "2", "-N", "10"],
     ["series", "--gf", "psi", "-s", "2", "-t", "3", "-N", "5", "--format", "json"],
     ["grid", "--kind", "anderson", "-s", "7", "-t", "11"],
-    ["bijection", "--map", "gamma", "-s", "7", "-t", "11", "--input", "[3,3,3]"],
-    ["bijection", "--map", "zeta-inverse", "-t", "3", "--input", '{"kind":"bar","parts":[4,1]}'],
     ["scan", "--gf", "partition", "-g", "5", "--mod", "5", "-N", "30"],
     ["verify", "examples", "-N", "10"],
+    ["bijection", "--map", "gamma", "-s", "7", "-t", "11", "--input", "[3,3,3]"],
+    ["bijection", "--map", "zeta-inverse", "-t", "3", "--input", '{"kind":"bar","parts":[4,1]}'],
 ]
 
 
@@ -109,6 +113,9 @@ for stage, modules in stages:
     assert len(stages) == len(CANONICAL_CALLS) + 1
     assert {"stcores.cli", "stcores.verify"} <= stages["import"]
     forbidden = {"argparse", "gettext", "locale", "textwrap", "json", "click", "dataclasses", "inspect"}
+    # json, once loaded, hides from every later stage: no other call may follow a bijection.
+    after_bijection = [argv[0] == "bijection" for argv in CANONICAL_CALLS]
+    assert after_bijection == sorted(after_bijection)
     allowed = {stage: {"json"} if stage.startswith("bijection") else set() for stage in stages}
     imported = {stage: modules & forbidden - allowed[stage] for stage, modules in stages.items()}
     assert {stage: modules for stage, modules in imported.items() if modules} == {}
