@@ -6,14 +6,15 @@ heights: a non-decreasing C-tuple over 0..R whose entry c counts the cells of
 column c below the path. A grid is stored the same way, as its C columns from
 left to right, each read from the bottom row up. The heights, together with
 the grid's sign border, determine the trapped cells, whose values decode a
-partition.
-:func:`census_by_size` counts the cores of each size up to a limit over all
-paths of a grid without walking them one by one.
+partition. :data:`FAMILIES` holds each family's grid, path bound and decoder,
+keyed "straight", "selfconj" and "bar"; on it, :func:`path_to_core` decodes
+one path, :func:`enumerate_cores_by_paths` walks them all, and
+:func:`census_by_size` counts the cores of each size up to a limit without
+walking the paths one by one.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from typing import Iterator
 
 from .bar_partitions import BarPartition, is_tbar_core
@@ -95,13 +96,6 @@ def yinyang_grid(s: int, t: int) -> Grid:
     return tuple(tuple(t * k - s * j for k in range(1, (s + 1) // 2)) for j in range(1, (t + 1) // 2))
 
 
-def enumerate_paths(rows: int, cols: int) -> Iterator[Path]:
-    """All monotonic paths of an R x C grid, exactly once, in lexicographic order."""
-    if rows < 0 or cols < 0:
-        raise ValueError("rows and cols must be nonnegative")
-    yield from combinations_with_replacement(range(rows + 1), cols)
-
-
 def _check_path(path: Path, rows: int, cols: int) -> None:
     """Refuse anything but ``cols`` non-decreasing heights within 0..rows."""
     rising = not any(map(int.__gt__, path, path[1:]))
@@ -130,37 +124,32 @@ def _trapped_values(
     return above, below
 
 
-def anderson_path_to_core(path: Path, s: int, t: int) -> Partition:
-    """The (s,t)-core whose first-column hooks are the path's trapped values.
+# Per family: its grid builder, whether a path must stay weakly above the
+# sign border, and the decoder of its trapped values (above, then below).
+# "straight": (s,t)-cores on Anderson's grid; the k trapped values of sum S
+# are the first-column hooks (a beta-set) of a core of size S - k(k-1)/2.
+# "selfconj": self-conjugate (s,t)-cores on the diagonal-hooks grid, and
+# "bar": (s-bar, t-bar)-cores on the yin-yang grid; every path counts, and
+# the trapped |values| are the diagonal hooks or the parts of a core of size S.
+FAMILIES = {
+    "straight": (anderson_grid, True, from_first_column_hooks),
+    "selfconj": (dh_grid, False, lambda trapped: from_diagonal_hooks([abs(v) for v in trapped])),
+    "bar": (yinyang_grid, False, lambda trapped: tuple(sorted(map(abs, trapped), reverse=True))),
+}
 
-    The path must stay weakly above the sign border.
+
+def path_to_core(family: str, path: Path, s: int, t: int) -> Partition | BarPartition:
+    """The core of ``family`` decoded from the values the path traps in its grid.
 
     Raises:
-        ValueError: if the path dips below the border.
+        ValueError: if the path does not fit the grid, or if a straight path
+            dips below the sign border.
     """
-    grid = anderson_grid(s, t)
-    above, below = _trapped_values(grid, path)
-    if below:
+    build, above_border, decode = FAMILIES[family]
+    above, below = _trapped_values(build(s, t), path)
+    if above_border and below:
         raise ValueError("path traps negative values")
-    return from_first_column_hooks(above)
-
-
-def dh_path_to_selfconj(path: Path, s: int, t: int) -> Partition:
-    """The self-conjugate (s,t)-core with the path's trapped |values| as diagonal hooks.
-
-    Every monotonic path is valid; trapped cells may lie on either side of the
-    border.
-    """
-    grid = dh_grid(s, t)
-    above, below = _trapped_values(grid, path)
-    return from_diagonal_hooks([abs(v) for v in above + below])
-
-
-def yy_path_to_barcore(path: Path, s: int, t: int) -> BarPartition:
-    """The (s-bar, t-bar)-core whose parts are the path's trapped |values|."""
-    grid = yinyang_grid(s, t)
-    above, below = _trapped_values(grid, path)
-    return tuple(sorted((abs(v) for v in above + below), reverse=True))
+    return decode(above + below)
 
 
 def _path_from_marked(grid: Grid, marked: set[int]) -> Path:
@@ -196,7 +185,7 @@ def selfconj_to_dh_path(p: Partition, s: int, t: int) -> Path:
     if not (is_t_core(p, s) and is_t_core(p, t)):
         raise ValueError("input is not an (s,t)-core")
     path = _path_from_marked(dh_grid(s, t), set(diagonal_hooks(p)))
-    if dh_path_to_selfconj(path, s, t) != p:
+    if path_to_core("selfconj", path, s, t) != p:
         raise ValueError("diagonal hooks do not fit the grid")
     return path
 
@@ -210,7 +199,7 @@ def barcore_to_yy_path(b: BarPartition, s: int, t: int) -> Path:
     if not (is_tbar_core(b, s) and is_tbar_core(b, t)):
         raise ValueError("input is not an (s-bar, t-bar)-core")
     path = _path_from_marked(yinyang_grid(s, t), set(b))
-    if yy_path_to_barcore(path, s, t) != b:
+    if path_to_core("bar", path, s, t) != b:
         raise ValueError("parts do not fit the grid")
     return path
 
@@ -228,7 +217,7 @@ def gamma(p: Partition, s: int, t: int) -> BarPartition:
     s, t = sorted((s, t))
     check_pair(s, t, odd=True, coprime=True)
     path = selfconj_to_dh_path(p, s, t)
-    return yy_path_to_barcore(path, s, t)
+    return path_to_core("bar", path, s, t)
 
 
 def gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
@@ -236,7 +225,7 @@ def gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
     s, t = sorted((s, t))
     check_pair(s, t, odd=True, coprime=True)
     path = barcore_to_yy_path(b, s, t)
-    return dh_path_to_selfconj(path, s, t)
+    return path_to_core("selfconj", path, s, t)
 
 
 def big_gamma(p: Partition, s: int, t: int) -> BarPartition:
@@ -300,7 +289,8 @@ def _paths_above(border: tuple[int, ...], rows: int, low: int = 0) -> Iterator[P
     """The paths with every height h_c >= border[c], in lexicographic order.
 
     Each height starts at the larger of the previous height (``low``) and the
-    border, so no path that dips below the border is generated.
+    border, so no path that dips below the border is generated; a zero border
+    gives every monotonic path of a ``rows`` x len(border) grid, once each.
     """
     if not border:
         yield ()
@@ -310,56 +300,42 @@ def _paths_above(border: tuple[int, ...], rows: int, low: int = 0) -> Iterator[P
             yield (h,) + rest
 
 
-def enumerate_st_cores_by_paths(s: int, t: int) -> Iterator[Partition]:
-    """All (s,t)-cores for coprime s, t, one per valid Anderson path."""
-    grid = anderson_grid(s, t)
-    border = _border_heights(grid)
-    for path in _paths_above(border, s):
-        above, _ = _trapped_values(grid, path, border)
-        yield from_first_column_hooks(above)
+def enumerate_cores_by_paths(family: str, s: int, t: int) -> Iterator[Partition | BarPartition]:
+    """All cores of ``family`` for a coprime pair, one per valid path, in lexicographic path order.
 
-
-def enumerate_selfconj_by_dh(s: int, t: int) -> Iterator[Partition]:
-    """All self-conjugate (s,t)-cores for coprime s, t, one per path."""
-    grid = dh_grid(s, t)
+    Builds the grid and its border once; a straight walk generates only the
+    paths weakly above the border.
+    """
+    build, above_border, decode = FAMILIES[family]
+    grid = build(s, t)
     border = _border_heights(grid)
-    for path in enumerate_paths(len(grid[0]), len(grid)):
+    for path in _paths_above(border if above_border else (0,) * len(grid), len(grid[0])):
         above, below = _trapped_values(grid, path, border)
-        yield from_diagonal_hooks([abs(v) for v in above + below])
+        yield decode(above + below)
 
 
-def enumerate_barcores_by_yy(s: int, t: int) -> Iterator[BarPartition]:
-    """All (s-bar, t-bar)-cores for odd coprime s < t, one per path."""
-    grid = yinyang_grid(s, t)
-    border = _border_heights(grid)
-    for path in enumerate_paths(len(grid[0]), len(grid)):
-        above, below = _trapped_values(grid, path, border)
-        yield tuple(sorted((abs(v) for v in above + below), reverse=True))
+def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
+    """Number of cores of ``family`` of each size up to ``limit``, over the paths of its grid.
 
-
-def census_by_size(grid: Grid, limit: int, *, beta_sets: bool = False) -> list[int]:
-    """Number of cores of each size up to ``limit`` over the monotonic paths of ``grid``.
-
-    Counts what the path enumerators above decode, without building a path or
-    a partition: the size of a core adds up over the trapped cells, so one
-    pass column by column over states (height, k, S) suffices, where k counts
-    the trapped cells so far and S sums their |values|. Every final height is
-    accepted, since the path may finish its column profile below the top.
-
-    With ``beta_sets`` (the Anderson grid) only paths weakly above the sign
-    border count, and k trapped values of sum S are a beta-set of a core of
-    size S - k(k-1)/2. Otherwise (the diagonal-hooks and yin-yang grids)
-    every path counts and the size is S.
+    Counts what :func:`enumerate_cores_by_paths` decodes, without building a
+    path or a partition: the size of a core adds up over the trapped cells,
+    so one pass column by column over states (height, k, S) suffices, where k
+    counts the trapped cells so far and S sums their |values|. Every final
+    height is accepted, since the path may finish its column profile below
+    the top. A straight path must stay weakly above the sign border, and its
+    size is S - k(k-1)/2; every other path counts, with size S.
 
     Every trapped |value| is a hook length of the core (a first-column hook,
     a diagonal hook or a bar part), so at most its size: a column height that
     traps a value above ``limit`` is skipped. Where the size is S, which only
     grows along the path, a state with S > limit is dropped as well; the
-    Anderson size does not grow monotonically, so it is cut only at the end.
+    straight size does not grow monotonically, so it is cut only at the end.
 
     Returns:
         counts[n], the number of cores of size n, for n = 0..limit.
     """
+    build, above_border, _ = FAMILIES[family]
+    grid = build(s, t)
     heights = range(len(grid[0]) + 1)
     # states[h] maps (k, S) to the number of path prefixes ending at height h.
     states: list[dict[tuple[int, int], int]] = [{} for _ in heights]
@@ -371,7 +347,7 @@ def census_by_size(grid: Grid, limit: int, *, beta_sets: bool = False) -> list[i
         for h in heights:
             for key, n in states[h].items():
                 reach[key] = reach.get(key, 0) + n
-            if beta_sets and h < hb:
+            if above_border and h < hb:
                 continue
             trapped = column[hb:h] if h >= hb else column[h:hb]
             if max(trapped, default=0) > limit:
@@ -380,13 +356,13 @@ def census_by_size(grid: Grid, limit: int, *, beta_sets: bool = False) -> list[i
             new[h] = {
                 (k + m, sum_ + w): n
                 for (k, sum_), n in reach.items()
-                if beta_sets or sum_ + w <= limit
+                if above_border or sum_ + w <= limit
             }
         states = new
     counts = [0] * (limit + 1)
     for level in states:
         for (k, sum_), n in level.items():
-            size = sum_ - k * (k - 1) // 2 if beta_sets else sum_
+            size = sum_ - k * (k - 1) // 2 if above_border else sum_
             if size <= limit:
                 counts[size] += n
     return counts

@@ -9,12 +9,12 @@ t-cores, t-bar-cores) are eta quotients, products of powers of
 P(x**d) = prod (1 - x**(dn)), evaluated in place over Euler's pentagonal
 series by :func:`eta_quotient`. The three joint functions multiply such a
 quotient by powers of finite census polynomials of the reduced coprime pair,
-substituted at x**g or x**(2g). Each census polynomial counts cores by size
-with the lattice path DP :func:`stcores.lattice.census_by_size` on the
-Anderson, diagonal-hooks or yin-yang grid, only up to the size its
-substitution can reach within the truncation, so no path is walked and no
-partition is built; the path enumerators stay the independent source for the
-bijections and cross-checks.
+substituted at x**g or x**(2g). Each census polynomial counts the cores of
+one lattice family ("straight", "selfconj" or "bar") by size with the path DP
+:func:`stcores.lattice.census_by_size`, only up to the size its substitution
+can reach within the truncation, so no path is walked and no partition is
+built; :func:`stcores.lattice.enumerate_cores_by_paths` stays the independent
+source for the bijections and cross-checks.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from functools import cache
 from math import gcd
 from typing import Iterable
 
-from .lattice import (
-    anderson_grid,
-    census_by_size,
-    dh_grid,
-    yinyang_grid,
-)
+from .lattice import census_by_size
 from .partitions import check_divisor, check_modulus, check_pair, common_divisor
 
 
@@ -220,17 +215,10 @@ def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
 def _census(kind: str, s: int, t: int, limit: int) -> tuple[int, ...]:
     """Number of cores of each size 0..limit in the finite census of a coprime pair.
 
-    "straight": (s,t)-cores, by the path DP on the Anderson grid.
-    "bar": (s-bar, t-bar)-cores, by the path DP on the yin-yang grid.
-    "selfconj": self-conjugate (s,t)-cores, by the path DP on the
-    diagonal-hooks grid.
+    ``kind`` names a family of :data:`stcores.lattice.FAMILIES`, counted by
+    the path DP on its grid.
     """
-    s, t = sorted((s, t))
-    if kind == "straight":
-        return tuple(census_by_size(anderson_grid(s, t), limit, beta_sets=True))
-    if kind == "bar":
-        return tuple(census_by_size(yinyang_grid(s, t), limit))
-    return tuple(census_by_size(dh_grid(s, t), limit))
+    return tuple(census_by_size(kind, *sorted((s, t)), limit))
 
 
 def _census_polynomial(kind: str, s: int, t: int, truncation: int, g: int = 1) -> TruncatedSeries:

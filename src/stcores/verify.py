@@ -72,8 +72,8 @@ def _series_vs_table(
 
 def suite_examples(limit: int) -> list[Check]:
     """Worked small cases pinned to exact values."""
-    core = lat.anderson_path_to_core((1, 3, 3, 4, 5, 6, 6, 7, 7, 7, 7), 7, 11)
-    sc = lat.dh_path_to_selfconj((0, 1, 1, 1, 3), 7, 11)
+    core = lat.path_to_core("straight", (1, 3, 3, 4, 5, 6, 6, 7, 7, 7, 7), 7, 11)
+    sc = lat.path_to_core("selfconj", (0, 1, 1, 1, 3), 7, 11)
     lam = (21, 20, 12, 12, 12, 12, 11, 11, 10, 9, 8, 6, 2, 2, 2, 2, 2, 2, 2, 2, 1)
     tower = cq.decompose(lam, 3)
     bar = lat.big_gamma(lam, 21, 33)
@@ -92,7 +92,7 @@ def suite_examples(limit: int) -> list[Check]:
         ("zeta((4,2,1,1)) at t=3", enc.zeta((4, 2, 1, 1), 3), (4, 1)),
         ("(7,11) diagonal-hooks path decodes to (3,3,3)", sc, (3, 3, 3)),
         ("diagonal hooks of the decoded (3,3,3)", pt.diagonal_hooks(sc), (5, 3, 1)),
-        ("(7,11) yin-yang path decodes to (6,)", lat.yy_path_to_barcore((0, 1, 1, 1, 3), 7, 11), (6,)),
+        ("(7,11) yin-yang path decodes to (6,)", lat.path_to_core("bar", (0, 1, 1, 1, 3), 7, 11), (6,)),
         ("gamma((3,3,3)) at (7,11)", lat.gamma((3, 3, 3), 7, 11), (6,)),
         ("calibration partition size", pt.size(lam), 161),
         ("calibration partition is self-conjugate", pt.is_self_conjugate(lam), True),
@@ -116,7 +116,7 @@ def suite_counting(limit: int) -> list[Check]:
     checks: list[Check] = []
     expected = {(2, 3): (2, 1), (5, 7): (66, 48), (7, 11): (1768, 240)}
     for (s, t), (count, max_size) in expected.items():
-        census = list(lat.enumerate_st_cores_by_paths(s, t))
+        census = list(lat.enumerate_cores_by_paths("straight", s, t))
         checks.append(_eq(f"({s},{t})-core census size", len(census), count))
         checks.append(_eq(f"({s},{t})-core census is duplicate-free", len(set(census)), count))
         sizes = [pt.size(p) for p in census]
@@ -154,13 +154,13 @@ def suite_counting(limit: int) -> list[Check]:
         rows = (
             (
                 f"self-conjugate ({s},{t})-core",
-                list(lat.enumerate_selfconj_by_dh(s, t)),
+                list(lat.enumerate_cores_by_paths("selfconj", s, t)),
                 orc.enumerate_self_conjugate,
                 lambda p: pt.is_t_core(p, s) and pt.is_t_core(p, t),
             ),
             (
                 f"({s}-bar,{t}-bar)-core",
-                list(lat.enumerate_barcores_by_yy(s, t)),
+                list(lat.enumerate_cores_by_paths("bar", s, t)),
                 bp.enumerate_bar_partitions,
                 lambda b: cq.is_stbar_core(b, s, t),
             ),
@@ -507,8 +507,8 @@ def suite_bijections(limit: int) -> list[Check]:
         )
 
     for s, t in ((5, 7), (7, 11)):
-        sc = list(lat.enumerate_selfconj_by_dh(s, t))
-        bars = set(lat.enumerate_barcores_by_yy(s, t))
+        sc = list(lat.enumerate_cores_by_paths("selfconj", s, t))
+        bars = set(lat.enumerate_cores_by_paths("bar", s, t))
         fails = []
         images = set()
         for p in sc:
@@ -682,7 +682,7 @@ def suite_structure(limit: int) -> list[Check]:
                 dec_fails.append(f"{entries}")
 
     pair_fails: list[str] = []
-    cores = list(lat.enumerate_selfconj_by_dh(7, 11))
+    cores = list(lat.enumerate_cores_by_paths("selfconj", 7, 11))
     for core in cores:
         diag = pt.diagonal_hooks(core)
         for t in (7, 11):

@@ -14,7 +14,7 @@ import pytest
 
 from stcores import cli, oracle
 from stcores import verify as verify_module
-from stcores.cli import COUNT_CAPS
+from stcores.cli import COUNT_CAPS, ZETA_T_CAP
 
 
 def test_documented_bijection_call(run):
@@ -173,6 +173,29 @@ def test_count_caps_admit_the_documented_truncations(run, monkeypatch):
     # the default -N of 60, as in the README's `count -t 3 -s 2`, is the cap
     assert run("count", "-t", "5")[0] == 0
     assert seen == [COUNT_CAPS["straight"]] == [60]
+
+
+@pytest.mark.parametrize("map_name", ("zeta", "zeta-inverse"))
+def test_zeta_refuses_a_modulus_past_its_cap(run, map_name, monkeypatch):
+    def never(*args):
+        raise AssertionError("work started")
+
+    for name in ("zeta", "zeta_inverse"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
+    for t in (ZETA_T_CAP + 2, 10**30 + 1):
+        result = run("bijection", "--map", map_name, "-t", str(t), "--input", "[]")
+        assert result == (1, "", f"Error: -t {t} exceeds the cap {ZETA_T_CAP} for --map {map_name}\n")
+
+
+def test_zeta_accepts_the_cap(run, monkeypatch):
+    result = run("bijection", "--map", "zeta", "-t", str(ZETA_T_CAP), "--input", "[]")
+    assert result == (0, '{"kind":"bar","parts":[]}\n', "")
+    # zeta-inverse at the cap takes about 1.5 s; only its admission is checked
+    seen = []
+    monkeypatch.setattr(cli, "zeta_inverse", lambda b, t: seen.append(t) or ())
+    assert run("bijection", "--map", "zeta-inverse", "-t", str(ZETA_T_CAP), "--input", "[]") == (0, "[]\n", "")
+    assert seen == [ZETA_T_CAP]
 
 
 def test_grid_kinds(run):

@@ -5,42 +5,43 @@ from math import comb, gcd
 
 import pytest
 
-from stcores import lattice as lattice_module
 from stcores.bar_partitions import is_tbar_core
 from stcores.core_quotient import is_st_core, is_stbar_core
 from stcores.lattice import (
+    FAMILIES,
     _border_heights,
+    _paths_above,
     anderson_grid,
-    anderson_path_to_core,
     barcore_to_yy_path,
     big_gamma,
     big_gamma_inverse,
     census_by_size,
     dh_grid,
-    dh_path_to_selfconj,
-    enumerate_barcores_by_yy,
-    enumerate_paths,
-    enumerate_selfconj_by_dh,
-    enumerate_st_cores_by_paths,
+    enumerate_cores_by_paths,
     gamma,
     gamma_inverse,
+    path_to_core,
     selfconj_to_dh_path,
     yinyang_grid,
-    yy_path_to_barcore,
 )
 from stcores.oracle import enumerate_self_conjugate, extremal_stats
 from stcores.partitions import is_self_conjugate, is_t_core
 
 
-def test_enumerate_paths_is_the_binomial_family():
-    paths = list(enumerate_paths(2, 2))
+def _every_path(rows, cols):
+    """Every monotonic path of a rows x cols grid: the walk over a zero border."""
+    return list(_paths_above((0,) * cols, rows))
+
+
+def test_paths_over_a_zero_border_are_the_binomial_family():
+    paths = _every_path(2, 2)
     assert paths == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    assert len(list(enumerate_paths(3, 4))) == comb(7, 3)
+    assert len(_every_path(3, 4)) == comb(7, 3)
 
 
-def test_enumerate_paths_yields_every_height_profile_once():
+def test_paths_over_a_zero_border_yield_every_height_profile_once():
     for rows, cols in product(range(6), repeat=2):
-        paths = list(enumerate_paths(rows, cols))
+        paths = _every_path(rows, cols)
         profiles = [h for h in product(range(rows + 1), repeat=cols) if list(h) == sorted(h)]
         assert paths == profiles
         assert len(set(paths)) == comb(rows + cols, rows)
@@ -52,10 +53,20 @@ def test_enumerate_paths_yields_every_height_profile_once():
     ids=("too short", "too long", "falling step", "above the grid", "below the grid"),
 )
 def test_decoders_refuse_a_malformed_path(path):
-    # the (7,11) diagonal-hooks and yin-yang grids are 3 x 5
-    for decode in (dh_path_to_selfconj, yy_path_to_barcore):
+    # the (7,11) diagonal-hooks and yin-yang grids are 3 x 5, and the
+    # (3,5) Anderson grid too
+    for family, (s, t) in (("straight", (3, 5)), ("selfconj", (7, 11)), ("bar", (7, 11))):
         with pytest.raises(ValueError, match=r"^path does not fit a 3 x 5 grid$"):
-            decode(path, 7, 11)
+            path_to_core(family, path, s, t)
+
+
+def test_a_straight_path_below_the_border_is_refused():
+    # the (2,3) Anderson border is (1, 2, 2): the floor path traps -2, -4, -1, ...
+    with pytest.raises(ValueError, match="^path traps negative values$"):
+        path_to_core("straight", (0, 0, 0), 2, 3)
+    assert path_to_core("straight", (1, 2, 2), 2, 3) == ()
+    # the other families decode every path, on either side of the border
+    assert path_to_core("selfconj", (0, 0), 4, 5) == (4, 1, 1, 1)
 
 
 def test_anderson_grid_small_values():
@@ -96,7 +107,7 @@ def test_yinyang_grid_needs_s_below_t():
     ((2, 3, 2, 1), (3, 4, 5, 5), (5, 7, 66, 48)),
 )
 def test_path_census_counts_and_extremes(s, t, count, largest):
-    cores = list(enumerate_st_cores_by_paths(s, t))
+    cores = list(enumerate_cores_by_paths("straight", s, t))
     assert len(cores) == count
     assert len(set(cores)) == count
     assert max(sum(p) for p in cores) == largest
@@ -109,33 +120,34 @@ def test_bounded_anderson_walk_yields_what_the_filtered_walk_did(s, t):
     # reference filters every height profile, and the order must not change
     border = _border_heights(anderson_grid(s, t))
     want = [
-        anderson_path_to_core(path, s, t)
-        for path in enumerate_paths(s, t)
+        path_to_core("straight", path, s, t)
+        for path in _every_path(s, t)
         if all(map(int.__ge__, path, border))
     ]
-    assert list(enumerate_st_cores_by_paths(s, t)) == want
+    assert list(enumerate_cores_by_paths("straight", s, t)) == want
 
 
 @pytest.mark.parametrize("s, t", ((3, 5), (5, 7), (7, 11)))
-def test_self_conjugate_and_bar_walks_build_their_grid_once(monkeypatch, s, t):
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_walk_builds_its_grid_once(monkeypatch, family, s, t):
     # each walk builds its grid and border once and decodes every path
-    # in place, in the order the per-path decoders give
+    # in place, in the order the per-path decoder gives
+    build, above_border, decode = FAMILIES[family]
+    grid = build(s, t)
     calls = Counter()
-    for name in ("dh_grid", "yinyang_grid"):
-        build = getattr(lattice_module, name)
-        monkeypatch.setattr(lattice_module, name, lambda s, t, f=build, n=name: calls.update([n]) or f(s, t))
-    selfconj = list(enumerate_selfconj_by_dh(s, t))
-    assert calls == {"dh_grid": 1}
-    bars = list(enumerate_barcores_by_yy(s, t))
-    assert calls == {"dh_grid": 1, "yinyang_grid": 1}
-    paths = list(enumerate_paths(s // 2, t // 2))
-    assert selfconj == [dh_path_to_selfconj(path, s, t) for path in paths]
-    assert bars == [yy_path_to_barcore(path, s, t) for path in paths]
+    monkeypatch.setitem(
+        FAMILIES, family, (lambda s, t: calls.update([family]) or build(s, t), above_border, decode)
+    )
+    cores = list(enumerate_cores_by_paths(family, s, t))
+    assert calls == {family: 1}
+    border = _border_heights(grid) if above_border else (0,) * len(grid)
+    paths = list(_paths_above(border, len(grid[0])))
+    assert cores == [path_to_core(family, path, s, t) for path in paths]
 
 
 @cache
 def _anderson_cores(s, t):
-    return tuple(enumerate_st_cores_by_paths(s, t))
+    return tuple(enumerate_cores_by_paths("straight", s, t))
 
 
 def _largest(s, t):
@@ -156,8 +168,8 @@ def _counts_by_size(cores, limit):
 )
 def test_anderson_dp_counts_the_enumerated_sizes(s, t):
     want = _counts_by_size(_anderson_cores(s, t), _largest(s, t))
-    assert census_by_size(anderson_grid(s, t), _largest(s, t), beta_sets=True) == want
-    assert census_by_size(anderson_grid(t, s), _largest(s, t), beta_sets=True) == want
+    assert census_by_size("straight", s, t, _largest(s, t)) == want
+    assert census_by_size("straight", t, s, _largest(s, t)) == want
     assert want[-1] == 1  # the bound is the largest size, padded with nothing
 
 
@@ -166,11 +178,11 @@ def test_anderson_dp_counts_the_enumerated_sizes(s, t):
 )
 def test_dh_and_yy_dp_count_the_enumerated_sizes(s, t):
     limit = _largest(s, t)
-    want = _counts_by_size(enumerate_selfconj_by_dh(s, t), limit)
-    assert census_by_size(dh_grid(s, t), limit) == want
-    assert census_by_size(dh_grid(t, s), limit) == want
-    bar = _counts_by_size(enumerate_barcores_by_yy(s, t), limit)
-    assert census_by_size(yinyang_grid(s, t), limit) == bar
+    want = _counts_by_size(enumerate_cores_by_paths("selfconj", s, t), limit)
+    assert census_by_size("selfconj", s, t, limit) == want
+    assert census_by_size("selfconj", t, s, limit) == want
+    bar = _counts_by_size(enumerate_cores_by_paths("bar", s, t), limit)
+    assert census_by_size("bar", s, t, limit) == bar
 
 
 MIXED_PARITY = [
@@ -182,12 +194,12 @@ MIXED_PARITY = [
 def test_dh_grid_counts_mixed_parity_pairs(s, t):
     # Ford-Mai-Sze: C(floor(s/2) + floor(t/2), floor(s/2)) self-conjugate
     # (s,t)-cores for every coprime pair, one per diagonal-hooks path.
-    cores = list(enumerate_selfconj_by_dh(s, t))
+    cores = list(enumerate_cores_by_paths("selfconj", s, t))
     assert len(set(cores)) == len(cores) == comb(s // 2 + t // 2, s // 2)
     assert all(is_self_conjugate(p) and is_t_core(p, s) and is_t_core(p, t) for p in cores)
     want = _counts_by_size(cores, _largest(s, t))
-    assert census_by_size(dh_grid(s, t), _largest(s, t)) == want
-    assert census_by_size(dh_grid(t, s), _largest(s, t)) == want
+    assert census_by_size("selfconj", s, t, _largest(s, t)) == want
+    assert census_by_size("selfconj", t, s, _largest(s, t)) == want
     if s <= 11 and t <= 11:
         # the filtered Anderson enumeration is the independent source; past
         # (10,11) it walks over a million paths
@@ -201,14 +213,12 @@ COPRIME_TO_10_11 = [(s, t) for s in range(2, 11) for t in range(s + 1, 12) if gc
 
 @pytest.mark.parametrize("s, t", COPRIME_TO_10_11)
 def test_truncated_census_is_the_full_census_cut_at_the_limit(s, t):
-    grids = [(anderson_grid(s, t), True), (dh_grid(s, t), False)]
-    if s % 2 and t % 2:
-        grids.append((yinyang_grid(s, t), False))
-    for grid, beta_sets in grids:
-        full = census_by_size(grid, _largest(s, t), beta_sets=beta_sets)
+    families = ["straight", "selfconj"] + ["bar"] * (s % 2 and t % 2)
+    for family in families:
+        full = census_by_size(family, s, t, _largest(s, t))
         for limit in (0, 1, 5, 17, 40, 80):
             want = (full + [0] * limit)[: limit + 1]
-            assert census_by_size(grid, limit, beta_sets=beta_sets) == want
+            assert census_by_size(family, s, t, limit) == want
 
 
 @pytest.mark.parametrize("s, t, limit", ((19, 23, 18), (101, 103, 40)))
@@ -225,25 +235,25 @@ def test_small_sizes_of_a_large_pair_count_every_partition(s, t, limit):
                 if k <= n:
                     total += (-1) ** (j + 1) * p[n - k]
         p.append(total)
-    assert census_by_size(anderson_grid(s, t), limit, beta_sets=True) == p
+    assert census_by_size("straight", s, t, limit) == p
 
 
 def test_anderson_dp_reaches_a_census_past_enumeration():
     # C(30, 13) = 119,759,850 paths: far too many to walk one by one.
-    counts = census_by_size(anderson_grid(13, 17), _largest(13, 17), beta_sets=True)
+    counts = census_by_size("straight", 13, 17, _largest(13, 17))
     assert (sum(counts), len(counts) - 1) == (comb(30, 13) // 30, 2016)
     assert (sum(counts), len(counts) - 1) == extremal_stats(13, 17)
     assert counts[0] == counts[1] == counts[-1] == 1
 
 
 def test_worked_anderson_path():
-    p = anderson_path_to_core((1, 3, 3, 4, 5, 6, 6, 7, 7, 7, 7), 7, 11)
+    p = path_to_core("straight", (1, 3, 3, 4, 5, 6, 6, 7, 7, 7, 7), 7, 11)
     assert p == (5, 3, 3, 3, 2, 2, 1, 1, 1)
 
 
 def test_worked_dh_and_yy_paths():
-    assert dh_path_to_selfconj((0, 1, 1, 1, 3), 7, 11) == (3, 3, 3)
-    assert yy_path_to_barcore((0, 1, 1, 1, 3), 7, 11) == (6,)
+    assert path_to_core("selfconj", (0, 1, 1, 1, 3), 7, 11) == (3, 3, 3)
+    assert path_to_core("bar", (0, 1, 1, 1, 3), 7, 11) == (6,)
 
 
 def test_worked_gamma_pair():
@@ -255,9 +265,9 @@ def test_worked_gamma_pair():
 
 @pytest.mark.parametrize("s, t", ((3, 5), (5, 7)))
 def test_gamma_bijects_the_two_censuses(s, t):
-    want = {b for b in enumerate_barcores_by_yy(s, t)}
+    want = {b for b in enumerate_cores_by_paths("bar", s, t)}
     got = set()
-    for p in enumerate_selfconj_by_dh(s, t):
+    for p in enumerate_cores_by_paths("selfconj", s, t):
         assert is_self_conjugate(p) and is_t_core(p, s) and is_t_core(p, t)
         b = gamma(p, s, t)
         assert gamma_inverse(b, s, t) == p
@@ -268,10 +278,10 @@ def test_gamma_bijects_the_two_censuses(s, t):
 
 @pytest.mark.parametrize("s, t", ((3, 5), (5, 7)))
 def test_dh_and_yy_paths_round_trip(s, t):
-    for p in enumerate_selfconj_by_dh(s, t):
-        assert dh_path_to_selfconj(selfconj_to_dh_path(p, s, t), s, t) == p
-    for b in enumerate_barcores_by_yy(s, t):
-        assert yy_path_to_barcore(barcore_to_yy_path(b, s, t), s, t) == b
+    for p in enumerate_cores_by_paths("selfconj", s, t):
+        assert path_to_core("selfconj", selfconj_to_dh_path(p, s, t), s, t) == p
+    for b in enumerate_cores_by_paths("bar", s, t):
+        assert path_to_core("bar", barcore_to_yy_path(b, s, t), s, t) == b
 
 
 def test_big_gamma_rejects_trivial_or_even_parameters():

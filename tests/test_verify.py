@@ -35,13 +35,15 @@ def test_the_unchanged_census_passes():
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 def test_the_counting_suite_catches_a_bad_path_census(mutation, monkeypatch):
-    real = lattice.enumerate_st_cores_by_paths
+    real = lattice.enumerate_cores_by_paths
 
-    def census(s, t):
-        cores = list(real(s, t))
-        return MUTATIONS[mutation](cores, _first_of_size(cores, 36)) if (s, t) == (5, 7) else cores
+    def census(family, s, t):
+        cores = list(real(family, s, t))
+        if (family, s, t) != ("straight", 5, 7):
+            return cores
+        return MUTATIONS[mutation](cores, _first_of_size(cores, 36))
 
-    monkeypatch.setattr(lattice, "enumerate_st_cores_by_paths", census)
+    monkeypatch.setattr(lattice, "enumerate_cores_by_paths", census)
     checks = {label: (ok, detail) for label, ok, detail in suite_counting(10)}
     ok, detail = checks[LABEL]
     assert not ok, detail
