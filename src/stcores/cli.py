@@ -115,18 +115,30 @@ def grid(kind: str, s: int, t: int) -> None:
 # zeta-inverse 1.3-1.8 s, under 40 MB peak RSS.
 ZETA_T_CAP = 1_000_001
 
+# Largest -s and -t that the pair maps (gamma, big-gamma and their inverses)
+# accept: gamma builds the floor(s/2) x floor(t/2) diagonal-hooks grid and the
+# yin-yang grid, so its work and memory grow with s*t even for the empty
+# partition; big-gamma reaches gamma only at s/g and t/g. Measured cold with
+# `--input []` on a 2-vCPU Xeon (Python 3.11.7, five runs each): gamma and
+# gamma-inverse at (2999,3001) 1.6-2.2 s and about 100 MB peak RSS, big-gamma
+# and its inverse at (2997,3003) under 0.4 s.
+PAIR_MAP_CAP = 3001
+
 
 def bijection(map_name: str, s: int | None, t: int, input_text: str) -> None:
     """Apply zeta, gamma, or big-gamma (or an inverse) to one partition."""
-    if map_name in ("zeta", "zeta-inverse") and t > ZETA_T_CAP:
-        raise ValueError(f"-t {t} exceeds the cap {ZETA_T_CAP} for --map {map_name}")
+    zeta_map = map_name in ("zeta", "zeta-inverse")
+    cap = ZETA_T_CAP if zeta_map else PAIR_MAP_CAP
+    for flag, value in (("-t", t),) if zeta_map else (("-s", s), ("-t", t)):
+        if value is not None and value > cap:
+            raise ValueError(f"{flag} {value} exceeds the cap {cap} for --map {map_name}")
     kind, parts = formats.parse_partition_argument(input_text)
     forward = not map_name.endswith("inverse")
     if forward and kind == "bar":
         raise ValueError(f"{map_name} expects a straight partition as input")
     # One canonical form per input: the kind the map reads.
     parts = as_partition(parts) if forward else as_bar_partition(parts)
-    if map_name in ("zeta", "zeta-inverse"):
+    if zeta_map:
         result = zeta(parts, t) if forward else zeta_inverse(parts, t)
     else:
         if s is None:

@@ -8,7 +8,8 @@ left to right, each read from the bottom row up. The heights, together with
 the grid's sign border, determine the trapped cells, whose values decode a
 partition. :data:`FAMILIES` holds each family's grid, path bound and decoder,
 keyed "straight", "selfconj" and "bar"; on it, :func:`path_to_core` decodes
-one path, :func:`enumerate_cores_by_paths` walks them all, and
+one path, :func:`core_to_path` recovers the path of a self-conjugate or bar
+core, :func:`enumerate_cores_by_paths` walks them all, and
 :func:`census_by_size` counts the cores of each size up to a limit without
 walking the paths one by one.
 """
@@ -17,8 +18,17 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .bar_partitions import BarPartition, is_tbar_core
-from .core_quotient import BarTower, bar_decompose, bar_reconstruct, decompose, reconstruct, StraightTower
+from .bar_partitions import BarPartition
+from .core_quotient import (
+    BarTower,
+    StraightTower,
+    bar_decompose,
+    bar_reconstruct,
+    decompose,
+    is_st_core,
+    is_stbar_core,
+    reconstruct,
+)
 from .encodings import zeta, zeta_inverse
 from .partitions import (
     Partition,
@@ -29,7 +39,6 @@ from .partitions import (
     from_diagonal_hooks,
     from_first_column_hooks,
     is_self_conjugate,
-    is_t_core,
 )
 
 Path = tuple[int, ...]
@@ -103,19 +112,13 @@ def _check_path(path: Path, rows: int, cols: int) -> None:
         raise ValueError(f"path does not fit a {rows} x {cols} grid")
 
 
-def _trapped_values(
-    grid: Grid, path: Path, border: tuple[int, ...] | None = None
-) -> tuple[list[int], list[int]]:
-    """Values between the path and the sign border, split by side.
-
-    ``border`` is ``_border_heights(grid)``, passed in by callers that reuse it.
+def _trapped_values(grid: Grid, path: Path, border: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Values between the path and the grid's sign border ``border``, split by side.
 
     Returns (above, below): above holds the positive values trapped where the
     path rises over the border, below the negative values where it dips under.
     """
     _check_path(path, len(grid[0]), len(grid))
-    if border is None:
-        border = _border_heights(grid)
     above: list[int] = []
     below: list[int] = []
     for column, hp, hb in zip(grid, path, border):
@@ -146,61 +149,54 @@ def path_to_core(family: str, path: Path, s: int, t: int) -> Partition | BarPart
             dips below the sign border.
     """
     build, above_border, decode = FAMILIES[family]
-    above, below = _trapped_values(build(s, t), path)
+    grid = build(s, t)
+    above, below = _trapped_values(grid, path, _border_heights(grid))
     if above_border and below:
         raise ValueError("path traps negative values")
     return decode(above + below)
 
 
-def _path_from_marked(grid: Grid, marked: set[int]) -> Path:
-    """Recover the path trapping exactly the cells whose |value| is marked.
+def core_to_path(family: str, core: Partition | BarPartition, s: int, t: int) -> Path:
+    """The unique path that :func:`path_to_core` decodes to ``core``, for "selfconj" or "bar".
 
-    Works because the grids used here never repeat an absolute value: per
-    column, marked cells adjacent to the border raise or lower the path by
+    A grid cell is marked when its |value| is a diagonal hook (selfconj) or a
+    part (bar) of the core. Neither grid repeats an absolute value, so per
+    column the marked cells adjacent to the border raise or lower the path by
     their count.
 
     Raises:
-        ValueError: if no monotonic path traps exactly the marked set.
+        ValueError: for any other family; unless ``core`` is a self-conjugate
+            (s,t)-core (selfconj) or an (s-bar, t-bar)-core (bar); or if no
+            monotonic path traps exactly the marked values.
     """
+    if family == "selfconj":
+        if not is_self_conjugate(core):
+            raise ValueError("input is not self-conjugate")
+        if not is_st_core(core, s, t):
+            raise ValueError("input is not an (s,t)-core")
+        marked = set(diagonal_hooks(core))
+    elif family == "bar":
+        if not is_stbar_core(core, s, t):
+            raise ValueError("input is not an (s-bar, t-bar)-core")
+        marked = set(core)
+    else:
+        raise ValueError(f"no path inverse for family {family!r}")
+    build, _, decode = FAMILIES[family]
+    grid = build(s, t)
+    border = _border_heights(grid)
     heights = []
-    for column, hb in zip(grid, _border_heights(grid)):
+    for column, hb in zip(grid, border):
         up = sum(abs(v) in marked for v in column[hb:])
         down = sum(abs(v) in marked for v in column[:hb])
         if up and down:
             raise ValueError("marked values straddle the border in one column")
         heights.append(hb + up - down)
-    if any(map(int.__gt__, heights, heights[1:])):
+    path = tuple(heights)
+    if any(map(int.__gt__, path, path[1:])):
         raise ValueError("marked values do not trace a monotonic path")
-    return tuple(heights)
-
-
-def selfconj_to_dh_path(p: Partition, s: int, t: int) -> Path:
-    """The unique path whose trapped values give the self-conjugate core ``p``.
-
-    Raises:
-        ValueError: unless ``p`` is a self-conjugate (s,t)-core.
-    """
-    if not is_self_conjugate(p):
-        raise ValueError("input is not self-conjugate")
-    if not (is_t_core(p, s) and is_t_core(p, t)):
-        raise ValueError("input is not an (s,t)-core")
-    path = _path_from_marked(dh_grid(s, t), set(diagonal_hooks(p)))
-    if path_to_core("selfconj", path, s, t) != p:
-        raise ValueError("diagonal hooks do not fit the grid")
-    return path
-
-
-def barcore_to_yy_path(b: BarPartition, s: int, t: int) -> Path:
-    """The unique path whose trapped values give the bar-core ``b``.
-
-    Raises:
-        ValueError: unless ``b`` is an (s-bar, t-bar)-core.
-    """
-    if not (is_tbar_core(b, s) and is_tbar_core(b, t)):
-        raise ValueError("input is not an (s-bar, t-bar)-core")
-    path = _path_from_marked(yinyang_grid(s, t), set(b))
-    if path_to_core("bar", path, s, t) != b:
-        raise ValueError("parts do not fit the grid")
+    above, below = _trapped_values(grid, path, border)
+    if decode(above + below) != core:
+        raise ValueError("marked values do not fit the grid")
     return path
 
 
@@ -216,16 +212,14 @@ def gamma(p: Partition, s: int, t: int) -> BarPartition:
     """
     s, t = sorted((s, t))
     check_pair(s, t, odd=True, coprime=True)
-    path = selfconj_to_dh_path(p, s, t)
-    return path_to_core("bar", path, s, t)
+    return path_to_core("bar", core_to_path("selfconj", p, s, t), s, t)
 
 
 def gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
     """Inverse of :func:`gamma`: read the bar-core's path in the other grid."""
     s, t = sorted((s, t))
     check_pair(s, t, odd=True, coprime=True)
-    path = barcore_to_yy_path(b, s, t)
-    return path_to_core("selfconj", path, s, t)
+    return path_to_core("selfconj", core_to_path("bar", b, s, t), s, t)
 
 
 def big_gamma(p: Partition, s: int, t: int) -> BarPartition:
@@ -244,7 +238,7 @@ def big_gamma(p: Partition, s: int, t: int) -> BarPartition:
     g = common_divisor(s, t)
     if not is_self_conjugate(p):
         raise ValueError("input is not self-conjugate")
-    if not (is_t_core(p, s) and is_t_core(p, t)):
+    if not is_st_core(p, s, t):
         raise ValueError("input is not an (s,t)-core")
     sp, tp = s // g, t // g
     tower = decompose(p, g)
@@ -269,7 +263,7 @@ def big_gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
     """
     check_pair(s, t, odd=True)
     g = common_divisor(s, t)
-    if not (is_tbar_core(b, s) and is_tbar_core(b, t)):
+    if not is_stbar_core(b, s, t):
         raise ValueError("input is not an (s-bar, t-bar)-core")
     sp, tp = s // g, t // g
     tower = bar_decompose(b, g)

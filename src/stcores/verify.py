@@ -156,7 +156,7 @@ def suite_counting(limit: int) -> list[Check]:
                 f"self-conjugate ({s},{t})-core",
                 list(lat.enumerate_cores_by_paths("selfconj", s, t)),
                 orc.enumerate_self_conjugate,
-                lambda p: pt.is_t_core(p, s) and pt.is_t_core(p, t),
+                lambda p: cq.is_st_core(p, s, t),
             ),
             (
                 f"({s}-bar,{t}-bar)-core",
@@ -469,7 +469,7 @@ def suite_bijections(limit: int) -> list[Check]:
                     zeta_fails[t].append(f"zeta({p}) = {b} is not a {t}-bar-core")
                 elif enc.zeta_inverse(b, t) != p:
                     zeta_fails[t].append(f"round trip fails at {p}")
-            if not (pt.is_t_core(p, 9) and pt.is_t_core(p, 15)):
+            if not cq.is_st_core(p, 9, 15):
                 continue
             big_total += 1
             b = lat.big_gamma(p, 9, 15)

@@ -12,9 +12,9 @@ import re
 
 import pytest
 
-from stcores import cli, oracle
+from stcores import cli, lattice, oracle
 from stcores import verify as verify_module
-from stcores.cli import COUNT_CAPS, ZETA_T_CAP
+from stcores.cli import COUNT_CAPS, PAIR_MAP_CAP, ZETA_T_CAP
 
 
 def test_documented_bijection_call(run):
@@ -300,6 +300,74 @@ def test_bijection_canonicalizes_each_input_once_as_the_kind_its_map_reads(run, 
 )
 def test_bijection_refuses_bad_parts_in_one_line(run, map_name, text, message):
     assert run("bijection", "--map", map_name, "-t", "3", "--input", text) == (1, "", f"Error: {message}\n")
+
+
+PAIR_MAPS = {
+    "gamma": lattice.gamma,
+    "gamma-inverse": lattice.gamma_inverse,
+    "big-gamma": lattice.big_gamma,
+    "big-gamma-inverse": lattice.big_gamma_inverse,
+}
+
+
+@pytest.mark.parametrize(
+    "map_name, parts, s, t, message",
+    (
+        ("gamma", (2,), 7, 11, "input is not self-conjugate"),
+        ("gamma", (4, 1, 1, 1), 7, 11, "input is not an (s,t)-core"),
+        ("gamma", (2,), 6, 11, "s and t must be odd and exceed 1"),
+        ("gamma", (2,), 9, 15, "s and t must be coprime"),
+        ("gamma", (2,), 1, 3, "s and t must be odd and exceed 1"),
+        ("gamma-inverse", (7,), 7, 11, "input is not an (s-bar, t-bar)-core"),
+        ("gamma-inverse", (7,), 6, 11, "s and t must be odd and exceed 1"),
+        ("gamma-inverse", (7,), 9, 15, "s and t must be coprime"),
+        ("big-gamma", (2,), 9, 15, "input is not self-conjugate"),
+        ("big-gamma", (5, 1, 1, 1, 1), 9, 15, "input is not an (s,t)-core"),
+        ("big-gamma", (2,), 3, 5, "gcd(s, t) must exceed 1"),
+        ("big-gamma", (2,), 6, 10, "s and t must be odd and exceed 1"),
+        ("big-gamma-inverse", (9,), 9, 15, "input is not an (s-bar, t-bar)-core"),
+        ("big-gamma-inverse", (9,), 3, 5, "gcd(s, t) must exceed 1"),
+        ("big-gamma-inverse", (9,), 6, 10, "s and t must be odd and exceed 1"),
+    ),
+)
+def test_pair_maps_refuse_bad_input_in_the_library_and_the_cli(run, map_name, parts, s, t, message):
+    # The pair is checked first, then self-conjugacy, then membership.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PAIR_MAPS[map_name](parts, s, t)
+    text = json.dumps(list(parts))
+    result = run("bijection", "--map", map_name, "-s", str(s), "-t", str(t), "--input", text)
+    assert result == (1, "", f"Error: {message}\n")
+
+
+@pytest.mark.parametrize("map_name", sorted(PAIR_MAPS))
+def test_pair_maps_refuse_a_parameter_past_their_cap(run, map_name, monkeypatch):
+    def never(*args):
+        raise AssertionError("work started")
+
+    for function in PAIR_MAPS.values():
+        monkeypatch.setattr(lattice, function.__name__, never)
+    monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
+    for big in (PAIR_MAP_CAP + 2, 10**30 + 1):
+        # -s is checked before -t
+        for s, flag in ((big, "-s"), (3, "-t")):
+            result = run("bijection", "--map", map_name, "-s", str(s), "-t", str(big), "--input", "[]")
+            message = f"Error: {flag} {big} exceeds the cap {PAIR_MAP_CAP} for --map {map_name}\n"
+            assert result == (1, "", message)
+
+
+def test_pair_maps_accept_the_cap(run, monkeypatch):
+    # g = s = t: big-gamma only maps the g-core through zeta
+    cap = str(PAIR_MAP_CAP)
+    result = run("bijection", "--map", "big-gamma", "-s", cap, "-t", cap, "--input", "[]")
+    assert result == (0, '{"kind":"bar","parts":[]}\n', "")
+    # gamma near the cap takes about 2 s; only the admission is checked
+    seen = []
+    for function in PAIR_MAPS.values():
+        monkeypatch.setattr(lattice, function.__name__, lambda parts, s, t: seen.append((s, t)) or ())
+    for map_name in PAIR_MAPS:
+        code, _, err = run("bijection", "--map", map_name, "-s", cap, "-t", cap, "--input", "[]")
+        assert (code, err) == (0, "")
+    assert seen == [(PAIR_MAP_CAP, PAIR_MAP_CAP)] * 4
 
 
 def test_bijection_rejects_bad_json(run):

@@ -12,16 +12,15 @@ from stcores.lattice import (
     _border_heights,
     _paths_above,
     anderson_grid,
-    barcore_to_yy_path,
     big_gamma,
     big_gamma_inverse,
     census_by_size,
+    core_to_path,
     dh_grid,
     enumerate_cores_by_paths,
     gamma,
     gamma_inverse,
     path_to_core,
-    selfconj_to_dh_path,
     yinyang_grid,
 )
 from stcores.oracle import enumerate_self_conjugate, extremal_stats
@@ -276,12 +275,60 @@ def test_gamma_bijects_the_two_censuses(s, t):
     assert len(want) == comb(s // 2 + t // 2, s // 2)
 
 
-@pytest.mark.parametrize("s, t", ((3, 5), (5, 7)))
+@pytest.mark.parametrize(
+    "s, t", [(s, t) for s in range(3, 16, 2) for t in range(s + 2, 16, 2) if gcd(s, t) == 1]
+)
 def test_dh_and_yy_paths_round_trip(s, t):
-    for p in enumerate_cores_by_paths("selfconj", s, t):
-        assert path_to_core("selfconj", selfconj_to_dh_path(p, s, t), s, t) == p
-    for b in enumerate_cores_by_paths("bar", s, t):
-        assert path_to_core("bar", barcore_to_yy_path(b, s, t), s, t) == b
+    # core_to_path inverts path_to_core on every path of the two grids, which
+    # share their shape for odd s and t, and gamma reads each path across
+    for path in _every_path((s - 1) // 2, (t - 1) // 2):
+        p = path_to_core("selfconj", path, s, t)
+        b = path_to_core("bar", path, s, t)
+        assert core_to_path("selfconj", p, s, t) == path
+        assert core_to_path("bar", b, s, t) == path
+        assert gamma(p, s, t) == b
+        assert gamma_inverse(b, s, t) == p
+
+
+@pytest.mark.parametrize("family", ("straight", "anderson", "Bar"))
+def test_core_to_path_refuses_every_other_family(family):
+    with pytest.raises(ValueError, match=f"^no path inverse for family '{family}'$"):
+        core_to_path(family, (), 3, 5)
+
+
+def test_each_gamma_call_builds_each_grid_once(monkeypatch):
+    calls = Counter()
+    for family in ("selfconj", "bar"):
+        build, above_border, decode = FAMILIES[family]
+        counted = lambda s, t, family=family, build=build: calls.update([family]) or build(s, t)
+        monkeypatch.setitem(FAMILIES, family, (counted, above_border, decode))
+    assert gamma((3, 3, 3), 7, 11) == (6,)
+    assert calls == {"selfconj": 1, "bar": 1}
+    calls.clear()
+    assert gamma_inverse((6,), 7, 11) == (3, 3, 3)
+    assert calls == {"selfconj": 1, "bar": 1}
+
+
+@pytest.mark.parametrize(
+    "s, t", [(s, t) for s in range(2, 16) for t in range(s + 1, 16) if gcd(s, t) == 1]
+)
+def test_censuses_meet_their_closed_forms(s, t):
+    # A third source for each census, read from the DP alone at the largest
+    # size; each average is written as an integer identity.
+    limit = _largest(s, t)
+    average = (s + t + 1) * (s - 1) * (t - 1)  # 24 times the average size
+    straight = census_by_size("straight", s, t, limit)
+    count = comb(s + t, s) // (s + t)  # Anderson
+    assert sum(straight) == count
+    assert straight[limit] == 1  # Olsson-Stanton
+    assert 24 * sum(n * c for n, c in enumerate(straight)) == count * average  # Armstrong
+    selfconj = census_by_size("selfconj", s, t, limit)
+    count = comb(s // 2 + t // 2, s // 2)  # Ford-Mai-Sze
+    assert sum(selfconj) == count
+    assert 24 * sum(n * c for n, c in enumerate(selfconj)) == count * average  # Chen-Huang-Wang
+    if s % 2 and t % 2:
+        bar = census_by_size("bar", s, t, limit)
+        assert sum(bar) == comb((s - 1) // 2 + (t - 1) // 2, (s - 1) // 2)
 
 
 def test_big_gamma_rejects_trivial_or_even_parameters():
