@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from math import gcd
 
 from . import __version__, formats, lattice, oracle
 from . import series as series_module
@@ -19,38 +20,6 @@ from .encodings import zeta, zeta_inverse
 from .partitions import as_partition
 from .series import TruncatedSeries
 
-GENERATING_FUNCTIONS = ["partition", "core", "selfconj", "barcore", "psi", "psistar", "psibar"]
-
-
-def _echo(text: str) -> None:
-    # flushed at once, so stdout stays ahead of a later one-line error
-    print(text, flush=True)
-
-
-def _build_series(
-    gf: str, s: int | None, t: int | None, truncation: int
-) -> TruncatedSeries:
-    if gf == "partition":
-        return series_module.partition_gf(truncation)
-    if gf in ("core", "selfconj", "barcore"):
-        if t is None:
-            raise ValueError(f"--gf {gf} needs -t")
-        single = {
-            "core": series_module.core_gf,
-            "selfconj": series_module.selfconj_core_gf,
-            "barcore": series_module.barcore_gf,
-        }
-        return single[gf](t, truncation)
-    if s is None or t is None:
-        raise ValueError(f"--gf {gf} needs both -s and -t")
-    joint = {
-        "psi": series_module.psi_st_gf,
-        "psistar": series_module.psi_star_st_gf,
-        "psibar": series_module.psi_bar_st_gf,
-    }
-    return joint[gf](s, t, truncation)
-
-
 # Largest truncation `count` accepts per variant. Every count table prunes a
 # partition at its first forbidden hook, bar or diagonal hook, but a modulus
 # above -N prunes nothing: then the walk visits every (self-conjugate, bar)
@@ -59,54 +28,6 @@ def _build_series(
 # (Python 3.11.7, single and joint counts, e.g. `count -t 61 -N 60`, three
 # runs each): straight 3.6-4.7 s, selfconj 0.9-1.0 s, bar 1.9-2.3 s.
 COUNT_CAPS = {"straight": 60, "selfconj": 180, "bar": 100}
-
-
-def count(t: int, s: int | None, variant: str, truncation: int, fmt: str) -> None:
-    """Brute-force count table of cores by size (enumeration, not series).
-
-    Builds partitions part by part (self-conjugate ones by distinct odd
-    diagonal hooks) in one walk over every size, dropping a branch at the
-    first forbidden hook or bar.
-    Refuses -N above 60 (straight), 180 (selfconj) or 100 (bar); where a
-    generating function exists, the series verb reaches any truncation.
-    """
-    if truncation > COUNT_CAPS[variant]:
-        raise ValueError(
-            f"-N {truncation} exceeds the brute-force cap {COUNT_CAPS[variant]} "
-            f"for --variant {variant}"
-        )
-    if s is None:
-        single = {
-            "straight": oracle.core_counts,
-            "selfconj": oracle.selfconj_core_counts,
-            "bar": oracle.barcore_counts,
-        }
-        table = single[variant](t, truncation)
-    else:
-        joint = {
-            "straight": oracle.st_core_counts,
-            "selfconj": oracle.selfconj_st_core_counts,
-            "bar": oracle.stbar_core_counts,
-        }
-        table = joint[variant](s, t, truncation)
-    _echo(formats.count_table_csv(table) if fmt == "csv" else formats.count_table_json(table))
-
-
-def series(gf: str, s: int | None, t: int | None, truncation: int, fmt: str) -> None:
-    """Exact coefficients of a generating function up to the truncation."""
-    result = _build_series(gf, s, t, truncation)
-    _echo(formats.series_csv(result) if fmt == "csv" else formats.series_json(result))
-
-
-def grid(kind: str, s: int, t: int) -> None:
-    """Signed lattice grid as integer CSV, top row first."""
-    builders = {
-        "anderson": lattice.anderson_grid,
-        "dh": lattice.dh_grid,
-        "yinyang": lattice.yinyang_grid,
-    }
-    _echo(formats.grid_csv(builders[kind](s, t)))
-
 
 # Largest -t that `bijection --map zeta` and `zeta-inverse` accept: their work
 # is linear in t even for the empty partition (a t-tuple of runner surpluses,
@@ -124,32 +45,131 @@ ZETA_T_CAP = 1_000_001
 # and its inverse at (2997,3003) under 0.4 s.
 PAIR_MAP_CAP = 3001
 
+# Largest -s and -t that `grid` accepts: it prints every cell, so its work and
+# memory grow with s*t. Anderson's s x t grid is the largest; the
+# diagonal-hooks and yin-yang grids have a quarter of its cells and take the
+# pair maps' cap. Measured cold on a 2-vCPU Xeon (Python 3.11.7, three runs
+# each): anderson at (1500,1501) 1.9-2.0 s and 151 MB peak RSS, dh at
+# (3000,3001) 1.7-2.2 s and yinyang at (2999,3001) 1.5-2.1 s, 153 MB.
+GRID_CAP = 1501
+
+# Largest member of the reduced pair (s/g, t/g) that `series` and `scan`
+# accept for a joint generating function: its census walks the s/g x t/g
+# Anderson grid column by column, so even a small -N costs time and memory
+# growing with the product. Measured cold with -N 10 on a 2-vCPU Xeon (Python
+# 3.11.7, three runs each): psi at (1600,1601) 1.7-1.9 s and 112 MB peak RSS,
+# psistar and psibar near it under 0.8 s, psi at (3200,3202), g = 2, 2.4-2.5 s.
+# The cost still grows with -N: psi at (301,303) takes about 4 s at -N 60.
+REDUCED_PAIR_CAP = 1601
+
+# Per --gf: the builder, the moduli it reads, and the cap on the larger
+# member of the reduced pair (s/g, t/g) that a joint census is taken over.
+GENERATING_FUNCTIONS = {
+    "partition": (series_module.partition_gf, "", None),
+    "core": (series_module.core_gf, "t", None),
+    "selfconj": (series_module.selfconj_core_gf, "t", None),
+    "barcore": (series_module.barcore_gf, "t", None),
+    "psi": (series_module.psi_st_gf, "st", REDUCED_PAIR_CAP),
+    "psistar": (series_module.psi_star_st_gf, "st", REDUCED_PAIR_CAP),
+    "psibar": (series_module.psi_bar_st_gf, "st", REDUCED_PAIR_CAP),
+}
+# Per --variant: the count by -t alone, the joint count by -s and -t, the cap on -N.
+COUNTS = {
+    "straight": (oracle.core_counts, oracle.st_core_counts, COUNT_CAPS["straight"]),
+    "selfconj": (oracle.selfconj_core_counts, oracle.selfconj_st_core_counts, COUNT_CAPS["selfconj"]),
+    "bar": (oracle.barcore_counts, oracle.stbar_core_counts, COUNT_CAPS["bar"]),
+}
+# Per --kind: the grid builder and the cap on -s and -t.
+GRIDS = {
+    "anderson": (lattice.anderson_grid, GRID_CAP),
+    "dh": (lattice.dh_grid, PAIR_MAP_CAP),
+    "yinyang": (lattice.yinyang_grid, PAIR_MAP_CAP),
+}
+# Per --map: the map, the moduli it reads, whether it reads a straight
+# partition (forward) or a bar partition, and the cap on each modulus.
+MAPS = {
+    "zeta": (zeta, "t", True, ZETA_T_CAP),
+    "zeta-inverse": (zeta_inverse, "t", False, ZETA_T_CAP),
+    "gamma": (lattice.gamma, "st", True, PAIR_MAP_CAP),
+    "gamma-inverse": (lattice.gamma_inverse, "st", False, PAIR_MAP_CAP),
+    "big-gamma": (lattice.big_gamma, "st", True, PAIR_MAP_CAP),
+    "big-gamma-inverse": (lattice.big_gamma_inverse, "st", False, PAIR_MAP_CAP),
+}
+
+
+def _echo(text: str) -> None:
+    # flushed at once, so stdout stays ahead of a later one-line error
+    print(text, flush=True)
+
+
+def _moduli(
+    option: str, choice: str, reads: str, s: int | None, t: int | None, cap: int | None = None
+) -> list[int]:
+    """The moduli that ``choice`` reads ("s", "t", both or none), checked before any work.
+
+    Refuses a missing one, then a given one the choice does not read, then
+    one past ``cap``, each -s before -t.
+    """
+    given = {"s": s, "t": t}
+    if any(given[name] is None for name in reads):
+        # the pair maps name themselves without their option
+        who = choice if option == "--map" else f"{option} {choice}"
+        raise ValueError(f"{who} needs {'both -s and -t' if len(reads) == 2 else '-t'}")
+    for name, value in given.items():
+        if value is not None and name not in reads:
+            raise ValueError(f"{option} {choice} does not read -{name}")
+        if value is not None and cap is not None and value > cap:
+            raise ValueError(f"-{name} {value} exceeds the cap {cap} for {option} {choice}")
+    return [given[name] for name in reads]
+
+
+def _build_series(gf: str, s: int | None, t: int | None, truncation: int) -> TruncatedSeries:
+    build, reads, cap = GENERATING_FUNCTIONS[gf]
+    moduli = _moduli("--gf", gf, reads, s, t)
+    reduced = tuple(m // (gcd(*moduli) or 1) for m in moduli)
+    if cap is not None and max(reduced) > cap:
+        raise ValueError(f"the reduced pair {reduced} exceeds the cap {cap} for --gf {gf}")
+    return build(*moduli, truncation)
+
+
+def count(t: int, s: int | None, variant: str, truncation: int, fmt: str) -> None:
+    """Brute-force count table of cores by size (enumeration, not series).
+
+    Builds partitions part by part (self-conjugate ones by distinct odd
+    diagonal hooks) in one walk over every size, dropping a branch at the
+    first forbidden hook or bar.
+    Refuses -N above 60 (straight), 180 (selfconj) or 100 (bar); where a
+    generating function exists, the series verb reaches any truncation.
+    """
+    single, joint, cap = COUNTS[variant]
+    if truncation > cap:
+        raise ValueError(f"-N {truncation} exceeds the brute-force cap {cap} for --variant {variant}")
+    table = single(t, truncation) if s is None else joint(s, t, truncation)
+    _echo(formats.count_table_csv(table) if fmt == "csv" else formats.count_table_json(table))
+
+
+def series(gf: str, s: int | None, t: int | None, truncation: int, fmt: str) -> None:
+    """Exact coefficients of a generating function up to the truncation."""
+    result = _build_series(gf, s, t, truncation)
+    _echo(formats.series_csv(result) if fmt == "csv" else formats.series_json(result))
+
+
+def grid(kind: str, s: int, t: int) -> None:
+    """Signed lattice grid as integer CSV, top row first."""
+    build, cap = GRIDS[kind]
+    _echo(formats.grid_csv(build(*_moduli("--kind", kind, "st", s, t, cap))))
+
 
 def bijection(map_name: str, s: int | None, t: int, input_text: str) -> None:
     """Apply zeta, gamma, or big-gamma (or an inverse) to one partition."""
-    zeta_map = map_name in ("zeta", "zeta-inverse")
-    cap = ZETA_T_CAP if zeta_map else PAIR_MAP_CAP
-    for flag, value in (("-t", t),) if zeta_map else (("-s", s), ("-t", t)):
-        if value is not None and value > cap:
-            raise ValueError(f"{flag} {value} exceeds the cap {cap} for --map {map_name}")
+    apply, reads, forward, cap = MAPS[map_name]
+    moduli = _moduli("--map", map_name, reads, s, t, cap)
     kind, parts = formats.parse_partition_argument(input_text)
-    forward = not map_name.endswith("inverse")
     if forward and kind == "bar":
         raise ValueError(f"{map_name} expects a straight partition as input")
     # One canonical form per input: the kind the map reads.
     parts = as_partition(parts) if forward else as_bar_partition(parts)
-    if zeta_map:
-        result = zeta(parts, t) if forward else zeta_inverse(parts, t)
-    else:
-        if s is None:
-            raise ValueError(f"{map_name} needs both -s and -t")
-        pair_maps = {
-            "gamma": lattice.gamma,
-            "gamma-inverse": lattice.gamma_inverse,
-            "big-gamma": lattice.big_gamma,
-            "big-gamma-inverse": lattice.big_gamma_inverse,
-        }
-        result = pair_maps[map_name](parts, s, t)
+    result = apply(parts, *moduli)
     _echo(formats.bar_to_json(result) if forward else formats.partition_to_json(result))
 
 
@@ -228,10 +248,7 @@ OPTIONS = {
         _option("-t", dest="t", type=int, required=True, help="Modulus t."),
         _option("-s", dest="s", type=int, help="Second modulus for joint counts."),
         _option(
-            "--variant",
-            dest="variant",
-            choices=["straight", "selfconj", "bar"],
-            default="straight",
+            "--variant", dest="variant", choices=list(COUNTS), default="straight",
             help="Which partitions to count (default: %(default)s).",
         ),
         _TRUNCATION,
@@ -239,7 +256,7 @@ OPTIONS = {
     ),
     series: (
         _option(
-            "--gf", dest="gf", choices=GENERATING_FUNCTIONS, required=True,
+            "--gf", dest="gf", choices=list(GENERATING_FUNCTIONS), required=True,
             help="Which generating function to expand.",
         ),
         _option("-s", dest="s", type=int),
@@ -248,27 +265,20 @@ OPTIONS = {
         _FORMAT,
     ),
     grid: (
-        _option(
-            "--kind", dest="kind", choices=["anderson", "dh", "yinyang"], required=True,
-            help="Which signed grid to print.",
-        ),
+        _option("--kind", dest="kind", choices=list(GRIDS), required=True, help="Which signed grid to print."),
         _option("-s", dest="s", type=int, required=True),
         _option("-t", dest="t", type=int, required=True),
     ),
     bijection: (
         _option(
-            "--map",
-            dest="map_name",
-            choices=["zeta", "zeta-inverse", "gamma", "gamma-inverse", "big-gamma", "big-gamma-inverse"],
-            required=True,
-            help="Which correspondence to apply.",
+            "--map", dest="map_name", choices=list(MAPS), required=True, help="Which correspondence to apply."
         ),
         _option("-s", dest="s", type=int, help="First parameter (pair maps only)."),
         _option("-t", dest="t", type=int, required=True),
         _option("--input", dest="input_text", required=True, help="Partition as JSON."),
     ),
     scan: (
-        _option("--gf", dest="gf", choices=GENERATING_FUNCTIONS, required=True),
+        _option("--gf", dest="gf", choices=list(GENERATING_FUNCTIONS), required=True),
         _option("-s", dest="s", type=int),
         _option("-t", dest="t", type=int),
         _option("-g", "--progression", dest="g", type=int, required=True, help="Progression step."),

@@ -343,9 +343,11 @@ def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
                 reach[key] = reach.get(key, 0) + n
             if above_border and h < hb:
                 continue
-            trapped = column[hb:h] if h >= hb else column[h:hb]
-            if max(trapped, default=0) > limit:
+            # Every column grows from the bottom up, so the |value| trapped
+            # farthest from the border is the largest.
+            if h != hb and column[h - 1 if h > hb else h] > limit:
                 continue
+            trapped = column[hb:h] if h >= hb else column[h:hb]
             m, w = len(trapped), sum(trapped)
             new[h] = {
                 (k + m, sum_ + w): n

@@ -14,7 +14,8 @@ import pytest
 
 from stcores import cli, lattice, oracle
 from stcores import verify as verify_module
-from stcores.cli import COUNT_CAPS, PAIR_MAP_CAP, ZETA_T_CAP
+from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, REDUCED_PAIR_CAP, ZETA_T_CAP
+from stcores.series import TruncatedSeries
 
 
 def test_documented_bijection_call(run):
@@ -143,19 +144,18 @@ def test_count_rejects_a_bad_modulus_at_every_truncation(run, args, message, tru
     assert run("count", *args, "-N", truncation) == (1, "", f"Error: {message}\n")
 
 
-COUNTERS = {
-    "straight": "core_counts",
-    "selfconj": "selfconj_core_counts",
-    "bar": "barcore_counts",
-}
+def never(*args):
+    raise AssertionError("work started")
+
+
+def patch_row(monkeypatch, table, name, function):
+    """Put ``function`` in the first column of ``table[name]`` for one test."""
+    monkeypatch.setitem(table, name, (function, *table[name][1:]))
 
 
 @pytest.mark.parametrize("variant", ("straight", "selfconj", "bar"))
 def test_count_refuses_a_truncation_past_its_cap(run, variant, monkeypatch):
-    def never(*args):
-        raise AssertionError("enumeration started")
-
-    monkeypatch.setattr(oracle, COUNTERS[variant], never)
+    patch_row(monkeypatch, cli.COUNTS, variant, never)
     cap = COUNT_CAPS[variant]
     result = run("count", "--variant", variant, "-t", "5", "-N", "200")
     assert result == (1, "", f"Error: -N 200 exceeds the brute-force cap {cap} for --variant {variant}\n")
@@ -167,9 +167,7 @@ def test_count_caps_admit_the_documented_truncations(run, monkeypatch):
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "60,24"
     seen = []
-    monkeypatch.setattr(
-        oracle, "core_counts", lambda t, n: seen.append(n) or oracle.CountTable("f", (1,))
-    )
+    patch_row(monkeypatch, cli.COUNTS, "straight", lambda t, n: seen.append(n) or oracle.CountTable("f", (1,)))
     # the default -N of 60, as in the README's `count -t 3 -s 2`, is the cap
     assert run("count", "-t", "5")[0] == 0
     assert seen == [COUNT_CAPS["straight"]] == [60]
@@ -177,11 +175,8 @@ def test_count_caps_admit_the_documented_truncations(run, monkeypatch):
 
 @pytest.mark.parametrize("map_name", ("zeta", "zeta-inverse"))
 def test_zeta_refuses_a_modulus_past_its_cap(run, map_name, monkeypatch):
-    def never(*args):
-        raise AssertionError("work started")
-
-    for name in ("zeta", "zeta_inverse"):
-        monkeypatch.setattr(cli, name, never)
+    for name in ("zeta", "zeta-inverse"):
+        patch_row(monkeypatch, cli.MAPS, name, never)
     monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
     for t in (ZETA_T_CAP + 2, 10**30 + 1):
         result = run("bijection", "--map", map_name, "-t", str(t), "--input", "[]")
@@ -193,9 +188,66 @@ def test_zeta_accepts_the_cap(run, monkeypatch):
     assert result == (0, '{"kind":"bar","parts":[]}\n', "")
     # zeta-inverse at the cap takes about 1.5 s; only its admission is checked
     seen = []
-    monkeypatch.setattr(cli, "zeta_inverse", lambda b, t: seen.append(t) or ())
+    patch_row(monkeypatch, cli.MAPS, "zeta-inverse", lambda b, t: seen.append(t) or ())
     assert run("bijection", "--map", "zeta-inverse", "-t", str(ZETA_T_CAP), "--input", "[]") == (0, "[]\n", "")
     assert seen == [ZETA_T_CAP]
+
+
+# Every choice of --gf and --map, with each modulus it does not read.
+UNREAD = [
+    (verb, option, choice, name)
+    for verb, option, table in (
+        ("series", "--gf", cli.GENERATING_FUNCTIONS),
+        ("scan", "--gf", cli.GENERATING_FUNCTIONS),
+        ("bijection", "--map", cli.MAPS),
+    )
+    for choice, row in table.items()
+    for name in "st"
+    if name not in row[1]
+]
+VERB_ARGS = {"series": (), "scan": ("-g", "5", "--mod", "5"), "bijection": ("--input", "[]")}
+
+
+@pytest.mark.parametrize("value", ("5", "-7"))
+@pytest.mark.parametrize("verb, option, choice, name", UNREAD)
+def test_a_modulus_the_choice_does_not_read_is_refused(run, monkeypatch, verb, option, choice, name, value):
+    table = cli.GENERATING_FUNCTIONS if option == "--gf" else cli.MAPS
+    patch_row(monkeypatch, table, choice, never)
+    monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
+    read = [word for other in table[choice][1] for word in (f"-{other}", "3")]
+    result = run(verb, option, choice, *read, f"-{name}", value, *VERB_ARGS[verb])
+    assert result == (1, "", f"Error: {option} {choice} does not read -{name}\n")
+    # partition reads neither modulus, the single-modulus series and zeta read -t alone
+    assert len(UNREAD) == 2 * (2 + 3) + 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *[
+            ((verb, "--gf", gf, *VERB_ARGS[verb]), f"--gf {gf} needs -t")
+            for verb in ("series", "scan")
+            for gf in ("core", "selfconj", "barcore")
+        ],
+        *[
+            ((verb, "--gf", gf, *moduli, *VERB_ARGS[verb]), f"--gf {gf} needs both -s and -t")
+            for verb in ("series", "scan")
+            for gf in ("psi", "psistar", "psibar")
+            for moduli in ((), ("-s", "3"), ("-t", "5"))
+        ],
+        # refused before --input is read: "oops" is not JSON
+        *[
+            (("bijection", "--map", name, "-t", "5", "--input", "oops"), f"{name} needs both -s and -t")
+            for name in ("gamma", "gamma-inverse", "big-gamma", "big-gamma-inverse")
+        ],
+    ],
+)
+def test_a_missing_modulus_is_refused_before_any_work(run, monkeypatch, argv, message):
+    for table in (cli.GENERATING_FUNCTIONS, cli.MAPS):
+        for name in table:
+            patch_row(monkeypatch, table, name, never)
+    monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
+    assert run(*argv) == (1, "", f"Error: {message}\n")
 
 
 def test_grid_kinds(run):
@@ -236,6 +288,64 @@ def test_psistar_of_a_large_mixed_parity_reduced_pair_finishes(run):
     assert len(rows) == 61
     want = oracle.selfconj_st_core_counts(39, 42, 40).counts
     assert [int(row.split(",")[1]) for row in rows[:41]] == list(want)
+
+
+def test_each_grid_kind_is_capped():
+    # anderson's s x t grid has four times the cells of the other two
+    assert {kind: cap for kind, (_, cap) in cli.GRIDS.items()} == {
+        "anderson": GRID_CAP, "dh": PAIR_MAP_CAP, "yinyang": PAIR_MAP_CAP,
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(cli.GRIDS))
+def test_grid_refuses_a_parameter_past_its_cap(run, kind, monkeypatch):
+    cap = cli.GRIDS[kind][1]
+    patch_row(monkeypatch, cli.GRIDS, kind, never)
+    for big in (cap + 2, 10**30 + 1):
+        # -s is checked before -t
+        for s, flag in ((big, "-s"), (3, "-t")):
+            result = run("grid", "--kind", kind, "-s", str(s), "-t", str(big))
+            assert result == (1, "", f"Error: {flag} {big} exceeds the cap {cap} for --kind {kind}\n")
+
+
+def test_grid_accepts_its_cap(run, monkeypatch):
+    seen = []
+    for kind in cli.GRIDS:
+        patch_row(monkeypatch, cli.GRIDS, kind, lambda s, t: seen.append((s, t)) or ((1,),))
+    for kind, (_, cap) in cli.GRIDS.items():
+        assert run("grid", "--kind", kind, "-s", str(cap - 2), "-t", str(cap)) == (0, "1\n", "")
+    assert seen == [(GRID_CAP - 2, GRID_CAP)] + [(PAIR_MAP_CAP - 2, PAIR_MAP_CAP)] * 2
+
+
+JOINT = ("psi", "psistar", "psibar")
+
+
+@pytest.mark.parametrize("verb", ("series", "scan"))
+@pytest.mark.parametrize("gf", JOINT)
+def test_joint_series_refuse_a_reduced_pair_past_the_cap(run, gf, verb, monkeypatch):
+    patch_row(monkeypatch, cli.GENERATING_FUNCTIONS, gf, never)
+    cap = REDUCED_PAIR_CAP
+    big = cap + 2
+    # odd pairs, so that psibar would read them too; the last two reduce by g = 3
+    for s, t, reduced in (
+        (big, cap, (big, cap)),
+        (3, 10**30 + 1, (3, 10**30 + 1)),
+        (3 * big, 9, (big, 3)),
+        (3 * cap, 3 * big, (cap, big)),
+    ):
+        result = run(verb, "--gf", gf, "-s", str(s), "-t", str(t), *VERB_ARGS[verb])
+        assert result == (1, "", f"Error: the reduced pair {reduced} exceeds the cap {cap} for --gf {gf}\n")
+
+
+@pytest.mark.parametrize("gf", JOINT)
+def test_joint_series_accept_a_reduced_pair_at_the_cap(run, gf, monkeypatch):
+    seen = []
+    patch_row(monkeypatch, cli.GENERATING_FUNCTIONS, gf, lambda s, t, n: seen.append((s, t)) or TruncatedSeries([1]))
+    cap = REDUCED_PAIR_CAP
+    # past the cap before reduction, at it after
+    for s, t in ((cap - 2, cap), (3 * cap, 3 * (cap - 2))):
+        assert run("series", "--gf", gf, "-s", str(s), "-t", str(t), "-N", "0") == (0, "n,coefficient\n0,1\n", "")
+    assert seen == [(cap - 2, cap), (3 * cap, 3 * (cap - 2))]
 
 
 def test_grid_rejects_bad_parameters(run):
@@ -341,11 +451,8 @@ def test_pair_maps_refuse_bad_input_in_the_library_and_the_cli(run, map_name, pa
 
 @pytest.mark.parametrize("map_name", sorted(PAIR_MAPS))
 def test_pair_maps_refuse_a_parameter_past_their_cap(run, map_name, monkeypatch):
-    def never(*args):
-        raise AssertionError("work started")
-
-    for function in PAIR_MAPS.values():
-        monkeypatch.setattr(lattice, function.__name__, never)
+    for name in PAIR_MAPS:
+        patch_row(monkeypatch, cli.MAPS, name, never)
     monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
     for big in (PAIR_MAP_CAP + 2, 10**30 + 1):
         # -s is checked before -t
@@ -362,8 +469,8 @@ def test_pair_maps_accept_the_cap(run, monkeypatch):
     assert result == (0, '{"kind":"bar","parts":[]}\n', "")
     # gamma near the cap takes about 2 s; only the admission is checked
     seen = []
-    for function in PAIR_MAPS.values():
-        monkeypatch.setattr(lattice, function.__name__, lambda parts, s, t: seen.append((s, t)) or ())
+    for name in PAIR_MAPS:
+        patch_row(monkeypatch, cli.MAPS, name, lambda parts, s, t: seen.append((s, t)) or ())
     for map_name in PAIR_MAPS:
         code, _, err = run("bijection", "--map", map_name, "-s", cap, "-t", cap, "--input", "[]")
         assert (code, err) == (0, "")
