@@ -340,11 +340,13 @@ def test_joint_series_refuse_a_reduced_pair_past_the_cap(run, gf, verb, monkeypa
 @pytest.mark.parametrize("gf", JOINT)
 def test_joint_series_accept_a_reduced_pair_at_the_cap(run, gf, monkeypatch):
     seen = []
-    patch_row(monkeypatch, cli.GENERATING_FUNCTIONS, gf, lambda s, t, n: seen.append((s, t)) or TruncatedSeries([1]))
+    one = TruncatedSeries([1])
+    patch_row(monkeypatch, cli.GENERATING_FUNCTIONS, gf, lambda s, t, n: seen.append((s, t)) or one)
     cap = REDUCED_PAIR_CAP
     # past the cap before reduction, at it after
     for s, t in ((cap - 2, cap), (3 * cap, 3 * (cap - 2))):
-        assert run("series", "--gf", gf, "-s", str(s), "-t", str(t), "-N", "0") == (0, "n,coefficient\n0,1\n", "")
+        result = run("series", "--gf", gf, "-s", str(s), "-t", str(t), "-N", "0")
+        assert result == (0, "n,coefficient\n0,1\n", "")
     assert seen == [(cap - 2, cap), (3 * cap, 3 * (cap - 2))]
 
 
