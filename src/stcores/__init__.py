@@ -90,71 +90,7 @@ from .verify import run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarPartition",
-    "BarTower",
-    "CountTable",
-    "Partition",
-    "StraightTower",
-    "TruncatedSeries",
-    "anderson_grid",
-    "as_bar_partition",
-    "as_partition",
-    "bar_decompose",
-    "bar_length_multiset",
-    "bar_reconstruct",
-    "barcore_counts",
-    "barcore_gf",
-    "big_gamma",
-    "big_gamma_inverse",
-    "congruence_scan",
-    "conjugate",
-    "convolution_psi",
-    "convolution_psi_bar",
-    "convolution_psi_star",
-    "core_counts",
-    "core_gf",
-    "count_filtered",
-    "decompose",
-    "dh_grid",
-    "diagonal_hooks",
-    "enumerate_bar_partitions",
-    "enumerate_cores_by_paths",
-    "enumerate_partitions",
-    "enumerate_self_conjugate",
-    "eta_quotient",
-    "extremal_stats",
-    "first_column_hooks",
-    "from_diagonal_hooks",
-    "from_first_column_hooks",
-    "gamma",
-    "gamma_inverse",
-    "gks_decode",
-    "gks_encode",
-    "hook_length_multiset",
-    "is_bar_partition",
-    "is_self_conjugate",
-    "is_st_core",
-    "is_stbar_core",
-    "is_t_core",
-    "is_tbar_core",
-    "olsson_decode",
-    "olsson_encode",
-    "partition_gf",
-    "path_to_core",
-    "progression_extract",
-    "psi_bar_st_gf",
-    "psi_st_gf",
-    "psi_star_st_gf",
-    "reconstruct",
-    "run_suite",
-    "selfconj_core_counts",
-    "selfconj_core_gf",
-    "selfconj_st_core_counts",
-    "size",
-    "st_core_counts",
-    "stbar_core_counts",
-    "yinyang_grid",
-    "zeta",
-    "zeta_inverse",
-]
+# Every public name bound above, less the submodules that the imports bind.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, type(verify))
+)

@@ -62,6 +62,16 @@ GRID_CAP = 1501
 # The cost still grows with -N: psi at (301,303) takes about 4 s at -N 60.
 REDUCED_PAIR_CAP = 1601
 
+# Largest -N that `series`, `scan` and `verify` accept. A series product is
+# quadratic in -N once its factors go dense, and the worst builder is a
+# single eta quotient: core_gf(t) makes t passes over the whole coefficient
+# list, slowest with t near -N/2. Measured cold at the cap on a 2-vCPU Xeon
+# (Python 3.11.7, three runs each): `series --gf core -t 1601` 1.4-1.9 s,
+# `series --gf psi -s 3202 -t 4803` 1.7 s, under 16 MB peak RSS; `verify all`
+# 4.1-5.8 s, against 2.2-2.8 s at -N 40, as its bounds and congruence suites
+# grow with -N.
+TRUNCATION_CAP = 4000
+
 # Per --gf: the builder, the moduli it reads, and the cap on the larger
 # member of the reduced pair (s/g, t/g) that a joint census is taken over.
 GENERATING_FUNCTIONS = {
@@ -123,12 +133,18 @@ def _moduli(
     return [given[name] for name in reads]
 
 
+def _check_truncation(truncation: int) -> None:
+    if truncation > TRUNCATION_CAP:
+        raise ValueError(f"-N {truncation} exceeds the cap {TRUNCATION_CAP}")
+
+
 def _build_series(gf: str, s: int | None, t: int | None, truncation: int) -> TruncatedSeries:
     build, reads, cap = GENERATING_FUNCTIONS[gf]
     moduli = _moduli("--gf", gf, reads, s, t)
     reduced = tuple(m // (gcd(*moduli) or 1) for m in moduli)
     if cap is not None and max(reduced) > cap:
         raise ValueError(f"the reduced pair {reduced} exceeds the cap {cap} for --gf {gf}")
+    _check_truncation(truncation)
     return build(*moduli, truncation)
 
 
@@ -190,6 +206,7 @@ def verify(suite: str, truncation: int, report_path: str | None) -> None:
     names = sorted(verify_module.SUITES) if suite == "all" else [suite]
     if names[0] not in verify_module.SUITES:
         verify_module.run_suite(suite, truncation)  # refuses the name, runs nothing
+    _check_truncation(truncation)
     # Opened first, so a path that cannot be written fails before any check.
     report = None if report_path is None else open(report_path, "w", encoding="utf-8")
     results = {}

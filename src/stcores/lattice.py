@@ -141,14 +141,21 @@ FAMILIES = {
 }
 
 
+def _family(name: str) -> tuple:
+    """The :data:`FAMILIES` row of ``name``, or a ValueError naming the families."""
+    if name not in FAMILIES:
+        raise ValueError("family must be straight, selfconj, or bar")
+    return FAMILIES[name]
+
+
 def path_to_core(family: str, path: Path, s: int, t: int) -> Partition | BarPartition:
     """The core of ``family`` decoded from the values the path traps in its grid.
 
     Raises:
-        ValueError: if the path does not fit the grid, or if a straight path
-            dips below the sign border.
+        ValueError: for an unknown family; if the path does not fit the grid,
+            or if a straight path dips below the sign border.
     """
-    build, above_border, decode = FAMILIES[family]
+    build, above_border, decode = _family(family)
     grid = build(s, t)
     above, below = _trapped_values(grid, path, _border_heights(grid))
     if above_border and below:
@@ -300,7 +307,7 @@ def enumerate_cores_by_paths(family: str, s: int, t: int) -> Iterator[Partition 
     Builds the grid and its border once; a straight walk generates only the
     paths weakly above the border.
     """
-    build, above_border, decode = FAMILIES[family]
+    build, above_border, decode = _family(family)
     grid = build(s, t)
     border = _border_heights(grid)
     for path in _paths_above(border if above_border else (0,) * len(grid), len(grid[0])):
@@ -328,7 +335,7 @@ def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
     Returns:
         counts[n], the number of cores of size n, for n = 0..limit.
     """
-    build, above_border, _ = FAMILIES[family]
+    build, above_border, _ = _family(family)
     grid = build(s, t)
     heights = range(len(grid[0]) + 1)
     # states[h] maps (k, S) to the number of path prefixes ending at height h.

@@ -62,6 +62,8 @@ class CountTable(Frozen):
         object.__setattr__(self, "counts", counts)
 
     def __getitem__(self, n: int) -> int:
+        if not 0 <= n < len(self.counts):
+            raise IndexError(f"size {n} outside 0..{len(self.counts) - 1}")
         return self.counts[n]
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from stcores import cli, lattice, oracle
 from stcores import verify as verify_module
-from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, REDUCED_PAIR_CAP, ZETA_T_CAP
+from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, REDUCED_PAIR_CAP, TRUNCATION_CAP, ZETA_T_CAP
 from stcores.series import TruncatedSeries
 
 
@@ -342,6 +342,33 @@ def test_joint_series_accept_a_reduced_pair_at_the_cap(run, gf, monkeypatch):
         result = run("series", "--gf", gf, "-s", str(s), "-t", str(t), "-N", "0")
         assert result == (0, "n,coefficient\n0,1\n", "")
     assert seen == [(cap - 2, cap), (3 * cap, 3 * (cap - 2))]
+
+
+@pytest.mark.parametrize("verb", ("series", "scan", "verify"))
+def test_a_truncation_past_its_cap_is_refused_before_any_work(run, verb, monkeypatch):
+    for name in cli.GENERATING_FUNCTIONS:
+        patch_row(monkeypatch, cli.GENERATING_FUNCTIONS, name, never)
+    for name in verify_module.SUITES:
+        monkeypatch.setitem(verify_module.SUITES, name, never)
+    args = ("all",) if verb == "verify" else ("--gf", "core", "-t", "5", *VERB_ARGS[verb])
+    for big in (TRUNCATION_CAP + 1, 10**30):
+        assert run(verb, *args, "-N", str(big)) == (1, "", f"Error: -N {big} exceeds the cap {TRUNCATION_CAP}\n")
+        # the default read from the environment is refused the same way
+        monkeypatch.setenv("STCORES_TRUNCATION", str(big))
+        assert run(verb, *args) == (1, "", f"Error: -N {big} exceeds the cap {TRUNCATION_CAP}\n")
+        monkeypatch.delenv("STCORES_TRUNCATION")
+
+
+def test_a_truncation_at_its_cap_is_accepted(run, monkeypatch):
+    seen = []
+    patch_row(monkeypatch, cli.GENERATING_FUNCTIONS, "core", lambda t, n: seen.append(n) or TruncatedSeries([1]))
+    for name in verify_module.SUITES:
+        monkeypatch.setitem(verify_module.SUITES, name, lambda n: seen.append(n) or [])
+    cap = str(TRUNCATION_CAP)
+    assert run("series", "--gf", "core", "-t", "5", "-N", cap) == (0, "n,coefficient\n0,1\n", "")
+    assert run("scan", "--gf", "core", "-t", "5", *VERB_ARGS["scan"], "-N", cap)[::2] == (0, "")
+    assert run("verify", "all", "-N", cap)[::2] == (0, "")
+    assert seen == [TRUNCATION_CAP] * (2 + len(verify_module.SUITES))
 
 
 def test_grid_rejects_bad_parameters(run):

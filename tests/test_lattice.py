@@ -355,3 +355,39 @@ def test_big_gamma_round_trips_small_self_conjugate_cores():
             assert big_gamma_inverse(b, 9, 15) == p
             count += 1
     assert count > 10
+
+
+@pytest.mark.parametrize(
+    "s, t, limit, sources",
+    [(3, 9, 24, 6), (9, 3, 24, 6), (5, 15, 24, 15), (15, 25, 30, 143), (21, 35, 30, 170)],
+)
+def test_big_gamma_bijects_where_a_reduced_modulus_is_one_or_g_exceeds_three(s, t, limit, sources):
+    # (3,9), (9,3) and (5,15) reduce to a pair with a 1, where no gamma runs
+    # and the middle component must stay empty; (15,25) and (21,35) take
+    # g = 5 and 7 over the reduced pair (3,5).
+    cores = [
+        p
+        for n in range(limit + 1)
+        for p in enumerate_self_conjugate(n)
+        if is_t_core(p, s) and is_t_core(p, t)
+    ]
+    images = [big_gamma(p, s, t) for p in cores]
+    assert len(cores) == sources
+    assert all(is_stbar_core(b, s, t) for b in images)
+    assert len(set(images)) == len(images)
+    assert [big_gamma_inverse(b, s, t) for b in images] == cores
+    assert [big_gamma(big_gamma_inverse(b, s, t), s, t) for b in images] == images
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: path_to_core("foo", (0,), 2, 3),
+        lambda: list(enumerate_cores_by_paths("foo", 2, 3)),
+        lambda: census_by_size("foo", 2, 3, 5),
+    ],
+    ids=["path_to_core", "enumerate_cores_by_paths", "census_by_size"],
+)
+def test_an_unknown_family_is_a_value_error(call):
+    with pytest.raises(ValueError, match="^family must be straight, selfconj, or bar$"):
+        call()

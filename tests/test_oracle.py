@@ -58,6 +58,14 @@ def test_count_tables_expose_rows():
     assert table[3] == 1
 
 
+@pytest.mark.parametrize("n", [-1, 11])
+def test_count_tables_refuse_a_size_outside_the_limit(n):
+    # as TruncatedSeries refuses an exponent outside its truncation; a
+    # negative size no longer wraps around to the largest one
+    with pytest.raises(IndexError, match=f"^size {n} outside 0..10$"):
+        core_counts(3, 10)[n]
+
+
 def test_joint_count_tables_small_values():
     assert st_core_counts(2, 3, 5).counts == (1, 1, 0, 0, 0, 0)
     # only () and (1) are simultaneously 2- and 3-core

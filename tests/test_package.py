@@ -122,8 +122,8 @@ for stage, modules in stages:
 
 
 def test_all_lists_exactly_the_names_the_package_imports():
-    # __all__ is a second copy of the import list in __init__.py; the two
-    # must not drift apart.
+    # __all__ is derived from the package's globals; it must hold exactly
+    # the names the import block binds, and no submodule.
     tree = ast.parse((ROOT / "src" / "stcores" / "__init__.py").read_text())
     imported = [
         alias.asname or alias.name
