@@ -64,8 +64,8 @@ REDUCED_PAIR_CAP = 1601
 
 # Largest -N that `series`, `scan` and `verify` accept. A series product is
 # quadratic in -N once its factors go dense, and the worst builder is a
-# single eta quotient: core_gf(t) makes t passes over the whole coefficient
-# list, slowest with t near -N/2. Measured cold at the cap on a 2-vCPU Xeon
+# single eta quotient: core_gf(t) makes t passes over the coefficients from
+# x**t up, slowest with t near -N/2. Measured cold at the cap on a 2-vCPU Xeon
 # (Python 3.11.7, three runs each): `series --gf core -t 1601` 1.4-1.9 s,
 # `series --gf psi -s 3202 -t 4803` 1.7 s, under 16 MB peak RSS; `verify all`
 # 4.1-5.8 s, against 2.2-2.8 s at -N 40, as its bounds and congruence suites

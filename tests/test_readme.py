@@ -31,7 +31,6 @@ def test_the_library_example_computes_what_its_comments_state():
     assert f"# 3-core {names['tower'].core} plus a 3-quotient" in block
     assert f"# {names['bar']}" in block
     assert f"# 3-bar-core {names['btower'].core} plus a 3-bar-quotient" in block
-    assert names["series"][0] == 1
 
 
 # Per cap constant of the CLI: its value and a call just past it.
