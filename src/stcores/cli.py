@@ -39,10 +39,12 @@ ZETA_T_CAP = 1_000_001
 # Largest -s and -t that the pair maps (gamma, big-gamma and their inverses)
 # accept: gamma builds the floor(s/2) x floor(t/2) diagonal-hooks grid and the
 # yin-yang grid, so its work and memory grow with s*t even for the empty
-# partition; big-gamma reaches gamma only at s/g and t/g. Measured cold with
-# `--input []` on a 2-vCPU Xeon (Python 3.11.7, five runs each): gamma and
-# gamma-inverse at (2999,3001) 1.6-2.2 s and about 100 MB peak RSS, big-gamma
-# and its inverse at (2997,3003) under 0.4 s.
+# partition; big-gamma reaches gamma only at s/g and t/g. Measured cold on a
+# 2-vCPU Xeon (Python 3.11.7, five runs each): gamma and gamma-inverse at
+# (2999,3001) with `--input []` 1.6-2.2 s and about 100 MB peak RSS;
+# big-gamma at (2991,2997) with `--input [2,1]`, whose middle 3-quotient
+# component (1,) reaches gamma at (997,999), and its inverse on the image
+# 0.17-0.26 s and 24 MB.
 PAIR_MAP_CAP = 3001
 
 # Largest -s and -t that `grid` accepts: it prints every cell, so its work and

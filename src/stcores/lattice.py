@@ -250,13 +250,11 @@ def big_gamma(p: Partition, s: int, t: int) -> BarPartition:
     sp, tp = s // g, t // g
     tower = decompose(p, g)
     bar_core = zeta(tower.core, g)
+    # s' or t' is 1 only when g is s or t: p is then a g-core, its quotient
+    # is empty, and gamma would refuse the unit modulus. Elsewhere gamma runs
+    # even on an empty middle, whose image need not be empty.
     middle = tower.quotient[(g - 1) // 2]
-    if sp == 1 or tp == 1:
-        if middle != ():
-            raise ValueError("middle component must be empty when s' or t' is 1")
-        lam0: BarPartition = ()
-    else:
-        lam0 = gamma(middle, sp, tp)
+    lam0 = gamma(middle, sp, tp) if min(sp, tp) > 1 else ()
     components = (lam0,) + tower.quotient[: (g - 1) // 2]
     return bar_reconstruct(BarTower(g=g, core=bar_core, quotient=components))
 
@@ -275,12 +273,7 @@ def big_gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
     sp, tp = s // g, t // g
     tower = bar_decompose(b, g)
     core = zeta_inverse(tower.core, g)
-    if sp == 1 or tp == 1:
-        if tower.quotient[0] != ():
-            raise ValueError("component 0 must be empty when s' or t' is 1")
-        middle: Partition = ()
-    else:
-        middle = gamma_inverse(tower.quotient[0], sp, tp)
+    middle = gamma_inverse(tower.quotient[0], sp, tp) if min(sp, tp) > 1 else ()
     half = list(tower.quotient[1:])
     quotient = half + [middle] + [conjugate(q) for q in reversed(half)]
     return reconstruct(StraightTower(g=g, core=core, quotient=tuple(quotient)))

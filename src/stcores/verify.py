@@ -14,20 +14,24 @@ those scales adds work only where a series is involved.
 Each family of checks that differ only in their parameters is one loop over
 a table of rows, built inside its suite when the suite runs: a row names the
 family, the series builder, the brute-force table or second form, the
-parameters and the cap. ``suite_structure`` makes one pass per size over the
-partitions (self-conjugate ones included) and one over the bar partitions;
-each partition's conjugate, hook multiset and g-towers for g = 2..5 are
-computed once and feed every check on it (the joint-core quotient criterion
-included), the hook counts of each distinct quotient component are computed
-once per pass, and each check counts only the sizes up to its own cap.
-``suite_bijections`` likewise makes one pass per size over the self-conjugate
-partitions.
+parameters and the cap. In ``suite_bounds`` a row is one lower-bound theorem,
+read with one rule: a size with no live quotient weight counts zero, and
+every other size meets the row's tuple-sum floor and its bound.
+``suite_bijections`` sends every map through one round-trip check: each image
+is valid, inverts to its source and collides with no earlier image, and
+gamma's images cover the bar census. ``suite_structure`` makes one pass per
+size over the partitions (self-conjugate ones included) and one over the bar
+partitions; each partition's conjugate, hook multiset and g-towers for
+g = 2..5 are computed once and feed every check on it (the joint-core
+quotient criterion included), the hook counts of each distinct quotient
+component are computed once per pass, and each check counts only the sizes
+up to its own cap.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, product
 from math import comb, gcd
 from typing import Callable
@@ -316,92 +320,56 @@ def suite_bounds(limit: int) -> list[Check]:
     """Lower bounds, positivity, and cumulative-growth checks, brute-forced."""
     checks: list[Check] = []
     cap40 = min(limit, 40)
-    cap35 = min(limit, 35)
     cap30 = min(limit, 30)
 
-    # Each floor sums the coefficients of a quotient-tuple series, read off
-    # the series kernel; the counts it bounds come from the oracle walks.
-    table = orc.not_g_core_counts((16,), 4, cap40)
-    tuples = sr.core_gf(4, cap40) ** 4
-    fails = []
-    for n in range(4, cap40 + 1):
-        val = table[n]
-        floor_sum = sum(tuples[w] for w in range(1, n // 4 + 1))
-        if val < floor_sum:
-            fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
-        elif val < 4 * (n // 4):
-            fails.append(f"n={n}: {val} < 4*floor(n/4)")
-        elif val < 4:
-            fails.append(f"n={n}: {val} < 4")
-    checks.append(_all("16-cores that are not 4-cores meet the lower bounds", fails, max(0, cap40 - 3)))
+    # One row per theorem on the t-cores of a variant that are not g-cores:
+    # label, t, g, variant, cap, quotient-tuple series, first size, and the
+    # bound given the number k of live weights. A tuple of weight w fills
+    # w * g cells, or 2 * w * g for an even g in the self-conjugate variant,
+    # whose quotient components pair off with their conjugates; w is live
+    # unless the leftover g-core would be a self-conjugate one of size 2,
+    # which cannot exist. The floors read the series kernel, the counts the
+    # oracle walks.
+    core = partial(sr.core_gf, truncation=cap40)
 
-    # In both self-conjugate blocks a tuple term only counts when the
-    # leftover self-conjugate core can exist; size 2 admits none.
-    for t in (16, 32):
-        tp = t // 8
-        table = orc.not_g_core_counts((t,), 8, cap40, variant="selfconj")
-        tuples = sr.core_gf(tp, cap40) ** 4
-        fails = []
-        for n in range(cap40 + 1):
-            val = table[n]
-            live = [w for w in range(1, n // 16 + 1) if n - 16 * w != 2]
-            floor_sum = sum(tuples[w] for w in live)
-            if val < floor_sum:
-                fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
-            elif not live and val != 0:
-                fails.append(f"n={n}: {val} nonzero yet no witness can exist")
-            elif live and 2 * val < 8:
-                fails.append(f"n={n}: {val} below half the divisor")
-            elif tp >= 4 and val < 4 * len(live):
-                fails.append(f"n={n}: {val} < 4 per live weight")
-        checks.append(
-            _all(
-                f"self-conjugate {t}-cores that are not 8-cores meet the lower bounds",
-                fails,
-                cap40 + 1,
-            )
-        )
-
-    for t in (22, 44):
-        tp = t // 11
-        table = orc.not_g_core_counts((t,), 11, cap40, variant="selfconj")
+    def paired(tp: int) -> sr.TruncatedSeries:
         # weight v = 2 * w1 + w2: five paired tp-cores of total w1 and a
         # self-conjugate tp-core of size w2
-        tuples = (sr.core_gf(tp, cap40) ** 5).substitute_power(2) * sr.selfconj_core_gf(tp, cap40)
-        fails = []
-        for n in range(cap40 + 1):
-            val = table[n]
-            floor_sum = sum(tuples[v] for v in range(1, n // 11 + 1) if n - 11 * v != 2)
-            if val < floor_sum:
-                fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
-            elif n == 11 + 2 or n < 11:
-                if n == 11 + 2 and val != 0:
-                    fails.append(f"n={n}: {val} nonzero yet no witness can exist")
-            elif val < 1:
-                fails.append(f"n={n}: no witness partition")
-            elif n >= 22 and n != 2 * 11 + 2 and 2 * val < 11:
-                fails.append(f"n={n}: {val} below half the divisor")
-        checks.append(
-            _all(
-                f"self-conjugate {t}-cores that are not 11-cores meet the lower bounds",
-                fails,
-                cap40 + 1,
-            )
-        )
+        return (core(tp) ** 5).substitute_power(2) * sr.selfconj_core_gf(tp, cap40)
 
-    table = orc.not_g_core_counts((21,), 7, cap35, variant="bar")
-    tuples = sr.barcore_gf(3, cap35) * sr.core_gf(3, cap35) ** 3
-    fails = []
-    for n in range(7, cap35 + 1):
-        val = table[n]
-        floor_sum = sum(tuples[w] for w in range(1, n // 7 + 1))
-        if val < floor_sum:
-            fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
-        elif val < 4:
-            fails.append(f"n={n}: {val} < 4")
-    checks.append(
-        _all("21-bar-cores that are not 7-bar-cores meet the lower bounds", fails, max(0, cap35 - 6))
-    )
+    # the 11-rows ask for 6 from two live weights on: from n = 22 on, but at
+    # 24, whose weight 2 leaves size 2
+    theorems = {
+        "16-cores that are not 4-cores": (16, 4, "straight", cap40, core(4) ** 4, 4, lambda k: 4 * k),
+        "self-conjugate 16-cores that are not 8-cores": (16, 8, "selfconj", cap40, core(2) ** 4, 0, lambda k: 4),
+        "self-conjugate 32-cores that are not 8-cores": (
+            32, 8, "selfconj", cap40, core(4) ** 4, 0, lambda k: 4 * k
+        ),
+        "self-conjugate 22-cores that are not 11-cores": (
+            22, 11, "selfconj", cap40, paired(2), 0, lambda k: 6 if k > 1 else 1
+        ),
+        "self-conjugate 44-cores that are not 11-cores": (
+            44, 11, "selfconj", cap40, paired(4), 0, lambda k: 6 if k > 1 else 1
+        ),
+        "21-bar-cores that are not 7-bar-cores": (
+            21, 7, "bar", min(limit, 35), sr.barcore_gf(3, cap40) * core(3) ** 3, 7, lambda k: 4
+        ),
+    }
+    for label, (t, g, variant, cap, tuples, first, bound) in theorems.items():
+        step = 2 * g if variant == "selfconj" and g % 2 == 0 else g
+        table = orc.not_g_core_counts((t,), g, cap, variant)
+        fails = []
+        for n in range(first, cap + 1):
+            val = table[n]
+            live = [w for w in range(1, n // step + 1) if variant != "selfconj" or n - step * w != 2]
+            floor_sum = sum(tuples[w] for w in live)
+            if not live and val:
+                fails.append(f"n={n}: {val} nonzero yet no weight is live")
+            elif val < floor_sum:
+                fails.append(f"n={n}: {val} < tuple sum {floor_sum}")
+            elif live and val < bound(len(live)):
+                fails.append(f"n={n}: {val} < bound {bound(len(live))}")
+        checks.append(_all(f"{label} meet the lower bounds", fails, len(range(first, cap + 1))))
 
     # Size 2 admits no self-conjugate partition at all: that row skips it and
     # instead requires both counts at 2 to vanish.
@@ -435,104 +403,82 @@ def suite_bounds(limit: int) -> list[Check]:
     for label, moduli, g, variant in appearing:
         running = list(accumulate(orc.not_g_core_counts(moduli, g, cap40, variant).counts))
         cumulative = [running[m] for m in marks]
-        checks.append(
-            (
-                label,
-                all(a < b for a, b in zip(cumulative, cumulative[1:])),
-                f"cumulative counts at {marks}: {cumulative}",
-            )
-        )
+        increasing = all(a < b for a, b in zip(cumulative, cumulative[1:]))
+        checks.append((label, increasing, f"cumulative counts at {marks}: {cumulative}"))
     return checks
+
+
+def _bijects(
+    label: str, sources: list, forward: Callable, valid: Callable, inverse: Callable,
+    census: frozenset = frozenset(),
+) -> Check:
+    # forward sends each source to a valid image that inverse takes back to
+    # it, no two sources to one image, and onto all of a census if one is given
+    fails = []
+    images = set()
+    for source in sources:
+        b = forward(source)
+        if not valid(b):
+            fails.append(f"image of {source} is invalid: {b}")
+        elif inverse(b) != source:
+            fails.append(f"round trip fails at {source}")
+        elif b in images:
+            fails.append(f"two sources map to {b}")
+        images.add(b)
+    if census - images:
+        fails.append(f"image misses {len(census - images)} of the {len(census)} in the census")
+    return _all(label, fails, len(sources))
 
 
 def suite_bijections(limit: int) -> list[Check]:
     """Round trips and image coverage for zeta, gamma, and big-gamma."""
-    checks: list[Check] = []
-    cap25 = min(limit, 25)
-    cap30 = min(limit, 30)
+    selfconj = [p for n in range(min(limit, 30) + 1) for p in orc.enumerate_self_conjugate(n)]
 
-    # One pass per size over the self-conjugate partitions feeds the zeta
-    # round trips (to size 25) and big-gamma (to size 30).
-    zeta_fails: dict[int, list[str]] = {t: [] for t in (3, 5, 7)}
-    zeta_total = dict.fromkeys((3, 5, 7), 0)
-    big_fails: list[str] = []
-    seen: set[bp.BarPartition] = set()
-    big_total = 0
-    for n in range(cap30 + 1):
-        for p in orc.enumerate_self_conjugate(n):
-            for t in zeta_fails if n <= cap25 else ():
-                if not pt.is_t_core(p, t):
-                    continue
-                zeta_total[t] += 1
-                b = enc.zeta(p, t)
-                if not bp.is_bar_partition(b) or not bp.is_tbar_core(b, t):
-                    zeta_fails[t].append(f"zeta({p}) = {b} is not a {t}-bar-core")
-                elif enc.zeta_inverse(b, t) != p:
-                    zeta_fails[t].append(f"round trip fails at {p}")
-            if not cq.is_st_core(p, 9, 15):
-                continue
-            big_total += 1
-            b = lat.big_gamma(p, 9, 15)
-            if not cq.is_stbar_core(b, 9, 15):
-                big_fails.append(f"image of {p} invalid")
-            elif lat.big_gamma_inverse(b, 9, 15) != p:
-                big_fails.append(f"round trip fails at {p}")
-            elif b in seen:
-                big_fails.append(f"two sources map to {b}")
-            seen.add(b)
-    for t, fails in zeta_fails.items():
-        checks.append(
-            _all(f"zeta round trips on self-conjugate {t}-cores", fails, zeta_total[t])
+    def is_bar_core(t: int) -> Callable:
+        return lambda b: bp.is_bar_partition(b) and bp.is_tbar_core(b, t)
+
+    checks = [
+        _bijects(
+            f"zeta round trips on self-conjugate {t}-cores",
+            [p for p in selfconj if sum(p) <= min(limit, 25) and pt.is_t_core(p, t)],
+            partial(enc.zeta, t=t),
+            is_bar_core(t),
+            partial(enc.zeta_inverse, t=t),
         )
-
+        for t in (3, 5, 7)
+    ]
+    # a signed tuple of length (t-1)/2 halves the runner tuple of a
+    # self-conjugate t-core, and zeta of that core encodes back to it
     for t in (3, 5, 7):
-        h = (t - 1) // 2
-        fails = []
-        images = set()
-        total = 0
-        for half in product(range(-3, 4), repeat=h):
-            total += 1
-            full = half + (0,) + enc.conjugate_tuple(half)
-            p = enc.gks_decode(full)
-            b = enc.zeta(p, t)
-            if enc.olsson_encode(b, t) != half:
-                fails.append(f"tuple {half} does not invert")
-            elif enc.zeta_inverse(b, t) != p:
-                fails.append(f"partition round trip fails for {half}")
-            images.add(b)
-        if len(images) != total:
-            fails.append(f"only {len(images)} distinct images for {total} tuples")
+        halves = product(range(-3, 4), repeat=(t - 1) // 2)
         checks.append(
-            _all(f"zeta is invertible over signed tuples at t={t}", fails, total)
-        )
-
-    for s, t in ((5, 7), (7, 11)):
-        sc = list(lat.enumerate_cores_by_paths("selfconj", s, t))
-        bars = set(lat.enumerate_cores_by_paths("bar", s, t))
-        fails = []
-        images = set()
-        for p in sc:
-            b = lat.gamma(p, s, t)
-            if b not in bars:
-                fails.append(f"gamma({p}) is not an ({s}-bar,{t}-bar)-core")
-            elif lat.gamma_inverse(b, s, t) != p:
-                fails.append(f"round trip fails at {p}")
-            images.add(b)
-        if images != bars:
-            fails.append(f"image misses {len(bars - images)} bar-cores")
-        checks.append(
-            _all(
-                f"gamma bijects self-conjugate ({s},{t})-cores onto bar-cores",
-                fails,
-                len(sc),
+            _bijects(
+                f"zeta is invertible over signed tuples at t={t}",
+                [(h, enc.gks_decode(h + (0,) + enc.conjugate_tuple(h))) for h in halves],
+                lambda source, t=t: enc.zeta(source[1], t),
+                is_bar_core(t),
+                lambda b, t=t: (enc.olsson_encode(b, t), enc.zeta_inverse(b, t)),
             )
         )
-
+    for s, t in ((5, 7), (7, 11)):
+        bars = frozenset(lat.enumerate_cores_by_paths("bar", s, t))
+        checks.append(
+            _bijects(
+                f"gamma bijects self-conjugate ({s},{t})-cores onto bar-cores",
+                list(lat.enumerate_cores_by_paths("selfconj", s, t)),
+                partial(lat.gamma, s=s, t=t),
+                bars.__contains__,
+                partial(lat.gamma_inverse, s=s, t=t),
+                bars,
+            )
+        )
     checks.append(
-        _all(
+        _bijects(
             "big-gamma injects self-conjugate (9,15)-cores into bar-cores",
-            big_fails,
-            big_total,
+            [p for p in selfconj if cq.is_st_core(p, 9, 15)],
+            partial(lat.big_gamma, s=9, t=15),
+            lambda b: cq.is_stbar_core(b, 9, 15),
+            partial(lat.big_gamma_inverse, s=9, t=15),
         )
     )
     return checks

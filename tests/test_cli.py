@@ -55,6 +55,13 @@ def test_count_table_variants(run):
     assert out.splitlines()[-1] == "3,1"
 
 
+def test_the_coprime_bar_series_is_the_bar_count(run):
+    code, out, err = run("series", "--gf", "psibar", "-s", "5", "-t", "7")
+    assert (code, err) == (0, "")
+    counted = out.replace("n,coefficient", "n,count", 1)
+    assert run("count", "--variant", "bar", "-s", "5", "-t", "7") == (0, counted, "")
+
+
 # The generating functions that count each variant: single modulus, pair.
 FAMILIES = {
     "straight": ("core", "psi"),
@@ -595,6 +602,22 @@ def test_verify_rejects_unknown_suite(run):
     code, out, err = run("verify", "nope")
     assert (code, out) == (1, "")
     assert "examples" in err
+
+
+def test_verify_exits_nonzero_on_a_failing_check_and_still_writes_the_report(run, monkeypatch, tmp_path):
+    checks = [("a check that holds", True, ""), ("a stubbed check", False, "got 1, expected 2")]
+    monkeypatch.setitem(verify_module.SUITES, "examples", lambda n: checks)
+    path = tmp_path / "report.json"
+    out = "\n".join(
+        (
+            "[examples] PASS a check that holds",
+            "[examples] FAIL a stubbed check: got 1, expected 2",
+            "1 of 2 checks failed\n",
+        )
+    )
+    assert run("verify", "examples", "--report", str(path)) == (1, out, "")
+    (suite,) = json.loads(path.read_text())["suites"]
+    assert [tuple(check.values()) for check in suite["checks"]] == checks
 
 
 @pytest.mark.parametrize("flag", ("--version", "--help"))

@@ -102,6 +102,19 @@ def test_reconstruct_refuses_a_component_that_is_not_a_partition(quotient, j):
         reconstruct(tower)
 
 
+@pytest.mark.parametrize(
+    "g, quotient, message",
+    (
+        (3, ((1, 1), ()), "^component 0 must have distinct parts$"),
+        (3, ((2,), (1, 2)), "^component 1 is not a partition$"),
+        (5, ((), (1,), (0, 1)), "^component 2 is not a partition$"),
+    ),
+)
+def test_bar_reconstruct_refuses_a_component_of_the_wrong_kind(g, quotient, message):
+    with pytest.raises(ValueError, match=message):
+        bar_reconstruct(BarTower(g=g, core=(), quotient=quotient))
+
+
 @given(partitions, st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=5))
 def test_hooks_divisible_by_kg_match_quotient_hooks_of_k(p, g, k):
     assert hook_bijection_check(p, g, k)[0] == hook_bijection_check(p, g, k)[1]

@@ -104,6 +104,19 @@ def test_zeta_rejects_bad_inputs():
         zeta((2,), 3)
 
 
+def test_runner_tuple_readers_refuse_a_tuple_they_cannot_read():
+    with pytest.raises(ValueError, match="^tuple must be nonempty$"):
+        gks_decode(())
+    with pytest.raises(ValueError, match="^entries must sum to zero$"):
+        gks_decode((1, 0, 0))
+    with pytest.raises(ValueError, match="^tuple length must be odd$"):
+        is_selfconjugate_tuple((1, -1))
+    # (1, 0, -1) decodes to (1,), which is self-conjugate; (1, -1, 0) to (2,)
+    assert diagonal_hooks_from_tuple((1, 0, -1)) == (1,)
+    with pytest.raises(ValueError, match="^tuple does not encode a self-conjugate core$"):
+        diagonal_hooks_from_tuple((1, -1, 0))
+
+
 @pytest.mark.parametrize("t", (3, 5, 7))
 def test_zeta_bijects_self_conjugate_cores_onto_bar_cores(t):
     images = set()

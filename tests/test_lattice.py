@@ -296,12 +296,18 @@ def test_core_to_path_refuses_every_other_family(family):
         core_to_path(family, (), 3, 5)
 
 
-def test_each_gamma_call_builds_each_grid_once(monkeypatch):
+def _count_grid_builds(monkeypatch):
+    """A Counter of the self-conjugate and bar grid builds from here on."""
     calls = Counter()
     for family in ("selfconj", "bar"):
         build, above_border, decode = FAMILIES[family]
         counted = lambda s, t, family=family, build=build: calls.update([family]) or build(s, t)
         monkeypatch.setitem(FAMILIES, family, (counted, above_border, decode))
+    return calls
+
+
+def test_each_gamma_call_builds_each_grid_once(monkeypatch):
+    calls = _count_grid_builds(monkeypatch)
     assert gamma((3, 3, 3), 7, 11) == (6,)
     assert calls == {"selfconj": 1, "bar": 1}
     calls.clear()
@@ -329,6 +335,23 @@ def test_censuses_meet_their_closed_forms(s, t):
     if s % 2 and t % 2:
         bar = census_by_size("bar", s, t, limit)
         assert sum(bar) == comb((s - 1) // 2 + (t - 1) // 2, (s - 1) // 2)
+
+
+def test_big_gamma_builds_the_reduced_grids_once_and_none_at_a_unit_modulus(monkeypatch):
+    calls = _count_grid_builds(monkeypatch)
+    # (9,15) reduces to (3,5): gamma runs on the middle component, even an
+    # empty one, whose image (1,) is not empty
+    for p, b in (((2, 1), ()), ((), (3,))):
+        assert big_gamma(p, 9, 15) == b
+        assert calls == {"selfconj": 1, "bar": 1}
+        calls.clear()
+        assert big_gamma_inverse(b, 9, 15) == p
+        assert calls == {"selfconj": 1, "bar": 1}
+        calls.clear()
+    # (9,27) reduces to (1,3): every quotient component is a 1-core, so empty
+    assert big_gamma((2, 1), 9, 27) == (2,)
+    assert big_gamma_inverse((2,), 9, 27) == (2, 1)
+    assert not calls
 
 
 def test_big_gamma_rejects_trivial_or_even_parameters():

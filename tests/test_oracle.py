@@ -43,6 +43,18 @@ def test_enumerate_self_conjugate_counts():
     )
 
 
+@pytest.mark.parametrize(
+    "enumerate_size", (enumerate_partitions, enumerate_self_conjugate, enumerate_bar_partitions)
+)
+def test_enumerators_refuse_a_negative_size(enumerate_size):
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        list(enumerate_size(-1))
+
+
+def test_a_negative_limit_gives_an_empty_count_table():
+    assert core_counts(3, -1).counts == ()
+
+
 def test_count_filtered_agrees_with_direct_enumeration():
     assert count_filtered(6, lambda p: len(p) <= 2) == 4
     assert count_filtered(0, lambda p: True) == 1

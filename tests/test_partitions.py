@@ -102,6 +102,19 @@ def test_diagonal_hooks_of_known_self_conjugate_core():
     assert from_diagonal_hooks((7, 1)) == (4, 2, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "diag, message",
+    (
+        ((3, 3), "^diagonal hooks must be distinct$"),
+        ((5, 2), "^diagonal hooks must be odd and positive$"),
+        ((1, -1), "^diagonal hooks must be odd and positive$"),
+    ),
+)
+def test_from_diagonal_hooks_refuses_hooks_no_partition_has(diag, message):
+    with pytest.raises(ValueError, match=message):
+        from_diagonal_hooks(diag)
+
+
 @given(partitions)
 def test_diagonal_hooks_round_trip_on_self_conjugates(p):
     if not is_self_conjugate(p):

@@ -10,6 +10,7 @@ from stcores.oracle import (
     selfconj_core_counts,
     selfconj_st_core_counts,
     st_core_counts,
+    stbar_core_counts,
 )
 from stcores.series import (
     TruncatedSeries,
@@ -75,6 +76,18 @@ def test_products_truncate_to_the_shorter_operand():
 def test_equality_requires_matching_truncation():
     assert TruncatedSeries([1, 2], 4) == TruncatedSeries([1, 2, 0], 4)
     assert TruncatedSeries([1, 2], 4) != TruncatedSeries([1, 2], 5)
+
+
+def test_series_refuse_what_they_cannot_represent():
+    with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+        TruncatedSeries([1], -1)
+    with pytest.raises(ValueError, match="^series needs either coefficients or a truncation$"):
+        TruncatedSeries([])
+    assert TruncatedSeries([], 2).coeffs == (0, 0, 0)
+    with pytest.raises(ValueError, match="^negative powers are not defined here$"):
+        TruncatedSeries([1, 1], 3) ** -1
+    with pytest.raises(ValueError, match="^g must be >= 1$"):
+        TruncatedSeries([1, 1], 3).substitute_power(0)
 
 
 def _plus(a, b):
@@ -288,6 +301,12 @@ def test_psi_with_common_divisor_matches_enumeration():
 def test_psi_star_at_a_coprime_pair_is_the_finite_census(s, t):
     largest = (s * s - 1) * (t * t - 1) // 24
     assert psi_star_st_gf(s, t, largest).coeffs == selfconj_st_core_counts(s, t, largest).counts
+
+
+@pytest.mark.parametrize("s, t", ((3, 5), (5, 7), (7, 9)))
+def test_psi_bar_at_a_coprime_pair_is_the_finite_census(s, t):
+    largest = (s * s - 1) * (t * t - 1) // 24
+    assert psi_bar_st_gf(s, t, largest).coeffs == stbar_core_counts(s, t, largest).counts
 
 
 @pytest.mark.parametrize("s, t", ((0, 6), (6, 0)))
