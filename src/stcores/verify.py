@@ -403,22 +403,28 @@ def suite_bounds(limit: int) -> list[Check]:
     for label, moduli, g, variant in appearing:
         running = list(accumulate(orc.not_g_core_counts(moduli, g, cap40, variant).counts))
         cumulative = [running[m] for m in marks]
-        increasing = all(a < b for a, b in zip(cumulative, cumulative[1:]))
-        checks.append((label, increasing, f"cumulative counts at {marks}: {cumulative}"))
+        checks.append(
+            (
+                label,
+                all(a < b for a, b in zip(cumulative, cumulative[1:])),
+                f"cumulative counts at {marks}: {cumulative}",
+            )
+        )
     return checks
 
 
 def _bijects(
-    label: str, sources: list, forward: Callable, valid: Callable, inverse: Callable,
+    label: str, sources: list, forward: Callable, is_core: Callable, inverse: Callable,
     census: frozenset = frozenset(),
 ) -> Check:
-    # forward sends each source to a valid image that inverse takes back to
-    # it, no two sources to one image, and onto all of a census if one is given
+    # forward sends each source to a bar partition that is_core accepts and
+    # inverse takes back to the source, no two sources to one image, and onto
+    # all of a census if one is given
     fails = []
     images = set()
     for source in sources:
         b = forward(source)
-        if not valid(b):
+        if not (bp.is_bar_partition(b) and is_core(b)):
             fails.append(f"image of {source} is invalid: {b}")
         elif inverse(b) != source:
             fails.append(f"round trip fails at {source}")
@@ -434,15 +440,12 @@ def suite_bijections(limit: int) -> list[Check]:
     """Round trips and image coverage for zeta, gamma, and big-gamma."""
     selfconj = [p for n in range(min(limit, 30) + 1) for p in orc.enumerate_self_conjugate(n)]
 
-    def is_bar_core(t: int) -> Callable:
-        return lambda b: bp.is_bar_partition(b) and bp.is_tbar_core(b, t)
-
     checks = [
         _bijects(
             f"zeta round trips on self-conjugate {t}-cores",
             [p for p in selfconj if sum(p) <= min(limit, 25) and pt.is_t_core(p, t)],
             partial(enc.zeta, t=t),
-            is_bar_core(t),
+            partial(bp.is_tbar_core, t=t),
             partial(enc.zeta_inverse, t=t),
         )
         for t in (3, 5, 7)
@@ -456,7 +459,7 @@ def suite_bijections(limit: int) -> list[Check]:
                 f"zeta is invertible over signed tuples at t={t}",
                 [(h, enc.gks_decode(h + (0,) + enc.conjugate_tuple(h))) for h in halves],
                 lambda source, t=t: enc.zeta(source[1], t),
-                is_bar_core(t),
+                partial(bp.is_tbar_core, t=t),
                 lambda b, t=t: (enc.olsson_encode(b, t), enc.zeta_inverse(b, t)),
             )
         )
@@ -477,7 +480,7 @@ def suite_bijections(limit: int) -> list[Check]:
             "big-gamma injects self-conjugate (9,15)-cores into bar-cores",
             [p for p in selfconj if cq.is_st_core(p, 9, 15)],
             partial(lat.big_gamma, s=9, t=15),
-            lambda b: cq.is_stbar_core(b, 9, 15),
+            partial(cq.is_stbar_core, s=9, t=15),
             partial(lat.big_gamma_inverse, s=9, t=15),
         )
     )
