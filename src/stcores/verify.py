@@ -19,13 +19,13 @@ read with one rule: a size with no live quotient weight counts zero, and
 every other size meets the row's tuple-sum floor and its bound.
 ``suite_bijections`` sends every map through one round-trip check: each image
 is valid, inverts to its source and collides with no earlier image, and
-gamma's images cover the bar census. ``suite_structure`` makes one pass per
-size over the partitions (self-conjugate ones included) and one over the bar
-partitions; each partition's conjugate, hook multiset and g-towers for
-g = 2..5 are computed once and feed every check on it (the joint-core
-quotient criterion included), the hook counts of each distinct quotient
-component are computed once per pass, and each check counts only the sizes
-up to its own cap.
+gamma's images cover the bar census. ``suite_structure`` is one tally: its
+labels are written once, in report order, and one local ``check`` adds each
+case to its check where the case runs, so every case total is counted, none
+derived. It makes one pass per size over the partitions and one over the bar
+partitions, computing each partition's conjugate, hook multiset and g-towers
+for g = 2..5 once, and the hook counts of each distinct quotient component
+once per pass.
 """
 
 from __future__ import annotations
@@ -492,19 +492,33 @@ def suite_structure(limit: int) -> list[Check]:
     c25 = min(limit, 25)
     c22 = min(limit, 22)
     c20 = min(limit, 20)
+    labels = (
+        "conjugation is an involution preserving hooks",
+        "first-column hook codec round trips, padding ignored",
+        "diagonal hooks recompose self-conjugate partitions",
+        "t-core test equals hook divisibility",
+        "bar lengths by row formula match the diagram",
+        "t-bar-core test equals bar divisibility",
+        "core size plus scaled quotient weight recovers each partition",
+        "hooks divisible by g transfer to quotient hooks",
+        "bar-core size plus scaled quotient weight recovers each bar partition",
+        "bar lengths divisible by g transfer to the quotient",
+        "joint core test equals the quotient criterion",
+        "self-conjugacy is visible in the tower",
+        "joint bar-core test equals the quotient criterion",
+        "runner-surplus encoding round trips and respects conjugation",
+        "runner-surplus decoding inverts encoding on zero-sum tuples",
+        "diagonal hooks read directly off the runner tuple",
+        "no two diagonal hooks of a trapped core sum to a forbidden multiple",
+    )
+    totals = [0] * len(labels)
+    fails: list[list[str]] = [[] for _ in labels]
 
-    per_n = [0] * (c25 + 1)
-    conj_fails: list[str] = []
-    beta_fails: list[str] = []
-    diag_fails: list[str] = []
-    core_fails: list[str] = []
-    tower_fails: list[str] = []
-    transfer_fails: list[str] = []
-    eq_fails: list[str] = []
-    sc_fails: list[str] = []
-    gks_fails: list[str] = []
-    dht_fails: list[str] = []
-    gks_total = dht_total = 0
+    def check(i: int, passed: bool, fmt: str, *values: object) -> None:
+        # one case of labels[i]; a failure is formatted only when it happens
+        totals[i] += 1
+        if not passed:
+            fails[i].append(fmt.format(*values))
 
     def short_lengths(lengths: tuple[int, ...]) -> tuple[int, ...]:
         counts = Counter(lengths)
@@ -519,152 +533,99 @@ def suite_structure(limit: int) -> list[Check]:
     def quotient_hooks(components: tuple[pt.Partition, ...]) -> list[int]:
         return [sum(c) for c in zip(*map(component_hooks, components))]
 
+    # A case that tries several moduli or pairs reports the first that fails.
     for n in range(c25 + 1):
         for p in orc.enumerate_partitions(n):
-            per_n[n] += 1
             q = pt.conjugate(p)
             self_conjugate = q == p
             hooks = pt.hook_length_multiset(p)
-            if pt.conjugate(q) != p or pt.hook_length_multiset(q) != hooks:
-                conj_fails.append(f"{p}")
+            check(0, pt.conjugate(q) == p and pt.hook_length_multiset(q) == hooks, "{}", p)
             beta = pt.first_column_hooks(p)
             padded = frozenset(range(3)) | {b + 3 for b in beta}
-            if pt.from_first_column_hooks(beta) != p or pt.from_first_column_hooks(padded) != p:
-                beta_fails.append(f"{p}")
+            rebuilt = pt.from_first_column_hooks(beta), pt.from_first_column_hooks(padded)
+            check(1, rebuilt == (p, p), "{}", p)
             diag = pt.diagonal_hooks(p)
             want = tuple(p[i] + q[i] - 2 * i - 1 for i in range(len(p)) if p[i] > i)
-            if diag != want:
-                diag_fails.append(f"{p}")
-            elif self_conjugate:
-                odd_form = tuple(2 * (p[i] - i) - 1 for i in range(len(p)) if p[i] > i)
-                if diag != odd_form or sum(diag) != n or pt.from_diagonal_hooks(diag) != p:
-                    diag_fails.append(f"{p}")
+            # for a self-conjugate p, want is the odd form 2 * (p[i] - i) - 1,
+            # which sums to n
+            recomposes = diag == want and (not self_conjugate or pt.from_diagonal_hooks(diag) == p)
+            check(2, recomposes, "{}", p)
             hook_counts = Counter(hooks)
             if n <= c20:
-                for t in range(2, 9):
-                    if pt.is_t_core(p, t) != all(h % t for h in hook_counts):
-                        core_fails.append(f"{p} at t={t}")
+                miss = next(
+                    (t for t in range(2, 9) if pt.is_t_core(p, t) != all(h % t for h in hook_counts)), None
+                )
+                check(3, miss is None, "{} at t={}", p, miss)
 
             towers = {g: cq.decompose(p, g) for g in (2, 3, 4, 5)}
             for g, tower in towers.items():
-                if pt.size(tower.core) + g * tower.weight != n:
-                    tower_fails.append(f"size identity fails for {p} at g={g}")
-                    continue
-                if cq.reconstruct(tower) != p:
-                    tower_fails.append(f"round trip fails for {p} at g={g}")
-                    continue
-                qhooks = quotient_hooks(tower.quotient)
-                for k in range(1, 7):
-                    if hook_counts[g * k] != qhooks[k - 1]:
-                        transfer_fails.append(f"{p} at g={g}, k={k}")
+                recovers = pt.size(tower.core) + g * tower.weight == n and cq.reconstruct(tower) == p
+                check(6, recovers, "{} at g={}", p, g)
+                if recovers:
+                    qhooks = quotient_hooks(tower.quotient)
+                    miss = next((k for k, h in enumerate(qhooks, 1) if hook_counts[g * k] != h), None)
+                    check(7, miss is None, "{} at g={}, k={}", p, g, miss)
             if n <= c22:
-                for s, t in ((4, 6), (6, 9), (6, 10), (10, 15)):
-                    tower = towers[gcd(s, t)]
-                    if cq.is_st_core(p, s, t) != cq.st_core_tower_check(tower, s, t):
-                        eq_fails.append(f"{p} at ({s},{t})")
-                for g, tower in towers.items():
-                    if cq.selfconjugate_tower_check(tower) != self_conjugate:
-                        sc_fails.append(f"{p} at g={g}")
+                miss = next((
+                    (s, t) for s, t in ((4, 6), (6, 9), (6, 10), (10, 15))
+                    if cq.is_st_core(p, s, t) != cq.st_core_tower_check(towers[gcd(s, t)], s, t)
+                ), None)
+                check(10, miss is None, "{0} at ({1[0]},{1[1]})", p, miss)
+                miss = next(
+                    (g for g in towers if cq.selfconjugate_tower_check(towers[g]) != self_conjugate),
+                    None,
+                )
+                check(11, miss is None, "{} at g={}", p, miss)
 
             for t in (2, 3, 5, 7):
                 if not pt.is_t_core(p, t):
                     continue
-                gks_total += 1
                 entries = enc.gks_encode(p, t)
-                if sum(entries) != 0 or enc.gks_decode(entries) != p:
-                    gks_fails.append(f"{p} at t={t}")
-                elif enc.gks_encode(q, t) != enc.conjugate_tuple(entries):
-                    gks_fails.append(f"conjugation law fails for {p} at t={t}")
-                if t == 2 or not self_conjugate:
-                    continue
-                dht_total += 1
-                if not enc.is_selfconjugate_tuple(entries):
-                    dht_fails.append(f"tuple of {p} is not antisymmetric at t={t}")
-                elif enc.diagonal_hooks_from_tuple(entries) != diag:
-                    dht_fails.append(f"{p} at t={t}")
+                round_trips = sum(entries) == 0 and enc.gks_decode(entries) == p
+                conjugates = enc.gks_encode(q, t) == enc.conjugate_tuple(entries)
+                check(13, round_trips and conjugates, "{} at t={}", p, t)
+                if t > 2 and self_conjugate:
+                    antisymmetric = enc.is_selfconjugate_tuple(entries)
+                    reads = antisymmetric and enc.diagonal_hooks_from_tuple(entries) == diag
+                    check(15, reads, "{} at t={}", p, t)
 
-    bar_per_n = [0] * (c25 + 1)
-    bar_fails: list[str] = []
-    barcore_fails: list[str] = []
-    bt_fails: list[str] = []
-    btransfer_fails: list[str] = []
-    beq_fails: list[str] = []
     for n in range(c25 + 1):
         for b in bp.enumerate_bar_partitions(n):
-            bar_per_n[n] += 1
             bars = bp.bar_length_multiset(b)
-            if len(bars) != n or bars != bp.bar_length_multiset_by_diagram(b):
-                bar_fails.append(f"{b}")
-            if n <= c20:
-                for t in (3, 5, 7, 9):
-                    if bp.is_tbar_core(b, t) != all(v % t for v in bars):
-                        barcore_fails.append(f"{b} at t={t}")
+            check(4, len(bars) == n and bars == bp.bar_length_multiset_by_diagram(b), "{}", b)
+            miss = next(
+                (t for t in (3, 5, 7, 9) if bp.is_tbar_core(b, t) != all(v % t for v in bars)), None
+            )
+            check(5, miss is None, "{} at t={}", b, miss)
 
             bar_counts = Counter(bars)
             for g in (3, 5, 7):
                 tower = cq.bar_decompose(b, g)
-                if sum(tower.core) + g * tower.weight != n:
-                    bt_fails.append(f"size identity fails for {b} at g={g}")
-                    continue
-                if cq.bar_reconstruct(tower) != b:
-                    bt_fails.append(f"round trip fails for {b} at g={g}")
-                    continue
-                lam0 = short_lengths(bp.bar_length_multiset(tower.quotient[0]))
-                qbars = [x + y for x, y in zip(lam0, quotient_hooks(tower.quotient[1:]))]
-                for k in range(1, 7):
-                    if bar_counts[g * k] != qbars[k - 1]:
-                        btransfer_fails.append(f"{b} at g={g}, k={k}")
+                recovers = sum(tower.core) + g * tower.weight == n and cq.bar_reconstruct(tower) == b
+                check(8, recovers, "{} at g={}", b, g)
+                if recovers:
+                    lam0 = short_lengths(bp.bar_length_multiset(tower.quotient[0]))
+                    qbars = [x + y for x, y in zip(lam0, quotient_hooks(tower.quotient[1:]))]
+                    miss = next((k for k, h in enumerate(qbars, 1) if bar_counts[g * k] != h), None)
+                    check(9, miss is None, "{} at g={}, k={}", b, g, miss)
             if n <= c22:
-                for s, t in ((9, 15), (15, 21), (21, 33)):
-                    if cq.is_stbar_core(b, s, t) != cq.is_stbar_core_by_quotient(b, s, t):
-                        beq_fails.append(f"{b} at ({s},{t})")
+                miss = next((
+                    (s, t) for s, t in ((9, 15), (15, 21), (21, 33))
+                    if cq.is_stbar_core(b, s, t) != cq.is_stbar_core_by_quotient(b, s, t)
+                ), None)
+                check(12, miss is None, "{0} at ({1[0]},{1[1]})", b, miss)
 
-    dec_fails: list[str] = []
-    dec_total = 0
     for t in (1, 2, 3, 4, 5):
         for entries in product(range(-2, 3), repeat=t):
-            if sum(entries) != 0:
-                continue
-            dec_total += 1
-            p = enc.gks_decode(entries)
-            if enc.gks_encode(p, t) != entries:
-                dec_fails.append(f"{entries}")
+            if sum(entries) == 0:
+                check(14, enc.gks_encode(enc.gks_decode(entries), t) == entries, "{}", entries)
 
-    pair_fails: list[str] = []
-    cores = list(lat.enumerate_cores_by_paths("selfconj", 7, 11))
-    for core in cores:
+    for core in lat.enumerate_cores_by_paths("selfconj", 7, 11):
         diag = pt.diagonal_hooks(core)
         for t in (7, 11):
-            if any((a + b) % (2 * t) == 0 for a in diag for b in diag):
-                pair_fails.append(f"{core} at t={t}")
+            check(16, all((a + b) % (2 * t) for a in diag for b in diag), "{} at t={}", core, t)
 
-    total, total20, total22 = sum(per_n), sum(per_n[: c20 + 1]), sum(per_n[: c22 + 1])
-    btotal, btotal22 = sum(bar_per_n), sum(bar_per_n[: c22 + 1])
-    return [
-        _all("conjugation is an involution preserving hooks", conj_fails, total),
-        _all("first-column hook codec round trips, padding ignored", beta_fails, total),
-        _all("diagonal hooks recompose self-conjugate partitions", diag_fails, total),
-        _all("t-core test equals hook divisibility", core_fails, total20),
-        _all("bar lengths by row formula match the diagram", bar_fails, btotal),
-        _all("t-bar-core test equals bar divisibility", barcore_fails, btotal),
-        _all("core size plus scaled quotient weight recovers each partition", tower_fails, 4 * total),
-        _all("hooks divisible by g transfer to quotient hooks", transfer_fails, 4 * total),
-        _all(
-            "bar-core size plus scaled quotient weight recovers each bar partition", bt_fails, 3 * btotal
-        ),
-        _all("bar lengths divisible by g transfer to the quotient", btransfer_fails, 3 * btotal),
-        _all("joint core test equals the quotient criterion", eq_fails, total22),
-        _all("self-conjugacy is visible in the tower", sc_fails, total22),
-        _all("joint bar-core test equals the quotient criterion", beq_fails, btotal22),
-        _all("runner-surplus encoding round trips and respects conjugation", gks_fails, gks_total),
-        _all("runner-surplus decoding inverts encoding on zero-sum tuples", dec_fails, dec_total),
-        _all("diagonal hooks read directly off the runner tuple", dht_fails, dht_total),
-        _all(
-            "no two diagonal hooks of a trapped core sum to a forbidden multiple",
-            pair_fails,
-            len(cores) * 2,
-        ),
-    ]
+    return [_all(label, fails[i], totals[i]) for i, label in enumerate(labels)]
 
 
 SUITES: dict[str, Callable[[int], list[Check]]] = {

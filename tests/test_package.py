@@ -133,3 +133,13 @@ def test_all_lists_exactly_the_names_the_package_imports():
     ]
     assert len(stcores.__all__) == len(set(stcores.__all__))
     assert set(stcores.__all__) == set(imported)
+
+
+def test_every_source_and_test_file_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, but a test run on a
+    # newer interpreter accepts newer syntax, such as except* or a type
+    # statement, that 3.10 cannot parse.
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -78,6 +78,21 @@ def test_equality_requires_matching_truncation():
     assert TruncatedSeries([1, 2], 4) != TruncatedSeries([1, 2], 5)
 
 
+def test_repr_shows_at_most_eight_coefficients():
+    assert repr(TruncatedSeries([1, -2, 3], 7)) == "TruncatedSeries([1, -2, 3, 0, 0, 0, 0, 0], truncation=7)"
+    assert repr(TruncatedSeries(range(1, 10), 8)) == "TruncatedSeries([1, 2, 3, 4, 5, 6, 7, 8, ...], truncation=8)"
+    assert repr(TruncatedSeries.one(0)) == "TruncatedSeries([1], truncation=0)"
+
+
+def test_equal_series_hash_equal_and_serve_as_keys():
+    a, b = TruncatedSeries([1, 2], 4), TruncatedSeries([1, 2, 0], 4)
+    assert hash(a) == hash(b)
+    table = {a: "first"}
+    table[b] = "second"
+    assert table == {TruncatedSeries([1, 2, 0, 0, 0]): "second"}
+    assert TruncatedSeries([1, 2], 5) not in table
+
+
 def test_series_refuse_what_they_cannot_represent():
     with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
         TruncatedSeries([1], -1)

@@ -1,10 +1,10 @@
 import pytest
 
-from stcores import encodings, lattice, oracle, series
+from stcores import bar_partitions, core_quotient, encodings, lattice, oracle, partitions, series
 from stcores.core_quotient import is_st_core
 from stcores.oracle import CountTable, enumerate_partitions
 from stcores.series import TruncatedSeries
-from stcores.verify import suite_bijections, suite_bounds, suite_counting
+from stcores.verify import suite_bijections, suite_bounds, suite_counting, suite_structure
 
 LABEL = "(5,7)-core census equals the enumerated set"
 
@@ -171,3 +171,178 @@ def test_the_bijections_suite_catches_a_broken_map(failure, monkeypatch):
     patch, label, detail = BIJECTION_FAILURES[failure]
     patch(monkeypatch)
     assert _check(suite_bijections(30), label) == (False, detail)
+
+
+def _patch_call(monkeypatch, module, name, args, result):
+    """Make ``module.name(*args)`` return ``result``, every other call as before."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: result if a == args else real(*a))
+
+
+TBAR = "t-bar-core test equals bar divisibility"
+
+
+def test_the_t_bar_core_check_runs_on_every_bar_partition_it_counts(monkeypatch):
+    # the check counts the 904 bar partitions up to 25, so a wrong answer at
+    # size 21 must show
+    _patch_call(monkeypatch, bar_partitions, "is_tbar_core", ((21,), 3), True)
+    assert _check(suite_structure(25), TBAR) == (False, "1/904 cases failed: (21,) at t=3")
+
+
+# Towers of partitions above the suite's limit of 8, so that no partition in
+# the suite has them as its own.
+BIG = core_quotient.decompose((3, 3, 3, 2), 5)
+BIG_BAR = core_quotient.bar_decompose((12,), 7)
+
+# Per failure: the patches (module, function, arguments, wrong result), the
+# label of the one check they break, and its detail at limit 8. The hook and
+# bar-length patches keep every length's divisibility, so only the count that
+# the transfer checks read changes.
+STRUCTURE_FAILURES = {
+    "hooks of a conjugate out of order": (
+        [(partitions, "hook_length_multiset", ((1, 1),), (1, 2))],
+        "conjugation is an involution preserving hooks",
+        "2/67 cases failed: (1, 1); (2,)",
+    ),
+    "a padded beta-set that decodes wrong": (
+        [(partitions, "from_first_column_hooks", (frozenset({0, 1, 2, 5}),), ())],
+        "first-column hook codec round trips, padding ignored",
+        "1/67 cases failed: (2,)",
+    ),
+    "diagonal hooks off the arm-plus-leg formula": (
+        [(partitions, "diagonal_hooks", ((2,),), (3,))],
+        "diagonal hooks recompose self-conjugate partitions",
+        "1/67 cases failed: (2,)",
+    ),
+    "a self-conjugate partition that does not recompose": (
+        [(partitions, "from_diagonal_hooks", ((3,),), (3,))],
+        "diagonal hooks recompose self-conjugate partitions",
+        "1/67 cases failed: (2, 1)",
+    ),
+    "a t-core test that misses a hook": (
+        [(partitions, "is_t_core", ((8,), 8), True)],
+        "t-core test equals hook divisibility",
+        "1/67 cases failed: (8,) at t=8",
+    ),
+    "bar lengths off the diagram": (
+        [(bar_partitions, "bar_length_multiset_by_diagram", ((3,),), (3, 2))],
+        "bar lengths by row formula match the diagram",
+        "1/25 cases failed: (3,)",
+    ),
+    "too few bar lengths, on both sides": (
+        [
+            (bar_partitions, "bar_length_multiset", ((4,),), (4, 3, 2)),
+            (bar_partitions, "bar_length_multiset_by_diagram", ((4,),), (4, 3, 2)),
+        ],
+        "bar lengths by row formula match the diagram",
+        "1/25 cases failed: (4,)",
+    ),
+    "a t-bar-core test that misses a bar": (
+        [(bar_partitions, "is_tbar_core", ((5,), 3), True)],
+        TBAR,
+        "1/25 cases failed: (5,) at t=3",
+    ),
+    "a tower that does not reconstruct": (
+        [(core_quotient, "reconstruct", (core_quotient.decompose((3,), 2),), (2, 1))],
+        "core size plus scaled quotient weight recovers each partition",
+        "1/268 cases failed: (3,) at g=2",
+    ),
+    "a tower of the wrong size": (
+        [(core_quotient, "decompose", ((3,), 5), BIG), (core_quotient, "reconstruct", (BIG,), (3,))],
+        "core size plus scaled quotient weight recovers each partition",
+        "1/268 cases failed: (3,) at g=5",
+    ),
+    "hooks that do not transfer to the quotient": (
+        [(partitions, "hook_length_multiset", ((3, 1, 1),), (5, 2, 1, 1, 1))],
+        "hooks divisible by g transfer to quotient hooks",
+        "1/268 cases failed: (3, 1, 1) at g=2, k=1",
+    ),
+    "a bar tower that does not reconstruct": (
+        [(core_quotient, "bar_reconstruct", (core_quotient.bar_decompose((4,), 3),), (3, 1))],
+        "bar-core size plus scaled quotient weight recovers each bar partition",
+        "1/75 cases failed: (4,) at g=3",
+    ),
+    "a bar tower of the wrong size": (
+        [
+            (core_quotient, "bar_decompose", ((4,), 7), BIG_BAR),
+            (core_quotient, "bar_reconstruct", (BIG_BAR,), (4,)),
+        ],
+        "bar-core size plus scaled quotient weight recovers each bar partition",
+        "1/75 cases failed: (4,) at g=7",
+    ),
+    "bar lengths that do not transfer to the quotient": (
+        [
+            (bar_partitions, "bar_length_multiset", ((4,),), (4, 3, 3, 1)),
+            (bar_partitions, "bar_length_multiset_by_diagram", ((4,),), (4, 3, 3, 1)),
+        ],
+        "bar lengths divisible by g transfer to the quotient",
+        "1/75 cases failed: (4,) at g=3, k=1",
+    ),
+    "a joint core test off the quotient criterion": (
+        [(core_quotient, "is_st_core", ((3,), 6, 9), False)],
+        "joint core test equals the quotient criterion",
+        "1/67 cases failed: (3,) at (6,9)",
+    ),
+    "a tower that hides self-conjugacy": (
+        [(core_quotient, "selfconjugate_tower_check", (core_quotient.decompose((2, 1), 3),), False)],
+        "self-conjugacy is visible in the tower",
+        "1/67 cases failed: (2, 1) at g=3",
+    ),
+    "a joint bar-core test off the quotient criterion": (
+        [(core_quotient, "is_stbar_core_by_quotient", ((4,), 9, 15), False)],
+        "joint bar-core test equals the quotient criterion",
+        "1/25 cases failed: (4,) at (9,15)",
+    ),
+    "a runner tuple that does not decode": (
+        [(encodings, "gks_decode", (encodings.gks_encode((2,), 7),), (1, 1))],
+        "runner-surplus encoding round trips and respects conjugation",
+        "1/99 cases failed: (2,) at t=7",
+    ),
+    # (1, 1) reads the tuple of its conjugate (2,) in the conjugation law
+    "a runner tuple that does not sum to zero": (
+        [(encodings, "gks_encode", ((2,), 7), (1, 0, 0, 0, 0, 0, 0))],
+        "runner-surplus encoding round trips and respects conjugation",
+        "2/99 cases failed: (1, 1) at t=7; (2,) at t=7",
+    ),
+    "a runner tuple that breaks the conjugation law": (
+        [(encodings, "conjugate_tuple", (encodings.gks_encode((2,), 7),), encodings.gks_encode((2,), 7))],
+        "runner-surplus encoding round trips and respects conjugation",
+        "1/99 cases failed: (2,) at t=7",
+    ),
+    "a zero-sum tuple that does not decode": (
+        [(encodings, "gks_decode", ((1, -1, 0, 0),), ())],
+        "runner-surplus decoding inverts encoding on zero-sum tuples",
+        "1/491 cases failed: (1, -1, 0, 0)",
+    ),
+    "a runner tuple that is not antisymmetric": (
+        [(encodings, "is_selfconjugate_tuple", (encodings.gks_encode((1,), 3),), False)],
+        "diagonal hooks read directly off the runner tuple",
+        "1/17 cases failed: (1,) at t=3",
+    ),
+    "diagonal hooks off the runner tuple": (
+        [(encodings, "diagonal_hooks_from_tuple", (encodings.gks_encode((1,), 3),), (3,))],
+        "diagonal hooks read directly off the runner tuple",
+        "1/17 cases failed: (1,) at t=3",
+    ),
+    # (3, 3, 3), of size 9, is a (7,11)-core beyond the partition pass
+    "a trapped core with a forbidden pair": (
+        [(partitions, "diagonal_hooks", ((3, 3, 3),), (9, 5))],
+        "no two diagonal hooks of a trapped core sum to a forbidden multiple",
+        "1/112 cases failed: (3, 3, 3) at t=7",
+    ),
+}
+
+
+@pytest.mark.parametrize("failure", STRUCTURE_FAILURES)
+def test_the_structure_suite_catches_a_broken_construction(failure, monkeypatch):
+    patches, label, detail = STRUCTURE_FAILURES[failure]
+    for module, name, args, result in patches:
+        _patch_call(monkeypatch, module, name, args, result)
+    checks = suite_structure(8)
+    assert _check(checks, label) == (False, detail)
+    assert [name for name, ok, _ in checks if not ok] == [label]
+
+
+def test_every_structure_check_has_a_failure_test():
+    labels = [label for label, _, _ in suite_structure(0)]
+    assert sorted({label for _, label, _ in STRUCTURE_FAILURES.values()}) == sorted(labels)
