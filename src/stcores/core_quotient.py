@@ -1,8 +1,10 @@
 """g-core/g-quotient towers for straight and bar partitions.
 
 Straight towers use the classical abacus: spread a padded beta-set over g
-runners, push beads to the bottom for the core, and read each runner as a
-smaller partition for the quotient. Bar towers use paired runners on a Maya
+runners and read each runner as a smaller partition for the quotient. The
+g-core keeps only each runner's bead count, so it goes through the
+runner-surplus codec (``gks_decode``/``gks_encode``), as bar towers go
+through the signed-run-length codec. Bar towers use paired runners on a Maya
 diagram, with the two residue classes {j, g-j} merged into one charged
 fermionic strip per component: the strip is read as a beta-set of the
 component, and the strip charges are the signed run lengths of the core.
@@ -17,7 +19,7 @@ from .bar_partitions import (
     is_bar_partition,
     is_tbar_core,
 )
-from .encodings import olsson_decode, olsson_encode
+from .encodings import gks_decode, gks_encode, olsson_decode, olsson_encode
 from .partitions import (
     Frozen,
     Partition,
@@ -94,7 +96,8 @@ def decompose(p: Partition, g: int) -> StraightTower:
     position 0 on each runner below n_beads - k. Only the real beads are then
     placed, in ascending order, so the beads already on a runner are exactly
     those below the new one and the part it reads is its position minus their
-    count.
+    count. The g-core keeps each runner's bead count: it is the
+    :func:`~stcores.encodings.gks_decode` of the counts less n_beads / g.
 
     Args:
         p: any partition.
@@ -117,27 +120,16 @@ def decompose(p: Partition, g: int) -> StraightTower:
         if part:
             runners[residue].append(part)
     quotient = tuple([tuple(r[::-1]) for r in runners])
-    # The g-core keeps each runner's bead count, packed at the bottom. Every
-    # position below level min(beads) holds a bead; above it, a bead's part
-    # is the number of empty positions below it.
-    core: list[int] = []
-    gaps = 0
-    for x in range(g * min(beads), g * max(beads)):
-        if x // g < beads[x % g]:
-            if gaps:
-                core.append(gaps)
-        else:
-            gaps += 1
-    return StraightTower(g=g, core=tuple(core[::-1]), quotient=quotient)
+    core = gks_decode(tuple([m - n_beads // g for m in beads]))
+    return StraightTower(g=g, core=core, quotient=quotient)
 
 
 def reconstruct(tower: StraightTower) -> Partition:
     """Rebuild the unique partition with the given g-core and g-quotient.
 
-    Inverse of :func:`decompose`. The core's beads are counted per runner as
-    in :func:`decompose`: its real beads by residue, plus the phantom beads
-    0, 1, ..., n_beads - k - 1, of which ceil((n_beads - k - r) / g) lie on
-    runner r.
+    Inverse of :func:`decompose`. The core's runner surpluses come from
+    :func:`~stcores.encodings.gks_encode`, and every runner is raised by one
+    level, so that the emptiest holds as many beads as the longest component.
 
     Raises:
         ValueError: if the tower's core is not a g-core, or a quotient
@@ -146,21 +138,16 @@ def reconstruct(tower: StraightTower) -> Partition:
     g = tower.g
     if not is_t_core(tower.core, g):
         raise ValueError("tower core is not a g-core")
-    k = len(tower.core)
-    depth = max(map(len, tower.quotient))
-    n_beads = g * (((k + g - 1) // g) + depth)
-    phantoms = n_beads - k
-    beads = [(phantoms - residue + g - 1) // g for residue in range(g)]
-    for b in map(int.__add__, tower.core, range(n_beads - 1, -1, -1)):
-        beads[b % g] += 1
+    surplus = gks_encode(tower.core, g)
+    level = max(map(len, tower.quotient)) - min(surplus)
     beta: list[int] = []
-    for residue, (m, q) in enumerate(zip(beads, tower.quotient)):
+    for residue, (a, q) in enumerate(zip(surplus, tower.quotient)):
         # most components are empty, and () is a partition
         if q and not is_partition(q):
             raise ValueError(f"component {residue} is not a partition")
-        # a g-core occupies each runner from the bottom up; q's parts lift
-        # its top len(q) beads, the rest stay at positions m - len(q) - 1, ..., 0
-        top = residue + g * (m - 1)
+        # the runner holds level + a beads from the bottom up, the highest at
+        # top; q's parts lift its top len(q) beads, the rest stay where they are
+        top = residue + g * (level + a - 1)
         beta += [top + g * (x - i) for i, x in enumerate(q)]
         beta += range(top - g * len(q), residue - 1, -g)
     return from_first_column_hooks(beta)

@@ -12,7 +12,6 @@ from .bar_partitions import BarPartition
 from .partitions import (
     Partition,
     check_modulus,
-    from_first_column_hooks,
     is_self_conjugate,
     is_t_core,
 )
@@ -37,14 +36,16 @@ def gks_encode(p: Partition, t: int) -> CoreTuple:
     if not is_t_core(p, t):
         raise ValueError("input is not a t-core")
     k = len(p)
-    n_beads = t * ((k + t - 1) // t)
-    counts = [0] * t
-    for i in range(k):
-        counts[(p[i] + n_beads - 1 - i) % t] += 1
-    for v in range(n_beads - k):
-        counts[v % t] += 1
-    level = n_beads // t
-    return tuple(c - level for c in counts)
+    level = (k + t - 1) // t
+    phantoms = t * level - k
+    # the fewer than t phantom beads 0, 1, ..., phantoms - 1 lie on distinct
+    # runners; row i of the padded beta-set holds p[i] + N - 1 - i
+    counts = [1] * phantoms + [0] * (t - phantoms)
+    offset = t * level
+    for part in p:
+        offset -= 1
+        counts[(part + offset) % t] += 1
+    return tuple([c - level for c in counts])
 
 
 def gks_decode(entries: CoreTuple) -> Partition:
@@ -58,11 +59,19 @@ def gks_decode(entries: CoreTuple) -> Partition:
         raise ValueError("tuple must be nonempty")
     if sum(entries) != 0:
         raise ValueError("entries must sum to zero")
-    level = max(0, -min(entries))
-    beta = []
-    for i, a in enumerate(entries):
-        beta.extend(i + t * j for j in range(level + a))
-    return from_first_column_hooks(beta)
+    # Runner i holds a bead at each level below a_i. Only the levels from the
+    # emptiest runner's up are read, since the full block below decodes to
+    # parts 0. A bead's part is the number of empty positions below it.
+    core: list[int] = []
+    gaps = 0
+    for level in range(min(entries), max(entries)):
+        for a in entries:
+            if level < a:
+                if gaps:
+                    core.append(gaps)
+            else:
+                gaps += 1
+    return tuple(core[::-1])
 
 
 def is_selfconjugate_tuple(entries: CoreTuple) -> bool:

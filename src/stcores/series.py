@@ -104,10 +104,7 @@ class TruncatedSeries:
             raise ValueError("g must be >= 1")
         n = self.truncation
         out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if i * g > n:
-                break
-            out[i * g] = a
+        out[::g] = self.coeffs[: n // g + 1]
         return TruncatedSeries(out)
 
 

@@ -147,6 +147,21 @@ def test_bar_towers_match_their_pinned_digest():
     assert digest.hexdigest() == BAR_TOWERS_SHA256
 
 
+STRAIGHT_TOWERS_SHA256 = "d12c690eac46ea0984c7f6a71e80c0c22bd84484f4dee4e59eac881fef0eed5b"
+
+
+def test_straight_towers_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    towers = 0
+    for n in range(21):
+        for p in enumerate_partitions(n):
+            for g in range(2, 8):
+                digest.update(repr(decompose(p, g)).encode() + b"\n")
+                towers += 1
+    assert towers == 16284
+    assert digest.hexdigest() == STRAIGHT_TOWERS_SHA256
+
+
 # single parts far down one runner once forced the bead window too shallow
 @pytest.mark.parametrize("b", ((17, 1), (20,), (20, 1), (17, 4), (23,), (26, 2)))
 def test_bar_decompose_handles_deep_runners(b):

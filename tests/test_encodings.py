@@ -1,3 +1,5 @@
+from itertools import product
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -14,7 +16,13 @@ from stcores.encodings import (
     zeta_inverse,
 )
 from stcores.oracle import enumerate_partitions, enumerate_self_conjugate
-from stcores.partitions import conjugate, diagonal_hooks, is_self_conjugate, is_t_core
+from stcores.partitions import (
+    conjugate,
+    diagonal_hooks,
+    from_first_column_hooks,
+    is_self_conjugate,
+    is_t_core,
+)
 
 
 def zero_sum_tuples(t: int):
@@ -43,6 +51,22 @@ def test_gks_round_trip_over_small_cores(t):
             assert len(entries) == t
             assert sum(entries) == 0
             assert gks_decode(entries) == p
+
+
+def beta_set_gks_decode(entries):
+    """Reference decoder: place every bead of every runner, read them as a beta-set."""
+    t = len(entries)
+    level = max(0, -min(entries))
+    beta = [i + t * j for i, a in enumerate(entries) for j in range(level + a)]
+    return from_first_column_hooks(beta)
+
+
+@pytest.mark.parametrize("t", (1, 2, 3, 4, 5))
+def test_gks_decode_agrees_with_the_beta_set_decoder(t):
+    tuples = [e for e in product(range(-3, 4), repeat=t) if sum(e) == 0]
+    assert len(tuples) == {1: 1, 2: 7, 3: 37, 4: 231, 5: 1451}[t]
+    for entries in tuples:
+        assert gks_decode(entries) == beta_set_gks_decode(entries)
 
 
 @pytest.mark.parametrize("t", (2, 3, 4, 5))

@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import pytest
 
-from stcores import bar_partitions, core_quotient, encodings, lattice, oracle, partitions, series
+from stcores import bar_partitions, core_quotient, encodings, lattice, oracle, partitions, series, verify
 from stcores.core_quotient import is_st_core
 from stcores.oracle import CountTable, enumerate_partitions
 from stcores.series import TruncatedSeries
@@ -341,6 +343,21 @@ def test_the_structure_suite_catches_a_broken_construction(failure, monkeypatch)
     checks = suite_structure(8)
     assert _check(checks, label) == (False, detail)
     assert [name for name, ok, _ in checks if not ok] == [label]
+
+
+def test_the_conjugation_check_reads_the_conjugate_of_the_conjugate(monkeypatch):
+    # Only verify's view of conjugate is wrong, so the hook multisets that
+    # partitions computes through its own conjugate stay right: (3,) keeps the
+    # hooks of its true conjugate (1, 1, 1) and fails only as an involution.
+    real = partitions.conjugate
+    wrong = SimpleNamespace(**vars(partitions))
+    wrong.conjugate = lambda p: (2, 1) if p == (1, 1, 1) else real(p)
+    monkeypatch.setattr(verify, "pt", wrong)
+    checks = suite_structure(8)
+    assert _check(checks, "conjugation is an involution preserving hooks") == (
+        False,
+        "2/67 cases failed: (1, 1, 1); (3,)",
+    )
 
 
 def test_every_structure_check_has_a_failure_test():
