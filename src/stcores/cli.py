@@ -37,31 +37,31 @@ COUNT_CAPS = {"straight": 60, "selfconj": 180, "bar": 100}
 ZETA_T_CAP = 1_000_001
 
 # Largest -s and -t that the pair maps (gamma, big-gamma and their inverses)
-# accept: gamma builds the floor(s/2) x floor(t/2) diagonal-hooks grid and the
-# yin-yang grid, so its work and memory grow with s*t even for the empty
-# partition; big-gamma reaches gamma only at s/g and t/g. Measured cold on a
-# 2-vCPU Xeon (Python 3.11.7, five runs each): gamma and gamma-inverse at
-# (2999,3001) with `--input []` 1.6-2.2 s and about 100 MB peak RSS;
-# big-gamma at (2991,2997) with `--input [2,1]`, whose middle 3-quotient
-# component (1,) reaches gamma at (997,999), and its inverse on the image
-# 0.17-0.26 s and 24 MB.
+# accept. gamma reads its two grids as ranges, only where the path runs, so its
+# work grows with s + t and the sizes of its input and output, not with s*t;
+# big-gamma reaches gamma only at s/g and t/g. The cap keeps the value that
+# bounded full grids of cells. Measured cold on a 2-vCPU Xeon (Python 3.11.7,
+# three runs each): gamma and gamma-inverse at (2999,3001) with `--input []`
+# 0.07-0.10 s and 15 MB peak RSS; big-gamma at (2991,2997) with `--input
+# [2,1]`, whose middle 3-quotient component (1,) reaches gamma at (997,999),
+# 0.08-0.09 s and 15 MB.
 PAIR_MAP_CAP = 3001
 
-# Largest -s and -t that `grid` accepts: it prints every cell, so its work and
-# memory grow with s*t. Anderson's s x t grid is the largest; the
+# Largest -s and -t that `grid` accepts: it prints every cell, row by row, so
+# its work and memory grow with s*t. Anderson's s x t grid is the largest; the
 # diagonal-hooks and yin-yang grids have a quarter of its cells and take the
 # pair maps' cap. Measured cold on a 2-vCPU Xeon (Python 3.11.7, three runs
-# each): anderson at (1500,1501) 1.9-2.0 s and 151 MB peak RSS, dh at
-# (3000,3001) 1.7-2.2 s and yinyang at (2999,3001) 1.5-2.1 s, 153 MB.
+# each): anderson at (1500,1501) 0.50-0.70 s and 117 MB peak RSS, dh at
+# (3000,3001) 0.63-0.68 s and yinyang at (2999,3001) 0.55-0.71 s, 118 MB.
 GRID_CAP = 1501
 
 # Largest member of the reduced pair (s/g, t/g) that `series` and `scan`
-# accept for a joint generating function: its census walks the s/g x t/g
-# Anderson grid column by column, so even a small -N costs time and memory
+# accept for a joint generating function: its census visits every height of
+# every column of the s/g x t/g Anderson grid, so even a small -N costs time
 # growing with the product. Measured cold with -N 10 on a 2-vCPU Xeon (Python
-# 3.11.7, three runs each): psi at (1600,1601) 1.7-1.9 s and 112 MB peak RSS,
-# psistar and psibar near it under 0.8 s, psi at (3200,3202), g = 2, 2.4-2.5 s.
-# The cost still grows with -N: psi at (301,303) takes about 4 s at -N 60.
+# 3.11.7, three runs each): psi at (1600,1601) 1.0-1.3 s and 15 MB peak RSS,
+# psistar and psibar near it under 0.5 s, psi at (3200,3202), g = 2, 1.2-1.3 s.
+# The cost still grows with -N: psi at (301,303) takes about 3.5 s at -N 60.
 REDUCED_PAIR_CAP = 1601
 
 # Largest -N that `series`, `scan` and `verify` accept. A series product is

@@ -136,9 +136,10 @@ def reconstruct(tower: StraightTower) -> Partition:
             component is not a partition.
     """
     g = tower.g
-    if not is_t_core(tower.core, g):
-        raise ValueError("tower core is not a g-core")
-    surplus = gks_encode(tower.core, g)
+    try:
+        surplus = gks_encode(tower.core, g)
+    except ValueError:
+        raise ValueError("tower core is not a g-core") from None
     level = max(map(len, tower.quotient)) - min(surplus)
     beta: list[int] = []
     for residue, (a, q) in enumerate(zip(surplus, tower.quotient)):

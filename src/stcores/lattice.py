@@ -3,19 +3,20 @@
 Three grids share one path mechanism. A monotonic path from the bottom-left
 to the top-right corner of an R x C cell grid is stored as its column
 heights: a non-decreasing C-tuple over 0..R whose entry c counts the cells of
-column c below the path. A grid is stored the same way, as its C columns from
-left to right, each read from the bottom row up. The heights, together with
-the grid's sign border, determine the trapped cells, whose values decode a
-partition. :data:`FAMILIES` holds each family's grid, path bound and decoder,
-keyed "straight", "selfconj" and "bar"; on it, :func:`path_to_core` decodes
-one path, :func:`core_to_path` recovers the path of a self-conjugate or bar
-core, :func:`enumerate_cores_by_paths` walks them all, and
-:func:`census_by_size` counts the cores of each size up to a limit without
-walking the paths one by one.
+column c below the path. A grid is stored as its C columns from left to
+right, each a ``range`` from the bottom row up (every cell is linear in its
+position). The heights and the grid's sign border determine the trapped
+cells, whose values decode a partition. :data:`FAMILIES` holds each family's
+grid, path bound and decoder, keyed "straight", "selfconj" and "bar"; on it,
+:func:`path_to_core` decodes one path, :func:`core_to_path` recovers the path
+of a self-conjugate or bar core, :func:`enumerate_cores_by_paths` walks them
+all, and :func:`census_by_size` counts the cores of each size up to a limit
+without walking the paths one by one.
 """
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Iterator
 
 from .bar_partitions import BarPartition
@@ -42,16 +43,16 @@ from .partitions import (
 )
 
 Path = tuple[int, ...]
-# The columns from left to right, each from the bottom row up. For the
+# The columns from left to right, each a range from the bottom row up. For the
 # coprime parameters used here no entry is zero, and signs split along a
 # monotonic path: every column has its negatives at the bottom, every row at
 # the right.
-Grid = tuple[tuple[int, ...], ...]
+Grid = tuple[range, ...]
 
 
 def _border_heights(grid: Grid) -> tuple[int, ...]:
     """Per column, the number of negative cells (measured from the bottom)."""
-    return tuple(sum(v < 0 for v in column) for column in grid)
+    return tuple(len(range(column.start, min(column.stop, 0), column.step)) for column in grid)
 
 
 def anderson_grid(s: int, t: int) -> Grid:
@@ -65,7 +66,7 @@ def anderson_grid(s: int, t: int) -> Grid:
         ValueError: unless s, t > 1 are coprime.
     """
     check_pair(s, t, coprime=True)
-    return tuple(tuple(y * t - (c + 1) * s for y in range(s)) for c in range(t))
+    return tuple(range(-c * s, (t - c) * s, t) for c in range(1, t + 1))
 
 
 def dh_grid(s: int, t: int) -> Grid:
@@ -81,7 +82,7 @@ def dh_grid(s: int, t: int) -> Grid:
     """
     check_pair(s, t, coprime=True)
     return tuple(
-        tuple(s * t - s * (2 * j - 1) - t * (2 * i - 1) for i in range(s // 2, 0, -1))
+        range(s * t - s * (2 * j - 1) - t * (2 * (s // 2) - 1), s * t - s * (2 * j - 1), 2 * t)
         for j in range(1, t // 2 + 1)
     )
 
@@ -102,7 +103,7 @@ def yinyang_grid(s: int, t: int) -> Grid:
     check_pair(s, t, odd=True, coprime=True)
     if s >= t:
         raise ValueError("s must be less than t")
-    return tuple(tuple(t * k - s * j for k in range(1, (s + 1) // 2)) for j in range(1, (t + 1) // 2))
+    return tuple(range(t - s * j, t * ((s + 1) // 2) - s * j, t) for j in range(1, (t + 1) // 2))
 
 
 def _check_path(path: Path, rows: int, cols: int) -> None:
@@ -168,8 +169,8 @@ def core_to_path(family: str, core: Partition | BarPartition, s: int, t: int) ->
 
     A grid cell is marked when its |value| is a diagonal hook (selfconj) or a
     part (bar) of the core. Neither grid repeats an absolute value, so per
-    column the marked cells adjacent to the border raise or lower the path by
-    their count.
+    column the run of marked cells next to the border raises or lowers the
+    path by its length; the final check refuses a marked cell off that run.
 
     Raises:
         ValueError: for any other family; unless ``core`` is a self-conjugate
@@ -193,8 +194,8 @@ def core_to_path(family: str, core: Partition | BarPartition, s: int, t: int) ->
     border = _border_heights(grid)
     heights = []
     for column, hb in zip(grid, border):
-        up = sum(abs(v) in marked for v in column[hb:])
-        down = sum(abs(v) in marked for v in column[:hb])
+        up = sum(1 for _ in takewhile(marked.__contains__, column[hb:]))
+        down = sum(1 for _ in takewhile(marked.__contains__, map(abs, reversed(column[:hb]))))
         if up and down:
             raise ValueError("marked values straddle the border in one column")
         heights.append(hb + up - down)
@@ -313,11 +314,11 @@ def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
 
     Counts what :func:`enumerate_cores_by_paths` decodes, without building a
     path or a partition: the size of a core adds up over the trapped cells,
-    so one pass column by column over states (height, k, S) suffices, where k
-    counts the trapped cells so far and S sums their |values|. Every final
-    height is accepted, since the path may finish its column profile below
-    the top. A straight path must stay weakly above the sign border, and its
-    size is S - k(k-1)/2; every other path counts, with size S.
+    so one pass column by column over states (height, k, S) suffices, where S
+    sums the trapped |values| so far and k counts the trapped cells of a
+    straight path, 0 elsewhere; the size is S - k(k-1)/2. Every final height
+    is accepted, since the path may finish its column profile below the top.
+    A straight path must stay weakly above the sign border; others need not.
 
     Every trapped |value| is a hook length of the core (a first-column hook,
     a diagonal hook or a bar part), so at most its size: a column height that
@@ -334,8 +335,7 @@ def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
     # states[h] maps (k, S) to the number of path prefixes ending at height h.
     states: list[dict[tuple[int, int], int]] = [{} for _ in heights]
     states[0][(0, 0)] = 1
-    for values, hb in zip(grid, _border_heights(grid)):
-        column = [abs(v) for v in values]
+    for column, hb in zip(grid, _border_heights(grid)):
         new: list[dict[tuple[int, int], int]] = [{} for _ in heights]
         reach: dict[tuple[int, int], int] = {}
         for h in heights:
@@ -345,10 +345,10 @@ def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
                 continue
             # Every column grows from the bottom up, so the |value| trapped
             # farthest from the border is the largest.
-            if h != hb and column[h - 1 if h > hb else h] > limit:
+            if h != hb and abs(column[h - 1 if h > hb else h]) > limit:
                 continue
             trapped = column[hb:h] if h >= hb else column[h:hb]
-            m, w = len(trapped), sum(trapped)
+            m, w = len(trapped) if above_border else 0, abs(sum(trapped))
             new[h] = {
                 (k + m, sum_ + w): n
                 for (k, sum_), n in reach.items()
@@ -358,7 +358,6 @@ def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
     counts = [0] * (limit + 1)
     for level in states:
         for (k, sum_), n in level.items():
-            size = sum_ - k * (k - 1) // 2 if above_border else sum_
-            if size <= limit:
+            if (size := sum_ - k * (k - 1) // 2) <= limit:
                 counts[size] += n
     return counts

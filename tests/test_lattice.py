@@ -24,7 +24,7 @@ from stcores.lattice import (
     yinyang_grid,
 )
 from stcores.oracle import enumerate_self_conjugate, extremal_stats
-from stcores.partitions import is_self_conjugate, is_t_core
+from stcores.partitions import diagonal_hooks, is_self_conjugate, is_t_core
 
 
 def _every_path(rows, cols):
@@ -68,11 +68,17 @@ def test_a_straight_path_below_the_border_is_refused():
     assert path_to_core("selfconj", (0, 0), 4, 5) == (4, 1, 1, 1)
 
 
+def _cells(grid):
+    """The grid's columns as tuples, after checking that each is a range."""
+    assert all(type(column) is range for column in grid)
+    return tuple(map(tuple, grid))
+
+
 def test_anderson_grid_small_values():
     grid = anderson_grid(2, 3)
     # value at row r, column c is st - s - t - cs - rt, zero-indexed from the
     # top left; a grid is its columns, left to right, each from the bottom up
-    assert grid == ((-2, 1), (-4, -1), (-6, -3))
+    assert _cells(grid) == ((-2, 1), (-4, -1), (-6, -3))
     assert _border_heights(grid) == (1, 2, 2)
 
 
@@ -83,11 +89,37 @@ def test_anderson_grid_rejects_common_factors():
 
 def test_dh_and_yinyang_grid_small_values():
     # columns left to right, each from the bottom up
-    assert dh_grid(3, 5) == ((7,), (1,))
+    assert _cells(dh_grid(3, 5)) == ((7,), (1,))
     assert [len(column) for column in dh_grid(7, 11)] == [3] * 5
-    assert dh_grid(4, 5) == ((1, 11), (-7, 3))
-    assert dh_grid(2, 3) == ((1,),)
-    assert yinyang_grid(3, 5) == ((2,), (-1,))
+    assert _cells(dh_grid(4, 5)) == ((1, 11), (-7, 3))
+    assert _cells(dh_grid(2, 3)) == ((1,),)
+    assert _cells(yinyang_grid(3, 5)) == ((2,), (-1,))
+
+
+# The grids as tuples of cells, each cell by its formula: an independent
+# source for the builders' ranges.
+TUPLE_GRIDS = {
+    anderson_grid: lambda s, t: tuple(tuple(y * t - (c + 1) * s for y in range(s)) for c in range(t)),
+    dh_grid: lambda s, t: tuple(
+        tuple(s * t - s * (2 * j - 1) - t * (2 * i - 1) for i in range(s // 2, 0, -1))
+        for j in range(1, t // 2 + 1)
+    ),
+    yinyang_grid: lambda s, t: tuple(
+        tuple(t * k - s * j for k in range(1, (s + 1) // 2)) for j in range(1, (t + 1) // 2)
+    ),
+}
+COPRIME_TO_30 = [(s, t) for s in range(2, 30) for t in range(s + 1, 31) if gcd(s, t) == 1]
+
+
+@pytest.mark.parametrize("build", TUPLE_GRIDS, ids=lambda build: build.__name__)
+def test_grids_match_their_cell_formulas_and_count_their_negatives(build):
+    pairs = [(s, t) for s, t in COPRIME_TO_30 if s % 2 and t % 2]
+    if build is not yinyang_grid:
+        pairs = COPRIME_TO_30 + [(t, s) for s, t in COPRIME_TO_30]
+    for s, t in pairs:
+        grid, want = build(s, t), TUPLE_GRIDS[build](s, t)
+        assert _cells(grid) == want, (s, t)
+        assert _border_heights(grid) == tuple(sum(v < 0 for v in column) for column in want)
 
 
 @pytest.mark.parametrize("s", (1, 4))
@@ -288,6 +320,34 @@ def test_dh_and_yy_paths_round_trip(s, t):
         assert core_to_path("bar", b, s, t) == path
         assert gamma(p, s, t) == b
         assert gamma_inverse(b, s, t) == p
+
+
+def _scanning_core_to_path(family, core, s, t):
+    """core_to_path on a valid core by testing every cell of each column."""
+    build = dh_grid if family == "selfconj" else yinyang_grid
+    marked = set(diagonal_hooks(core) if family == "selfconj" else core)
+    path = []
+    for column in TUPLE_GRIDS[build](s, t):
+        hb = sum(v < 0 for v in column)
+        up = sum(abs(v) in marked for v in column[hb:])
+        down = sum(abs(v) in marked for v in column[:hb])
+        assert not (up and down)
+        path.append(hb + up - down)
+    return tuple(path)
+
+
+@pytest.mark.parametrize(
+    "s, t", [(s, t) for s in range(3, 14, 2) for t in range(s + 2, 18, 2) if gcd(s, t) == 1]
+)
+def test_core_to_path_reads_what_a_scan_of_every_cell_reads(s, t):
+    for family in ("selfconj", "bar"):
+        for core in enumerate_cores_by_paths(family, s, t):
+            assert core_to_path(family, core, s, t) == _scanning_core_to_path(family, core, s, t)
+
+
+def test_gamma_round_trips_at_a_pair_of_a_hundred_million_cells():
+    # Each grid is 10,000 x 10,001 cells; only the marked runs are read.
+    assert gamma_inverse(gamma((), 20001, 20003), 20001, 20003) == ()
 
 
 @pytest.mark.parametrize("family", ("straight", "anderson", "Bar"))
