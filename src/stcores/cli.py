@@ -56,12 +56,13 @@ PAIR_MAP_CAP = 3001
 GRID_CAP = 1501
 
 # Largest member of the reduced pair (s/g, t/g) that `series` and `scan`
-# accept for a joint generating function: its census visits every height of
-# every column of the s/g x t/g Anderson grid, so even a small -N costs time
-# growing with the product. Measured cold with -N 10 on a 2-vCPU Xeon (Python
-# 3.11.7, three runs each): psi at (1600,1601) 1.0-1.3 s and 15 MB peak RSS,
-# psistar and psibar near it under 0.5 s, psi at (3200,3202), g = 2, 1.2-1.3 s.
-# The cost still grows with -N: psi at (301,303) takes about 3.5 s at -N 60.
+# accept for a joint generating function. Its census visits only the heights
+# next to each column's border of the s/g x t/g Anderson grid, but it walks
+# all t/g columns and the straight states grow with -N (ROADMAP item 5).
+# Measured cold on a 2-vCPU Xeon (Python 3.11.7): with -N 10, psi at
+# (1600,1601) 0.13-0.17 s and 17 MB peak RSS, psistar and psibar at
+# (1599,1601) 0.06-0.09 s, psi at (3200,3202), g = 2, 0.07-0.10 s; at the
+# default -N 60, psi at (301,303) 3.5-4.2 s and at (1600,1601) 34-35 s.
 REDUCED_PAIR_CAP = 1601
 
 # Largest -N that `series`, `scan` and `verify` accept. A series product is

@@ -1,13 +1,13 @@
 """g-core/g-quotient towers for straight and bar partitions.
 
-Straight towers use the classical abacus: spread a padded beta-set over g
-runners and read each runner as a smaller partition for the quotient. The
-g-core keeps only each runner's bead count, so it goes through the
-runner-surplus codec (``gks_decode``/``gks_encode``), as bar towers go
-through the signed-run-length codec. Bar towers use paired runners on a Maya
-diagram, with the two residue classes {j, g-j} merged into one charged
-fermionic strip per component: the strip is read as a beta-set of the
-component, and the strip charges are the signed run lengths of the core.
+Straight towers use the classical abacus: ``encodings.abacus`` spreads a
+padded beta-set over g runners and reads each runner as a smaller partition
+for the quotient. The g-core keeps only each runner's bead count, so it goes
+through the runner-surplus codec (``gks_decode``/``gks_encode``), as bar
+towers go through the signed-run-length codec. Bar towers use paired runners
+on a Maya diagram, with the two residue classes {j, g-j} merged into one
+charged fermionic strip per component: the strip is read as a beta-set of
+the component, and the strip charges are the signed run lengths of the core.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .bar_partitions import (
     is_bar_partition,
     is_tbar_core,
 )
-from .encodings import gks_decode, gks_encode, olsson_decode, olsson_encode
+from .encodings import abacus, gks_decode, gks_encode, olsson_decode, olsson_encode
 from .partitions import (
     Frozen,
     Partition,
@@ -87,17 +87,9 @@ class BarTower(Frozen):
 def decompose(p: Partition, g: int) -> StraightTower:
     """Split ``p`` into its g-core and g-quotient.
 
-    The beta-set is padded to the smallest multiple of g covering all parts;
-    component i collects the beta values congruent to i mod g. Adding g more
-    phantom beads shifts every runner uniformly, so the result does not depend
-    on the padding choice.
-
-    The fewer than g phantom beads 0, 1, ..., n_beads - k - 1 put one bead at
-    position 0 on each runner below n_beads - k. Only the real beads are then
-    placed, in ascending order, so the beads already on a runner are exactly
-    those below the new one and the part it reads is its position minus their
-    count. The g-core keeps each runner's bead count: it is the
-    :func:`~stcores.encodings.gks_decode` of the counts less n_beads / g.
+    One :func:`~stcores.encodings.abacus` pass reads the quotient off the
+    runners of the padded beta-set, and the g-core is the
+    :func:`~stcores.encodings.gks_decode` of their surpluses.
 
     Args:
         p: any partition.
@@ -108,20 +100,8 @@ def decompose(p: Partition, g: int) -> StraightTower:
         sum(p) = sum(core) + g * weight.
     """
     check_divisor(g)
-    k = len(p)
-    n_beads = g * ((k + g - 1) // g)
-    phantoms = n_beads - k
-    beads = [1] * phantoms + [0] * (g - phantoms)
-    runners: list[list[int]] = [[] for _ in range(g)]
-    for b in map(int.__add__, reversed(p), range(phantoms, n_beads)):
-        position, residue = divmod(b, g)
-        part = position - beads[residue]
-        beads[residue] += 1
-        if part:
-            runners[residue].append(part)
-    quotient = tuple([tuple(r[::-1]) for r in runners])
-    core = gks_decode(tuple([m - n_beads // g for m in beads]))
-    return StraightTower(g=g, core=core, quotient=quotient)
+    surplus, quotient = abacus(p, g)
+    return StraightTower(g=g, core=gks_decode(surplus), quotient=quotient)
 
 
 def reconstruct(tower: StraightTower) -> Partition:

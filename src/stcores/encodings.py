@@ -1,51 +1,69 @@
 """Integer-tuple encodings of t-cores and t-bar-cores, and the zeta bijection.
 
-A t-core is encoded by the t-tuple (a_0, ..., a_{t-1}) of runner surpluses of
-its beta-set; the entries always sum to zero. A t-bar-core (t odd) is encoded
-by the signed run lengths (b'_1, ..., b'_{(t-1)/2}) of its residue classes.
-Zeta shifts one encoding into the other.
+One bead pass, :func:`abacus`, spreads a partition's beta-set over t runners
+and reads both the t-tuple (a_0, ..., a_{t-1}) of runner surpluses, whose
+entries always sum to zero, and the t-quotient. A t-core is a partition with
+an empty t-quotient, encoded by its surpluses. A t-bar-core (t odd) is
+encoded by the signed run lengths (b'_1, ..., b'_{(t-1)/2}) of its residue
+classes. Zeta shifts one encoding into the other.
 """
 
 from __future__ import annotations
 
 from .bar_partitions import BarPartition
-from .partitions import (
-    Partition,
-    check_modulus,
-    is_self_conjugate,
-    is_t_core,
-)
+from .partitions import Partition, check_modulus, is_self_conjugate
 
 CoreTuple = tuple[int, ...]
 BarTuple = tuple[int, ...]
 
 
-def gks_encode(p: Partition, t: int) -> CoreTuple:
-    """Runner-surplus tuple (a_0, ..., a_{t-1}) of a t-core.
+def abacus(p: Partition, g: int) -> tuple[CoreTuple, tuple[Partition, ...]]:
+    """Runner surpluses and g-quotient of ``p``, from one pass over its beads.
 
-    With the beta-set padded to N beads (N the smallest multiple of t covering
-    all parts), a_i is the number of beta values congruent to i mod t, minus
-    N/t. Padding by further multiples of t leaves the tuple unchanged, the
-    entries sum to zero, and conjugation maps (a_0,...,a_{t-1}) to
+    The beta-set is padded to n_beads, the smallest multiple of g covering
+    all parts; runner i holds the beta values congruent to i mod g and reads
+    as component i. Adding g more phantom beads shifts every runner
+    uniformly, so the result does not depend on the padding choice. The
+    caller checks g >= 1.
+
+    The fewer than g phantom beads 0, 1, ..., n_beads - k - 1 put one bead at
+    position 0 on each runner below n_beads - k. Only the real beads are then
+    placed, in ascending order, so the beads already on a runner are exactly
+    those below the new one and the part it reads is its position minus their
+    count. A runner's surplus is its bead count less n_beads / g.
+    """
+    k = len(p)
+    level = (k + g - 1) // g
+    phantoms = g * level - k
+    beads = [1] * phantoms + [0] * (g - phantoms)
+    # only the runners that read a part get a list, since a core reads none
+    runners: dict[int, list[int]] = {}
+    for b in map(int.__add__, reversed(p), range(phantoms, g * level)):
+        position, residue = divmod(b, g)
+        part = position - beads[residue]
+        beads[residue] += 1
+        if part:
+            runners.setdefault(residue, []).append(part)
+    quotient: list[Partition] = [()] * g
+    for residue, r in runners.items():
+        quotient[residue] = tuple(r[::-1])
+    return tuple([m - level for m in beads]), tuple(quotient)
+
+
+def gks_encode(p: Partition, t: int) -> CoreTuple:
+    """Runner-surplus tuple (a_0, ..., a_{t-1}) of a t-core, read by :func:`abacus`.
+
+    The entries sum to zero, and conjugation maps (a_0,...,a_{t-1}) to
     (-a_{t-1},...,-a_0).
 
     Raises:
-        ValueError: if t < 1 or ``p`` is not a t-core.
+        ValueError: if t < 1 or ``p`` is not a t-core (a runner reads a part).
     """
     check_modulus(t)
-    if not is_t_core(p, t):
+    surplus, quotient = abacus(p, t)
+    if any(quotient):
         raise ValueError("input is not a t-core")
-    k = len(p)
-    level = (k + t - 1) // t
-    phantoms = t * level - k
-    # the fewer than t phantom beads 0, 1, ..., phantoms - 1 lie on distinct
-    # runners; row i of the padded beta-set holds p[i] + N - 1 - i
-    counts = [1] * phantoms + [0] * (t - phantoms)
-    offset = t * level
-    for part in p:
-        offset -= 1
-        counts[(part + offset) % t] += 1
-    return tuple([c - level for c in counts])
+    return surplus
 
 
 def gks_decode(entries: CoreTuple) -> Partition:

@@ -322,41 +322,43 @@ def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
 
     Every trapped |value| is a hook length of the core (a first-column hook,
     a diagonal hook or a bar part), so at most its size: a column height that
-    traps a value above ``limit`` is skipped. Where the size is S, which only
-    grows along the path, a state with S > limit is dropped as well; the
-    straight size does not grow monotonically, so it is cut only at the end.
+    traps a value above ``limit`` is skipped, and above the border so is every
+    higher one. Where the size is S, which only grows along the path, a state
+    with S > limit is dropped as well; the straight size does not grow
+    monotonically, so it is cut only at the end. Each column starts at the
+    lowest height a state holds; the border path traps nothing, so it stays.
 
     Returns:
         counts[n], the number of cores of size n, for n = 0..limit.
     """
     build, above_border, _ = _family(family)
     grid = build(s, t)
-    heights = range(len(grid[0]) + 1)
-    # states[h] maps (k, S) to the number of path prefixes ending at height h.
-    states: list[dict[tuple[int, int], int]] = [{} for _ in heights]
-    states[0][(0, 0)] = 1
+    # states maps each height that path prefixes reach to {(k, S): prefixes}.
+    states: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
     for column, hb in zip(grid, _border_heights(grid)):
-        new: list[dict[tuple[int, int], int]] = [{} for _ in heights]
+        new: dict[int, dict[tuple[int, int], int]] = {}
         reach: dict[tuple[int, int], int] = {}
-        for h in heights:
-            for key, n in states[h].items():
+        for h in range(min(states), len(column) + 1):
+            for key, n in states.get(h, {}).items():
                 reach[key] = reach.get(key, 0) + n
-            if above_border and h < hb:
-                continue
             # Every column grows from the bottom up, so the |value| trapped
-            # farthest from the border is the largest.
-            if h != hb and abs(column[h - 1 if h > hb else h]) > limit:
+            # farthest from the border is the largest, and grows with h above it.
+            if h < hb and (above_border or -column[h] > limit):
                 continue
+            if h > hb and column[h - 1] > limit:
+                break
             trapped = column[hb:h] if h >= hb else column[h:hb]
             m, w = len(trapped) if above_border else 0, abs(sum(trapped))
-            new[h] = {
+            level = {
                 (k + m, sum_ + w): n
                 for (k, sum_), n in reach.items()
                 if above_border or sum_ + w <= limit
             }
+            if level:
+                new[h] = level
         states = new
     counts = [0] * (limit + 1)
-    for level in states:
+    for level in states.values():
         for (k, sum_), n in level.items():
             if (size := sum_ - k * (k - 1) // 2) <= limit:
                 counts[size] += n

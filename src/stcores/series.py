@@ -226,9 +226,7 @@ def _census_polynomial(kind: str, s: int, t: int, truncation: int, g: int = 1) -
     """
     if s == 1 or t == 1:
         return TruncatedSeries.one(truncation)
-    coeffs = [0] * (truncation + 1)
-    coeffs[::g] = _census(kind, s, t, truncation // g)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(_census(kind, s, t, truncation // g), truncation).substitute_power(g)
 
 
 def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:

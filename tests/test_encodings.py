@@ -53,6 +53,30 @@ def test_gks_round_trip_over_small_cores(t):
             assert gks_decode(entries) == p
 
 
+def counting_gks_encode(p, t):
+    """Reference encoder: count the padded beta values on each runner of a t-core."""
+    k = len(p)
+    level = (k + t - 1) // t
+    phantoms = t * level - k
+    counts = [1] * phantoms + [0] * (t - phantoms)
+    offset = t * level
+    for part in p:
+        offset -= 1
+        counts[(part + offset) % t] += 1
+    return tuple([c - level for c in counts])
+
+
+@pytest.mark.parametrize("t", range(1, 10))
+def test_gks_encode_matches_the_counting_loop(t):
+    for n in range(21):
+        for p in enumerate_partitions(n):
+            if is_t_core(p, t):
+                assert gks_encode(p, t) == counting_gks_encode(p, t), p
+            elif n <= 12:
+                with pytest.raises(ValueError, match="^input is not a t-core$"):
+                    gks_encode(p, t)
+
+
 def beta_set_gks_decode(entries):
     """Reference decoder: place every bead of every runner, read them as a beta-set."""
     t = len(entries)

@@ -9,6 +9,7 @@ beta-set over re-sorted runners.
 import pytest
 
 from stcores.core_quotient import StraightTower, decompose, reconstruct
+from stcores.encodings import abacus
 from stcores.oracle import enumerate_partitions
 from stcores.partitions import (
     conjugate,
@@ -138,6 +139,18 @@ def test_towers_match_the_padded_runner_form():
             tower = decompose(p, g)
             assert tower == reference_decompose(p, g), (p, g)
             assert reconstruct(tower) == reference_reconstruct(tower) == p, (p, g)
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+def test_abacus_matches_the_padded_runners(g):
+    for p in SMALL:
+        if sum(p) > 16:
+            continue
+        n_beads = g * ((len(p) + g - 1) // g)
+        runners = _runner_values(_padded_beta(p, n_beads), g)
+        surplus = tuple(len(r) - n_beads // g for r in runners)
+        quotient = tuple(_partition_from_runner(r) for r in runners)
+        assert abacus(p, g) == (surplus, quotient), (p, g)
 
 
 def test_reconstruct_matches_on_towers_with_extra_depth():

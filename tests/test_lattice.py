@@ -252,12 +252,14 @@ def test_truncated_census_is_the_full_census_cut_at_the_limit(s, t):
             assert census_by_size(family, s, t, limit) == want
 
 
-@pytest.mark.parametrize("s, t, limit", ((19, 23, 18), (101, 103, 40)))
+@pytest.mark.parametrize("s, t, limit", ((19, 23, 18), (101, 103, 40), (1600, 1601, 10)))
 def test_small_sizes_of_a_large_pair_count_every_partition(s, t, limit):
     # No hook of a partition of n < min(s, t) reaches s or t, so every such
     # partition is an (s,t)-core; p(n) comes from Euler's recurrence here.
     # (101,103) stops at 40: every subset of 1..limit is a trapped set
     # there, and the DP took 0.4 s at 40, 1.8 s at 60 and 5.1 s at 80.
+    # (1600,1601) has 1601 columns of 1600 cells, of which the DP visits only
+    # the few heights next to each border.
     p = [1]
     for n in range(1, limit + 1):
         total = 0
@@ -267,6 +269,25 @@ def test_small_sizes_of_a_large_pair_count_every_partition(s, t, limit):
                     total += (-1) ** (j + 1) * p[n - k]
         p.append(total)
     assert census_by_size("straight", s, t, limit) == p
+
+
+def _distinct_part_counts(parts, limit):
+    """Number of partitions of n = 0..limit into distinct members of ``parts``."""
+    counts = [1] + [0] * limit
+    for part in parts:
+        for n in range(limit, part - 1, -1):
+            counts[n] += counts[n - part]
+    return counts
+
+
+@pytest.mark.parametrize(
+    "family, parts", (("selfconj", range(1, 11, 2)), ("bar", range(1, 11)))
+)
+def test_small_sizes_of_a_large_odd_pair_count_every_core(family, parts):
+    # Below min(s, t) every self-conjugate partition and every bar partition
+    # is a core of the pair; self-conjugate partitions of n correspond to
+    # partitions of n into distinct odd parts (their diagonal hooks).
+    assert census_by_size(family, 1599, 1601, 10) == _distinct_part_counts(parts, 10)
 
 
 def test_anderson_dp_reaches_a_census_past_enumeration():
