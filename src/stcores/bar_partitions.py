@@ -1,8 +1,10 @@
 """Bar partitions: partitions into distinct parts and their bar lengths.
 
-Bar lengths are hook lengths of shifted-diagram boxes inside the
-shift-symmetric diagram. The fast row formula is the production
-implementation; the literal diagram embedding is kept as a test oracle.
+Bar lengths are the hook lengths right of the diagonal in the doubled
+diagram; the row formula is the production implementation, the diagram an
+independent test oracle. One recursion over distinct parts 1, 1 + step, ...
+enumerates the bar partitions (step 1) and the distinct odd diagonal hooks of
+the self-conjugate partitions in ``oracle`` (step 2).
 """
 
 from __future__ import annotations
@@ -48,32 +50,16 @@ def bar_length_multiset(b: BarPartition) -> tuple[int, ...]:
 
 
 def bar_length_multiset_by_diagram(b: BarPartition) -> tuple[int, ...]:
-    """Bar lengths read off the shift-symmetric diagram (slow oracle).
+    """Bar lengths read off the doubled diagram (test oracle).
 
-    The shifted diagram places row r (0-indexed) in columns r..r+b[r]-1; the
-    shift-symmetric diagram attaches, one position left of each diagonal cell,
-    a hanging column of b[j] boxes, which pushes the shifted rows one column
-    right. In the combined shape the shifted cells sit at (r, r+1..r+b[r]) and
-    attached column j occupies rows j..j+b[j]-1. Bar lengths are the hook
-    lengths, inside the combined shape, of the shifted cells.
+    D(b) has Frobenius coordinates (b[0]..b[k-1] | b[0]-1..b[k-1]-1): row
+    r < k holds r + b[r] + 1 cells, and column c < k holds c + b[c]. The bar
+    lengths are the hooks of the cells (r, c) with r < c <= r + b[r]: arm
+    r + b[r] - c plus leg, column c's length less r + 1, plus one.
     """
-    k = len(b)
-    if k == 0:
-        return ()
-    limit = k + b[0] + 1
-    occupied = set()
-    for r in range(k):
-        for c in range(r + 1, r + b[r] + 1):
-            occupied.add((r, c))
-    for j in range(k):
-        for r in range(j, j + b[j]):
-            occupied.add((r, j))
-    bars = []
-    for r in range(k):
-        for c in range(r + 1, r + b[r] + 1):
-            arm = sum(1 for cc in range(c + 1, limit) if (r, cc) in occupied)
-            leg = sum(1 for rr in range(r + 1, limit) if (rr, c) in occupied)
-            bars.append(arm + leg + 1)
+    columns = [c + x for c, x in enumerate(b)]
+    columns += [sum(r + x >= c for r, x in enumerate(b)) for c in range(len(b), max(b, default=0) + 1)]
+    bars = [x - c + columns[c] for r, x in enumerate(b) for c in range(r + 1, r + x + 1)]
     return tuple(sorted(bars, reverse=True))
 
 
@@ -99,21 +85,25 @@ def is_tbar_core(b: BarPartition, t: int) -> bool:
 
 
 def enumerate_bar_partitions(n: int) -> Iterator[BarPartition]:
-    """Yield every partition of n into distinct parts exactly once.
+    """Every partition of n into distinct parts once, in decreasing lexicographic order."""
+    yield from _distinct_parts(n, 1)
 
-    Deterministic order: decreasing lexicographic by part tuple.
-    """
+
+def _distinct_parts(n: int, step: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into distinct parts 1, 1 + step, ..., in decreasing lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
 
-    def rec(remaining: int, largest: int, prefix: BarPartition) -> Iterator[BarPartition]:
+    def rec(remaining: int, largest: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             yield prefix
             return
-        for part in range(min(remaining, largest), 0, -1):
-            # the tail below `part` can carry at most part*(part-1)/2
-            if remaining - part > part * (part - 1) // 2:
+        top = min(remaining, largest)
+        for part in range(top - (top - 1) % step, 0, -step):
+            # the m parts below `part` carry at most m*part - step*m(m+1)/2
+            m = (part - 1) // step
+            if remaining - part > m * part - step * m * (m + 1) // 2:
                 break
-            yield from rec(remaining - part, part - 1, prefix + (part,))
+            yield from rec(remaining - part, part - step, prefix + (part,))
 
     yield from rec(n, n, ())

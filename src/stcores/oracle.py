@@ -38,7 +38,8 @@ that are not 2-cores are the (4,6) table less the (4,6,2) table.
 ``enumerate_partitions``, ``bar_partitions.enumerate_bar_partitions`` and
 ``enumerate_self_conjugate`` with the predicates of ``partitions`` and
 ``bar_partitions`` remain the unpruned reference that the walks are tested
-against.
+against. The last two share one recursion over distinct parts, at step 1
+and at step 2 (distinct odd diagonal hooks, read by ``from_diagonal_hooks``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from functools import cache
 from math import comb
 from typing import Callable, Iterable, Iterator
 
+from .bar_partitions import _distinct_parts
 from .partitions import Frozen, Partition, check_modulus, check_pair, from_diagonal_hooks
 
 
@@ -96,20 +98,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 def enumerate_self_conjugate(n: int) -> Iterator[Partition]:
     """All self-conjugate partitions of n, via distinct odd diagonal hooks."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-
-    def rec(remaining: int, largest: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        d = largest if largest % 2 == 1 else largest - 1
-        while d >= 1:
-            if d <= remaining:
-                yield from rec(remaining - d, d - 2, prefix + (d,))
-            d -= 2
-
-    for hooks in rec(n, n, ()):
+    for hooks in _distinct_parts(n, 2):
         yield from_diagonal_hooks(hooks)
 
 

@@ -62,6 +62,34 @@ def test_row_formula_matches_the_shifted_diagram(b):
     assert bar_length_multiset(b) == bar_length_multiset_by_diagram(b)
 
 
+def _bar_lengths_by_cell_scan(b):
+    # The cell scan that bar_length_multiset_by_diagram ran before: the
+    # shifted cells (r, r+1..r+b[r]) and the attached columns j, rows
+    # j..j+b[j]-1, held as a set of cells whose arms and legs are counted.
+    k = len(b)
+    if k == 0:
+        return ()
+    limit = k + b[0] + 1
+    occupied = {(r, c) for r in range(k) for c in range(r + 1, r + b[r] + 1)}
+    occupied |= {(r, j) for j in range(k) for r in range(j, j + b[j])}
+    bars = []
+    for r in range(k):
+        for c in range(r + 1, r + b[r] + 1):
+            arm = sum(1 for cc in range(c + 1, limit) if (r, cc) in occupied)
+            leg = sum(1 for rr in range(r + 1, limit) if (rr, c) in occupied)
+            bars.append(arm + leg + 1)
+    return tuple(sorted(bars, reverse=True))
+
+
+def test_the_doubled_diagram_matches_the_cell_scan_to_size_30():
+    seen = 0
+    for n in range(31):
+        for b in enumerate_bar_partitions(n):
+            assert bar_length_multiset_by_diagram(b) == _bar_lengths_by_cell_scan(b), b
+            seen += 1
+    assert seen == 2035
+
+
 @given(bar_partitions)
 def test_bar_count_equals_size(b):
     assert len(bar_length_multiset(b)) == sum(b)

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import stcores
+from stcores import cli
 
 
 def test_version_prints_the_program_and_version(run):
@@ -107,6 +108,22 @@ def test_a_closed_stdout_ends_the_call_quietly():
     child.stderr.close()
     assert child.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_a_broken_pipe_points_stdout_at_devnull_and_exits_1(monkeypatch, tmp_path, capsys):
+    # The same exit in this process: stdout's descriptor is left on devnull,
+    # so the interpreter's final flush cannot fail again.
+    def closed(text):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "_echo", closed)
+    with open(tmp_path / "stdout", "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["series", "--gf", "partition", "-N", "5"])
+        assert os.path.samestat(os.fstat(stdout.fileno()), os.stat(os.devnull))
+    assert stop.value.code == 1
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from stcores.oracle import (
     st_core_counts,
     stbar_core_counts,
 )
-from stcores.partitions import is_partition, is_self_conjugate, is_t_core
+from stcores.partitions import from_diagonal_hooks, is_partition, is_self_conjugate, is_t_core
 
 
 PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -49,6 +49,38 @@ def test_enumerate_self_conjugate_counts():
 def test_enumerators_refuse_a_negative_size(enumerate_size):
     with pytest.raises(ValueError, match="^n must be nonnegative$"):
         list(enumerate_size(-1))
+
+
+def _bar_recursion(remaining, largest, prefix):
+    # The recursion enumerate_bar_partitions ran before it shared one with
+    # enumerate_self_conjugate.
+    if remaining == 0:
+        yield prefix
+        return
+    for part in range(min(remaining, largest), 0, -1):
+        if remaining - part > part * (part - 1) // 2:
+            break
+        yield from _bar_recursion(remaining - part, part - 1, prefix + (part,))
+
+
+def _odd_hook_recursion(remaining, largest, prefix):
+    # The unpruned recursion over distinct odd diagonal hooks that
+    # enumerate_self_conjugate ran before.
+    if remaining == 0:
+        yield prefix
+        return
+    d = largest if largest % 2 == 1 else largest - 1
+    while d >= 1:
+        if d <= remaining:
+            yield from _odd_hook_recursion(remaining - d, d - 2, prefix + (d,))
+        d -= 2
+
+
+def test_the_shared_distinct_part_recursion_matches_both_former_recursions():
+    for n in range(61):
+        assert list(enumerate_bar_partitions(n)) == list(_bar_recursion(n, n, ()))
+        expected = [from_diagonal_hooks(hooks) for hooks in _odd_hook_recursion(n, n, ())]
+        assert list(enumerate_self_conjugate(n)) == expected
 
 
 def test_a_negative_limit_gives_an_empty_count_table():

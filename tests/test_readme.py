@@ -54,6 +54,11 @@ CAP_CALLS = [
         REDUCED_PAIR_CAP,
         ("series", "--gf", "psi", "-s", str(REDUCED_PAIR_CAP + 1), "-t", str(REDUCED_PAIR_CAP)),
     ),
+    (
+        "_CENSUS_WORK_CAP",
+        cli._CENSUS_WORK_CAP,
+        ("scan", "--gf", "psi", "-s", "31", "-t", "37", "-g", "5", "--mod", "5", "-N", "200"),
+    ),
     ("TRUNCATION_CAP", TRUNCATION_CAP, ("series", "--gf", "partition", "-N", str(TRUNCATION_CAP + 1))),
 ]
 

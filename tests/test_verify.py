@@ -6,7 +6,14 @@ from stcores import bar_partitions, core_quotient, encodings, lattice, oracle, p
 from stcores.core_quotient import is_st_core
 from stcores.oracle import CountTable, enumerate_partitions
 from stcores.series import TruncatedSeries
-from stcores.verify import suite_bijections, suite_bounds, suite_counting, suite_structure
+from stcores.verify import (
+    suite_bijections,
+    suite_bounds,
+    suite_congruence,
+    suite_counting,
+    suite_genfun,
+    suite_structure,
+)
 
 LABEL = "(5,7)-core census equals the enumerated set"
 
@@ -110,6 +117,38 @@ def test_the_eleven_rows_ask_for_one_at_24(monkeypatch):
     # weight is live at 24
     _patch_count(monkeypatch, (22,), 11, "selfconj", 24, 1)
     assert _check(suite_bounds(40), SC22) == (True, "all 41 cases")
+
+
+def _patch_table(monkeypatch, name, t, n, value):
+    """Make ``oracle.name(t, limit)`` report ``value`` at size n."""
+    real = getattr(oracle, name)
+
+    def table(u, limit):
+        got = real(u, limit)
+        if u != t:
+            return got
+        return CountTable(got.label, got.counts[:n] + (value,) + got.counts[n + 1 :])
+
+    monkeypatch.setattr(oracle, name, table)
+
+
+def test_the_genfun_suite_names_the_first_mismatch(monkeypatch):
+    # one 3-core of size 5, (3, 1, 1)
+    _patch_table(monkeypatch, "core_counts", 3, 5, 2)
+    detail = "first mismatch at n=5: series 1, enumeration 2"
+    assert _check(suite_genfun(40), "3-core series vs enumeration") == (False, detail)
+
+
+def test_the_congruence_suite_catches_a_count_off_its_progression(monkeypatch):
+    _patch_count(monkeypatch, (10,), 5, "straight", 4, 1)
+    label = "10-cores that are not 5-cores, counts on 5k+4 divisible by 5"
+    assert _check(suite_congruence(40), label) == (False, "1/8 cases failed: n=4: 1")
+
+
+def test_the_bounds_suite_refuses_a_self_conjugate_core_of_size_2(monkeypatch):
+    _patch_table(monkeypatch, "selfconj_core_counts", 8, 2, 1)
+    detail = "1/72 cases failed: n=2 admits no self-conjugate partition at all, yet a count is nonzero"
+    assert _check(suite_bounds(40), "every size but 2 admits a self-conjugate 8-core") == (False, detail)
 
 
 def _patch_map(monkeypatch, module, name, source, image):
