@@ -6,13 +6,12 @@ For each reduced pair (s', t') and limit L of a fixed grid, runs
 `lattice.census_by_size("straight", s', t', L)` once in process and prints a
 CSV row: s', t', L, the estimate t' * min(L, (s'-1)(t'-1)/2)**3.6 that
 `series` and `scan` bound, whether it is within their cap, and the
-seconds it took. A cell whose estimate passes --skip-above is not run, and
+seconds it took. A cell whose estimate passes SKIP_ABOVE is not run, and
 its seconds are left empty.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import sys
 import time
@@ -22,19 +21,18 @@ from stcores.lattice import census_by_size
 
 PAIRS = ((5, 7), (7, 11), (13, 17), (31, 37), (101, 103), (301, 303), (1600, 1601))
 LIMITS = (10, 20, 30, 40, 60, 90, 120, 150, 200)
+# Cells above this estimate would take a minute or more each; they are not run.
+SKIP_ABOVE = 1e10
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--skip-above", type=float, default=1e10, help="largest estimate run (default 1e10)")
-    skip_above = parser.parse_args().skip_above
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(("s", "t", "limit", "estimate", "accepted", "seconds"))
     for s, t in PAIRS:
         for limit in LIMITS:
             estimate = t * min(limit, (s - 1) * (t - 1) // 2) ** 3.6
             seconds = ""
-            if estimate <= skip_above:
+            if estimate <= SKIP_ABOVE:
                 start = time.perf_counter()
                 census_by_size("straight", s, t, limit)
                 seconds = f"{time.perf_counter() - start:.3f}"

@@ -6,13 +6,15 @@ Runs pytest in this process (default arguments: the Tier-1 command's
 `-q --continue-on-collection-errors`) under a `sys.settrace` line trace
 limited to the files of `src/stcores`, then prints `file:line` for every
 executable line that no test ran. A line is executable when a code object
-compiled from the file maps an instruction to it (line 0, a module's
-entry, is left out). Lines that run only in a
-child process started by a test are not seen.
+compiled from the file maps an instruction to it (line 0, a module's entry,
+is left out). Lines that run only in a child process started by a test are
+not seen.
 
 The body of a module-level `if __name__ == "__main__":` block is exempt. The
-exit status is 1 if pytest fails or any other line is listed, else 0.
-Standard library only; the trace makes the run about eight times slower.
+exit status is 1 if pytest fails or any other line is listed, else 0. It
+needs only the standard library and pytest. The trace makes the run about
+six times slower: Tier-1 took 3.3 min traced against 30-40 s untraced on a
+2-vCPU Xeon.
 """
 
 from __future__ import annotations
