@@ -60,18 +60,9 @@ GRID_CAP = 1501
 # the s/g x t/g Anderson grid, at the heights next to each column's border.
 # Measured cold on a 2-vCPU Xeon (Python 3.11.7): with -N 10, psi at
 # (1600,1601) 0.13-0.19 s and 17 MB peak RSS, psistar and psibar at
-# (1599,1601) 0.06-0.09 s, psi at (3200,3202), g = 2, 0.07-0.10 s.
+# (1599,1601) 0.06-0.09 s, psi at (3200,3202), g = 2, 0.07-0.10 s. Below it,
+# a straight census that grows too far with -N is refused by stcores.series.
 REDUCED_PAIR_CAP = 1601
-
-# Largest estimate t' * min(L, (s'-1)(t'-1)/2)**3.6 of the work of a straight
-# census of the reduced pair (s', t'), t' >= s', to size L that `series` and
-# `scan` accept. The census keeps every (k, S) state of a column to the end, so
-# its cost grows with its t' columns and with L up to the (s'-1)(t'-1)/2 values
-# a core can trap. Fitted to tools/census_grid.csv (in process, 2-vCPU Xeon,
-# Python 3.11.7): accepted cells took up to 0.93 s, refused ones from 1.5 s
-# ((31,37) at L = 90) to 31 s ((1600,1601) at L = 60). Cold, psi at
-# (1600,1601) with -N 29, the largest accepted, took 2.2-2.7 s and 16 MB.
-_CENSUS_WORK_CAP = 300_000_000
 
 # Largest -N that `series`, `scan` and `verify` accept. A series product is
 # quadratic in -N once its factors go dense, and the worst builder is a
@@ -152,21 +143,10 @@ def _check_truncation(truncation: int) -> None:
 def _build_series(gf: str, s: int | None, t: int | None, truncation: int) -> TruncatedSeries:
     build, reads, cap = GENERATING_FUNCTIONS[gf]
     moduli = _moduli("--gf", gf, reads, s, t)
-    g = gcd(*moduli) or 1
-    reduced = tuple(m // g for m in moduli)
+    reduced = tuple(m // (gcd(*moduli) or 1) for m in moduli)
     if cap is not None and max(reduced) > cap:
         raise ValueError(f"the reduced pair {reduced} exceeds the cap {cap} for --gf {gf}")
     _check_truncation(truncation)
-    # psi takes the straight census of the reduced pair to -N // g, psistar
-    # to -N // 2g when g > 1; the estimate is compared in fifth powers.
-    if gf == "psi" or gf == "psistar" and g > 1:
-        limit = truncation // (g if gf == "psi" else 2 * g)
-        traps = min(limit, (reduced[0] - 1) * (reduced[1] - 1) // 2)
-        if max(reduced) ** 5 * traps**18 > _CENSUS_WORK_CAP**5:
-            raise ValueError(
-                f"the straight census of {reduced} to size {limit} exceeds "
-                f"the work cap {_CENSUS_WORK_CAP} for --gf {gf}"
-            )
     return build(*moduli, truncation)
 
 

@@ -241,10 +241,9 @@ def bar_reconstruct(tower: BarTower) -> BarPartition:
         parts += [j + q * g for q in beads if q >= 0]
         # a hole at position q = -1-m stands for the part (g-j) + m*g
         parts += [-(j + q * g) for q in range(shift, 0) if q not in beads]
-    result = tuple(sorted(parts, reverse=True))
-    if not is_bar_partition(result):
-        raise ValueError("tower does not assemble into a bar partition")
-    return result
+    # Component 0 gives multiples of g and component j parts = +-j mod g, g odd:
+    # the parts are positive and distinct, a bar partition.
+    return tuple(sorted(parts, reverse=True))
 
 
 def is_stbar_core(b: BarPartition, s: int, t: int) -> bool:

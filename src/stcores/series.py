@@ -14,7 +14,8 @@ one lattice family ("straight", "selfconj" or "bar") by size with the path DP
 :func:`stcores.lattice.census_by_size`, only up to the size its substitution
 can reach within the truncation, so no path is walked and no partition is
 built; :func:`stcores.lattice.enumerate_cores_by_paths` stays the independent
-source for the bijections and cross-checks.
+source for the bijections and cross-checks. Every builder takes its straight
+census first; one whose estimated work passes a cap is refused before it runs.
 """
 
 from __future__ import annotations
@@ -208,14 +209,41 @@ def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
     return eta_quotient(_exponents((2, 1), (t, (t + 1) // 2), (1, -1), (2 * t, -1)), truncation)
 
 
+# Largest _census_work that _census takes on, fitted to tools/census_grid.csv
+# (in process, 2-vCPU Xeon, Python 3.11.7): accepted cells took up to 0.77 s
+# ((3,1601) at L = 200), refused ones from 0.29 s ((7,201) at L = 60) and, for
+# near-square pairs, 1.1 s ((31,37) at L = 90) to 25 s ((31,37) at L = 200).
+# Cold, psi at (1600,1601) with -N 29, the largest accepted, took 2.2-2.7 s.
+_CENSUS_WORK_CAP = 300_000_000
+
+
+def _census_work(s: int, t: int, limit: int) -> float:
+    """Estimated work t * min(traps**3.6, sets**1.3) of the straight census of s < t to ``limit``.
+
+    The census walks t columns and keeps every (k, S) state of a column to the
+    end. Their number grows with traps = min(limit, (s-1)(t-1)/2), the most
+    values a core can trap, and with sets, the number of sets of non-multiples
+    of s up to ``limit`` closed under subtracting s, which is small for a small s.
+    """
+    traps = min(limit, (s - 1) * (t - 1) // 2)
+    q, a = divmod(limit, s)
+    sets = (q + 2) ** a * (q + 1) ** (s - 1 - a)
+    # sets may pass any float; above traps**3 its term is not the smaller.
+    return t * min(traps**3.6, min(sets, traps**3) ** 1.3)
+
+
 @cache
 def _census(kind: str, s: int, t: int, limit: int) -> tuple[int, ...]:
     """Number of cores of each size 0..limit in the finite census of a coprime pair.
 
     ``kind`` names a family of :data:`stcores.lattice.FAMILIES`, counted by
-    the path DP on its grid.
+    the path DP on its grid. A straight census whose :func:`_census_work`
+    passes the cap raises ValueError before any DP.
     """
-    return tuple(census_by_size(kind, *sorted((s, t)), limit))
+    s, t = sorted((s, t))
+    if kind == "straight" and _census_work(s, t, limit) > _CENSUS_WORK_CAP:
+        raise ValueError(f"the straight census of {(s, t)} to size {limit} exceeds the work cap {_CENSUS_WORK_CAP}")
+    return tuple(census_by_size(kind, s, t, limit))
 
 
 def _census_polynomial(kind: str, s: int, t: int, truncation: int, g: int = 1) -> TruncatedSeries:
@@ -277,8 +305,8 @@ def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     if g == 1:
         return _census_polynomial("bar", s, t, truncation)
     sp, tp = s // g, t // g
-    bar_base = _census_polynomial("bar", sp, tp, truncation, g)
     base = _census_polynomial("straight", sp, tp, truncation, g)
+    bar_base = _census_polynomial("bar", sp, tp, truncation, g)
     return bar_base * base ** ((g - 1) // 2) * barcore_gf(g, truncation)
 
 
@@ -316,10 +344,10 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t)
     g = common_divisor(s, t)
     sp, tp = s // g, t // g
+    base = _census_polynomial("straight", sp, tp, truncation // (2 * g))
     fstar = selfconj_core_gf(g, truncation)
     if g % 2:
         fstar = _convolve(_census_polynomial("selfconj", sp, tp, truncation // g), fstar, g)
-    base = _census_polynomial("straight", sp, tp, truncation // (2 * g))
     return _convolve(base ** (g // 2), fstar, 2 * g)
 
 
@@ -333,9 +361,8 @@ def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t, odd=True)
     g = common_divisor(s, t)
     sp, tp = s // g, t // g
-    qbar = _census_polynomial("bar", sp, tp, truncation // g) * (
-        _census_polynomial("straight", sp, tp, truncation // g) ** ((g - 1) // 2)
-    )
+    base = _census_polynomial("straight", sp, tp, truncation // g)
+    qbar = _census_polynomial("bar", sp, tp, truncation // g) * base ** ((g - 1) // 2)
     return _convolve(qbar, barcore_gf(g, truncation), g)
 
 

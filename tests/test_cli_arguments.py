@@ -79,6 +79,17 @@ def test_scan_refuses_a_small_divisor_or_modulus_in_one_line(run, params, messag
     assert run("scan", "--gf", "partition", *params, "-N", "5") == (1, "", f"Error: {message}\n")
 
 
+def test_a_lopsided_pair_passes_the_census_work_cap_at_the_default_truncation(run):
+    # The (2,1601)-cores are the 801 staircases; those up to size 60 have
+    # sizes k(k+1)/2 for k = 0..10.
+    code, out, err = run("series", "--gf", "psi", "-s", "2", "-t", "1601")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    staircases = [str(k * (k + 1) // 2) for k in range(11)]
+    assert [n for n, c in (row.split(",") for row in rows) if c == "1"] == staircases
+    assert len(rows) == 61
+
+
 def test_scan_reports_no_residue_beyond_the_truncation(run):
     # p(1) = 1: at -N 0 no residue but 0 has a coefficient to check.
     assert run("scan", "--gf", "partition", "-g", "5", "--mod", "5", "-N", "0") == (

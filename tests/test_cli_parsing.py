@@ -28,8 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # (argv, environment, exit code, stdout, stderr) of `--help`, each verb's
 # `--help` and a set of rejected calls, as the argparse-built parser printed
 # them before the option table replaced it (Python 3.11, COLUMNS=80), and
-# the straight census refusals at (1600,1601) with the default -N and at
-# (31,37) with -N 200.
+# the straight census refusals at (1600,1601) with the default -N, at
+# (31,37) with -N 200, and at (31,37) to size 200 for psibar with g = 3.
 MESSAGES = json.loads((Path(__file__).with_name("cli_messages.json")).read_text())
 
 

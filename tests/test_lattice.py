@@ -5,7 +5,6 @@ from math import comb, gcd
 
 import pytest
 
-from stcores import lattice
 from stcores.bar_partitions import is_tbar_core
 from stcores.core_quotient import is_st_core, is_stbar_core
 from stcores.lattice import (
@@ -376,22 +375,6 @@ def test_gamma_round_trips_at_a_pair_of_a_hundred_million_cells():
 def test_core_to_path_refuses_every_other_family(family):
     with pytest.raises(ValueError, match=f"^no path inverse for family '{family}'$"):
         core_to_path(family, (), 3, 5)
-
-
-@pytest.mark.parametrize(
-    "bar, s, t, message",
-    (
-        ((4, 3), 5, 7, "marked values straddle the border in one column"),
-        ((2, 1), 3, 5, "marked values do not trace a monotonic path"),
-        ((3,), 3, 5, "marked values do not fit the grid"),
-    ),
-)
-def test_core_to_path_refuses_marked_values_that_trace_no_path(monkeypatch, bar, s, t, message):
-    # No (s-bar, t-bar)-core reaches these refusals; with the core test
-    # waved through, these bar partitions do.
-    monkeypatch.setattr(lattice, "is_stbar_core", lambda b, s, t: True)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        core_to_path("bar", bar, s, t)
 
 
 def _count_grid_builds(monkeypatch):

@@ -1,9 +1,9 @@
 """README's library example and its table of caps, checked against the code.
 
 The library example runs as written, and each value its comments state is
-the one it computes. Every cap constant of `stcores.cli` has a row in the
-"Parameter errors" tables that quotes its value and the message `main`
-prints just past it.
+the one it computes. Every cap constant of `stcores.cli`, and the census
+work cap of `stcores.series`, has a row in the "Parameter errors" tables
+that quotes its value and the message `main` prints just past it.
 """
 
 from pathlib import Path
@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from stcores import cli
+from stcores import cli, series
 from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, REDUCED_PAIR_CAP, TRUNCATION_CAP, ZETA_T_CAP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -54,11 +54,6 @@ CAP_CALLS = [
         REDUCED_PAIR_CAP,
         ("series", "--gf", "psi", "-s", str(REDUCED_PAIR_CAP + 1), "-t", str(REDUCED_PAIR_CAP)),
     ),
-    (
-        "_CENSUS_WORK_CAP",
-        cli._CENSUS_WORK_CAP,
-        ("scan", "--gf", "psi", "-s", "31", "-t", "37", "-g", "5", "--mod", "5", "-N", "200"),
-    ),
     ("TRUNCATION_CAP", TRUNCATION_CAP, ("series", "--gf", "partition", "-N", str(TRUNCATION_CAP + 1))),
 ]
 
@@ -69,19 +64,30 @@ def test_every_cap_of_the_cli_has_a_readme_row():
     assert len(CAP_CALLS) == len(caps) - 1 + len(COUNT_CAPS)
 
 
-@pytest.mark.parametrize("name, cap, argv", CAP_CALLS, ids=[" ".join(argv[:3]) for _, _, argv in CAP_CALLS])
-def test_each_cap_row_quotes_its_value_and_the_message_past_it(run, monkeypatch, name, cap, argv):
-    def never(*args):
-        raise AssertionError("work started")
+def never(*args):
+    raise AssertionError("work started")
 
-    for table in (cli.GENERATING_FUNCTIONS, cli.COUNTS, cli.GRIDS, cli.MAPS):
-        for choice, row in table.items():
-            monkeypatch.setitem(table, choice, (never, *row[1:]))
-    monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
-    code, out, err = run(*argv)
+
+def assert_one_row_quotes(cap, code, out, err):
     assert (code, out) == (1, "")
     message = err.removeprefix("Error: ").removesuffix("\n")
     rows = [line for line in section("Parameter errors").splitlines() if f"| `{message}` |" in line]
     assert len(rows) == 1
     condition = rows[0].split(" | ")[0]
     assert re.search(rf"\babove {cap}\b", condition)
+
+
+@pytest.mark.parametrize("name, cap, argv", CAP_CALLS, ids=[" ".join(argv[:3]) for _, _, argv in CAP_CALLS])
+def test_each_cap_row_quotes_its_value_and_the_message_past_it(run, monkeypatch, name, cap, argv):
+    for table in (cli.GENERATING_FUNCTIONS, cli.COUNTS, cli.GRIDS, cli.MAPS):
+        for choice, row in table.items():
+            monkeypatch.setitem(table, choice, (never, *row[1:]))
+    monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
+    assert_one_row_quotes(cap, *run(*argv))
+
+
+def test_the_census_work_cap_row_quotes_its_value_and_the_message_past_it(run, monkeypatch):
+    # The series builders apply this cap themselves, before any census DP.
+    monkeypatch.setattr(series, "census_by_size", never)
+    argv = ("scan", "--gf", "psi", "-s", "31", "-t", "37", "-g", "5", "--mod", "5", "-N", "200")
+    assert_one_row_quotes(series._CENSUS_WORK_CAP, *run(*argv))

@@ -1,9 +1,11 @@
 from hashlib import sha256
 from math import comb
+import re
 
 from hypothesis import given, strategies as st
 import pytest
 
+from stcores import series
 from stcores.oracle import (
     barcore_counts,
     core_counts,
@@ -305,6 +307,32 @@ def test_psi_over_a_reduced_pair_past_enumeration():
     # The reduced pair (13,17) needs the path DP; below 26 no hook length
     # can be divisible by 26 or 34, so every partition is a (26,34)-core.
     assert psi_st_gf(26, 34, 25) == partition_gf(25)
+
+
+@pytest.mark.parametrize("s, t", ((2, 301), (2, 1601), (3, 1601), (5, 151)))
+def test_psi_at_a_lopsided_pair_passes_the_census_work_cap(s, t):
+    # A core of size at most 60 < t has no hook length t, so the (s,t)-cores
+    # up to 60 are the s-cores; the few sets a small s admits keep it cheap.
+    assert psi_st_gf(s, t, 60) == core_gf(s, 60)
+
+
+@pytest.mark.parametrize(
+    "build, s, t, truncation, census",
+    (
+        (psi_st_gf, 31, 37, 200, "(31, 37) to size 200"),
+        (psi_st_gf, 1600, 1601, 60, "(1600, 1601) to size 60"),
+        (psi_star_st_gf, 62, 74, 400, "(31, 37) to size 100"),
+        (psi_bar_st_gf, 93, 111, 600, "(31, 37) to size 200"),
+        (convolution_psi_bar, 93, 111, 600, "(31, 37) to size 200"),
+    ),
+)
+def test_a_straight_census_past_the_work_cap_is_refused_before_any_dp(monkeypatch, build, s, t, truncation, census):
+    def never(*args):
+        raise AssertionError("census started")
+
+    monkeypatch.setattr(series, "census_by_size", never)
+    with pytest.raises(ValueError, match=rf"^the straight census of {re.escape(census)} exceeds the work cap "):
+        build(s, t, truncation)
 
 
 def test_psi_with_common_divisor_matches_enumeration():
