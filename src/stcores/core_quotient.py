@@ -6,8 +6,9 @@ for the quotient. The g-core keeps only each runner's bead count, so it goes
 through the runner-surplus codec (``gks_decode``/``gks_encode``), as bar
 towers go through the signed-run-length codec. Bar towers use paired runners
 on a Maya diagram, with the two residue classes {j, g-j} merged into one
-charged fermionic strip per component: the strip is read as a beta-set of
-the component, and the strip charges are the signed run lengths of the core.
+charged fermionic strip per component: the strip pass beside the abacus,
+``encodings.bar_abacus``, reads each strip as a beta-set of its component,
+and the strip charges are the signed run lengths of the core.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .bar_partitions import (
     is_bar_partition,
     is_tbar_core,
 )
-from .encodings import abacus, gks_decode, gks_encode, olsson_decode, olsson_encode
+from .encodings import (
+    abacus, bar_abacus, from_bar_abacus, gks_decode, gks_encode, olsson_decode, olsson_encode
+)
 from .partitions import (
     Frozen,
     Partition,
@@ -27,7 +30,6 @@ from .partitions import (
     check_pair,
     common_divisor,
     conjugate,
-    first_column_hooks,
     from_first_column_hooks,
     is_partition,
     is_t_core,
@@ -171,34 +173,13 @@ def selfconjugate_tower_check(tower: StraightTower) -> bool:
     )
 
 
-def _pair_class_component(b: BarPartition, j: int, g: int) -> tuple[Partition, int]:
-    """The straight component and the charge of the residue classes {j, g-j} of ``b``.
-
-    The two classes form one Maya strip: a part j + q*g puts a bead at
-    position q >= 0, a part (g-j) + m*g leaves a hole at position -1-m, and
-    every other negative position holds a bead. Shifted up by one more than
-    its deepest hole, the strip's beads are a beta-set of the component. The
-    charge, the beads at nonnegative positions minus the holes, is the
-    beta-set's size minus the shift.
-    """
-    holes = {(x - (g - j)) // g for x in b if x % g == g - j}
-    shift = max(holes, default=-1) + 1
-    beta = [(x - j) // g + shift for x in b if x % g == j]
-    beta += [shift - 1 - m for m in range(shift) if m not in holes]
-    return from_first_column_hooks(beta), len(beta) - shift
-
-
 def bar_decompose(b: BarPartition, g: int) -> BarTower:
     """Split a bar partition into its g-bar-core and g-bar-quotient.
 
-    Component 0 collects the parts divisible by g, each divided by g (a bar
-    partition). Component j (1 <= j <= (g-1)/2) reads the merged residue
-    classes {j, g-j} as one charged Maya strip and decodes it as a straight
-    partition; the strip charges are the signed run lengths of the core.
-
-    Args:
-        b: a bar partition.
-        g: odd integer >= 3.
+    One :func:`~stcores.encodings.bar_abacus` pass reads the quotient off the
+    strips, component 0 a bar partition and the rest straight ones, and the
+    g-bar-core is the :func:`~stcores.encodings.olsson_decode` of their
+    charges.
 
     Raises:
         ValueError: unless g is odd and >= 3 and ``b`` is a bar partition.
@@ -206,44 +187,27 @@ def bar_decompose(b: BarPartition, g: int) -> BarTower:
     check_divisor(g, odd=True)
     if not is_bar_partition(b):
         raise ValueError("input is not a bar partition")
-    lam0 = tuple(sorted((x // g for x in b if x % g == 0), reverse=True))
-    components: list[tuple[int, ...]] = [lam0]
-    charges = []
-    for j in range(1, (g + 1) // 2):
-        lam, charge = _pair_class_component(b, j, g)
-        components.append(lam)
-        charges.append(charge)
-    return BarTower(g=g, core=olsson_decode(tuple(charges)), quotient=tuple(components))
+    charges, quotient = bar_abacus(b, g)
+    return BarTower(g=g, core=olsson_decode(charges), quotient=quotient)
 
 
 def bar_reconstruct(tower: BarTower) -> BarPartition:
     """Rebuild the bar partition with the given g-bar-core and quotient.
 
-    Inverse of :func:`bar_decompose`: strip j holds the beta-set of component
-    j shifted up by its charge minus its length, and every position below
-    that shift.
+    Inverse of :func:`bar_decompose`: :func:`~stcores.encodings.from_bar_abacus`
+    builds the strips, with the charges that ``olsson_encode`` reads off the core.
 
     Raises:
-        ValueError: if the core is not a g-bar-core or component 0 is not a
-            bar partition.
+        ValueError: if component 0 is not a bar partition, the core is not a
+            g-bar-core, or another component is not a partition.
     """
-    g = tower.g
     if not is_bar_partition(tower.quotient[0]):
         raise ValueError("component 0 must have distinct parts")
-    charges = olsson_encode(tower.core, g)
-    parts = [g * x for x in tower.quotient[0]]
-    for j in range(1, (g + 1) // 2):
-        lam = tower.quotient[j]
+    charges = olsson_encode(tower.core, tower.g)
+    for j, lam in enumerate(tower.quotient[1:], start=1):
         if not is_partition(lam):
             raise ValueError(f"component {j} is not a partition")
-        shift = charges[j - 1] - len(lam)
-        beads = {h + shift for h in first_column_hooks(lam)}.union(range(shift))
-        parts += [j + q * g for q in beads if q >= 0]
-        # a hole at position q = -1-m stands for the part (g-j) + m*g
-        parts += [-(j + q * g) for q in range(shift, 0) if q not in beads]
-    # Component 0 gives multiples of g and component j parts = +-j mod g, g odd:
-    # the parts are positive and distinct, a bar partition.
-    return tuple(sorted(parts, reverse=True))
+    return from_bar_abacus(charges, tower.quotient)
 
 
 def is_stbar_core(b: BarPartition, s: int, t: int) -> bool:

@@ -3,15 +3,18 @@
 One bead pass, :func:`abacus`, spreads a partition's beta-set over t runners
 and reads both the t-tuple (a_0, ..., a_{t-1}) of runner surpluses, whose
 entries always sum to zero, and the t-quotient. A t-core is a partition with
-an empty t-quotient, encoded by its surpluses. A t-bar-core (t odd) is
-encoded by the signed run lengths (b'_1, ..., b'_{(t-1)/2}) of its residue
-classes. Zeta shifts one encoding into the other.
+an empty t-quotient, encoded by its surpluses. Beside it, one strip pass,
+:func:`bar_abacus`, reads a bar partition's strip charges and t-bar-quotient,
+and :func:`from_bar_abacus` builds the strips back. A t-bar-core (t odd) has
+an empty t-bar-quotient and is encoded by its charges, the signed run
+lengths (b'_1, ..., b'_{(t-1)/2}) of its residue classes. Zeta shifts one
+encoding into the other.
 """
 
 from __future__ import annotations
 
-from .bar_partitions import BarPartition
-from .partitions import Partition, check_modulus, is_self_conjugate
+from .bar_partitions import BarPartition, is_bar_partition
+from .partitions import Partition, check_modulus, from_first_column_hooks, is_self_conjugate
 
 CoreTuple = tuple[int, ...]
 BarTuple = tuple[int, ...]
@@ -125,50 +128,80 @@ def diagonal_hooks_from_tuple(entries: CoreTuple) -> tuple[int, ...]:
     return tuple(sorted(diag, reverse=True))
 
 
-def olsson_encode(b: BarPartition, t: int) -> BarTuple:
-    """Signed run-length tuple (b'_1, ..., b'_{(t-1)/2}) of a t-bar-core.
+def bar_abacus(b: BarPartition, g: int) -> tuple[BarTuple, tuple[tuple[int, ...], ...]]:
+    """Strip charges and g-bar-quotient of ``b``, from one pass over its parts.
 
-    For 1 <= i <= (t-1)/2: parts congruent to i mod t must form the initial
-    run i, i+t, ..., giving a positive entry; parts congruent to t-i give a
-    negative entry; a t-bar-core never populates both classes of a pair and
-    has no part divisible by t.
+    Component 0 holds the parts divisible by g, each divided by g. For
+    1 <= j <= (g-1)/2 the residue classes {j, g-j} form one Maya strip: a
+    part j + q*g puts a bead at position q >= 0, a part (g-j) + m*g leaves a
+    hole at position -1-m, and every other negative position holds a bead.
+    Shifted up by one more than its deepest hole, the strip's beads are a
+    beta-set of component j. Its charge is its beads at nonnegative positions
+    less its holes. The caller checks that g is odd and ``b`` a bar partition.
+    """
+    classes: dict[int, list[int]] = {}
+    for x in b:
+        q, r = divmod(x, g)
+        classes.setdefault(r, []).append(q)
+    charges = [0] * (g // 2)
+    quotient = [tuple(classes.get(0, ()))] + [()] * (g // 2)
+    # only the strips that hold a part are read; at a large g most are empty
+    for j in {min(r, g - r) for r in classes if r}:
+        beads, holes = classes.get(j, []), classes.get(g - j, [])
+        # the parts decrease, so the deepest hole comes first
+        shift = holes[0] + 1 if holes else 0
+        beta = [q + shift for q in beads]
+        beta += [shift - 1 - m for m in set(range(shift)).difference(holes)]
+        quotient[j] = from_first_column_hooks(beta)
+        charges[j - 1] = len(beads) - len(holes)
+    return tuple(charges), tuple(quotient)
+
+
+def from_bar_abacus(charges: BarTuple, quotient: tuple[tuple[int, ...], ...]) -> BarPartition:
+    """Inverse of :func:`bar_abacus`: the bar partition with these strip charges and quotient.
+
+    Here g = 2 len(charges) + 1. The caller checks that component 0 has
+    distinct parts and the others are partitions.
+    """
+    g = 2 * len(charges) + 1
+    parts = [g * x for x in quotient[0]]
+    for j, (charge, lam) in enumerate(zip(charges, quotient[1:]), start=1):
+        if not (charge or lam):
+            continue  # an empty strip, as most are at a large g
+        # strip j holds lam's beta-set shifted up by charge - len(lam), and all below
+        shift = charge - len(lam)
+        beads = {charge - 1 - i + x for i, x in enumerate(lam)}.union(range(shift))
+        parts += [j + q * g for q in beads if q >= 0]
+        # a hole at position q = -1-m stands for the part (g-j) + m*g
+        parts += [-(j + q * g) for q in range(shift, 0) if q not in beads]
+    # Component 0 gives multiples of g and strip j parts = +-j mod g, g odd:
+    # the parts are positive and distinct, a bar partition.
+    return tuple(sorted(parts, reverse=True))
+
+
+def olsson_encode(b: BarPartition, t: int) -> BarTuple:
+    """Signed run-length tuple (b'_1, ..., b'_{(t-1)/2}) of a t-bar-core: its strip charges.
 
     Raises:
-        ValueError: unless t is odd and >= 1, or for input that is not a
-            t-bar-core.
+        ValueError: unless t is odd and >= 1, ``b`` is a bar partition, and
+            its t-bar-quotient is empty.
     """
     check_modulus(t, odd=True)
-    by_residue: dict[int, set[int]] = {}
-    for x in b:
-        r = x % t
-        if r == 0:
-            raise ValueError("a part is divisible by t; not a t-bar-core")
-        by_residue.setdefault(r, set()).add((x - r) // t)
-    entries = []
-    for i in range(1, (t + 1) // 2):
-        pos = by_residue.get(i, set())
-        neg = by_residue.get(t - i, set())
-        if pos and neg:
-            raise ValueError(f"residue classes {i} and {t - i} both populated; not a t-bar-core")
-        run = pos or neg
-        if run != set(range(len(run))):
-            raise ValueError(f"residue class {i if pos else t - i} has gaps; not a t-bar-core")
-        entries.append(len(pos) - len(neg))
-    return tuple(entries)
+    if not is_bar_partition(b):
+        raise ValueError("input is not a bar partition")
+    charges, quotient = bar_abacus(b, t)
+    if any(quotient):
+        raise ValueError("input is not a t-bar-core")
+    return charges
 
 
 def olsson_decode(entries: BarTuple) -> BarPartition:
     """The unique t-bar-core, t = 2 len(entries) + 1, with signed run lengths ``entries``.
 
-    Entry b'_i > 0 contributes parts i, i+t, ..., i+(b'_i - 1)t; a negative
-    entry contributes (t-i), (t-i)+t, ... instead.
+    Its strips hold empty components: entry b'_i > 0 gives parts i, i+t, ...,
+    i+(b'_i - 1)t, and a negative entry gives (t-i), (t-i)+t, ... instead.
     """
-    t = 2 * len(entries) + 1
-    parts = []
-    for i, bp in enumerate(entries, start=1):
-        first = i if bp > 0 else t - i
-        parts.extend(first + ell * t for ell in range(abs(bp)))
-    return tuple(sorted(parts, reverse=True))
+    return from_bar_abacus(entries, ((),) * (len(entries) + 1))
 
 
 def zeta(p: Partition, t: int) -> BarPartition:
@@ -191,10 +224,9 @@ def zeta_inverse(b: BarPartition, t: int) -> Partition:
     """Send a t-bar-core back to its self-conjugate t-core (odd t).
 
     Raises:
-        ValueError: unless t is odd and >= 1, or for input that is not a
-            t-bar-core.
+        ValueError: unless t is odd and >= 1, or for input that is not a bar
+            partition or not a t-bar-core.
     """
-    check_modulus(t, odd=True)
     half = olsson_encode(b, t)
     return gks_decode(half + (0,) + conjugate_tuple(half))
 

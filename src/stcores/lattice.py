@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import takewhile
 from typing import Iterator
 
-from .bar_partitions import BarPartition
+from .bar_partitions import BarPartition, is_bar_partition
 from .core_quotient import (
     BarTower,
     StraightTower,
@@ -175,7 +175,8 @@ def core_to_path(family: str, core: Partition | BarPartition, s: int, t: int) ->
 
     Raises:
         ValueError: for any other family; unless ``core`` is a self-conjugate
-            (s,t)-core (selfconj) or an (s-bar, t-bar)-core (bar).
+            (s,t)-core (selfconj), or a bar partition (checked first) and an
+            (s-bar, t-bar)-core (bar).
     """
     if family == "selfconj":
         if not is_self_conjugate(core):
@@ -184,6 +185,8 @@ def core_to_path(family: str, core: Partition | BarPartition, s: int, t: int) ->
             raise ValueError("input is not an (s,t)-core")
         marked = set(diagonal_hooks(core))
     elif family == "bar":
+        if not is_bar_partition(core):
+            raise ValueError("input is not a bar partition")
         if not is_stbar_core(core, s, t):
             raise ValueError("input is not an (s-bar, t-bar)-core")
         marked = set(core)
@@ -255,14 +258,14 @@ def big_gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
 
     Raises:
         ValueError: unless s, t > 1 are odd with gcd(s,t) > 1, and ``b`` is
-            an (s-bar, t-bar)-core.
+            a bar partition (checked first) and an (s-bar, t-bar)-core.
     """
     check_pair(s, t, odd=True)
     g = common_divisor(s, t)
+    tower = bar_decompose(b, g)
     if not is_stbar_core(b, s, t):
         raise ValueError("input is not an (s-bar, t-bar)-core")
     sp, tp = s // g, t // g
-    tower = bar_decompose(b, g)
     core = zeta_inverse(tower.core, g)
     middle = gamma_inverse(tower.quotient[0], sp, tp) if min(sp, tp) > 1 else ()
     half = list(tower.quotient[1:])

@@ -170,13 +170,11 @@ def test_bar_decompose_handles_deep_runners(b):
     assert bar_reconstruct(tower) == b
 
 
-@pytest.mark.parametrize(
-    "core, match",
-    (((3,), "divisible by t"), ((4,), "gaps"), ((2, 1), "both populated")),
-)
-def test_bar_reconstruct_refuses_a_core_that_is_not_a_bar_core(core, match):
+# a part divisible by g, a run with a gap, and both classes of a pair
+@pytest.mark.parametrize("core", ((3,), (4,), (2, 1)))
+def test_bar_reconstruct_refuses_a_core_that_is_not_a_bar_core(core):
     tower = BarTower(g=3, core=core, quotient=((), ()))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match="^input is not a t-bar-core$"):
         bar_reconstruct(tower)
 
 

@@ -3,7 +3,8 @@ from itertools import product
 from hypothesis import given, strategies as st
 import pytest
 
-from stcores.bar_partitions import is_tbar_core
+from stcores.bar_partitions import enumerate_bar_partitions, is_tbar_core
+from stcores.core_quotient import BarTower, bar_reconstruct
 from stcores.encodings import (
     conjugate_tuple,
     diagonal_hooks_from_tuple,
@@ -15,6 +16,7 @@ from stcores.encodings import (
     zeta,
     zeta_inverse,
 )
+from stcores.lattice import big_gamma_inverse, gamma_inverse
 from stcores.oracle import enumerate_partitions, enumerate_self_conjugate
 from stcores.partitions import (
     conjugate,
@@ -125,6 +127,83 @@ def test_olsson_round_trip(t, data):
     b = olsson_decode(entries)
     assert is_tbar_core(b, t)
     assert olsson_encode(b, t) == entries
+
+
+def _run_length_encode(b, t):
+    # The signed run-length reader that the strip pass replaced: the parts
+    # congruent to i or to t-i mod t must form one initial run, never both.
+    by_residue = {}
+    for x in b:
+        r = x % t
+        if r == 0:
+            raise ValueError("a part is divisible by t; not a t-bar-core")
+        by_residue.setdefault(r, set()).add((x - r) // t)
+    entries = []
+    for i in range(1, (t + 1) // 2):
+        pos = by_residue.get(i, set())
+        neg = by_residue.get(t - i, set())
+        if pos and neg:
+            raise ValueError(f"residue classes {i} and {t - i} both populated; not a t-bar-core")
+        run = pos or neg
+        if run != set(range(len(run))):
+            raise ValueError(f"residue class {i if pos else t - i} has gaps; not a t-bar-core")
+        entries.append(len(pos) - len(neg))
+    return tuple(entries)
+
+
+def _run_length_decode(entries):
+    t = 2 * len(entries) + 1
+    parts = []
+    for i, bp in enumerate(entries, start=1):
+        first = i if bp > 0 else t - i
+        parts.extend(first + ell * t for ell in range(abs(bp)))
+    return tuple(sorted(parts, reverse=True))
+
+
+def test_the_strip_codec_matches_the_run_length_codec():
+    # Every bar partition of size <= 30 at every odd t <= 13: both readers
+    # accept exactly the t-bar-cores and read the same tuple, and both
+    # builders give the partition back.
+    cases = 0
+    for n in range(31):
+        for b in enumerate_bar_partitions(n):
+            for t in range(1, 14, 2):
+                try:
+                    want = _run_length_encode(b, t)
+                except ValueError:
+                    want = None
+                try:
+                    got = olsson_encode(b, t)
+                except ValueError as refusal:
+                    assert str(refusal) == "input is not a t-bar-core"
+                    got = None
+                assert got == want
+                assert (got is not None) == is_tbar_core(b, t)
+                if got is not None:
+                    assert olsson_decode(got) == _run_length_decode(got) == b
+                cases += 1
+    assert cases == 14245
+    for t in (1, 3, 5, 7, 9):
+        for entries in product(range(-3, 4), repeat=(t - 1) // 2):
+            assert olsson_decode(entries) == _run_length_decode(entries)
+
+
+BAR_READERS = {
+    "olsson_encode": lambda b: olsson_encode(b, 3),
+    "zeta_inverse": lambda b: zeta_inverse(b, 3),
+    "bar_reconstruct": lambda b: bar_reconstruct(BarTower(g=3, core=b, quotient=((), ()))),
+    "gamma_inverse": lambda b: gamma_inverse(b, 3, 5),
+    "big_gamma_inverse": lambda b: big_gamma_inverse(b, 9, 15),
+}
+
+
+@pytest.mark.parametrize("reader", BAR_READERS)
+@pytest.mark.parametrize("b", ((1, 1), (4, 4, 1), (1, 4), (9, 9)))
+def test_bar_core_readers_refuse_input_that_is_not_a_bar_partition(reader, b):
+    # (1, 1), (4, 4, 1) and (9, 9) repeat a part; (1, 4) increases. (9, 9)
+    # is no (9-bar, 15-bar)-core either, and the bar partition check comes first.
+    with pytest.raises(ValueError, match="^input is not a bar partition$"):
+        BAR_READERS[reader](b)
 
 
 def test_worked_zeta_pair():
