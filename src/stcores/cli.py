@@ -10,7 +10,6 @@ from __future__ import annotations
 import os
 import sys
 import time
-from math import gcd
 
 from . import __version__, formats, lattice, oracle
 from . import series as series_module
@@ -55,15 +54,6 @@ PAIR_MAP_CAP = 3001
 # (3000,3001) 0.63-0.68 s and yinyang at (2999,3001) 0.55-0.71 s, 118 MB.
 GRID_CAP = 1501
 
-# Largest member of the reduced pair (s/g, t/g) that `series` and `scan`
-# accept for a joint generating function: its census walks all t/g columns of
-# the s/g x t/g Anderson grid, at the heights next to each column's border.
-# Measured cold on a 2-vCPU Xeon (Python 3.11.7): with -N 10, psi at
-# (1600,1601) 0.13-0.19 s and 17 MB peak RSS, psistar and psibar at
-# (1599,1601) 0.06-0.09 s, psi at (3200,3202), g = 2, 0.07-0.10 s. Below it,
-# a straight census that grows too far with -N is refused by stcores.series.
-REDUCED_PAIR_CAP = 1601
-
 # Largest -N that `series`, `scan` and `verify` accept. A series product is
 # quadratic in -N once its factors go dense, and the worst builder is a
 # single eta quotient: core_gf(t) makes t passes over the coefficients from
@@ -74,16 +64,16 @@ REDUCED_PAIR_CAP = 1601
 # grow with -N.
 TRUNCATION_CAP = 4000
 
-# Per --gf: the builder, the moduli it reads, and the cap on the larger
-# member of the reduced pair (s/g, t/g) that a joint census is taken over.
+# Per --gf: the builder and the moduli it reads. The joint builders refuse a
+# census of the reduced pair (s/g, t/g) whose work passes stcores.series's cap.
 GENERATING_FUNCTIONS = {
-    "partition": (series_module.partition_gf, "", None),
-    "core": (series_module.core_gf, "t", None),
-    "selfconj": (series_module.selfconj_core_gf, "t", None),
-    "barcore": (series_module.barcore_gf, "t", None),
-    "psi": (series_module.psi_st_gf, "st", REDUCED_PAIR_CAP),
-    "psistar": (series_module.psi_star_st_gf, "st", REDUCED_PAIR_CAP),
-    "psibar": (series_module.psi_bar_st_gf, "st", REDUCED_PAIR_CAP),
+    "partition": (series_module.partition_gf, ""),
+    "core": (series_module.core_gf, "t"),
+    "selfconj": (series_module.selfconj_core_gf, "t"),
+    "barcore": (series_module.barcore_gf, "t"),
+    "psi": (series_module.psi_st_gf, "st"),
+    "psistar": (series_module.psi_star_st_gf, "st"),
+    "psibar": (series_module.psi_bar_st_gf, "st"),
 }
 # Per --variant: the count by -t alone, the joint count by -s and -t, the cap on -N.
 COUNTS = {
@@ -141,11 +131,8 @@ def _check_truncation(truncation: int) -> None:
 
 
 def _build_series(gf: str, s: int | None, t: int | None, truncation: int) -> TruncatedSeries:
-    build, reads, cap = GENERATING_FUNCTIONS[gf]
+    build, reads = GENERATING_FUNCTIONS[gf]
     moduli = _moduli("--gf", gf, reads, s, t)
-    reduced = tuple(m // (gcd(*moduli) or 1) for m in moduli)
-    if cap is not None and max(reduced) > cap:
-        raise ValueError(f"the reduced pair {reduced} exceeds the cap {cap} for --gf {gf}")
     _check_truncation(truncation)
     return build(*moduli, truncation)
 

@@ -185,8 +185,6 @@ def bar_decompose(b: BarPartition, g: int) -> BarTower:
         ValueError: unless g is odd and >= 3 and ``b`` is a bar partition.
     """
     check_divisor(g, odd=True)
-    if not is_bar_partition(b):
-        raise ValueError("input is not a bar partition")
     charges, quotient = bar_abacus(b, g)
     return BarTower(g=g, core=olsson_decode(charges), quotient=quotient)
 

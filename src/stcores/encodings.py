@@ -13,7 +13,7 @@ encoding into the other.
 
 from __future__ import annotations
 
-from .bar_partitions import BarPartition, is_bar_partition
+from .bar_partitions import BarPartition
 from .partitions import Partition, check_modulus, from_first_column_hooks, is_self_conjugate
 
 CoreTuple = tuple[int, ...]
@@ -137,10 +137,13 @@ def bar_abacus(b: BarPartition, g: int) -> tuple[BarTuple, tuple[tuple[int, ...]
     hole at position -1-m, and every other negative position holds a bead.
     Shifted up by one more than its deepest hole, the strip's beads are a
     beta-set of component j. Its charge is its beads at nonnegative positions
-    less its holes. The caller checks that g is odd and ``b`` a bar partition.
+    less its holes. The caller checks that g is odd; a ``b`` that is not a
+    bar partition raises ValueError at its first part out of place.
     """
     classes: dict[int, list[int]] = {}
-    for x in b:
+    for i, x in enumerate(b):
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1 or i and x >= b[i - 1]:
+            raise ValueError("input is not a bar partition")
         q, r = divmod(x, g)
         classes.setdefault(r, []).append(q)
     charges = [0] * (g // 2)
@@ -187,8 +190,6 @@ def olsson_encode(b: BarPartition, t: int) -> BarTuple:
             its t-bar-quotient is empty.
     """
     check_modulus(t, odd=True)
-    if not is_bar_partition(b):
-        raise ValueError("input is not a bar partition")
     charges, quotient = bar_abacus(b, t)
     if any(quotient):
         raise ValueError("input is not a t-bar-core")

@@ -14,8 +14,8 @@ one lattice family ("straight", "selfconj" or "bar") by size with the path DP
 :func:`stcores.lattice.census_by_size`, only up to the size its substitution
 can reach within the truncation, so no path is walked and no partition is
 built; :func:`stcores.lattice.enumerate_cores_by_paths` stays the independent
-source for the bijections and cross-checks. Every builder takes its straight
-census first; one whose estimated work passes a cap is refused before it runs.
+source for the bijections and cross-checks. A builder refuses, before any
+census runs, when the estimated work of one it needs passes a cap.
 """
 
 from __future__ import annotations
@@ -209,52 +209,68 @@ def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
     return eta_quotient(_exponents((2, 1), (t, (t + 1) // 2), (1, -1), (2 * t, -1)), truncation)
 
 
-# Largest _census_work that _census takes on, fitted to tools/census_grid.csv
-# (in process, 2-vCPU Xeon, Python 3.11.7): accepted cells took up to 0.77 s
-# ((3,1601) at L = 200), refused ones from 0.29 s ((7,201) at L = 60) and, for
-# near-square pairs, 1.1 s ((31,37) at L = 90) to 25 s ((31,37) at L = 200).
-# Cold, psi at (1600,1601) with -N 29, the largest accepted, took 2.2-2.7 s.
+# Largest census work, as _census_refused counts it, that the series builders
+# take on. It and the two weights below are fitted to tools/census_grid.csv (in
+# process, 2-vCPU Xeon, Python 3.11.7): accepted cells took up to 3.2 s (bar,
+# (1599,1601) to 4000), refused ones from 0.26 s (straight, (7,201) at L = 60).
 _CENSUS_WORK_CAP = 300_000_000
+# Work per column, walked even at limit 0. It bounds t at 10**4: past it the
+# straight sets term undercounts a small s ((3,100001) at L = 60 took 4.9 s).
+_COLUMN_WORK = 30_000
+# Work per self-conjugate or bar state: the most that keeps every census of t <=
+# 1601 to L <= 4000, which a reduced pair cap took on before, within the cap.
+_STATE_WORK = 15
 
 
-def _census_work(s: int, t: int, limit: int) -> float:
-    """Estimated work t * min(traps**3.6, sets**1.3) of the straight census of s < t to ``limit``.
+def _census_refused(kind: str, s: int, t: int, limit: int, cap: int = _CENSUS_WORK_CAP) -> bool:
+    """Whether the census of ``kind`` for coprime 1 < s < t to ``limit`` has work above ``cap``.
 
-    The census walks t columns and keeps every (k, S) state of a column to the
-    end. Their number grows with traps = min(limit, (s-1)(t-1)/2), the most
-    values a core can trap, and with sets, the number of sets of non-multiples
-    of s up to ``limit`` closed under subtracting s, which is small for a small s.
+    Every census walks its columns: t * _COLUMN_WORK. The straight one keeps
+    every (k, S) state of a column to the end; their number grows with traps
+    = min(limit, (s-1)(t-1)/2), the most values a core can trap, and with
+    sets, the number of sets of non-multiples of s up to ``limit`` closed
+    under subtracting s: t * min(traps**3.6, sets**1.3), compared exactly as
+    fifth and tenth powers. The others keep up to limit + 1 sums, _STATE_WORK
+    each, at every height that traps no |value| over ``limit``: one per column
+    of t//2 and at most one per cell of distinct |value| up to it.
     """
+    if t * _COLUMN_WORK > cap:
+        return True
+    if kind != "straight":
+        heights = t // 2 + min(limit, (s // 2) * (t // 2))
+        return _STATE_WORK * heights * (limit + 1) > cap
     traps = min(limit, (s - 1) * (t - 1) // 2)
     q, a = divmod(limit, s)
     sets = (q + 2) ** a * (q + 1) ** (s - 1 - a)
-    # sets may pass any float; above traps**3 its term is not the smaller.
-    return t * min(traps**3.6, min(sets, traps**3) ** 1.3)
+    return t**5 * traps**18 > cap**5 and t**10 * sets**13 > cap**10
 
 
 @cache
 def _census(kind: str, s: int, t: int, limit: int) -> tuple[int, ...]:
-    """Number of cores of each size 0..limit in the finite census of a coprime pair.
+    """Number of cores of each size 0..limit in the census of ``kind`` for a coprime pair.
 
     ``kind`` names a family of :data:`stcores.lattice.FAMILIES`, counted by
-    the path DP on its grid. A straight census whose :func:`_census_work`
-    passes the cap raises ValueError before any DP.
+    the path DP on its grid; a unit modulus leaves the empty core alone.
     """
     s, t = sorted((s, t))
-    if kind == "straight" and _census_work(s, t, limit) > _CENSUS_WORK_CAP:
-        raise ValueError(f"the straight census of {(s, t)} to size {limit} exceeds the work cap {_CENSUS_WORK_CAP}")
-    return tuple(census_by_size(kind, s, t, limit))
+    return tuple(census_by_size(kind, s, t, limit)) if s > 1 else (1,)
 
 
-def _census_polynomial(kind: str, s: int, t: int, truncation: int, g: int = 1) -> TruncatedSeries:
-    """Finite census polynomial in x**g, the sum of x**(g|p|) over one census, gcd = 1.
+def _census_polynomials(*censuses: tuple[str, int, int, int, int]) -> list[TruncatedSeries]:
+    """Per (kind, s, t, truncation, g), the census polynomial in x**g of the coprime pair (s, t).
 
-    ``kind`` names the census as in :func:`_census`. Only the cores of size
-    up to truncation // g reach the truncation, so only those are counted.
+    It sums x**(g|p|) over the cores p of :func:`_census` of size up to
+    truncation // g. Every census is checked before any runs: the first
+    whose work passes the cap raises ValueError.
     """
-    if s == 1 or t == 1:
-        return TruncatedSeries.one(truncation)
-    return TruncatedSeries(_census(kind, s, t, truncation // g), truncation).substitute_power(g)
+    for kind, s, t, truncation, g in censuses:
+        s, t = sorted((s, t))
+        if s > 1 and _census_refused(kind, s, t, limit := truncation // g):
+            raise ValueError(f"the {kind} census of {(s, t)} to size {limit} exceeds the work cap {_CENSUS_WORK_CAP}")
+    return [
+        TruncatedSeries(_census(kind, s, t, truncation // g), truncation).substitute_power(g)
+        for kind, s, t, truncation, g in censuses
+    ]
 
 
 def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -266,10 +282,8 @@ def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     """
     check_pair(s, t)
     g = gcd(s, t)
-    if g == 1:
-        return _census_polynomial("straight", s, t, truncation)
-    base = _census_polynomial("straight", s // g, t // g, truncation, g)
-    return base ** g * core_gf(g, truncation)
+    (base,) = _census_polynomials(("straight", s // g, t // g, truncation, g))
+    return base if g == 1 else base ** g * core_gf(g, truncation)
 
 
 def psi_star_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -284,14 +298,13 @@ def psi_star_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t)
     g = gcd(s, t)
     if g == 1:
-        return _census_polynomial("selfconj", s, t, truncation)
+        return _census_polynomials(("selfconj", s, t, truncation, 1))[0]
     sp, tp = s // g, t // g
-    base = _census_polynomial("straight", sp, tp, truncation, 2 * g)
-    # g // 2 is g/2 for even g and (g-1)/2 for odd g.
+    # g // 2 is g/2 for even g and (g-1)/2 for odd g, which adds Psi*_{s',t'}(x**g).
+    censuses = [("straight", sp, tp, truncation, 2 * g), ("selfconj", sp, tp, truncation, g)]
+    base, *odd = _census_polynomials(*censuses[: 1 + g % 2])
     result = selfconj_core_gf(g, truncation) * base ** (g // 2)
-    if g % 2 == 0:
-        return result
-    return result * _census_polynomial("selfconj", sp, tp, truncation, g)
+    return result * odd[0] if odd else result
 
 
 def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -303,10 +316,9 @@ def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t, odd=True)
     g = gcd(s, t)
     if g == 1:
-        return _census_polynomial("bar", s, t, truncation)
+        return _census_polynomials(("bar", s, t, truncation, 1))[0]
     sp, tp = s // g, t // g
-    base = _census_polynomial("straight", sp, tp, truncation, g)
-    bar_base = _census_polynomial("bar", sp, tp, truncation, g)
+    base, bar_base = _census_polynomials(("straight", sp, tp, truncation, g), ("bar", sp, tp, truncation, g))
     return bar_base * base ** ((g - 1) // 2) * barcore_gf(g, truncation)
 
 
@@ -330,8 +342,8 @@ def convolution_psi(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t)
     g = common_divisor(s, t)
     # Only q(w) for gw up to the truncation is read.
-    q = _census_polynomial("straight", s // g, t // g, truncation // g) ** g
-    return _convolve(q, core_gf(g, truncation), g)
+    (q,) = _census_polynomials(("straight", s // g, t // g, truncation // g, 1))
+    return _convolve(q**g, core_gf(g, truncation), g)
 
 
 def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -344,10 +356,11 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t)
     g = common_divisor(s, t)
     sp, tp = s // g, t // g
-    base = _census_polynomial("straight", sp, tp, truncation // (2 * g))
+    censuses = [("straight", sp, tp, truncation // (2 * g), 1), ("selfconj", sp, tp, truncation // g, 1)]
+    base, *odd = _census_polynomials(*censuses[: 1 + g % 2])
     fstar = selfconj_core_gf(g, truncation)
-    if g % 2:
-        fstar = _convolve(_census_polynomial("selfconj", sp, tp, truncation // g), fstar, g)
+    if odd:
+        fstar = _convolve(odd[0], fstar, g)
     return _convolve(base ** (g // 2), fstar, 2 * g)
 
 
@@ -361,8 +374,8 @@ def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t, odd=True)
     g = common_divisor(s, t)
     sp, tp = s // g, t // g
-    base = _census_polynomial("straight", sp, tp, truncation // g)
-    qbar = _census_polynomial("bar", sp, tp, truncation // g) * base ** ((g - 1) // 2)
+    base, bar_base = _census_polynomials(("straight", sp, tp, truncation // g, 1), ("bar", sp, tp, truncation // g, 1))
+    qbar = bar_base * base ** ((g - 1) // 2)
     return _convolve(qbar, barcore_gf(g, truncation), g)
 
 

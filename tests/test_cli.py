@@ -13,8 +13,8 @@ import re
 import pytest
 
 from stcores import cli, lattice, oracle
-from stcores import verify as verify_module
-from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, REDUCED_PAIR_CAP, TRUNCATION_CAP, ZETA_T_CAP
+from stcores import series as series_module, verify as verify_module
+from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, TRUNCATION_CAP, ZETA_T_CAP
 from stcores.series import TruncatedSeries
 
 
@@ -322,33 +322,28 @@ JOINT = ("psi", "psistar", "psibar")
 
 
 @pytest.mark.parametrize("verb", ("series", "scan"))
-@pytest.mark.parametrize("gf", JOINT)
-def test_joint_series_refuse_a_reduced_pair_past_the_cap(run, gf, verb, monkeypatch):
-    patch_row(monkeypatch, cli.GENERATING_FUNCTIONS, gf, never)
-    cap = REDUCED_PAIR_CAP
-    big = cap + 2
-    # odd pairs, so that psibar would read them too; the last two reduce by g = 3
-    for s, t, reduced in (
-        (big, cap, (big, cap)),
-        (3, 10**30 + 1, (3, 10**30 + 1)),
-        (3 * big, 9, (big, 3)),
-        (3 * cap, 3 * big, (cap, big)),
+@pytest.mark.parametrize("gf, kind", zip(JOINT, ("straight", "selfconj", "bar")))
+def test_joint_series_refuse_a_census_past_the_work_cap_before_any_census(run, gf, kind, verb, monkeypatch):
+    monkeypatch.setattr(series_module, "census_by_size", never)
+    # odd pairs, so that psibar reads them too; the last reduces by g = 3 to
+    # (3, 10001), whose straight census comes first in every family
+    for s, t, census in (
+        (3, 10**30 + 1, f"{kind} census of (3, {10**30 + 1}) to size 60"),
+        (9, 3 * 10001, f"straight census of (3, 10001) to size {60 // (6 if gf == 'psistar' else 3)}"),
     ):
         result = run(verb, "--gf", gf, "-s", str(s), "-t", str(t), *VERB_ARGS[verb])
-        assert result == (1, "", f"Error: the reduced pair {reduced} exceeds the cap {cap} for --gf {gf}\n")
+        assert result == (1, "", f"Error: the {census} exceeds the work cap 300000000\n")
 
 
 @pytest.mark.parametrize("gf", JOINT)
-def test_joint_series_accept_a_reduced_pair_at_the_cap(run, gf, monkeypatch):
+def test_joint_series_take_a_reduced_pair_past_the_old_pair_cap(run, gf, monkeypatch):
     seen = []
-    one = TruncatedSeries([1])
-    patch_row(monkeypatch, cli.GENERATING_FUNCTIONS, gf, lambda s, t, n: seen.append((s, t)) or one)
-    cap = REDUCED_PAIR_CAP
-    # past the cap before reduction, at it after
-    for s, t in ((cap - 2, cap), (3 * cap, 3 * (cap - 2))):
+    monkeypatch.setattr(series_module, "_census", lambda kind, s, t, limit: seen.append((s, t)) or (1,))
+    # before reduction and after
+    for s, t in ((3999, 4001), (3 * 4001, 3 * 3999)):
         result = run("series", "--gf", gf, "-s", str(s), "-t", str(t), "-N", "0")
         assert result == (0, "n,coefficient\n0,1\n", "")
-    assert seen == [(cap - 2, cap), (3 * cap, 3 * (cap - 2))]
+    assert set(seen) == {(3999, 4001), (4001, 3999)}
 
 
 @pytest.mark.parametrize("verb", ("series", "scan", "verify"))

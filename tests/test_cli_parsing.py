@@ -27,10 +27,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # (argv, environment, exit code, stdout, stderr) of `--help`, each verb's
 # `--help` and a set of rejected calls, as the argparse-built parser printed
-# them before the option table replaced it (Python 3.11, COLUMNS=80), and
-# the straight census refusals at (1600,1601) with the default -N, at
-# (31,37) with -N 200, and at (31,37) to size 200 for psibar with g = 3, and
-# the zeta-inverse refusal of a bar partition that is not a 3-bar-core.
+# them before the option table replaced it (Python 3.11, COLUMNS=80); the
+# straight census refusals at (1600,1601) with the default -N, at (31,37)
+# with -N 200, at (31,37) to size 200 for psibar with g = 3, and at
+# (1601,1602), past the retired reduced-pair cap; the self-conjugate and bar
+# census refusals at (3999,4001) with -N 4000 and the bar one at
+# (3, 10**30 + 1); and the zeta-inverse refusal of a bar partition that is
+# not a 3-bar-core.
 MESSAGES = json.loads((Path(__file__).with_name("cli_messages.json")).read_text())
 
 

@@ -198,10 +198,11 @@ BAR_READERS = {
 
 
 @pytest.mark.parametrize("reader", BAR_READERS)
-@pytest.mark.parametrize("b", ((1, 1), (4, 4, 1), (1, 4), (9, 9)))
+@pytest.mark.parametrize("b", ((1, 1), (4, 4, 1), (1, 4), (9, 9), (True,), (3, -1), (2, 0)))
 def test_bar_core_readers_refuse_input_that_is_not_a_bar_partition(reader, b):
-    # (1, 1), (4, 4, 1) and (9, 9) repeat a part; (1, 4) increases. (9, 9)
-    # is no (9-bar, 15-bar)-core either, and the bar partition check comes first.
+    # (1, 1), (4, 4, 1) and (9, 9) repeat a part; (1, 4) increases; (True,)
+    # is no integer part, and (3, -1) and (2, 0) end below 1. (9, 9) is no
+    # (9-bar, 15-bar)-core either, and the bar partition check comes first.
     with pytest.raises(ValueError, match="^input is not a bar partition$"):
         BAR_READERS[reader](b)
 

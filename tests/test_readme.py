@@ -2,8 +2,9 @@
 
 The library example runs as written, and each value its comments state is
 the one it computes. Every cap constant of `stcores.cli`, and the census
-work cap of `stcores.series`, has a row in the "Parameter errors" tables
-that quotes its value and the message `main` prints just past it.
+work cap of `stcores.series` for each census family, has a row in the
+"Parameter errors" tables that quotes its value and the message `main`
+prints just past it.
 """
 
 from pathlib import Path
@@ -12,7 +13,7 @@ import re
 import pytest
 
 from stcores import cli, series
-from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, REDUCED_PAIR_CAP, TRUNCATION_CAP, ZETA_T_CAP
+from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, TRUNCATION_CAP, ZETA_T_CAP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,11 +50,6 @@ CAP_CALLS = [
         ("bijection", "--map", "gamma", "-s", str(PAIR_MAP_CAP + 1), "-t", "3", "--input", "[]"),
     ),
     ("GRID_CAP", GRID_CAP, ("grid", "--kind", "anderson", "-s", str(GRID_CAP + 1), "-t", "3")),
-    (
-        "REDUCED_PAIR_CAP",
-        REDUCED_PAIR_CAP,
-        ("series", "--gf", "psi", "-s", str(REDUCED_PAIR_CAP + 1), "-t", str(REDUCED_PAIR_CAP)),
-    ),
     ("TRUNCATION_CAP", TRUNCATION_CAP, ("series", "--gf", "partition", "-N", str(TRUNCATION_CAP + 1))),
 ]
 
@@ -86,8 +82,16 @@ def test_each_cap_row_quotes_its_value_and_the_message_past_it(run, monkeypatch,
     assert_one_row_quotes(cap, *run(*argv))
 
 
-def test_the_census_work_cap_row_quotes_its_value_and_the_message_past_it(run, monkeypatch):
+# Per census family: a call whose census passes the work cap.
+CENSUS_CALLS = [
+    ("scan", "--gf", "psi", "-s", "31", "-t", "37", "-g", "5", "--mod", "5", "-N", "200"),
+    ("series", "--gf", "psistar", "-s", "3999", "-t", "4001", "-N", "4000"),
+    ("series", "--gf", "psibar", "-s", "3999", "-t", "4001", "-N", "4000"),
+]
+
+
+@pytest.mark.parametrize("argv", CENSUS_CALLS, ids=[argv[2] for argv in CENSUS_CALLS])
+def test_each_census_work_cap_row_quotes_its_value_and_the_message_past_it(run, monkeypatch, argv):
     # The series builders apply this cap themselves, before any census DP.
     monkeypatch.setattr(series, "census_by_size", never)
-    argv = ("scan", "--gf", "psi", "-s", "31", "-t", "37", "-g", "5", "--mod", "5", "-N", "200")
     assert_one_row_quotes(series._CENSUS_WORK_CAP, *run(*argv))

@@ -5,7 +5,7 @@ import re
 from hypothesis import given, strategies as st
 import pytest
 
-from stcores import series
+from stcores import lattice, series
 from stcores.oracle import (
     barcore_counts,
     core_counts,
@@ -316,23 +316,81 @@ def test_psi_at_a_lopsided_pair_passes_the_census_work_cap(s, t):
     assert psi_st_gf(s, t, 60) == core_gf(s, 60)
 
 
+HUGE = 10**30 + 1
+
+
 @pytest.mark.parametrize(
     "build, s, t, truncation, census",
     (
-        (psi_st_gf, 31, 37, 200, "(31, 37) to size 200"),
-        (psi_st_gf, 1600, 1601, 60, "(1600, 1601) to size 60"),
-        (psi_star_st_gf, 62, 74, 400, "(31, 37) to size 100"),
-        (psi_bar_st_gf, 93, 111, 600, "(31, 37) to size 200"),
-        (convolution_psi_bar, 93, 111, 600, "(31, 37) to size 200"),
+        (psi_st_gf, 31, 37, 200, "straight census of (31, 37) to size 200"),
+        (psi_st_gf, 1600, 1601, 60, "straight census of (1600, 1601) to size 60"),
+        (psi_star_st_gf, 62, 74, 400, "straight census of (31, 37) to size 100"),
+        (psi_bar_st_gf, 93, 111, 600, "straight census of (31, 37) to size 200"),
+        (convolution_psi_bar, 93, 111, 600, "straight census of (31, 37) to size 200"),
+        # past the column term: no reduced pair is too large to refuse
+        (psi_st_gf, 3, HUGE, 60, f"straight census of (3, {HUGE}) to size 60"),
+        (psi_star_st_gf, 3, HUGE, 60, f"selfconj census of (3, {HUGE}) to size 60"),
+        (psi_bar_st_gf, 3, HUGE, 60, f"bar census of (3, {HUGE}) to size 60"),
+        (psi_star_st_gf, 3999, 4001, 4000, "selfconj census of (3999, 4001) to size 4000"),
+        (psi_bar_st_gf, 3999, 4001, 4000, "bar census of (3999, 4001) to size 4000"),
+        # g = 3: the straight census of (2, 9999) to size 1500 is within the
+        # cap, and is not run, since the self-conjugate one is refused
+        (psi_star_st_gf, 6, 3 * 9999, 9000, "selfconj census of (2, 9999) to size 3000"),
+        (convolution_psi_star, 6, 3 * 9999, 9000, "selfconj census of (2, 9999) to size 3000"),
     ),
 )
-def test_a_straight_census_past_the_work_cap_is_refused_before_any_dp(monkeypatch, build, s, t, truncation, census):
+def test_a_census_past_the_work_cap_is_refused_before_any_dp_or_grid(monkeypatch, build, s, t, truncation, census):
     def never(*args):
         raise AssertionError("census started")
 
     monkeypatch.setattr(series, "census_by_size", never)
-    with pytest.raises(ValueError, match=rf"^the straight census of {re.escape(census)} exceeds the work cap "):
+    for family, row in lattice.FAMILIES.items():
+        monkeypatch.setitem(lattice.FAMILIES, family, (never, *row[1:]))
+    with pytest.raises(ValueError, match=rf"^the {re.escape(census)} exceeds the work cap 300000000$"):
         build(s, t, truncation)
+
+
+@pytest.mark.parametrize(
+    "build, s, t, truncation, census",
+    (
+        # the largest accepted before: at the pair cap of 1601 and -N 4000,
+        # and psi at the largest -N its work cap took at (1600,1601)
+        (psi_star_st_gf, 1599, 1601, 4000, ("selfconj", 1599, 1601, 4000)),
+        (psi_bar_st_gf, 1599, 1601, 4000, ("bar", 1599, 1601, 4000)),
+        (psi_st_gf, 1600, 1601, 29, ("straight", 1600, 1601, 29)),
+        # past the old pair cap
+        (psi_st_gf, 4000, 4001, 10, ("straight", 4000, 4001, 10)),
+    ),
+)
+def test_the_censuses_accepted_at_the_old_caps_stay_accepted(monkeypatch, build, s, t, truncation, census):
+    seen = []
+    monkeypatch.setattr(series, "_census", lambda *key: seen.append(key) or (1,))
+    assert build(s, t, truncation) == TruncatedSeries.one(truncation)
+    assert seen == [census]
+
+
+@pytest.mark.parametrize(
+    "kind, s, t, accepted",
+    (
+        # the traps term at a near-square pair, the sets term at a small s
+        ("straight", 1600, 1601, 29),
+        ("straight", 3, 1601, 316),
+        ("straight", 3, 4001, 220),
+        ("selfconj", 3999, 4001, 3581),
+        ("bar", 3999, 4001, 3581),
+        ("bar", 1599, 1601, 4089),
+    ),
+)
+def test_the_census_verdict_on_each_side_of_the_cap(kind, s, t, accepted):
+    assert not series._census_refused(kind, s, t, accepted)
+    assert series._census_refused(kind, s, t, accepted + 1)
+
+
+@pytest.mark.parametrize("kind", sorted(lattice.FAMILIES))
+def test_every_census_pays_for_its_columns(kind):
+    # 10**4 columns of work 30000 each reach the cap at limit 0
+    assert not series._census_refused(kind, 9999, 10**4, 0)
+    assert series._census_refused(kind, 9999, 10**4 + 1, 0)
 
 
 def test_psi_with_common_divisor_matches_enumeration():
