@@ -72,16 +72,20 @@ def is_tbar_core(b: BarPartition, t: int) -> bool:
     Args:
         b: a bar partition.
         t: odd integer >= 1.
+
+    Raises:
+        ValueError: unless t is odd and >= 1 (checked first) and ``b`` is a
+            bar partition. Every part is read, wherever a bar of length t is.
     """
     check_modulus(t, odd=True)
     parts = set(b)
-    for x in b:
-        other = t - x
-        if 0 < other < x and other in parts:
-            return False
-        if x >= t and (x - t) not in parts:
-            return False
-    return True
+    core = True
+    for i, x in enumerate(b):
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1 or i and x >= b[i - 1]:
+            raise ValueError("input is not a bar partition")
+        if 0 < t - x < x and t - x in parts or x >= t and x - t not in parts:
+            core = False
+    return core
 
 
 def enumerate_bar_partitions(n: int) -> Iterator[BarPartition]:

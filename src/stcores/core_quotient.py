@@ -1,13 +1,14 @@
 """g-core/g-quotient towers for straight and bar partitions.
 
-Straight towers use the classical abacus: ``encodings.abacus`` spreads a
-padded beta-set over g runners and reads each runner as a smaller partition
-for the quotient. The g-core keeps only each runner's bead count, so it goes
-through the runner-surplus codec (``gks_decode``/``gks_encode``), as bar
-towers go through the signed-run-length codec. Bar towers use paired runners
-on a Maya diagram, with the two residue classes {j, g-j} merged into one
-charged fermionic strip per component: the strip pass beside the abacus,
-``encodings.bar_abacus``, reads each strip as a beta-set of its component,
+Each tower is one pair of passes from ``encodings`` and a codec for its core.
+A straight tower is split by the bead pass ``abacus``, which spreads a padded
+beta-set over g runners and reads each runner as a smaller partition for the
+quotient, and built back by its inverse ``from_abacus``; the g-core keeps
+only each runner's bead count, so it goes through the runner-surplus codec
+(``gks_decode``/``gks_encode``). A bar tower uses paired runners on a Maya
+diagram, with the two residue classes {j, g-j} merged into one charged
+fermionic strip per component: the strip pass ``bar_abacus`` reads each strip
+as a beta-set of its component, ``from_bar_abacus`` builds the strips back,
 and the strip charges are the signed run lengths of the core.
 """
 
@@ -15,13 +16,9 @@ from __future__ import annotations
 
 from math import gcd
 
-from .bar_partitions import (
-    BarPartition,
-    is_bar_partition,
-    is_tbar_core,
-)
+from .bar_partitions import BarPartition, is_tbar_core
 from .encodings import (
-    abacus, bar_abacus, from_bar_abacus, gks_decode, gks_encode, olsson_decode, olsson_encode
+    abacus, bar_abacus, from_abacus, from_bar_abacus, gks_decode, gks_encode, olsson_decode, olsson_encode
 )
 from .partitions import (
     Frozen,
@@ -30,8 +27,6 @@ from .partitions import (
     check_pair,
     common_divisor,
     conjugate,
-    from_first_column_hooks,
-    is_partition,
     is_t_core,
 )
 
@@ -109,31 +104,19 @@ def decompose(p: Partition, g: int) -> StraightTower:
 def reconstruct(tower: StraightTower) -> Partition:
     """Rebuild the unique partition with the given g-core and g-quotient.
 
-    Inverse of :func:`decompose`. The core's runner surpluses come from
-    :func:`~stcores.encodings.gks_encode`, and every runner is raised by one
-    level, so that the emptiest holds as many beads as the longest component.
+    Inverse of :func:`decompose`: :func:`~stcores.encodings.from_abacus`
+    places the beads, with the runner surpluses that
+    :func:`~stcores.encodings.gks_encode` reads off the core.
 
     Raises:
         ValueError: if the tower's core is not a g-core, or a quotient
             component is not a partition.
     """
-    g = tower.g
     try:
-        surplus = gks_encode(tower.core, g)
+        surplus = gks_encode(tower.core, tower.g)
     except ValueError:
         raise ValueError("tower core is not a g-core") from None
-    level = max(map(len, tower.quotient)) - min(surplus)
-    beta: list[int] = []
-    for residue, (a, q) in enumerate(zip(surplus, tower.quotient)):
-        # most components are empty, and () is a partition
-        if q and not is_partition(q):
-            raise ValueError(f"component {residue} is not a partition")
-        # the runner holds level + a beads from the bottom up, the highest at
-        # top; q's parts lift its top len(q) beads, the rest stay where they are
-        top = residue + g * (level + a - 1)
-        beta += [top + g * (x - i) for i, x in enumerate(q)]
-        beta += range(top - g * len(q), residue - 1, -g)
-    return from_first_column_hooks(beta)
+    return from_abacus(surplus, tower.quotient)
 
 
 def is_st_core(p: Partition, s: int, t: int) -> bool:
@@ -196,16 +179,10 @@ def bar_reconstruct(tower: BarTower) -> BarPartition:
     builds the strips, with the charges that ``olsson_encode`` reads off the core.
 
     Raises:
-        ValueError: if component 0 is not a bar partition, the core is not a
-            g-bar-core, or another component is not a partition.
+        ValueError: if the core is not a g-bar-core, component 0 is not a
+            bar partition, or another component is not a partition.
     """
-    if not is_bar_partition(tower.quotient[0]):
-        raise ValueError("component 0 must have distinct parts")
-    charges = olsson_encode(tower.core, tower.g)
-    for j, lam in enumerate(tower.quotient[1:], start=1):
-        if not is_partition(lam):
-            raise ValueError(f"component {j} is not a partition")
-    return from_bar_abacus(charges, tower.quotient)
+    return from_bar_abacus(olsson_encode(tower.core, tower.g), tower.quotient)
 
 
 def is_stbar_core(b: BarPartition, s: int, t: int) -> bool:
@@ -223,9 +200,7 @@ def is_stbar_core_by_quotient(b: BarPartition, s: int, t: int) -> bool:
     check_pair(s, t, odd=True)
     g = common_divisor(s, t)
     sp, tp = s // g, t // g
-    tower = bar_decompose(b, g)
-    if not (is_tbar_core(tower.quotient[0], sp) and is_tbar_core(tower.quotient[0], tp)):
+    _, quotient = bar_abacus(b, g)
+    if not (is_tbar_core(quotient[0], sp) and is_tbar_core(quotient[0], tp)):
         return False
-    return all(
-        is_t_core(lam, sp) and is_t_core(lam, tp) for lam in tower.quotient[1:]
-    )
+    return all(is_t_core(lam, sp) and is_t_core(lam, tp) for lam in quotient[1:])

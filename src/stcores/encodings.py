@@ -1,20 +1,21 @@
 """Integer-tuple encodings of t-cores and t-bar-cores, and the zeta bijection.
 
-One bead pass, :func:`abacus`, spreads a partition's beta-set over t runners
-and reads both the t-tuple (a_0, ..., a_{t-1}) of runner surpluses, whose
-entries always sum to zero, and the t-quotient. A t-core is a partition with
-an empty t-quotient, encoded by its surpluses. Beside it, one strip pass,
-:func:`bar_abacus`, reads a bar partition's strip charges and t-bar-quotient,
-and :func:`from_bar_abacus` builds the strips back. A t-bar-core (t odd) has
-an empty t-bar-quotient and is encoded by its charges, the signed run
-lengths (b'_1, ..., b'_{(t-1)/2}) of its residue classes. Zeta shifts one
-encoding into the other.
+Two pairs of passes split a partition into its g-core part and g-quotient
+and build it back. The bead pass :func:`abacus` reads a partition's runner
+surpluses (a_0, ..., a_{g-1}), whose entries sum to zero, and its g-quotient,
+and :func:`from_abacus` places the beads back; the strip pass
+:func:`bar_abacus` reads a bar partition's strip charges and g-bar-quotient,
+and :func:`from_bar_abacus` builds the strips back. A t-core has an empty
+t-quotient and is encoded by its surpluses; a t-bar-core (t odd) has an empty
+t-bar-quotient and is encoded by its charges, the signed run lengths
+(b'_1, ..., b'_{(t-1)/2}) of its residue classes. Zeta shifts one encoding
+into the other.
 """
 
 from __future__ import annotations
 
-from .bar_partitions import BarPartition
-from .partitions import Partition, check_modulus, from_first_column_hooks, is_self_conjugate
+from .bar_partitions import BarPartition, is_bar_partition
+from .partitions import Partition, check_modulus, from_first_column_hooks, is_partition, is_self_conjugate
 
 CoreTuple = tuple[int, ...]
 BarTuple = tuple[int, ...]
@@ -27,7 +28,8 @@ def abacus(p: Partition, g: int) -> tuple[CoreTuple, tuple[Partition, ...]]:
     all parts; runner i holds the beta values congruent to i mod g and reads
     as component i. Adding g more phantom beads shifts every runner
     uniformly, so the result does not depend on the padding choice. The
-    caller checks g >= 1.
+    caller checks g >= 1; a ``p`` that is not a partition raises ValueError
+    at its first part out of place.
 
     The fewer than g phantom beads 0, 1, ..., n_beads - k - 1 put one bead at
     position 0 on each runner below n_beads - k. Only the real beads are then
@@ -41,8 +43,12 @@ def abacus(p: Partition, g: int) -> tuple[CoreTuple, tuple[Partition, ...]]:
     beads = [1] * phantoms + [0] * (g - phantoms)
     # only the runners that read a part get a list, since a core reads none
     runners: dict[int, list[int]] = {}
-    for b in map(int.__add__, reversed(p), range(phantoms, g * level)):
-        position, residue = divmod(b, g)
+    low = 1
+    for b, x in enumerate(reversed(p), phantoms):
+        if not isinstance(x, int) or isinstance(x, bool) or x < low:
+            raise ValueError("input is not a partition")
+        low = x
+        position, residue = divmod(b + x, g)
         part = position - beads[residue]
         beads[residue] += 1
         if part:
@@ -51,6 +57,28 @@ def abacus(p: Partition, g: int) -> tuple[CoreTuple, tuple[Partition, ...]]:
     for residue, r in runners.items():
         quotient[residue] = tuple(r[::-1])
     return tuple([m - level for m in beads]), tuple(quotient)
+
+
+def from_abacus(surplus: CoreTuple, quotient: tuple[Partition, ...]) -> Partition:
+    """Inverse of :func:`abacus`: the partition with these runner surpluses and quotient.
+
+    Here g = len(surplus). Every runner is raised by one level, so that the
+    emptiest holds as many beads as the longest component. A component that
+    is not a partition raises ValueError.
+    """
+    g = len(surplus)
+    level = max(map(len, quotient)) - min(surplus)
+    beta: list[int] = []
+    for residue, (a, q) in enumerate(zip(surplus, quotient)):
+        # most components are empty, and () is a partition
+        if q and not is_partition(q):
+            raise ValueError(f"component {residue} is not a partition")
+        # the runner holds level + a beads from the bottom up, the highest at
+        # top; q's parts lift its top len(q) beads, the rest stay where they are
+        top = residue + g * (level + a - 1)
+        beta += [top + g * (x - i) for i, x in enumerate(q)]
+        beta += range(top - g * len(q), residue - 1, -g)
+    return from_first_column_hooks(beta)
 
 
 def gks_encode(p: Partition, t: int) -> CoreTuple:
@@ -163,12 +191,16 @@ def bar_abacus(b: BarPartition, g: int) -> tuple[BarTuple, tuple[tuple[int, ...]
 def from_bar_abacus(charges: BarTuple, quotient: tuple[tuple[int, ...], ...]) -> BarPartition:
     """Inverse of :func:`bar_abacus`: the bar partition with these strip charges and quotient.
 
-    Here g = 2 len(charges) + 1. The caller checks that component 0 has
-    distinct parts and the others are partitions.
+    Here g = 2 len(charges) + 1. A component 0 that is not a bar partition,
+    or another component that is not a partition, raises ValueError.
     """
+    if quotient[0] and not is_bar_partition(quotient[0]):
+        raise ValueError("component 0 must have distinct parts")
     g = 2 * len(charges) + 1
     parts = [g * x for x in quotient[0]]
     for j, (charge, lam) in enumerate(zip(charges, quotient[1:]), start=1):
+        if lam and not is_partition(lam):
+            raise ValueError(f"component {j} is not a partition")
         if not (charge or lam):
             continue  # an empty strip, as most are at a large g
         # strip j holds lam's beta-set shifted up by charge - len(lam), and all below

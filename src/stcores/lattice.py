@@ -11,7 +11,9 @@ grid, path bound and decoder, keyed "straight", "selfconj" and "bar"; on it,
 :func:`path_to_core` decodes one path, :func:`core_to_path` recovers the path
 of a self-conjugate or bar core, :func:`enumerate_cores_by_paths` walks them
 all, and :func:`census_by_size` counts the cores of each size up to a limit
-without walking the paths one by one.
+without walking the paths one by one. :func:`big_gamma` composes the bead
+pass of ``encodings`` with its strip builder and gamma on the middle
+component; no tower is built.
 """
 
 from __future__ import annotations
@@ -19,18 +21,9 @@ from __future__ import annotations
 from itertools import takewhile
 from typing import Iterator
 
-from .bar_partitions import BarPartition, is_bar_partition
-from .core_quotient import (
-    BarTower,
-    StraightTower,
-    bar_decompose,
-    bar_reconstruct,
-    decompose,
-    is_st_core,
-    is_stbar_core,
-    reconstruct,
-)
-from .encodings import zeta, zeta_inverse
+from .bar_partitions import BarPartition
+from .core_quotient import is_st_core, is_stbar_core
+from .encodings import abacus, bar_abacus, conjugate_tuple, from_abacus, from_bar_abacus
 from .partitions import (
     Partition,
     check_pair,
@@ -175,8 +168,8 @@ def core_to_path(family: str, core: Partition | BarPartition, s: int, t: int) ->
 
     Raises:
         ValueError: for any other family; unless ``core`` is a self-conjugate
-            (s,t)-core (selfconj), or a bar partition (checked first) and an
-            (s-bar, t-bar)-core (bar).
+            (s,t)-core (selfconj), or an (s-bar, t-bar)-core (bar), whose
+            check refuses a ``core`` that is not a bar partition.
     """
     if family == "selfconj":
         if not is_self_conjugate(core):
@@ -185,8 +178,6 @@ def core_to_path(family: str, core: Partition | BarPartition, s: int, t: int) ->
             raise ValueError("input is not an (s,t)-core")
         marked = set(diagonal_hooks(core))
     elif family == "bar":
-        if not is_bar_partition(core):
-            raise ValueError("input is not a bar partition")
         if not is_stbar_core(core, s, t):
             raise ValueError("input is not an (s-bar, t-bar)-core")
         marked = set(core)
@@ -226,10 +217,11 @@ def gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
 def big_gamma(p: Partition, s: int, t: int) -> BarPartition:
     """Bijection from self-conjugate (s,t)-cores to (s-bar, t-bar)-cores, odd g > 1.
 
-    Builds the bar tower directly: the g-core maps through zeta, the first
-    (g-1)/2 quotient components shift up one slot, and the middle (self
-    conjugate) component crosses to component 0 through gamma at the reduced
-    parameters.
+    :func:`~stcores.encodings.abacus` reads p's runner surpluses and g-quotient,
+    and :func:`~stcores.encodings.from_bar_abacus` builds the strips back: the
+    first (g-1)/2 surpluses are the charges (zeta on the g-core), gamma at the
+    reduced parameters sends the middle component to component 0, and the
+    first (g-1)/2 components shift up one slot.
 
     Raises:
         ValueError: unless s, t > 1 are odd with gcd(s,t) > 1, and ``p`` is
@@ -241,20 +233,17 @@ def big_gamma(p: Partition, s: int, t: int) -> BarPartition:
         raise ValueError("input is not self-conjugate")
     if not is_st_core(p, s, t):
         raise ValueError("input is not an (s,t)-core")
-    sp, tp = s // g, t // g
-    tower = decompose(p, g)
-    bar_core = zeta(tower.core, g)
+    sp, tp, half = s // g, t // g, (g - 1) // 2
+    surplus, quotient = abacus(p, g)
     # s' or t' is 1 only when g is s or t: p is then a g-core, its quotient
     # is empty, and gamma would refuse the unit modulus. Elsewhere gamma runs
     # even on an empty middle, whose image need not be empty.
-    middle = tower.quotient[(g - 1) // 2]
-    lam0 = gamma(middle, sp, tp) if min(sp, tp) > 1 else ()
-    components = (lam0,) + tower.quotient[: (g - 1) // 2]
-    return bar_reconstruct(BarTower(g=g, core=bar_core, quotient=components))
+    lam0 = gamma(quotient[half], sp, tp) if min(sp, tp) > 1 else ()
+    return from_bar_abacus(surplus[:half], (lam0,) + quotient[:half])
 
 
 def big_gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
-    """Inverse of :func:`big_gamma`.
+    """Inverse of :func:`big_gamma`: ``bar_abacus``, then ``from_abacus`` on the mirrored halves.
 
     Raises:
         ValueError: unless s, t > 1 are odd with gcd(s,t) > 1, and ``b`` is
@@ -262,15 +251,14 @@ def big_gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
     """
     check_pair(s, t, odd=True)
     g = common_divisor(s, t)
-    tower = bar_decompose(b, g)
+    charges, quotient = bar_abacus(b, g)
     if not is_stbar_core(b, s, t):
         raise ValueError("input is not an (s-bar, t-bar)-core")
     sp, tp = s // g, t // g
-    core = zeta_inverse(tower.core, g)
-    middle = gamma_inverse(tower.quotient[0], sp, tp) if min(sp, tp) > 1 else ()
-    half = list(tower.quotient[1:])
-    quotient = half + [middle] + [conjugate(q) for q in reversed(half)]
-    return reconstruct(StraightTower(g=g, core=core, quotient=tuple(quotient)))
+    middle = gamma_inverse(quotient[0], sp, tp) if min(sp, tp) > 1 else ()
+    half = quotient[1:]
+    mirror = tuple(conjugate(q) for q in reversed(half))
+    return from_abacus(charges + (0,) + conjugate_tuple(charges), half + (middle,) + mirror)
 
 
 def _paths_above(border: tuple[int, ...], rows: int, low: int = 0) -> Iterator[Path]:

@@ -8,8 +8,9 @@ The four single-modulus functions (partitions, t-cores, self-conjugate
 t-cores, t-bar-cores) are eta quotients, products of powers of
 P(x**d) = prod (1 - x**(dn)), evaluated in place over Euler's pentagonal
 series by :func:`eta_quotient`. The three joint functions multiply such a
-quotient by powers of finite census polynomials of the reduced coprime pair,
-substituted at x**g or x**(2g). Each census polynomial counts the cores of
+quotient F_g (1 at g = 1) by powers of census polynomials of the reduced
+pair, each taken before its substitution at x**g or x**(2g), and a power 0
+runs no census. Each census polynomial counts the cores of
 one lattice family ("straight", "selfconj" or "bar") by size with the path DP
 :func:`stcores.lattice.census_by_size`, only up to the size its substitution
 can reach within the truncation, so no path is walked and no partition is
@@ -21,7 +22,7 @@ census runs, when the estimated work of one it needs passes a cap.
 from __future__ import annotations
 
 from functools import cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable
 
 from .lattice import census_by_size
@@ -256,70 +257,65 @@ def _census(kind: str, s: int, t: int, limit: int) -> tuple[int, ...]:
     return tuple(census_by_size(kind, s, t, limit)) if s > 1 else (1,)
 
 
-def _census_polynomials(*censuses: tuple[str, int, int, int, int]) -> list[TruncatedSeries]:
-    """Per (kind, s, t, truncation, g), the census polynomial in x**g of the coprime pair (s, t).
+def _census_polynomials(*censuses: tuple[str, int, int, int, int, int]) -> list[TruncatedSeries]:
+    """Per row (kind, s, t, truncation, g, e), the e-th power of a census polynomial in x**g.
 
-    It sums x**(g|p|) over the cores p of :func:`_census` of size up to
-    truncation // g. Every census is checked before any runs: the first
-    whose work passes the cap raises ValueError.
+    The census polynomial of the coprime pair (s, t) sums y**|p| over the
+    cores p of :func:`_census` of size up to truncation // g. It is raised to
+    the power e in y, at that truncation, and then substituted y = x**g. A
+    row with e = 0 is 1: its census neither runs nor is judged. Every other
+    census is checked before any runs, in row order: the first whose work
+    passes the cap raises ValueError.
     """
-    for kind, s, t, truncation, g in censuses:
+    for kind, s, t, truncation, g, e in censuses:
         s, t = sorted((s, t))
-        if s > 1 and _census_refused(kind, s, t, limit := truncation // g):
+        if e and s > 1 and _census_refused(kind, s, t, limit := truncation // g):
             raise ValueError(f"the {kind} census of {(s, t)} to size {limit} exceeds the work cap {_CENSUS_WORK_CAP}")
-    return [
-        TruncatedSeries(_census(kind, s, t, truncation // g), truncation).substitute_power(g)
-        for kind, s, t, truncation, g in censuses
-    ]
+    polynomials = []
+    for kind, s, t, truncation, g, e in censuses:
+        power = TruncatedSeries(_census(kind, s, t, truncation // g)) ** e if e else TruncatedSeries.one(0)
+        polynomials.append(TruncatedSeries(power.coeffs, truncation).substitute_power(g))
+    return polynomials
 
 
 def psi_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     """Generating function for (s,t)-cores.
 
-    Coprime parameters give the finite census polynomial; otherwise, with
-    g = gcd(s,t) and reduced parameters s' = s/g, t' = t/g, the series is
-    Psi_{s',t'}(x**g)**g * F_g(x).
+    With g = gcd(s,t) and reduced parameters s' = s/g, t' = t/g, the series
+    is F_g(x) * Psi_{s',t'}(x**g)**g. Coprime parameters give g = 1, F_1 = 1
+    and the census polynomial alone.
     """
     check_pair(s, t)
     g = gcd(s, t)
-    (base,) = _census_polynomials(("straight", s // g, t // g, truncation, g))
-    return base if g == 1 else base ** g * core_gf(g, truncation)
+    return prod(_census_polynomials(("straight", s // g, t // g, truncation, g, g)), start=core_gf(g, truncation))
 
 
 def psi_star_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     """Generating function for self-conjugate (s,t)-cores.
 
-    Coprime parameters give the finite diagonal-hooks census polynomial;
-    otherwise, with g = gcd(s,t) and reduced parameters s', t':
-
-    Even g: F*_g(x) * Psi_{s',t'}(x**(2g))**(g/2).
-    Odd g:  F*_g(x) * Psi_{s',t'}(x**(2g))**((g-1)/2) * Psi*_{s',t'}(x**g).
+    With g = gcd(s,t) and reduced parameters s', t', the series is
+    F*_g(x) * Psi_{s',t'}(x**(2g))**(g//2) * Psi*_{s',t'}(x**g)**(g%2). Coprime
+    parameters give g = 1, F*_1 = 1 and the diagonal-hooks census alone.
     """
     check_pair(s, t)
     g = gcd(s, t)
-    if g == 1:
-        return _census_polynomials(("selfconj", s, t, truncation, 1))[0]
     sp, tp = s // g, t // g
-    # g // 2 is g/2 for even g and (g-1)/2 for odd g, which adds Psi*_{s',t'}(x**g).
-    censuses = [("straight", sp, tp, truncation, 2 * g), ("selfconj", sp, tp, truncation, g)]
-    base, *odd = _census_polynomials(*censuses[: 1 + g % 2])
-    result = selfconj_core_gf(g, truncation) * base ** (g // 2)
-    return result * odd[0] if odd else result
+    rows = ("straight", sp, tp, truncation, 2 * g, g // 2), ("selfconj", sp, tp, truncation, g, g % 2)
+    return prod(_census_polynomials(*rows), start=selfconj_core_gf(g, truncation))
 
 
 def psi_bar_st_gf(s: int, t: int, truncation: int) -> TruncatedSeries:
     """Generating function for (s-bar, t-bar)-cores, s and t odd.
 
-    Coprime parameters give the finite census polynomial; otherwise the series
-    is Psi-bar_{s',t'}(x**g) * Psi_{s',t'}(x**g)**((g-1)/2) * F_gbar(x).
+    With g = gcd(s,t) and reduced parameters s', t', the series is
+    F_gbar(x) * Psi_{s',t'}(x**g)**((g-1)/2) * Psi-bar_{s',t'}(x**g). Coprime
+    parameters give g = 1, F_1bar = 1 and the census polynomial alone.
     """
     check_pair(s, t, odd=True)
     g = gcd(s, t)
-    if g == 1:
-        return _census_polynomials(("bar", s, t, truncation, 1))[0]
     sp, tp = s // g, t // g
-    base, bar_base = _census_polynomials(("straight", sp, tp, truncation, g), ("bar", sp, tp, truncation, g))
-    return bar_base * base ** ((g - 1) // 2) * barcore_gf(g, truncation)
+    rows = ("straight", sp, tp, truncation, g, (g - 1) // 2), ("bar", sp, tp, truncation, g, 1)
+    return prod(_census_polynomials(*rows), start=barcore_gf(g, truncation))
 
 
 def _convolve(q: TruncatedSeries, f: TruncatedSeries, step: int) -> TruncatedSeries:
@@ -342,8 +338,8 @@ def convolution_psi(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t)
     g = common_divisor(s, t)
     # Only q(w) for gw up to the truncation is read.
-    (q,) = _census_polynomials(("straight", s // g, t // g, truncation // g, 1))
-    return _convolve(q**g, core_gf(g, truncation), g)
+    (q,) = _census_polynomials(("straight", s // g, t // g, truncation // g, 1, g))
+    return _convolve(q, core_gf(g, truncation), g)
 
 
 def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -356,12 +352,10 @@ def convolution_psi_star(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t)
     g = common_divisor(s, t)
     sp, tp = s // g, t // g
-    censuses = [("straight", sp, tp, truncation // (2 * g), 1), ("selfconj", sp, tp, truncation // g, 1)]
-    base, *odd = _census_polynomials(*censuses[: 1 + g % 2])
-    fstar = selfconj_core_gf(g, truncation)
-    if odd:
-        fstar = _convolve(odd[0], fstar, g)
-    return _convolve(base ** (g // 2), fstar, 2 * g)
+    rows = ("straight", sp, tp, truncation // (2 * g), 1, g // 2), ("selfconj", sp, tp, truncation // g, 1, g % 2)
+    base, odd = _census_polynomials(*rows)
+    # at an even g the odd row is 1, and convolving with it changes nothing
+    return _convolve(base, _convolve(odd, selfconj_core_gf(g, truncation), g), 2 * g)
 
 
 def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
@@ -374,9 +368,9 @@ def convolution_psi_bar(s: int, t: int, truncation: int) -> TruncatedSeries:
     check_pair(s, t, odd=True)
     g = common_divisor(s, t)
     sp, tp = s // g, t // g
-    base, bar_base = _census_polynomials(("straight", sp, tp, truncation // g, 1), ("bar", sp, tp, truncation // g, 1))
-    qbar = bar_base * base ** ((g - 1) // 2)
-    return _convolve(qbar, barcore_gf(g, truncation), g)
+    rows = ("straight", sp, tp, truncation // g, 1, (g - 1) // 2), ("bar", sp, tp, truncation // g, 1, 1)
+    base, bar_base = _census_polynomials(*rows)
+    return _convolve(bar_base * base, barcore_gf(g, truncation), g)
 
 
 def progression_extract(

@@ -4,10 +4,12 @@ from hypothesis import given, strategies as st
 import pytest
 
 from stcores.bar_partitions import enumerate_bar_partitions, is_tbar_core
-from stcores.core_quotient import BarTower, bar_reconstruct
+from stcores.core_quotient import BarTower, bar_reconstruct, decompose, is_stbar_core
 from stcores.encodings import (
+    abacus,
     conjugate_tuple,
     diagonal_hooks_from_tuple,
+    from_abacus,
     gks_decode,
     gks_encode,
     is_selfconjugate_tuple,
@@ -16,7 +18,7 @@ from stcores.encodings import (
     zeta,
     zeta_inverse,
 )
-from stcores.lattice import big_gamma_inverse, gamma_inverse
+from stcores.lattice import big_gamma_inverse, core_to_path, gamma_inverse
 from stcores.oracle import enumerate_partitions, enumerate_self_conjugate
 from stcores.partitions import (
     conjugate,
@@ -205,6 +207,51 @@ def test_bar_core_readers_refuse_input_that_is_not_a_bar_partition(reader, b):
     # (9-bar, 15-bar)-core either, and the bar partition check comes first.
     with pytest.raises(ValueError, match="^input is not a bar partition$"):
         BAR_READERS[reader](b)
+
+
+# The straight bead pass and the bar predicates read each part as they go
+# and refuse the first one out of place. (1, 1) and (4, 4, 1) are partitions,
+# so only the bar readers refuse them.
+SHAPE_READERS = {
+    "abacus": (lambda p: abacus(p, 3), "partition"),
+    "decompose": (lambda p: decompose(p, 2), "partition"),
+    "gks_encode": (lambda p: gks_encode(p, 3), "partition"),
+    "is_tbar_core": (lambda b: is_tbar_core(b, 3), "bar partition"),
+    "is_stbar_core": (lambda b: is_stbar_core(b, 3, 5), "bar partition"),
+    "core_to_path": (lambda b: core_to_path("bar", b, 3, 5), "bar partition"),
+}
+SHAPE_REFUSALS = [
+    (reader, parts)
+    for reader, (_, shape) in SHAPE_READERS.items()
+    for parts in ((1, 2), (2, 0), (3, -1), (True,)) + ((1, 1), (4, 4, 1)) * (shape == "bar partition")
+]
+
+
+@pytest.mark.parametrize("reader, parts", SHAPE_REFUSALS)
+def test_the_bead_pass_and_the_bar_predicates_refuse_a_part_out_of_place(reader, parts):
+    read, shape = SHAPE_READERS[reader]
+    with pytest.raises(ValueError, match=f"^input is not a {shape}$"):
+        read(parts)
+
+
+def test_the_core_and_the_pair_are_checked_before_the_shape():
+    # bar_reconstruct reads the core's charges before it builds component 0,
+    # and the bar path inverse leaves the bar shape to its (s,t) predicate
+    tower = BarTower(g=3, core=(3,), quotient=((1, 1), ()))
+    with pytest.raises(ValueError, match="^input is not a t-bar-core$"):
+        bar_reconstruct(tower)
+    with pytest.raises(ValueError, match="^s and t must be odd and exceed 1$"):
+        core_to_path("bar", (1, 1), 4, 5)
+
+
+def test_from_abacus_inverts_the_bead_pass():
+    cases = 0
+    for n in range(26):
+        for p in enumerate_partitions(n):
+            for g in range(2, 6):
+                assert from_abacus(*abacus(p, g)) == p
+                cases += 1
+    assert cases == 37184
 
 
 def test_worked_zeta_pair():

@@ -5,8 +5,19 @@ from math import comb, gcd
 
 import pytest
 
-from stcores.bar_partitions import is_tbar_core
-from stcores.core_quotient import is_st_core, is_stbar_core
+from stcores import core_quotient, encodings, lattice
+from stcores.bar_partitions import enumerate_bar_partitions, is_tbar_core
+from stcores.core_quotient import (
+    BarTower,
+    StraightTower,
+    bar_decompose,
+    bar_reconstruct,
+    decompose,
+    is_st_core,
+    is_stbar_core,
+    reconstruct,
+)
+from stcores.encodings import zeta, zeta_inverse
 from stcores.lattice import (
     FAMILIES,
     _border_heights,
@@ -24,7 +35,7 @@ from stcores.lattice import (
     yinyang_grid,
 )
 from stcores.oracle import enumerate_self_conjugate, extremal_stats
-from stcores.partitions import diagonal_hooks, is_self_conjugate, is_t_core
+from stcores.partitions import conjugate, diagonal_hooks, is_self_conjugate, is_t_core
 
 
 def _every_path(rows, cols):
@@ -481,6 +492,62 @@ def test_big_gamma_bijects_where_a_reduced_modulus_is_one_or_g_exceeds_three(s, 
     assert len(set(images)) == len(images)
     assert [big_gamma_inverse(b, s, t) for b in images] == cores
     assert [big_gamma(big_gamma_inverse(b, s, t), s, t) for b in images] == images
+
+
+def _tower_big_gamma(p, s, t):
+    """big_gamma by the tower route: decompose, zeta on the core, bar_reconstruct."""
+    g = gcd(s, t)
+    sp, tp, half = s // g, t // g, (g - 1) // 2
+    tower = decompose(p, g)
+    lam0 = gamma(tower.quotient[half], sp, tp) if min(sp, tp) > 1 else ()
+    return bar_reconstruct(BarTower(g=g, core=zeta(tower.core, g), quotient=(lam0,) + tower.quotient[:half]))
+
+
+def _tower_big_gamma_inverse(b, s, t):
+    """big_gamma_inverse by the tower route: bar_decompose, zeta_inverse, reconstruct."""
+    g = gcd(s, t)
+    sp, tp = s // g, t // g
+    tower = bar_decompose(b, g)
+    middle = gamma_inverse(tower.quotient[0], sp, tp) if min(sp, tp) > 1 else ()
+    half = tower.quotient[1:]
+    quotient = half + (middle,) + tuple(conjugate(q) for q in reversed(half))
+    return reconstruct(StraightTower(g=g, core=zeta_inverse(tower.core, g), quotient=quotient))
+
+
+# Each (s, t) that a big-gamma test above bijects, with the largest size of its sources.
+BIG_GAMMA_GRIDS = ((9, 15, 20), (3, 9, 24), (5, 15, 24), (15, 25, 30), (21, 35, 30))
+
+
+@pytest.mark.parametrize("s, t, limit", BIG_GAMMA_GRIDS)
+def test_big_gamma_matches_the_tower_route_it_replaces(s, t, limit):
+    # The forward map on every self-conjugate (s,t)-core of the grid, and the
+    # inverse on every (s-bar, t-bar)-core to the same size and every image.
+    cores = [p for n in range(limit + 1) for p in enumerate_self_conjugate(n) if is_st_core(p, s, t)]
+    images = [big_gamma(p, s, t) for p in cores]
+    assert images == [_tower_big_gamma(p, s, t) for p in cores]
+    bars = {b for n in range(limit + 1) for b in enumerate_bar_partitions(n) if is_stbar_core(b, s, t)}
+    assert len(bars) > 1
+    for b in sorted(bars.union(images)):
+        assert big_gamma_inverse(b, s, t) == _tower_big_gamma_inverse(b, s, t)
+
+
+def test_big_gamma_runs_no_tower_and_no_core_codec(monkeypatch):
+    # Neither map goes through a tower or zeta, and neither decodes or
+    # encodes a core: the abacus passes carry the g-core part themselves.
+    def never(*args):
+        raise AssertionError("a codec or tower ran")
+
+    for module in (encodings, core_quotient):
+        for name in ("gks_decode", "gks_encode", "olsson_decode", "olsson_encode", "zeta", "zeta_inverse"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, never)
+    for name in ("decompose", "reconstruct", "bar_decompose", "bar_reconstruct"):
+        monkeypatch.setattr(core_quotient, name, never)
+    towers = {"BarTower", "StraightTower", "decompose", "reconstruct", "bar_decompose", "bar_reconstruct"}
+    assert not towers.union({"zeta", "zeta_inverse"}) & set(vars(lattice))
+    for p, b in (((2, 1), ()), ((), (3,)), ((10, 2, 1, 1, 1, 1, 1, 1, 1, 1), (10, 3, 1))):
+        assert big_gamma(p, 9, 15) == b
+        assert big_gamma_inverse(b, 9, 15) == p
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+from functools import cache
 from hashlib import sha256
 from math import comb
 import re
@@ -367,6 +368,29 @@ def test_the_censuses_accepted_at_the_old_caps_stay_accepted(monkeypatch, build,
     monkeypatch.setattr(series, "_census", lambda *key: seen.append(key) or (1,))
     assert build(s, t, truncation) == TruncatedSeries.one(truncation)
     assert seen == [census]
+
+
+@pytest.mark.parametrize(
+    "build, s, t, counts, censuses",
+    (
+        # g = 2: the self-conjugate row has power 0, so only the straight
+        # census of (2, 3) at x**4 runs
+        (psi_star_st_gf, 4, 6, selfconj_st_core_counts, [("straight", 2, 3, 5)]),
+        (convolution_psi_star, 4, 6, selfconj_st_core_counts, [("straight", 2, 3, 5)]),
+        # g = 1: F_1 = 1 and the straight row of psistar and psibar has power 0
+        (psi_st_gf, 5, 7, st_core_counts, [("straight", 5, 7, 20)]),
+        (psi_star_st_gf, 5, 7, selfconj_st_core_counts, [("selfconj", 5, 7, 20)]),
+        (psi_bar_st_gf, 5, 7, stbar_core_counts, [("bar", 5, 7, 20)]),
+    ),
+)
+def test_a_census_row_of_power_zero_neither_runs_nor_is_judged(monkeypatch, build, s, t, counts, censuses):
+    ran, judged = [], []
+    refused = series._census_refused
+    monkeypatch.setattr(series, "_census", cache(series._census.__wrapped__))
+    monkeypatch.setattr(series, "census_by_size", lambda *key: ran.append(key) or lattice.census_by_size(*key))
+    monkeypatch.setattr(series, "_census_refused", lambda *key: judged.append(key) or refused(*key))
+    assert build(s, t, 20).coeffs == counts(s, t, 20).counts
+    assert ran == judged == censuses
 
 
 @pytest.mark.parametrize(
