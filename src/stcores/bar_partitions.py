@@ -75,7 +75,7 @@ def is_tbar_core(b: BarPartition, t: int) -> bool:
 
     Raises:
         ValueError: unless t is odd and >= 1 (checked first) and ``b`` is a
-            bar partition. Every part is read, wherever a bar of length t is.
+            bar partition; every part is read, even past a bar of length t.
     """
     check_modulus(t, odd=True)
     parts = set(b)
