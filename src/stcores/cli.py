@@ -48,9 +48,9 @@ PAIR_MAP_CAP = 3001
 
 # Largest -s and -t that `grid` accepts: it prints every cell, row by row, so
 # its work and memory grow with s*t. Anderson's s x t grid is the largest; the
-# diagonal-hooks and yin-yang grids have a quarter of its cells and take the
-# pair maps' cap. Measured cold on a 2-vCPU Xeon (Python 3.11.7, three runs
-# each): anderson at (1500,1501) 0.50-0.70 s and 117 MB peak RSS, dh at
+# diagonal-hooks and yin-yang grids have a quarter of its cells, so 2 *
+# GRID_CAP - 1 gives them as many. Measured cold on a 2-vCPU Xeon (Python
+# 3.11.7, three runs each): anderson at (1500,1501) 0.50-0.70 s and 117 MB peak RSS, dh at
 # (3000,3001) 0.63-0.68 s and yinyang at (2999,3001) 0.55-0.71 s, 118 MB.
 GRID_CAP = 1501
 
@@ -65,7 +65,7 @@ GRID_CAP = 1501
 TRUNCATION_CAP = 4000
 
 # Per --gf: the builder and the moduli it reads. The joint builders refuse a
-# census of the reduced pair (s/g, t/g) whose work passes stcores.series's cap.
+# census of the reduced pair (s/g, t/g) whose work passes stcores.lattice's cap.
 GENERATING_FUNCTIONS = {
     "partition": (series_module.partition_gf, ""),
     "core": (series_module.core_gf, "t"),
@@ -84,8 +84,8 @@ COUNTS = {
 # Per --kind: the grid builder and the cap on -s and -t.
 GRIDS = {
     "anderson": (lattice.anderson_grid, GRID_CAP),
-    "dh": (lattice.dh_grid, PAIR_MAP_CAP),
-    "yinyang": (lattice.yinyang_grid, PAIR_MAP_CAP),
+    "dh": (lattice.dh_grid, 2 * GRID_CAP - 1),
+    "yinyang": (lattice.yinyang_grid, 2 * GRID_CAP - 1),
 }
 # Per --map: the map, the moduli it reads, whether it reads a straight
 # partition (forward) or a bar partition, and the cap on each modulus.

@@ -11,9 +11,10 @@ grid, path bound and decoder, keyed "straight", "selfconj" and "bar"; on it,
 :func:`path_to_core` decodes one path, :func:`core_to_path` recovers the path
 of a self-conjugate or bar core, :func:`enumerate_cores_by_paths` walks them
 all, and :func:`census_by_size` counts the cores of each size up to a limit
-without walking the paths one by one. :func:`big_gamma` composes the bead
-pass of ``encodings`` with its strip builder and gamma on the middle
-component; no tower is built.
+without walking the paths one by one, for the pair in either order, and
+:func:`check_census` judges its work before it runs. :func:`big_gamma`
+composes the bead pass of ``encodings`` with its strip builder and gamma on
+the middle component; no tower is built.
 """
 
 from __future__ import annotations
@@ -99,30 +100,8 @@ def yinyang_grid(s: int, t: int) -> Grid:
     return tuple(range(t - s * j, t * ((s + 1) // 2) - s * j, t) for j in range(1, (t + 1) // 2))
 
 
-def _check_path(path: Path, rows: int, cols: int) -> None:
-    """Refuse anything but ``cols`` non-decreasing heights within 0..rows."""
-    rising = not any(map(int.__gt__, path, path[1:]))
-    if len(path) != cols or not rising or path and not 0 <= path[0] <= path[-1] <= rows:
-        raise ValueError(f"path does not fit a {rows} x {cols} grid")
-
-
-def _trapped_values(grid: Grid, path: Path, border: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Values between the path and the grid's sign border ``border``, split by side.
-
-    Returns (above, below): above holds the positive values trapped where the
-    path rises over the border, below the negative values where it dips under.
-    """
-    _check_path(path, len(grid[0]), len(grid))
-    above: list[int] = []
-    below: list[int] = []
-    for column, hp, hb in zip(grid, path, border):
-        above += column[hb:hp]
-        below += column[hp:hb]
-    return above, below
-
-
 # Per family: its grid builder, whether a path must stay weakly above the
-# sign border, and the decoder of its trapped values (above, then below).
+# sign border, and the decoder of its trapped values, in any order.
 # "straight": (s,t)-cores on Anderson's grid; the k trapped values of sum S
 # are the first-column hooks (a beta-set) of a core of size S - k(k-1)/2.
 # "selfconj": self-conjugate (s,t)-cores on the diagonal-hooks grid, and
@@ -151,10 +130,16 @@ def path_to_core(family: str, path: Path, s: int, t: int) -> Partition | BarPart
     """
     build, above_border, decode = _family(family)
     grid = build(s, t)
-    above, below = _trapped_values(grid, path, _border_heights(grid))
-    if above_border and below:
-        raise ValueError("path traps negative values")
-    return decode(above + below)
+    rows, cols = len(grid[0]), len(grid)
+    rising = not any(map(int.__gt__, path, path[1:]))
+    if len(path) != cols or not rising or path and not 0 <= path[0] <= path[-1] <= rows:
+        raise ValueError(f"path does not fit a {rows} x {cols} grid")
+    trapped: list[int] = []
+    for column, hp, hb in zip(grid, path, _border_heights(grid)):
+        if above_border and hp < hb:
+            raise ValueError("path traps negative values")
+        trapped += column[hb:hp] if hp >= hb else column[hp:hb]
+    return decode(trapped)
 
 
 def core_to_path(family: str, core: Partition | BarPartition, s: int, t: int) -> Path:
@@ -261,33 +246,74 @@ def big_gamma_inverse(b: BarPartition, s: int, t: int) -> Partition:
     return from_abacus(charges + (0,) + conjugate_tuple(charges), half + (middle,) + mirror)
 
 
-def _paths_above(border: tuple[int, ...], rows: int, low: int = 0) -> Iterator[Path]:
-    """The paths with every height h_c >= border[c], in lexicographic order.
-
-    Each height starts at the larger of the previous height (``low``) and the
-    border, so no path that dips below the border is generated; a zero border
-    gives every monotonic path of a ``rows`` x len(border) grid, once each.
-    """
-    if not border:
-        yield ()
-        return
-    for h in range(max(low, border[0]), rows + 1):
-        for rest in _paths_above(border[1:], rows, h):
-            yield (h,) + rest
-
-
 def enumerate_cores_by_paths(family: str, s: int, t: int) -> Iterator[Partition | BarPartition]:
     """All cores of ``family`` for a coprime pair, one per valid path, in lexicographic path order.
 
-    Builds the grid and its border once; a straight walk generates only the
-    paths weakly above the border.
+    One descent over the columns of a grid built once carries each path's
+    trapped values; a straight walk starts every column at its border.
     """
     build, above_border, decode = _family(family)
     grid = build(s, t)
-    border = _border_heights(grid)
-    for path in _paths_above(border if above_border else (0,) * len(grid), len(grid[0])):
-        above, below = _trapped_values(grid, path, border)
-        yield decode(above + below)
+    rows = len(grid[0])
+    columns = tuple(zip(grid, _border_heights(grid)))
+
+    def descend(c: int, low: int, trapped: tuple[int, ...]) -> Iterator[Partition | BarPartition]:
+        if c == len(columns):
+            yield decode(trapped)
+            return
+        column, hb = columns[c]
+        for h in range(max(low, hb) if above_border else low, rows + 1):
+            yield from descend(c + 1, h, trapped + tuple(column[hb:h] if h >= hb else column[h:hb]))
+
+    yield from descend(0, 0, ())
+
+
+# Largest census work, as check_census counts it, that the series builders
+# take on. It and the two weights below are fitted to tools/census_grid.csv (in
+# process, 2-vCPU Xeon, Python 3.11.7): accepted cells take up to 3.0 s (bar,
+# (1599,1601) to 4000), refused ones from 0.007 s (straight, (4,1601) at L = 90):
+# the straight weights date from the walk along the grid's long side.
+CENSUS_WORK_CAP = 300_000_000
+# Work per column, walked even at limit 0. It bounds t at 10**4: past it the
+# straight sets term undercounted a small s ((3,100001) at L = 60 took 4.9 s).
+_COLUMN_WORK = 30_000
+# Work per self-conjugate or bar state: the most that keeps every census of t <=
+# 1601 to L <= 4000, which a reduced pair cap took on before, within the cap.
+_STATE_WORK = 15
+
+
+def check_census(family: str, s: int, t: int, limit: int, cap: int = CENSUS_WORK_CAP) -> None:
+    """Refuse the census of ``family`` to ``limit`` whose estimated work passes ``cap``.
+
+    Takes the coprime pair in either order; below, s < t. A unit modulus
+    passes, since :func:`census_by_size` walks no grid for it. Every census
+    walks its columns: t * _COLUMN_WORK. The straight one keeps every (k, S)
+    state of a column to the end; their number grows with traps = min(limit,
+    (s-1)(t-1)/2), the most values a core can trap, and with sets, the number
+    of sets of non-multiples of s up to ``limit`` closed under subtracting s:
+    t * min(traps**3.6, sets**1.3), compared exactly as fifth and tenth
+    powers. The others keep up to limit + 1 sums, _STATE_WORK each, at every
+    height that traps no |value| over ``limit``: one per column of t//2 and at
+    most one per cell of distinct |value| up to it.
+
+    Raises:
+        ValueError: for an unknown family; if the work passes ``cap``, naming
+            the pair in ascending order.
+    """
+    straight = _family(family)[1]
+    s, t = sorted((s, t))
+    if s == 1:
+        return
+    if t * _COLUMN_WORK <= cap:
+        if straight:
+            traps = min(limit, (s - 1) * (t - 1) // 2)
+            q, a = divmod(limit, s)
+            sets = (q + 2) ** a * (q + 1) ** (s - 1 - a)
+            if t**5 * traps**18 <= cap**5 or t**10 * sets**13 <= cap**10:
+                return
+        elif _STATE_WORK * (t // 2 + min(limit, (s // 2) * (t // 2))) * (limit + 1) <= cap:
+            return
+    raise ValueError(f"the {family} census of {(s, t)} to size {limit} exceeds the work cap {cap}")
 
 
 def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
@@ -309,11 +335,19 @@ def census_by_size(family: str, s: int, t: int, limit: int) -> list[int]:
     monotonically, so it is cut only at the end. Each column starts at the
     lowest height a state holds; the border path traps nothing, so it stays.
 
+    The pair may come in either order. Anderson's grid is walked along its
+    shorter side, (larger, smaller), as the straight states all last to the
+    end; the others take (smaller, larger), as yin-yang needs. A unit modulus
+    leaves only the empty core, and builds no grid.
+
     Returns:
         counts[n], the number of cores of size n, for n = 0..limit.
     """
     build, above_border, _ = _family(family)
-    grid = build(s, t)
+    small, large = sorted((s, t))
+    if small == 1:
+        return [1] + [0] * limit
+    grid = build(large, small) if above_border else build(small, large)
     # states maps each height that path prefixes reach to {(k, S): prefixes}.
     states: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
     for column, hb in zip(grid, _border_heights(grid)):

@@ -15,8 +15,9 @@ one lattice family ("straight", "selfconj" or "bar") by size with the path DP
 :func:`stcores.lattice.census_by_size`, only up to the size its substitution
 can reach within the truncation, so no path is walked and no partition is
 built; :func:`stcores.lattice.enumerate_cores_by_paths` stays the independent
-source for the bijections and cross-checks. A builder refuses, before any
-census runs, when the estimated work of one it needs passes a cap.
+source for the bijections and cross-checks. A builder judges every census
+it needs with :func:`stcores.lattice.check_census` before any runs, so one
+whose estimated work passes the cap is refused first.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cache
 from math import gcd, prod
 from typing import Iterable
 
-from .lattice import census_by_size
+from .lattice import census_by_size, check_census
 from .partitions import check_divisor, check_modulus, check_pair, common_divisor
 
 
@@ -210,51 +211,10 @@ def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
     return eta_quotient(_exponents((2, 1), (t, (t + 1) // 2), (1, -1), (2 * t, -1)), truncation)
 
 
-# Largest census work, as _census_refused counts it, that the series builders
-# take on. It and the two weights below are fitted to tools/census_grid.csv (in
-# process, 2-vCPU Xeon, Python 3.11.7): accepted cells took up to 3.2 s (bar,
-# (1599,1601) to 4000), refused ones from 0.26 s (straight, (7,201) at L = 60).
-_CENSUS_WORK_CAP = 300_000_000
-# Work per column, walked even at limit 0. It bounds t at 10**4: past it the
-# straight sets term undercounts a small s ((3,100001) at L = 60 took 4.9 s).
-_COLUMN_WORK = 30_000
-# Work per self-conjugate or bar state: the most that keeps every census of t <=
-# 1601 to L <= 4000, which a reduced pair cap took on before, within the cap.
-_STATE_WORK = 15
-
-
-def _census_refused(kind: str, s: int, t: int, limit: int, cap: int = _CENSUS_WORK_CAP) -> bool:
-    """Whether the census of ``kind`` for coprime 1 < s < t to ``limit`` has work above ``cap``.
-
-    Every census walks its columns: t * _COLUMN_WORK. The straight one keeps
-    every (k, S) state of a column to the end; their number grows with traps
-    = min(limit, (s-1)(t-1)/2), the most values a core can trap, and with
-    sets, the number of sets of non-multiples of s up to ``limit`` closed
-    under subtracting s: t * min(traps**3.6, sets**1.3), compared exactly as
-    fifth and tenth powers. The others keep up to limit + 1 sums, _STATE_WORK
-    each, at every height that traps no |value| over ``limit``: one per column
-    of t//2 and at most one per cell of distinct |value| up to it.
-    """
-    if t * _COLUMN_WORK > cap:
-        return True
-    if kind != "straight":
-        heights = t // 2 + min(limit, (s // 2) * (t // 2))
-        return _STATE_WORK * heights * (limit + 1) > cap
-    traps = min(limit, (s - 1) * (t - 1) // 2)
-    q, a = divmod(limit, s)
-    sets = (q + 2) ** a * (q + 1) ** (s - 1 - a)
-    return t**5 * traps**18 > cap**5 and t**10 * sets**13 > cap**10
-
-
 @cache
 def _census(kind: str, s: int, t: int, limit: int) -> tuple[int, ...]:
-    """Number of cores of each size 0..limit in the census of ``kind`` for a coprime pair.
-
-    ``kind`` names a family of :data:`stcores.lattice.FAMILIES`, counted by
-    the path DP on its grid; a unit modulus leaves the empty core alone.
-    """
-    s, t = sorted((s, t))
-    return tuple(census_by_size(kind, s, t, limit)) if s > 1 else (1,)
+    """Number of cores of each size 0..limit in the census of ``kind`` for a coprime pair."""
+    return tuple(census_by_size(kind, s, t, limit))
 
 
 def _census_polynomials(*censuses: tuple[str, int, int, int, int, int]) -> list[TruncatedSeries]:
@@ -264,13 +224,12 @@ def _census_polynomials(*censuses: tuple[str, int, int, int, int, int]) -> list[
     cores p of :func:`_census` of size up to truncation // g. It is raised to
     the power e in y, at that truncation, and then substituted y = x**g. A
     row with e = 0 is 1: its census neither runs nor is judged. Every other
-    census is checked before any runs, in row order: the first whose work
-    passes the cap raises ValueError.
+    census is judged by :func:`stcores.lattice.check_census` before any runs,
+    in row order, so the first whose work passes the cap raises ValueError.
     """
     for kind, s, t, truncation, g, e in censuses:
-        s, t = sorted((s, t))
-        if e and s > 1 and _census_refused(kind, s, t, limit := truncation // g):
-            raise ValueError(f"the {kind} census of {(s, t)} to size {limit} exceeds the work cap {_CENSUS_WORK_CAP}")
+        if e:
+            check_census(kind, s, t, truncation // g)
     polynomials = []
     for kind, s, t, truncation, g, e in censuses:
         power = TruncatedSeries(_census(kind, s, t, truncation // g)) ** e if e else TruncatedSeries.one(0)

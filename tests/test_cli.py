@@ -315,7 +315,7 @@ def test_grid_accepts_its_cap(run, monkeypatch):
         patch_row(monkeypatch, cli.GRIDS, kind, lambda s, t: seen.append((s, t)) or ((1,),))
     for kind, (_, cap) in cli.GRIDS.items():
         assert run("grid", "--kind", kind, "-s", str(cap - 2), "-t", str(cap)) == (0, "1\n", "")
-    assert seen == [(GRID_CAP - 2, GRID_CAP)] + [(PAIR_MAP_CAP - 2, PAIR_MAP_CAP)] * 2
+    assert seen == [(GRID_CAP - 2, GRID_CAP)] + [(2 * GRID_CAP - 3, 2 * GRID_CAP - 1)] * 2
 
 
 JOINT = ("psi", "psistar", "psibar")

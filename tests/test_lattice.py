@@ -1,6 +1,6 @@
 from collections import Counter
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement
 from math import comb, gcd
 
 import pytest
@@ -19,13 +19,14 @@ from stcores.core_quotient import (
 )
 from stcores.encodings import zeta, zeta_inverse
 from stcores.lattice import (
+    CENSUS_WORK_CAP,
     FAMILIES,
     _border_heights,
-    _paths_above,
     anderson_grid,
     big_gamma,
     big_gamma_inverse,
     census_by_size,
+    check_census,
     core_to_path,
     dh_grid,
     enumerate_cores_by_paths,
@@ -39,22 +40,8 @@ from stcores.partitions import conjugate, diagonal_hooks, is_self_conjugate, is_
 
 
 def _every_path(rows, cols):
-    """Every monotonic path of a rows x cols grid: the walk over a zero border."""
-    return list(_paths_above((0,) * cols, rows))
-
-
-def test_paths_over_a_zero_border_are_the_binomial_family():
-    paths = _every_path(2, 2)
-    assert paths == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    assert len(_every_path(3, 4)) == comb(7, 3)
-
-
-def test_paths_over_a_zero_border_yield_every_height_profile_once():
-    for rows, cols in product(range(6), repeat=2):
-        paths = _every_path(rows, cols)
-        profiles = [h for h in product(range(rows + 1), repeat=cols) if list(h) == sorted(h)]
-        assert paths == profiles
-        assert len(set(paths)) == comb(rows + cols, rows)
+    """Every monotonic path of a rows x cols grid, in lexicographic order."""
+    return list(combinations_with_replacement(range(rows + 1), cols))
 
 
 @pytest.mark.parametrize(
@@ -169,11 +156,15 @@ def test_bounded_anderson_walk_yields_what_the_filtered_walk_did(s, t):
     assert list(enumerate_cores_by_paths("straight", s, t)) == want
 
 
-@pytest.mark.parametrize("s, t", ((3, 5), (5, 7), (7, 11)))
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize(
+    "family, s, t",
+    [(family, s, t) for family in sorted(FAMILIES) for s, t in ((3, 5), (5, 7), (7, 11))]
+    + [("straight", 9, 13), ("straight", 11, 7), ("selfconj", 11, 13), ("selfconj", 8, 13), ("bar", 11, 13)],
+)
 def test_every_walk_builds_its_grid_once(monkeypatch, family, s, t):
-    # each walk builds its grid and border once and decodes every path
-    # in place, in the order the per-path decoder gives
+    # each walk builds its grid and border once and decodes every path in
+    # one descent, in lexicographic path order, as the per-path decoder does;
+    # a straight walk skips every path that dips below the border
     build, above_border, decode = FAMILIES[family]
     grid = build(s, t)
     calls = Counter()
@@ -183,7 +174,7 @@ def test_every_walk_builds_its_grid_once(monkeypatch, family, s, t):
     cores = list(enumerate_cores_by_paths(family, s, t))
     assert calls == {family: 1}
     border = _border_heights(grid) if above_border else (0,) * len(grid)
-    paths = list(_paths_above(border, len(grid[0])))
+    paths = [path for path in _every_path(len(grid[0]), len(grid)) if all(map(int.__ge__, path, border))]
     assert cores == [path_to_core(family, path, s, t) for path in paths]
 
 
@@ -206,7 +197,7 @@ def _counts_by_size(cores, limit):
 
 
 @pytest.mark.parametrize(
-    "s, t", [(s, t) for s in range(2, 12) for t in range(s + 1, 12) if gcd(s, t) == 1]
+    "s, t", [(s, t) for s in range(2, 12) for t in range(s + 1, 12) if gcd(s, t) == 1] + [(3, 41), (2, 31)]
 )
 def test_anderson_dp_counts_the_enumerated_sizes(s, t):
     want = _counts_by_size(_anderson_cores(s, t), _largest(s, t))
@@ -225,6 +216,71 @@ def test_dh_and_yy_dp_count_the_enumerated_sizes(s, t):
     assert census_by_size("selfconj", t, s, limit) == want
     bar = _counts_by_size(enumerate_cores_by_paths("bar", s, t), limit)
     assert census_by_size("bar", s, t, limit) == bar
+
+
+@pytest.mark.parametrize("s, t", ((5, 7), (7, 5), (3, 41), (41, 3)))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_the_census_orients_its_grid_itself(monkeypatch, family, s, t):
+    # Anderson's grid is walked along its shorter side; the diagonal-hooks
+    # and yin-yang grids keep the smaller member first, as yin-yang needs
+    build, *rest = FAMILIES[family]
+    seen = []
+    monkeypatch.setitem(FAMILIES, family, (lambda s, t: seen.append((s, t)) or build(s, t), *rest))
+    census_by_size(family, s, t, 10)
+    small, large = sorted((s, t))
+    assert seen == [(large, small) if family == "straight" else (small, large)]
+
+
+def never(*args):
+    raise AssertionError("grid built")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_unit_modulus_leaves_the_empty_core_alone(monkeypatch, family):
+    # only the empty core is a 1-core, so no grid is built, and the judge
+    # passes the census however long the other member
+    monkeypatch.setitem(FAMILIES, family, (never, *FAMILIES[family][1:]))
+    for s, t, limit in ((1, 7, 12), (8, 1, 0), (1, 10**30 + 1, 4000), (10**30 + 1, 1, 60)):
+        assert census_by_size(family, s, t, limit) == [1] + [0] * limit
+        check_census(family, s, t, limit)
+
+
+def _refused(family, s, t, limit, cap=CENSUS_WORK_CAP):
+    """The message of check_census past ``cap``, the pair in ascending order."""
+    return rf"^the {family} census of \({s}, {t}\) to size {limit} exceeds the work cap {cap}$"
+
+
+@pytest.mark.parametrize(
+    "family, s, t, accepted",
+    (
+        # the traps term at a near-square pair, the sets term at a small s
+        ("straight", 1600, 1601, 29),
+        ("straight", 3, 1601, 316),
+        ("straight", 3, 4001, 220),
+        ("selfconj", 3999, 4001, 3581),
+        ("bar", 3999, 4001, 3581),
+        ("bar", 1599, 1601, 4089),
+    ),
+)
+def test_the_census_verdict_on_each_side_of_the_cap(family, s, t, accepted):
+    for pair in ((s, t), (t, s)):
+        check_census(family, *pair, accepted)
+        with pytest.raises(ValueError, match=_refused(family, s, t, accepted + 1)):
+            check_census(family, *pair, accepted + 1)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_census_pays_for_its_columns(family):
+    # 10**4 columns of work 30000 each reach the cap at limit 0; a larger
+    # cap takes one more column
+    for pair in ((9999, 10**4), (10**4, 9999)):
+        check_census(family, *pair, 0)
+    for pair in ((9999, 10**4 + 1), (10**4 + 1, 9999)):
+        with pytest.raises(ValueError, match=_refused(family, 9999, 10**4 + 1, 0)):
+            check_census(family, *pair, 0)
+        check_census(family, *pair, 0, CENSUS_WORK_CAP + 30_000)
+        with pytest.raises(ValueError, match=_refused(family, 9999, 10**4 + 1, 0, CENSUS_WORK_CAP - 1)):
+            check_census(family, *pair, 0, CENSUS_WORK_CAP - 1)
 
 
 MIXED_PARITY = [
@@ -556,8 +612,9 @@ def test_big_gamma_runs_no_tower_and_no_core_codec(monkeypatch):
         lambda: path_to_core("foo", (0,), 2, 3),
         lambda: list(enumerate_cores_by_paths("foo", 2, 3)),
         lambda: census_by_size("foo", 2, 3, 5),
+        lambda: check_census("foo", 2, 3, 5),
     ],
-    ids=["path_to_core", "enumerate_cores_by_paths", "census_by_size"],
+    ids=["path_to_core", "enumerate_cores_by_paths", "census_by_size", "check_census"],
 )
 def test_an_unknown_family_is_a_value_error(call):
     with pytest.raises(ValueError, match="^family must be straight, selfconj, or bar$"):

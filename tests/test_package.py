@@ -62,6 +62,29 @@ def test_every_public_method_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_no_tool_imports_a_private_name_of_the_package():
+    # tools/ calls stcores through its public names only, so that a private
+    # helper can change without breaking a script.
+    private = []
+    for path in sorted((ROOT / "tools").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = [
+            alias
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stcores")
+            for alias in node.names
+        ]
+        bound = {alias.asname or alias.name for alias in aliases}
+        private += [f"{path.name}:{alias.name}" for alias in aliases if alias.name.startswith("_")]
+        private += [
+            f"{path.name}:{node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in bound and node.attr.startswith("_")
+        ]
+    assert private == []
+
+
 # One canonical call per verb, as the option table reads it without argparse.
 # The calls share one interpreter, so each stage only shows the modules that
 # are new since the stage before it. The bijection calls import json to read

@@ -2,7 +2,7 @@
 
 The library example runs as written, and each value its comments state is
 the one it computes. Every cap constant of `stcores.cli`, and the census
-work cap of `stcores.series` for each census family, has a row in the
+work cap of `stcores.lattice` for each census family, has a row in the
 "Parameter errors" tables that quotes its value and the message `main`
 prints just past it.
 """
@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from stcores import cli, series
+from stcores import cli, lattice, series
 from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, TRUNCATION_CAP, ZETA_T_CAP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -94,4 +94,4 @@ CENSUS_CALLS = [
 def test_each_census_work_cap_row_quotes_its_value_and_the_message_past_it(run, monkeypatch, argv):
     # The series builders apply this cap themselves, before any census DP.
     monkeypatch.setattr(series, "census_by_size", never)
-    assert_one_row_quotes(series._CENSUS_WORK_CAP, *run(*argv))
+    assert_one_row_quotes(lattice.CENSUS_WORK_CAP, *run(*argv))

@@ -385,36 +385,11 @@ def test_the_censuses_accepted_at_the_old_caps_stay_accepted(monkeypatch, build,
 )
 def test_a_census_row_of_power_zero_neither_runs_nor_is_judged(monkeypatch, build, s, t, counts, censuses):
     ran, judged = [], []
-    refused = series._census_refused
     monkeypatch.setattr(series, "_census", cache(series._census.__wrapped__))
     monkeypatch.setattr(series, "census_by_size", lambda *key: ran.append(key) or lattice.census_by_size(*key))
-    monkeypatch.setattr(series, "_census_refused", lambda *key: judged.append(key) or refused(*key))
+    monkeypatch.setattr(series, "check_census", lambda *key: judged.append(key) or lattice.check_census(*key))
     assert build(s, t, 20).coeffs == counts(s, t, 20).counts
     assert ran == judged == censuses
-
-
-@pytest.mark.parametrize(
-    "kind, s, t, accepted",
-    (
-        # the traps term at a near-square pair, the sets term at a small s
-        ("straight", 1600, 1601, 29),
-        ("straight", 3, 1601, 316),
-        ("straight", 3, 4001, 220),
-        ("selfconj", 3999, 4001, 3581),
-        ("bar", 3999, 4001, 3581),
-        ("bar", 1599, 1601, 4089),
-    ),
-)
-def test_the_census_verdict_on_each_side_of_the_cap(kind, s, t, accepted):
-    assert not series._census_refused(kind, s, t, accepted)
-    assert series._census_refused(kind, s, t, accepted + 1)
-
-
-@pytest.mark.parametrize("kind", sorted(lattice.FAMILIES))
-def test_every_census_pays_for_its_columns(kind):
-    # 10**4 columns of work 30000 each reach the cap at limit 0
-    assert not series._census_refused(kind, 9999, 10**4, 0)
-    assert series._census_refused(kind, 9999, 10**4 + 1, 0)
 
 
 def test_psi_with_common_divisor_matches_enumeration():

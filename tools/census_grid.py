@@ -5,9 +5,9 @@
 For each cell (family, s', t', L) of a fixed grid, runs
 `lattice.census_by_size(family, s', t', L)` once in process and prints a CSV
 row: the family, s', t', L, whether the series builders take the census on
-(`series._census_refused` within `series._CENSUS_WORK_CAP`), and the seconds
-it took. The straight pairs run from near-square ones, where the trapped
-values bind, to lopsided ones with a small s', where the sets do. The
+(`lattice.check_census` passes it at `lattice.CENSUS_WORK_CAP`), and the
+seconds it took. The straight pairs run from near-square ones, where the
+trapped values bind, to lopsided ones with a small s', where the sets do. The
 self-conjugate and bar pairs run to L = 4000, the largest -N. Every family
 also has rows at L = 0 with t' near 10**4 and 10**5, where only its columns
 cost, and the straight family a row with a small s' past t' = 10**4. A cell
@@ -20,8 +20,7 @@ import csv
 import sys
 import time
 
-from stcores.lattice import census_by_size
-from stcores.series import _census_refused
+from stcores.lattice import CENSUS_WORK_CAP, census_by_size, check_census
 
 STRAIGHT_PAIRS = (
     (5, 7),
@@ -59,16 +58,25 @@ CELLS = (
 SKIP_ABOVE = 10**10
 
 
+def accepted(family: str, s: int, t: int, limit: int, cap: int = CENSUS_WORK_CAP) -> bool:
+    """Whether `check_census` passes the cell at ``cap``."""
+    try:
+        check_census(family, s, t, limit, cap)
+    except ValueError:
+        return False
+    return True
+
+
 def main() -> None:
     out = csv.writer(sys.stdout, lineterminator="\n")
     out.writerow(("family", "s", "t", "limit", "accepted", "seconds"))
     for family, s, t, limit in CELLS:
         seconds = ""
-        if not _census_refused(family, s, t, limit, SKIP_ABOVE):
+        if accepted(family, s, t, limit, SKIP_ABOVE):
             start = time.perf_counter()
             census_by_size(family, s, t, limit)
             seconds = f"{time.perf_counter() - start:.3f}"
-        out.writerow((family, s, t, limit, int(not _census_refused(family, s, t, limit)), seconds))
+        out.writerow((family, s, t, limit, int(accepted(family, s, t, limit)), seconds))
         sys.stdout.flush()
 
 
