@@ -50,8 +50,9 @@ PAIR_MAP_CAP = 3001
 # its work and memory grow with s*t. Anderson's s x t grid is the largest; the
 # diagonal-hooks and yin-yang grids have a quarter of its cells, so 2 *
 # GRID_CAP - 1 gives them as many. Measured cold on a 2-vCPU Xeon (Python
-# 3.11.7, three runs each): anderson at (1500,1501) 0.50-0.70 s and 117 MB peak RSS, dh at
-# (3000,3001) 0.63-0.68 s and yinyang at (2999,3001) 0.55-0.71 s, 118 MB.
+# 3.11.7, three runs each): anderson at (1500,1501) 0.50-0.70 s and 117 MB
+# peak RSS, dh at (3000,3001) 0.63-0.68 s and yinyang at (2999,3001)
+# 0.55-0.71 s, 118 MB.
 GRID_CAP = 1501
 
 # Largest -N that `series`, `scan` and `verify` accept. A series product is
