@@ -10,10 +10,21 @@ diagram, with the two residue classes {j, g-j} merged into one charged
 fermionic strip per component: the strip pass ``bar_abacus`` reads each strip
 as a beta-set of its component, ``from_bar_abacus`` builds the strips back,
 and the strip charges are the signed run lengths of the core.
+
+The core codecs are memoized here, at the tower layer: ``decompose`` and
+``bar_decompose`` read their core, and ``reconstruct`` and ``bar_reconstruct``
+its surpluses or charges, through private caches keyed on the core's tuple.
+Every partition is a (g-core, g-quotient) pair and g-cores are few: the
+37,184 straight towers of ``verify structure`` (every partition of size <= 25
+at g = 2..5) have 383 distinct cores, and its 2,712 bar towers 126. An entry
+is one core the process met, so the caches grow with the cores in use, not
+with the towers; a refusal is never cached. The public codecs in
+``encodings`` stay uncached, since their other callers pass distinct inputs.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import gcd
 
 from .bar_partitions import BarPartition, is_tbar_core
@@ -23,11 +34,12 @@ from .encodings import (
 from .partitions import (
     Frozen,
     Partition,
+    _beta_mask,
     check_divisor,
+    check_modulus,
     check_pair,
     common_divisor,
     conjugate,
-    is_t_core,
 )
 
 
@@ -53,7 +65,7 @@ class StraightTower(Frozen):
 
     @property
     def weight(self) -> int:
-        return sum(sum(q) for q in self.quotient)
+        return sum(map(sum, self.quotient))
 
 
 class BarTower(Frozen):
@@ -78,14 +90,42 @@ class BarTower(Frozen):
 
     @property
     def weight(self) -> int:
-        return sum(sum(q) for q in self.quotient)
+        return sum(map(sum, self.quotient))
+
+
+# The memoized core codecs (see the module docstring).
+_g_core = cache(gks_decode)
+_g_bar_core = cache(olsson_decode)
+
+
+@cache
+def _g_core_surplus(core: Partition, g: int) -> tuple[int, ...]:
+    try:
+        return gks_encode(core, g)
+    except ValueError:
+        raise ValueError("tower core is not a g-core") from None
+
+
+_g_bar_core_charges = cache(olsson_encode)
+
+
+def _memo(encode, core: Partition, g: int) -> tuple[int, ...]:
+    """``encode(core, g)`` through its cache, keyed on ``tuple(core)``.
+
+    Only plain ints share an entry: True == 1 and 2.0 == 2 hash alike, so
+    any other type goes past the cache to be read (and refused) afresh.
+    """
+    core = tuple(core)
+    if {type(g), *map(type, core)} <= {int}:
+        return encode(core, g)
+    return encode.__wrapped__(core, g)
 
 
 def decompose(p: Partition, g: int) -> StraightTower:
     """Split ``p`` into its g-core and g-quotient.
 
     One :func:`~stcores.encodings.abacus` pass reads the quotient off the
-    runners of the padded beta-set, and the g-core is the
+    runners of the padded beta-set, and the g-core is the memoized
     :func:`~stcores.encodings.gks_decode` of their surpluses.
 
     Args:
@@ -98,31 +138,33 @@ def decompose(p: Partition, g: int) -> StraightTower:
     """
     check_divisor(g)
     surplus, quotient = abacus(p, g)
-    return StraightTower(g=g, core=gks_decode(surplus), quotient=quotient)
+    return StraightTower(g=g, core=_g_core(surplus), quotient=quotient)
 
 
 def reconstruct(tower: StraightTower) -> Partition:
     """Rebuild the unique partition with the given g-core and g-quotient.
 
     Inverse of :func:`decompose`: :func:`~stcores.encodings.from_abacus`
-    places the beads, with the runner surpluses that
+    places the beads, with the runner surpluses that the memoized
     :func:`~stcores.encodings.gks_encode` reads off the core.
 
     Raises:
         ValueError: if the tower's core is not a g-core, or a quotient
             component is not a partition.
     """
-    try:
-        surplus = gks_encode(tower.core, tower.g)
-    except ValueError:
-        raise ValueError("tower core is not a g-core") from None
-    return from_abacus(surplus, tower.quotient)
+    return from_abacus(_memo(_g_core_surplus, tower.core, tower.g), tower.quotient)
 
 
 def is_st_core(p: Partition, s: int, t: int) -> bool:
     """True if ``p`` is simultaneously an s-core and a t-core."""
     check_pair(s, t)
-    return is_t_core(p, s) and is_t_core(p, t)
+    return _joint_core(p, s, t)
+
+
+def _joint_core(p: Partition, s: int, t: int) -> bool:
+    """True if ``p`` is an s-core and a t-core; one beta-set mask answers both."""
+    beta = _beta_mask(p)
+    return not ((beta >> s) | (beta >> t)) & ~beta
 
 
 def st_core_tower_check(tower: StraightTower, s: int, t: int) -> bool:
@@ -139,7 +181,9 @@ def st_core_tower_check(tower: StraightTower, s: int, t: int) -> bool:
     if gcd(s, t) != g:
         raise ValueError("gcd(s, t) must equal the tower's g")
     sp, tp = s // g, t // g
-    return all(is_t_core(q, sp) and is_t_core(q, tp) for q in tower.quotient)
+    check_modulus(sp)
+    check_modulus(tp)
+    return all(_joint_core(q, sp, tp) for q in tower.quotient)
 
 
 def selfconjugate_tower_check(tower: StraightTower) -> bool:
@@ -161,28 +205,29 @@ def bar_decompose(b: BarPartition, g: int) -> BarTower:
 
     One :func:`~stcores.encodings.bar_abacus` pass reads the quotient off the
     strips, component 0 a bar partition and the rest straight ones, and the
-    g-bar-core is the :func:`~stcores.encodings.olsson_decode` of their
-    charges.
+    g-bar-core is the memoized :func:`~stcores.encodings.olsson_decode` of
+    their charges.
 
     Raises:
         ValueError: unless g is odd and >= 3 and ``b`` is a bar partition.
     """
     check_divisor(g, odd=True)
     charges, quotient = bar_abacus(b, g)
-    return BarTower(g=g, core=olsson_decode(charges), quotient=quotient)
+    return BarTower(g=g, core=_g_bar_core(charges), quotient=quotient)
 
 
 def bar_reconstruct(tower: BarTower) -> BarPartition:
     """Rebuild the bar partition with the given g-bar-core and quotient.
 
     Inverse of :func:`bar_decompose`: :func:`~stcores.encodings.from_bar_abacus`
-    builds the strips, with the charges that ``olsson_encode`` reads off the core.
+    builds the strips, with the charges that the memoized ``olsson_encode``
+    reads off the core.
 
     Raises:
         ValueError: if the core is not a g-bar-core, component 0 is not a
             bar partition, or another component is not a partition.
     """
-    return from_bar_abacus(olsson_encode(tower.core, tower.g), tower.quotient)
+    return from_bar_abacus(_memo(_g_bar_core_charges, tower.core, tower.g), tower.quotient)
 
 
 def is_stbar_core(b: BarPartition, s: int, t: int) -> bool:
@@ -203,4 +248,4 @@ def is_stbar_core_by_quotient(b: BarPartition, s: int, t: int) -> bool:
     _, quotient = bar_abacus(b, g)
     if not (is_tbar_core(quotient[0], sp) and is_tbar_core(quotient[0], tp)):
         return False
-    return all(is_t_core(lam, sp) and is_t_core(lam, tp) for lam in quotient[1:])
+    return all(_joint_core(lam, sp, tp) for lam in quotient[1:])

@@ -118,9 +118,22 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 def is_partition(parts: tuple[int, ...]) -> bool:
     """True if ``parts`` is already a canonical partition tuple; like as_partition, refuses bools."""
-    return all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in parts) and all(
-        map(int.__ge__, parts, parts[1:])
-    )
+    previous = parts[0] if parts else 0
+    for x in parts:
+        if type(x) is not int and _not_int(x) or not 0 < x <= previous:
+            return False
+        previous = x
+    return True
+
+
+def _not_int(x: object) -> bool:
+    """True unless ``x`` reads as an int part: an int subclass does, a bool or a float does not.
+
+    The slow half of the part test ``type(x) is not int and _not_int(x)``,
+    which the readers of a partition make inside their pass over the parts:
+    a plain int costs one identity test, any other type this call.
+    """
+    return isinstance(x, bool) or not isinstance(x, int)
 
 
 def size(p: Partition) -> int:
@@ -255,11 +268,29 @@ def is_t_core(p: Partition, t: int) -> bool:
     Args:
         p: a partition.
         t: integer >= 1.
+
+    Raises:
+        ValueError: if t < 1 or ``p`` is not a partition.
     """
     check_modulus(t)
+    beta = _beta_mask(p)
+    return not (beta >> t) & ~beta
+
+
+def _beta_mask(p: Partition) -> int:
+    """The beta-set of ``p`` as an int bitmask, one bit per row.
+
+    One mask answers the t-core test for any number of moduli. A ``p`` that
+    is not a partition raises ValueError at its first part out of place, by
+    the test of :func:`is_partition`.
+    """
     k = len(p)
     beta = 0
+    previous = p[0] if p else 0
     for part in p:
+        if type(part) is not int and _not_int(part) or not 0 < part <= previous:
+            raise ValueError("input is not a partition")
+        previous = part
         k -= 1
         beta |= 1 << (part + k)
-    return not (beta >> t) & ~beta
+    return beta

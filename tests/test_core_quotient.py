@@ -5,6 +5,7 @@ from math import gcd
 from hypothesis import given, strategies as st
 import pytest
 
+from stcores import core_quotient
 from stcores.bar_partitions import bar_length_multiset, enumerate_bar_partitions, is_tbar_core
 from stcores.core_quotient import (
     BarTower,
@@ -19,7 +20,7 @@ from stcores.core_quotient import (
     selfconjugate_tower_check,
     st_core_tower_check,
 )
-from stcores.oracle import enumerate_partitions
+from stcores.oracle import barcore_counts, core_counts, enumerate_partitions
 from stcores.partitions import hook_length_multiset, is_self_conjugate, is_t_core, size
 
 
@@ -244,3 +245,63 @@ def test_quotient_components_cover_all_sizes():
     for b in itertools.islice(enumerate_bar_partitions(12), 20):
         tower = bar_decompose(b, 3)
         assert tower.weight == sum(sum(c) for c in tower.quotient)
+
+
+CODEC_MEMOS = ("_g_core", "_g_core_surplus", "_g_bar_core", "_g_bar_core_charges")
+
+
+def memo_sizes():
+    return [getattr(core_quotient, name).cache_info().currsize for name in CODEC_MEMOS]
+
+
+def test_the_codec_memos_hold_exactly_the_cores_the_towers_meet():
+    for name in CODEC_MEMOS:
+        getattr(core_quotient, name).cache_clear()
+    partitions = [p for n in range(21) for p in enumerate_partitions(n)]
+    towers = [decompose(p, 3) for p in partitions]
+    cores = sum(core_counts(3, 20).counts)
+    assert cores == 25
+    assert memo_sizes() == [cores, 0, 0, 0]
+    bars = [b for n in range(21) for b in enumerate_bar_partitions(n)]
+    bar_towers = [bar_decompose(b, 5) for b in bars]
+    bar_cores = sum(barcore_counts(5, 20).counts)
+    assert bar_cores == 25
+    assert memo_sizes() == [cores, 0, bar_cores, 0]
+    assert [reconstruct(tower) for tower in towers] == partitions
+    assert [bar_reconstruct(tower) for tower in bar_towers] == bars
+    assert memo_sizes() == [cores, cores, bar_cores, bar_cores]
+
+
+# (1,) is a 2-core and a 3-bar-core and (2,) a 3-core, so True and 2.0, which
+# equal and hash like 1 and 2, would find their entries in a memo keyed on
+# the values alone
+@pytest.mark.parametrize(
+    "valid, tower, message",
+    (
+        ((1,), StraightTower(g=2, core=(True,), quotient=((), ())), "^tower core is not a g-core$"),
+        ((2,), StraightTower(g=3, core=(2.0,), quotient=((), (), ())), "^tower core is not a g-core$"),
+        ((2,), StraightTower(g=3, core=(3,), quotient=((), (), ())), "^tower core is not a g-core$"),
+        ((2,), StraightTower(g=3, core=(2,), quotient=((), (1, 2), ())), "^component 1 is not a partition$"),
+        ((1,), BarTower(g=3, core=(True,), quotient=((), ())), "^input is not a bar partition$"),
+        ((1,), BarTower(g=3, core=(3,), quotient=((), ())), "^input is not a t-bar-core$"),
+        ((1,), BarTower(g=3, core=(1,), quotient=((1, 1), ())), "^component 0 must have distinct parts$"),
+    ),
+)
+def test_a_refusal_is_repeated_through_the_memo(valid, tower, message):
+    rebuild = reconstruct if isinstance(tower, StraightTower) else bar_reconstruct
+    empty = tower.__class__(g=tower.g, core=valid, quotient=((),) * len(tower.quotient))
+    rebuild(empty)
+    sizes = memo_sizes()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            rebuild(tower)
+    assert memo_sizes() == sizes
+
+
+def test_a_tower_with_a_list_core_still_reconstructs():
+    assert reconstruct(StraightTower(g=3, core=[2], quotient=((1,), (), ()))) == reconstruct(
+        StraightTower(g=3, core=(2,), quotient=((1,), (), ()))
+    )
+    assert bar_reconstruct(BarTower(g=3, core=[4, 1], quotient=((1,), ()))) == bar_reconstruct(
+        BarTower(g=3, core=(4, 1), quotient=((1,), ()))
+    )

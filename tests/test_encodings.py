@@ -4,7 +4,15 @@ from hypothesis import given, strategies as st
 import pytest
 
 from stcores.bar_partitions import enumerate_bar_partitions, is_tbar_core
-from stcores.core_quotient import BarTower, bar_reconstruct, decompose, is_stbar_core
+from stcores.core_quotient import (
+    BarTower,
+    StraightTower,
+    bar_reconstruct,
+    decompose,
+    is_st_core,
+    is_stbar_core,
+    st_core_tower_check,
+)
 from stcores.encodings import (
     abacus,
     conjugate_tuple,
@@ -24,6 +32,7 @@ from stcores.partitions import (
     conjugate,
     diagonal_hooks,
     from_first_column_hooks,
+    is_partition,
     is_self_conjugate,
     is_t_core,
 )
@@ -232,6 +241,40 @@ def test_the_bead_pass_and_the_bar_predicates_refuse_a_part_out_of_place(reader,
     read, shape = SHAPE_READERS[reader]
     with pytest.raises(ValueError, match=f"^input is not a {shape}$"):
         read(parts)
+
+
+class Part(int):
+    """An int subclass, which every straight reader takes for the int it is."""
+
+
+# Every straight reader refuses what is_partition refuses: a part out of
+# order, a part below 1, and a part that is not an int (a bool, a float).
+STRAIGHT_READERS = {
+    "abacus": (lambda p: abacus(p, 3), "input"),
+    "from_abacus": (lambda p: from_abacus((1, 0, -1), ((), p, ())), "component 1"),
+    "is_t_core": (lambda p: is_t_core(p, 3), "input"),
+    "is_st_core": (lambda p: is_st_core(p, 3, 5), "input"),
+    "st_core_tower_check": (
+        lambda p: st_core_tower_check(StraightTower(g=3, core=(), quotient=((), p, ())), 6, 9),
+        "input",
+    ),
+}
+
+
+@pytest.mark.parametrize("parts", ((1, 2), (2, 0), (3, -1), (True,), (2.0,)))
+@pytest.mark.parametrize("reader", STRAIGHT_READERS)
+def test_the_straight_readers_refuse_what_is_partition_refuses(reader, parts):
+    read, subject = STRAIGHT_READERS[reader]
+    assert is_partition(parts) is False
+    with pytest.raises(ValueError, match=f"^{subject} is not a partition$"):
+        read(parts)
+
+
+@pytest.mark.parametrize("reader", STRAIGHT_READERS)
+def test_the_straight_readers_take_an_int_subclass_for_its_int(reader):
+    read, _ = STRAIGHT_READERS[reader]
+    assert is_partition((Part(4), 2, Part(2))) is True
+    assert read((Part(4), 2, Part(2))) == read((4, 2, 2))
 
 
 def test_the_core_and_the_pair_are_checked_before_the_shape():

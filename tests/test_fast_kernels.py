@@ -2,20 +2,23 @@
 
 The reference functions below are the earlier implementations, kept verbatim
 apart from their names: a frozenset beta-set for the t-core test, a checked
-decode loop, a nested hook loop, and towers that spread the whole padded
-beta-set over re-sorted runners.
+decode loop, a nested hook loop, towers that spread the whole padded
+beta-set over re-sorted runners, a per-part isinstance test of partition
+shape, and a bead builder that decodes through the checked beta-set decoder.
 """
 
+from hypothesis import given, strategies as st
 import pytest
 
 from stcores.core_quotient import StraightTower, decompose, reconstruct
-from stcores.encodings import abacus
+from stcores.encodings import abacus, from_abacus
 from stcores.oracle import enumerate_partitions
 from stcores.partitions import (
     conjugate,
     first_column_hooks,
     from_first_column_hooks,
     hook_length_multiset,
+    is_partition,
     is_t_core,
 )
 
@@ -103,6 +106,29 @@ def reference_reconstruct(tower):
     return reference_from_first_column_hooks(beta)
 
 
+def reference_is_partition(parts):
+    return all(isinstance(p, int) and not isinstance(p, bool) and p >= 1 for p in parts) and all(
+        map(int.__ge__, parts, parts[1:])
+    )
+
+
+def reference_from_abacus(surplus, quotient):
+    g = len(surplus)
+    level = max(map(len, quotient)) - min(surplus)
+    beta = []
+    for residue, (a, q) in enumerate(zip(surplus, quotient)):
+        if q and not reference_is_partition(q):
+            raise ValueError(f"component {residue} is not a partition")
+        top = residue + g * (level + a - 1)
+        beta += [top + g * (x - i) for i, x in enumerate(q)]
+        beta += range(top - g * len(q), residue - 1, -g)
+    return from_first_column_hooks(beta)
+
+
+class Part(int):
+    """An int subclass, read as the int it is."""
+
+
 SMALL = [p for n in range(21) for p in enumerate_partitions(n)]
 MODULI = range(2, 8)
 
@@ -185,3 +211,36 @@ def test_reconstruct_refuses_the_same_cores(g, core):
     tower = StraightTower(g=g, core=core, quotient=((1,),) + ((),) * (g - 1))
     got = _errors(reconstruct, tower)
     assert got == _errors(reference_reconstruct, tower) == ("error", "tower core is not a g-core")
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+def test_from_abacus_matches_the_checked_decode_of_its_beads(g):
+    cases = 0
+    for n in range(26):
+        for p in enumerate_partitions(n):
+            surplus, quotient = abacus(p, g)
+            assert from_abacus(surplus, quotient) == reference_from_abacus(surplus, quotient) == p
+            cases += 1
+    assert cases == 9296
+
+
+# parts of every type the readers meet: ints in and out of range, bools,
+# floats equal to an int, and an int subclass
+parts = st.one_of(
+    st.integers(min_value=-1, max_value=4),
+    st.booleans(),
+    st.sampled_from((1.0, 2.0)),
+    st.integers(min_value=1, max_value=4).map(Part),
+)
+
+
+@given(st.lists(parts, max_size=5), st.booleans())
+def test_is_partition_matches_the_per_part_test(xs, as_tuple):
+    seq = tuple(xs) if as_tuple else xs
+    assert is_partition(seq) is reference_is_partition(seq)
+
+
+@given(st.lists(parts, max_size=5))
+def test_from_abacus_refuses_the_components_the_per_part_test_refuses(xs):
+    quotient = ((), tuple(xs), ())
+    assert _errors(from_abacus, (1, 0, -1), quotient) == _errors(reference_from_abacus, (1, 0, -1), quotient)
