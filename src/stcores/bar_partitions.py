@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .partitions import as_partition, check_modulus, is_partition
+from .partitions import _not_int, as_partition, check_modulus, is_partition
 
 BarPartition = tuple[int, ...]
 
@@ -37,15 +37,17 @@ def bar_length_multiset(b: BarPartition) -> tuple[int, ...]:
     """All bar lengths, sorted decreasing; cardinality equals the size.
 
     Row i contributes the sums b[i] + b[j] for j > i together with
-    {1..b[i]} minus the differences b[i] - b[j] for j > i.
+    {1..b[i]} minus the differences b[i] - b[j] for j > i. Read from the last
+    row up, so a part out of place raises ValueError before a row reads it.
     """
-    k = len(b)
-    bars = []
-    for i in range(k):
-        lower = b[i + 1 :]
-        gaps = {b[i] - x for x in lower}
-        bars.extend(b[i] + x for x in lower)
-        bars.extend(v for v in range(1, b[i] + 1) if v not in gaps)
+    bars, lower = [], []
+    for x in reversed(b):
+        if type(x) is not int and _not_int(x) or x <= (lower[-1] if lower else 0):
+            raise ValueError("input is not a bar partition")
+        gaps = {x - y for y in lower}
+        bars.extend(x + y for y in lower)
+        bars.extend(v for v in range(1, x + 1) if v not in gaps)
+        lower.append(x)
     return tuple(sorted(bars, reverse=True))
 
 
@@ -80,9 +82,11 @@ def is_tbar_core(b: BarPartition, t: int) -> bool:
     check_modulus(t, odd=True)
     parts = set(b)
     core = True
-    for i, x in enumerate(b):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1 or i and x >= b[i - 1]:
+    low = 0
+    for x in reversed(b):
+        if type(x) is not int and _not_int(x) or x <= low:
             raise ValueError("input is not a bar partition")
+        low = x
         if 0 < t - x < x and t - x in parts or x >= t and x - t not in parts:
             core = False
     return core

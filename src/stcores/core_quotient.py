@@ -8,8 +8,8 @@ only each runner's bead count, so it goes through the runner-surplus codec
 (``gks_decode``/``gks_encode``). A bar tower uses paired runners on a Maya
 diagram, with the two residue classes {j, g-j} merged into one charged
 fermionic strip per component: the strip pass ``bar_abacus`` reads each strip
-as a beta-set of its component, ``from_bar_abacus`` builds the strips back,
-and the strip charges are the signed run lengths of the core.
+as ``abacus`` reads a runner, ``from_bar_abacus`` builds the strips back, and
+the strip charges are the signed run lengths of the core.
 
 The core codecs are memoized here, at the tower layer: ``decompose`` and
 ``bar_decompose`` read their core, and ``reconstruct`` and ``bar_reconstruct``
@@ -46,8 +46,9 @@ from .partitions import (
 class StraightTower(Frozen):
     """A partition split into its g-core and g-quotient.
 
-    Invariants: the core is a g-core, weight is the total quotient size, and
-    the reconstructed partition has size core.size + g * weight.
+    Invariants: the core is a g-core (checked by ``reconstruct``, not here),
+    weight is the total quotient size, and the reconstructed partition has
+    size core.size + g * weight.
     """
 
     __slots__ = ("g", "core", "quotient")

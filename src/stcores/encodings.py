@@ -19,12 +19,13 @@ other caller passes distinct inputs, and a cache here would only grow.
 
 from __future__ import annotations
 
+from math import inf
+
 from .bar_partitions import BarPartition, is_bar_partition
 from .partitions import (
     Partition,
     _not_int,
     check_modulus,
-    from_first_column_hooks,
     is_partition,
     is_self_conjugate,
 )
@@ -127,19 +128,7 @@ def gks_decode(entries: CoreTuple) -> Partition:
         raise ValueError("tuple must be nonempty")
     if sum(entries) != 0:
         raise ValueError("entries must sum to zero")
-    # Runner i holds a bead at each level below a_i. Only the levels from the
-    # emptiest runner's up are read, since the full block below decodes to
-    # parts 0. A bead's part is the number of empty positions below it.
-    core: list[int] = []
-    gaps = 0
-    for level in range(min(entries), max(entries)):
-        for a in entries:
-            if level < a:
-                if gaps:
-                    core.append(gaps)
-            else:
-                gaps += 1
-    return tuple(core[::-1])
+    return from_abacus(entries, ((),) * t)
 
 
 def is_selfconjugate_tuple(entries: CoreTuple) -> bool:
@@ -168,10 +157,7 @@ def diagonal_hooks_from_tuple(entries: CoreTuple) -> tuple[int, ...]:
     if not is_selfconjugate_tuple(entries):
         raise ValueError("tuple does not encode a self-conjugate core")
     t = len(entries)
-    diag = []
-    for i, a in enumerate(entries):
-        if a > 0:
-            diag.extend(2 * (i + ell * t) + 1 for ell in range(a))
+    diag = [2 * (i + ell * t) + 1 for i, a in enumerate(entries) for ell in range(a)]
     return tuple(sorted(diag, reverse=True))
 
 
@@ -182,15 +168,17 @@ def bar_abacus(b: BarPartition, g: int) -> tuple[BarTuple, tuple[tuple[int, ...]
     1 <= j <= (g-1)/2 the residue classes {j, g-j} form one Maya strip: a
     part j + q*g puts a bead at position q >= 0, a part (g-j) + m*g leaves a
     hole at position -1-m, and every other negative position holds a bead.
-    Shifted up by one more than its deepest hole, the strip's beads are a
-    beta-set of component j. Its charge is its beads at nonnegative positions
-    less its holes. The caller checks that g is odd; a ``b`` that is not a
-    bar partition raises ValueError at its first part out of place.
+    As :func:`abacus` reads a runner, each bead reads as a part of component
+    j, the number of holes below it. Its charge is its beads at nonnegative
+    positions less its holes. The caller checks that g is odd; a ``b`` that
+    is not a bar partition raises ValueError at its first part out of place.
     """
     classes: dict[int, list[int]] = {}
-    for i, x in enumerate(b):
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1 or i and x >= b[i - 1]:
+    previous = inf
+    for x in b:
+        if type(x) is not int and _not_int(x) or not 0 < x < previous:
             raise ValueError("input is not a bar partition")
+        previous = x
         q, r = divmod(x, g)
         classes.setdefault(r, []).append(q)
     charges = [0] * (g // 2)
@@ -198,11 +186,14 @@ def bar_abacus(b: BarPartition, g: int) -> tuple[BarTuple, tuple[tuple[int, ...]
     # only the strips that hold a part are read; at a large g most are empty
     for j in {min(r, g - r) for r in classes if r}:
         beads, holes = classes.get(j, []), classes.get(g - j, [])
-        # the parts decrease, so the deepest hole comes first
-        shift = holes[0] + 1 if holes else 0
-        beta = [q + shift for q in beads]
-        beta += [shift - 1 - m for m in set(range(shift)).difference(holes)]
-        quotient[j] = from_first_column_hooks(beta)
+        # a bead at q >= 0 with i beads under it reads every hole and q - i
+        lam = [x for i, q in enumerate(beads, len(holes) + 1 - len(beads)) if (x := q + i)]
+        # holes come deepest first; beads between the n-th hole up and the next read n
+        depth = 0
+        for n, m in zip(range(len(holes), 0, -1), reversed(holes)):
+            lam += [n] * (m - depth)
+            depth = m + 1
+        quotient[j] = tuple(lam)
         charges[j - 1] = len(beads) - len(holes)
     return tuple(charges), tuple(quotient)
 

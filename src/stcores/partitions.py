@@ -130,7 +130,7 @@ def _not_int(x: object) -> bool:
     """True unless ``x`` reads as an int part: an int subclass does, a bool or a float does not.
 
     The slow half of the part test ``type(x) is not int and _not_int(x)``,
-    which the readers of a partition make inside their pass over the parts:
+    which the readers of a partition or a bar partition make in their pass:
     a plain int costs one identity test, any other type this call.
     """
     return isinstance(x, bool) or not isinstance(x, int)

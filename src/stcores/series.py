@@ -226,7 +226,10 @@ def _census_polynomials(*censuses: tuple[str, int, int, int, int, int]) -> list[
     row with e = 0 is 1: its census neither runs nor is judged. Every other
     census is judged by :func:`stcores.lattice.check_census` before any runs,
     in row order, so the first whose work passes the cap raises ValueError.
+    A negative truncation in any row is refused before either.
     """
+    if any(row[3] < 0 for row in censuses):
+        raise ValueError("truncation must be nonnegative")
     for kind, s, t, truncation, g, e in censuses:
         if e:
             check_census(kind, s, t, truncation // g)

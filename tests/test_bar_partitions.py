@@ -55,6 +55,15 @@ def test_is_bar_partition(parts, ok):
 
 def test_worked_bar_length_multiset():
     assert bar_length_multiset((5, 3, 1)) == (8, 6, 5, 4, 3, 3, 1, 1, 1)
+    assert bar_length_multiset(()) == ()
+
+
+@pytest.mark.parametrize("b", ((1, 1), (4, 4, 1), (1, 4), (2, 0), (3, -1), (True,), (2.0,), ("a",), (3, None)))
+def test_bar_length_multiset_refuses_input_that_is_not_a_bar_partition(b):
+    # each part is tested before a row above subtracts it, so (3, None)
+    # is refused as the others are, not by a TypeError
+    with pytest.raises(ValueError, match="^input is not a bar partition$"):
+        bar_length_multiset(b)
 
 
 @given(bar_partitions)

@@ -3,21 +3,25 @@ from itertools import product
 from hypothesis import given, strategies as st
 import pytest
 
-from stcores.bar_partitions import enumerate_bar_partitions, is_tbar_core
+from stcores.bar_partitions import bar_length_multiset, enumerate_bar_partitions, is_tbar_core
 from stcores.core_quotient import (
     BarTower,
     StraightTower,
+    bar_decompose,
     bar_reconstruct,
     decompose,
     is_st_core,
     is_stbar_core,
+    is_stbar_core_by_quotient,
     st_core_tower_check,
 )
 from stcores.encodings import (
     abacus,
+    bar_abacus,
     conjugate_tuple,
     diagonal_hooks_from_tuple,
     from_abacus,
+    from_bar_abacus,
     gks_decode,
     gks_encode,
     is_selfconjugate_tuple,
@@ -104,6 +108,43 @@ def test_gks_decode_agrees_with_the_beta_set_decoder(t):
     assert len(tuples) == {1: 1, 2: 7, 3: 37, 4: 231, 5: 1451}[t]
     for entries in tuples:
         assert gks_decode(entries) == beta_set_gks_decode(entries)
+
+
+def _level_walk_gks_decode(entries):
+    # The decoder that gks_decode replaced by from_abacus on an empty
+    # quotient: walk the levels from the emptiest runner's up, and read each
+    # bead as the number of empty positions below it.
+    t = len(entries)
+    if t < 1:
+        raise ValueError("tuple must be nonempty")
+    if sum(entries) != 0:
+        raise ValueError("entries must sum to zero")
+    core = []
+    gaps = 0
+    for level in range(min(entries), max(entries)):
+        for a in entries:
+            if level < a:
+                if gaps:
+                    core.append(gaps)
+            else:
+                gaps += 1
+    return tuple(core[::-1])
+
+
+def test_gks_decode_matches_the_level_walk():
+    # every tuple of t <= 6 entries in -3..3, refusals included
+    cases = 0
+    for t in range(7):
+        for entries in product(range(-3, 4), repeat=t):
+            try:
+                want = _level_walk_gks_decode(entries)
+            except ValueError as refusal:
+                with pytest.raises(ValueError, match=f"^{refusal}$"):
+                    gks_decode(entries)
+            else:
+                assert gks_decode(entries) == want
+            cases += 1
+    assert cases == sum(7**t for t in range(7))
 
 
 @pytest.mark.parametrize("t", (2, 3, 4, 5))
@@ -199,48 +240,101 @@ def test_the_strip_codec_matches_the_run_length_codec():
             assert olsson_decode(entries) == _run_length_decode(entries)
 
 
+# Every reader of a bar partition, one refusal table. (1, 1), (4, 4, 1) and
+# (9, 9) repeat a part; (1, 4) increases; (True,), (2.0,), ("a",) and (None,)
+# hold no int part, and (3, -1) and (2, 0) end below 1. (9, 9) is no
+# (9-bar, 15-bar)-core either, and the bar partition check comes first.
+def _beta_set_bar_abacus(b, g):
+    # The strip reader that bar_abacus replaced: shift each strip up by one
+    # more than its deepest hole, fill the negative positions that hold no
+    # hole with beads, and decode the beta-set.
+    classes = {}
+    for x in b:
+        q, r = divmod(x, g)
+        classes.setdefault(r, []).append(q)
+    charges = [0] * (g // 2)
+    quotient = [tuple(classes.get(0, ()))] + [()] * (g // 2)
+    for j in {min(r, g - r) for r in classes if r}:
+        beads, holes = classes.get(j, []), classes.get(g - j, [])
+        shift = holes[0] + 1 if holes else 0
+        beta = [q + shift for q in beads]
+        beta += [shift - 1 - m for m in set(range(shift)).difference(holes)]
+        quotient[j] = from_first_column_hooks(beta)
+        charges[j - 1] = len(beads) - len(holes)
+    return tuple(charges), tuple(quotient)
+
+
+def test_bar_abacus_reads_each_strip_as_the_beta_set_decoder_does():
+    # every bar partition of size <= 30 at every odd g in 3..11
+    cases = 0
+    for n in range(31):
+        for b in enumerate_bar_partitions(n):
+            for g in range(3, 12, 2):
+                assert bar_abacus(b, g) == _beta_set_bar_abacus(b, g)
+                cases += 1
+    assert cases == 5 * 2035
+    assert from_bar_abacus(*bar_abacus((23, 13, 12, 7, 3), 5)) == (23, 13, 12, 7, 3)
+
+
+@pytest.mark.parametrize(
+    "b, read",
+    (
+        # 7 = 2 + 5: beads at 0 and 1 of strip 2 at g = 5, and no hole
+        ((7, 2), ((0, 2), ((), (), ()))),
+        ((7,), ((0, 1), ((), (), (1,)))),
+        # 8 = 3 + 5 and 3: holes at -2 and -1, and no bead at q >= 0
+        ((8, 3), ((0, -2), ((), (), ()))),
+        ((8,), ((0, -1), ((), (), (1,)))),
+        # 13 = 3 + 2*5 and 3: holes at -3 and -1; 7 = 2 + 5: a bead at 1
+        ((13, 7, 3), ((0, -1), ((), (), (3, 1)))),
+        # 8 = 3 + 5 and 2: a hole at -2 and a bead at 0
+        ((8, 2), ((0, 0), ((), (), (1, 1)))),
+    ),
+)
+def test_bar_abacus_reads_a_strip_of_beads_of_holes_and_of_both(b, read):
+    assert bar_abacus(b, 5) == read
+    assert from_bar_abacus(*read) == b
+
+
 BAR_READERS = {
+    "is_tbar_core": lambda b: is_tbar_core(b, 3),
+    "is_stbar_core": lambda b: is_stbar_core(b, 3, 5),
+    "is_stbar_core_by_quotient": lambda b: is_stbar_core_by_quotient(b, 9, 15),
+    "bar_abacus": lambda b: bar_abacus(b, 3),
     "olsson_encode": lambda b: olsson_encode(b, 3),
+    "bar_decompose": lambda b: bar_decompose(b, 3),
     "zeta_inverse": lambda b: zeta_inverse(b, 3),
+    "bar_length_multiset": bar_length_multiset,
     "bar_reconstruct": lambda b: bar_reconstruct(BarTower(g=3, core=b, quotient=((), ()))),
+    "core_to_path": lambda b: core_to_path("bar", b, 3, 5),
     "gamma_inverse": lambda b: gamma_inverse(b, 3, 5),
     "big_gamma_inverse": lambda b: big_gamma_inverse(b, 9, 15),
 }
 
 
 @pytest.mark.parametrize("reader", BAR_READERS)
-@pytest.mark.parametrize("b", ((1, 1), (4, 4, 1), (1, 4), (9, 9), (True,), (3, -1), (2, 0)))
+@pytest.mark.parametrize(
+    "b", ((1, 1), (4, 4, 1), (1, 4), (9, 9), (True,), (3, -1), (2, 0), (2.0,), ("a",), (None,))
+)
 def test_bar_core_readers_refuse_input_that_is_not_a_bar_partition(reader, b):
-    # (1, 1), (4, 4, 1) and (9, 9) repeat a part; (1, 4) increases; (True,)
-    # is no integer part, and (3, -1) and (2, 0) end below 1. (9, 9) is no
-    # (9-bar, 15-bar)-core either, and the bar partition check comes first.
     with pytest.raises(ValueError, match="^input is not a bar partition$"):
         BAR_READERS[reader](b)
 
 
-# The straight bead pass and the bar predicates read each part as they go
-# and refuse the first one out of place. (1, 1) and (4, 4, 1) are partitions,
-# so only the bar readers refuse them.
+# The straight bead pass reads each part as it goes and refuses the first
+# one out of place.
 SHAPE_READERS = {
-    "abacus": (lambda p: abacus(p, 3), "partition"),
-    "decompose": (lambda p: decompose(p, 2), "partition"),
-    "gks_encode": (lambda p: gks_encode(p, 3), "partition"),
-    "is_tbar_core": (lambda b: is_tbar_core(b, 3), "bar partition"),
-    "is_stbar_core": (lambda b: is_stbar_core(b, 3, 5), "bar partition"),
-    "core_to_path": (lambda b: core_to_path("bar", b, 3, 5), "bar partition"),
+    "abacus": lambda p: abacus(p, 3),
+    "decompose": lambda p: decompose(p, 2),
+    "gks_encode": lambda p: gks_encode(p, 3),
 }
-SHAPE_REFUSALS = [
-    (reader, parts)
-    for reader, (_, shape) in SHAPE_READERS.items()
-    for parts in ((1, 2), (2, 0), (3, -1), (True,)) + ((1, 1), (4, 4, 1)) * (shape == "bar partition")
-]
 
 
-@pytest.mark.parametrize("reader, parts", SHAPE_REFUSALS)
-def test_the_bead_pass_and_the_bar_predicates_refuse_a_part_out_of_place(reader, parts):
-    read, shape = SHAPE_READERS[reader]
-    with pytest.raises(ValueError, match=f"^input is not a {shape}$"):
-        read(parts)
+@pytest.mark.parametrize("parts", ((1, 2), (2, 0), (3, -1), (True,)))
+@pytest.mark.parametrize("reader", SHAPE_READERS)
+def test_the_bead_pass_refuses_a_part_out_of_place(reader, parts):
+    with pytest.raises(ValueError, match="^input is not a partition$"):
+        SHAPE_READERS[reader](parts)
 
 
 class Part(int):

@@ -108,6 +108,30 @@ def test_series_refuse_what_they_cannot_represent():
         TruncatedSeries([1, 1], 3).substitute_power(0)
 
 
+JOINT_BUILDERS = {
+    "psi_st_gf": (psi_st_gf, 6, 9),
+    "psi_st_gf coprime": (psi_st_gf, 3, 5),
+    "psi_star_st_gf": (psi_star_st_gf, 6, 9),
+    "psi_bar_st_gf": (psi_bar_st_gf, 9, 15),
+    "convolution_psi": (convolution_psi, 6, 9),
+    "convolution_psi_star": (convolution_psi_star, 6, 9),
+    "convolution_psi_bar": (convolution_psi_bar, 9, 15),
+}
+
+
+@pytest.mark.parametrize("builder", JOINT_BUILDERS)
+@pytest.mark.parametrize("truncation", (-1, -20))
+def test_joint_builders_refuse_a_negative_truncation_before_any_census(builder, truncation, monkeypatch):
+    build, s, t = JOINT_BUILDERS[builder]
+    seen = []
+    monkeypatch.setattr(series, "check_census", lambda *row: seen.append(row))
+    monkeypatch.setattr(series, "_census", lambda *row: seen.append(row) or (1,))
+    with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+        build(s, t, truncation)
+    assert seen == []
+    assert build(s, t, 0) == TruncatedSeries.one(0)
+
+
 def _plus(a, b):
     """Coefficient-wise sum of two series of one truncation."""
     return TruncatedSeries(map(int.__add__, a.coeffs, b.coeffs))
