@@ -240,10 +240,6 @@ def test_the_strip_codec_matches_the_run_length_codec():
             assert olsson_decode(entries) == _run_length_decode(entries)
 
 
-# Every reader of a bar partition, one refusal table. (1, 1), (4, 4, 1) and
-# (9, 9) repeat a part; (1, 4) increases; (True,), (2.0,), ("a",) and (None,)
-# hold no int part, and (3, -1) and (2, 0) end below 1. (9, 9) is no
-# (9-bar, 15-bar)-core either, and the bar partition check comes first.
 def _beta_set_bar_abacus(b, g):
     # The strip reader that bar_abacus replaced: shift each strip up by one
     # more than its deepest hole, fill the negative positions that hold no
@@ -296,6 +292,10 @@ def test_bar_abacus_reads_a_strip_of_beads_of_holes_and_of_both(b, read):
     assert from_bar_abacus(*read) == b
 
 
+# Every reader of a bar partition, one refusal table. (1, 1), (4, 4, 1) and
+# (9, 9) repeat a part; (1, 4) increases; (True,), (2.0,), ("a",) and (None,)
+# hold no int part, and (3, -1) and (2, 0) end below 1. (9, 9) is no
+# (9-bar, 15-bar)-core either, and the bar partition check comes first.
 BAR_READERS = {
     "is_tbar_core": lambda b: is_tbar_core(b, 3),
     "is_stbar_core": lambda b: is_stbar_core(b, 3, 5),
