@@ -80,7 +80,8 @@ def is_tbar_core(b: BarPartition, t: int) -> bool:
             bar partition; every part is read, even past a bar of length t.
     """
     check_modulus(t, odd=True)
-    parts = set(b)
+    # read bottom up: t - x and x - t lie below x, so ``parts`` already holds them
+    parts = set()
     core = True
     low = 0
     for x in reversed(b):
@@ -89,6 +90,7 @@ def is_tbar_core(b: BarPartition, t: int) -> bool:
         low = x
         if 0 < t - x < x and t - x in parts or x >= t and x - t not in parts:
             core = False
+        parts.add(x)
     return core
 
 

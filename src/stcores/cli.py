@@ -28,23 +28,17 @@ from .series import TruncatedSeries
 # runs each): straight 3.6-4.7 s, selfconj 0.9-1.0 s, bar 1.9-2.3 s.
 COUNT_CAPS = {"straight": 60, "selfconj": 180, "bar": 100}
 
-# Largest -t that `bijection --map zeta` and `zeta-inverse` accept: their work
-# is linear in t even for the empty partition (a t-tuple of runner surpluses,
-# (t-1)/2 residue classes). Measured cold at the cap with the empty partition
-# on a 2-vCPU Xeon (Python 3.11.7, three runs each): zeta 0.6-1.0 s,
-# zeta-inverse 1.3-1.8 s, under 40 MB peak RSS.
-ZETA_T_CAP = 1_000_001
-
-# Largest -s and -t that the pair maps (gamma, big-gamma and their inverses)
-# accept. gamma reads its two grids as ranges, only where the path runs, so its
-# work grows with s + t and the sizes of its input and output, not with s*t;
-# big-gamma reaches gamma only at s/g and t/g. The cap keeps the value that
-# bounded full grids of cells. Measured cold on a 2-vCPU Xeon (Python 3.11.7,
-# three runs each): gamma and gamma-inverse at (2999,3001) with `--input []`
-# 0.07-0.10 s and 15 MB peak RSS; big-gamma at (2991,2997) with `--input
-# [2,1]`, whose middle 3-quotient component (1,) reaches gamma at (997,999),
-# 0.08-0.09 s and 15 MB.
-PAIR_MAP_CAP = 3001
+# Largest -s and -t that every `bijection --map` accepts. Each map works in
+# time and memory linear in its moduli and the sizes of its input and output,
+# even on the empty partition: zeta reads t runners, gamma reads its two grids
+# as ranges only where the path runs, and big-gamma reaches gamma at s/g and
+# t/g and zeta at g. Measured cold at the cap with `--input []` on a 2-vCPU
+# Xeon (Python 3.11.7, three runs each): zeta at t = 1000001 0.24-0.26 s and
+# 46 MB peak RSS, zeta-inverse 0.84-0.88 s and 35 MB; gamma at
+# (999999,1000001), whose image has 250,000 parts, 3.6-4.2 s and 142 MB,
+# gamma-inverse 3.0-4.0 s and 163 MB; big-gamma at (999999,999993), g = 3,
+# 1.27-1.37 s and 58 MB, big-gamma-inverse 1.33-1.63 s and 77 MB.
+MAP_CAP = 1_000_001
 
 # Largest -s and -t that `grid` accepts: it prints every cell, row by row, so
 # its work and memory grow with s*t. Anderson's s x t grid is the largest; the
@@ -88,15 +82,15 @@ GRIDS = {
     "dh": (lattice.dh_grid, 2 * GRID_CAP - 1),
     "yinyang": (lattice.yinyang_grid, 2 * GRID_CAP - 1),
 }
-# Per --map: the map, the moduli it reads, whether it reads a straight
-# partition (forward) or a bar partition, and the cap on each modulus.
+# Per --map: the map, the moduli it reads, and whether it reads a straight
+# partition (forward) or a bar partition. MAP_CAP bounds every modulus.
 MAPS = {
-    "zeta": (zeta, "t", True, ZETA_T_CAP),
-    "zeta-inverse": (zeta_inverse, "t", False, ZETA_T_CAP),
-    "gamma": (lattice.gamma, "st", True, PAIR_MAP_CAP),
-    "gamma-inverse": (lattice.gamma_inverse, "st", False, PAIR_MAP_CAP),
-    "big-gamma": (lattice.big_gamma, "st", True, PAIR_MAP_CAP),
-    "big-gamma-inverse": (lattice.big_gamma_inverse, "st", False, PAIR_MAP_CAP),
+    "zeta": (zeta, "t", True),
+    "zeta-inverse": (zeta_inverse, "t", False),
+    "gamma": (lattice.gamma, "st", True),
+    "gamma-inverse": (lattice.gamma_inverse, "st", False),
+    "big-gamma": (lattice.big_gamma, "st", True),
+    "big-gamma-inverse": (lattice.big_gamma_inverse, "st", False),
 }
 
 
@@ -168,8 +162,8 @@ def grid(kind: str, s: int, t: int) -> None:
 
 def bijection(map_name: str, s: int | None, t: int, input_text: str) -> None:
     """Apply zeta, gamma, or big-gamma (or an inverse) to one partition."""
-    apply, reads, forward, cap = MAPS[map_name]
-    moduli = _moduli("--map", map_name, reads, s, t, cap)
+    apply, reads, forward = MAPS[map_name]
+    moduli = _moduli("--map", map_name, reads, s, t, MAP_CAP)
     kind, parts = formats.parse_partition_argument(input_text)
     if forward and kind == "bar":
         raise ValueError(f"{map_name} expects a straight partition as input")

@@ -14,7 +14,7 @@ import pytest
 
 from stcores import cli, lattice, oracle
 from stcores import series as series_module, verify as verify_module
-from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, TRUNCATION_CAP, ZETA_T_CAP
+from stcores.cli import COUNT_CAPS, GRID_CAP, MAP_CAP, TRUNCATION_CAP
 from stcores.series import TruncatedSeries
 
 
@@ -180,24 +180,45 @@ def test_count_caps_admit_the_documented_truncations(run, monkeypatch):
     assert seen == [COUNT_CAPS["straight"]] == [60]
 
 
-@pytest.mark.parametrize("map_name", ("zeta", "zeta-inverse"))
-def test_zeta_refuses_a_modulus_past_its_cap(run, map_name, monkeypatch):
-    for name in ("zeta", "zeta-inverse"):
+# Per --map: the moduli it reads, each at ``value``, as CLI arguments.
+def map_moduli(map_name, value):
+    return [word for name in cli.MAPS[map_name][1] for word in (f"-{name}", str(value))]
+
+
+@pytest.mark.parametrize("map_name", cli.MAPS)
+def test_every_map_refuses_a_modulus_past_the_cap_before_reading_input(run, map_name, monkeypatch):
+    for name in cli.MAPS:
         patch_row(monkeypatch, cli.MAPS, name, never)
     monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
-    for t in (ZETA_T_CAP + 2, 10**30 + 1):
-        result = run("bijection", "--map", map_name, "-t", str(t), "--input", "[]")
-        assert result == (1, "", f"Error: -t {t} exceeds the cap {ZETA_T_CAP} for --map {map_name}\n")
+    reads = cli.MAPS[map_name][1]
+    for big in (MAP_CAP + 2, 10**30 + 1):
+        # -s is checked before -t
+        calls = [(map_moduli(map_name, big), f"-{reads[0]}")]
+        if reads == "st":
+            calls.append((["-s", "3", "-t", str(big)], "-t"))
+        for argv, flag in calls:
+            result = run("bijection", "--map", map_name, *argv, "--input", "[]")
+            assert result == (1, "", f"Error: {flag} {big} exceeds the cap {MAP_CAP} for --map {map_name}\n")
 
 
-def test_zeta_accepts_the_cap(run, monkeypatch):
-    result = run("bijection", "--map", "zeta", "-t", str(ZETA_T_CAP), "--input", "[]")
-    assert result == (0, '{"kind":"bar","parts":[]}\n', "")
-    # zeta-inverse at the cap takes about 1.5 s; only its admission is checked
+@pytest.mark.parametrize("map_name", cli.MAPS)
+def test_every_map_accepts_the_cap(run, map_name, monkeypatch):
+    # only the admission is checked: gamma at the cap takes seconds
     seen = []
-    patch_row(monkeypatch, cli.MAPS, "zeta-inverse", lambda b, t: seen.append(t) or ())
-    assert run("bijection", "--map", "zeta-inverse", "-t", str(ZETA_T_CAP), "--input", "[]") == (0, "[]\n", "")
-    assert seen == [ZETA_T_CAP]
+    patch_row(monkeypatch, cli.MAPS, map_name, lambda parts, *moduli: seen.append(moduli) or ())
+    result = run("bijection", "--map", map_name, *map_moduli(map_name, MAP_CAP), "--input", "[]")
+    forward = cli.MAPS[map_name][2]
+    assert result == (0, '{"kind":"bar","parts":[]}\n' if forward else "[]\n", "")
+    assert seen == [(MAP_CAP,) * len(cli.MAPS[map_name][1])]
+
+
+def test_zeta_and_big_gamma_answer_at_the_cap(run):
+    cap = str(MAP_CAP)
+    result = run("bijection", "--map", "zeta", "-t", cap, "--input", "[]")
+    assert result == (0, '{"kind":"bar","parts":[]}\n', "")
+    # g = s = t: big-gamma only maps the g-core through zeta
+    result = run("bijection", "--map", "big-gamma", "-s", cap, "-t", cap, "--input", "[]")
+    assert result == (0, '{"kind":"bar","parts":[]}\n', "")
 
 
 # Every choice of --gf and --map, with each modulus it does not read.
@@ -472,34 +493,6 @@ def test_pair_maps_refuse_bad_input_in_the_library_and_the_cli(run, map_name, pa
     text = json.dumps(list(parts))
     result = run("bijection", "--map", map_name, "-s", str(s), "-t", str(t), "--input", text)
     assert result == (1, "", f"Error: {message}\n")
-
-
-@pytest.mark.parametrize("map_name", sorted(PAIR_MAPS))
-def test_pair_maps_refuse_a_parameter_past_their_cap(run, map_name, monkeypatch):
-    for name in PAIR_MAPS:
-        patch_row(monkeypatch, cli.MAPS, name, never)
-    monkeypatch.setattr(cli.formats, "parse_partition_argument", never)
-    for big in (PAIR_MAP_CAP + 2, 10**30 + 1):
-        # -s is checked before -t
-        for s, flag in ((big, "-s"), (3, "-t")):
-            result = run("bijection", "--map", map_name, "-s", str(s), "-t", str(big), "--input", "[]")
-            message = f"Error: {flag} {big} exceeds the cap {PAIR_MAP_CAP} for --map {map_name}\n"
-            assert result == (1, "", message)
-
-
-def test_pair_maps_accept_the_cap(run, monkeypatch):
-    # g = s = t: big-gamma only maps the g-core through zeta
-    cap = str(PAIR_MAP_CAP)
-    result = run("bijection", "--map", "big-gamma", "-s", cap, "-t", cap, "--input", "[]")
-    assert result == (0, '{"kind":"bar","parts":[]}\n', "")
-    # gamma near the cap takes about 2 s; only the admission is checked
-    seen = []
-    for name in PAIR_MAPS:
-        patch_row(monkeypatch, cli.MAPS, name, lambda parts, s, t: seen.append((s, t)) or ())
-    for map_name in PAIR_MAPS:
-        code, _, err = run("bijection", "--map", map_name, "-s", cap, "-t", cap, "--input", "[]")
-        assert (code, err) == (0, "")
-    assert seen == [(PAIR_MAP_CAP, PAIR_MAP_CAP)] * 4
 
 
 def test_bijection_rejects_bad_json(run):

@@ -293,8 +293,9 @@ def test_bar_abacus_reads_a_strip_of_beads_of_holes_and_of_both(b, read):
 
 
 # Every reader of a bar partition, one refusal table. (1, 1), (4, 4, 1) and
-# (9, 9) repeat a part; (1, 4) increases; (True,), (2.0,), ("a",) and (None,)
-# hold no int part, and (3, -1) and (2, 0) end below 1. (9, 9) is no
+# (9, 9) repeat a part; (1, 4) increases; (True,), (2.0,), ("a",), (None,)
+# and ([1],) hold no int part, the last one no hashable part either, and
+# (3, -1) and (2, 0) end below 1. (9, 9) is no
 # (9-bar, 15-bar)-core either, and the bar partition check comes first.
 BAR_READERS = {
     "is_tbar_core": lambda b: is_tbar_core(b, 3),
@@ -314,7 +315,7 @@ BAR_READERS = {
 
 @pytest.mark.parametrize("reader", BAR_READERS)
 @pytest.mark.parametrize(
-    "b", ((1, 1), (4, 4, 1), (1, 4), (9, 9), (True,), (3, -1), (2, 0), (2.0,), ("a",), (None,))
+    "b", ((1, 1), (4, 4, 1), (1, 4), (9, 9), (True,), (3, -1), (2, 0), (2.0,), ("a",), (None,), ([1],))
 )
 def test_bar_core_readers_refuse_input_that_is_not_a_bar_partition(reader, b):
     with pytest.raises(ValueError, match="^input is not a bar partition$"):

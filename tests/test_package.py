@@ -3,6 +3,8 @@ from pathlib import Path
 import subprocess
 import sys
 
+import pytest
+
 import stcores
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,3 +169,108 @@ def test_every_source_and_test_file_parses_as_python_3_10():
     assert len(files) > 20 and any(path.parent.name == "tools" for path in files)
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+# The library's input contract, one refusal table over stcores.__all__: every
+# public function that reads a partition or a bar partition refuses input
+# that is not one. (1, 2) increases, (2, 0) and (3, -1) end below 1, (True,)
+# holds a bool and ([1],) a list; (1, 1) and (4, 4, 1) repeat a part.
+NOT_PARTITIONS = ((1, 2), (2, 0), (3, -1), (True,), ([1],))
+NOT_BAR_PARTITIONS = (*NOT_PARTITIONS, (1, 1), (4, 4, 1))
+NOT_SELF_CONJUGATE = "input is not self-conjugate"
+
+# Per reader of a partition: the call and its refusal. zeta, gamma and
+# big-gamma test self-conjugacy first, which every input fails but (True,):
+# it equals its conjugate (1,), and their t-core test refuses it after.
+PARTITION_READERS = {
+    "decompose": (lambda p: stcores.decompose(p, 2), "input is not a partition"),
+    "gks_encode": (lambda p: stcores.gks_encode(p, 3), "input is not a partition"),
+    "is_t_core": (lambda p: stcores.is_t_core(p, 3), "input is not a partition"),
+    "is_st_core": (lambda p: stcores.is_st_core(p, 3, 5), "input is not a partition"),
+    "reconstruct": (
+        lambda p: stcores.reconstruct(stcores.StraightTower(g=3, core=(), quotient=((), p, ()))),
+        "component 1 is not a partition",
+    ),
+    "zeta": (lambda p: stcores.zeta(p, 3), NOT_SELF_CONJUGATE),
+    "gamma": (lambda p: stcores.gamma(p, 3, 5), NOT_SELF_CONJUGATE),
+    "big_gamma": (lambda p: stcores.big_gamma(p, 9, 15), NOT_SELF_CONJUGATE),
+}
+# Per reader of a bar partition: the call. Each refuses with one message.
+BAR_PARTITION_READERS = {
+    "bar_decompose": lambda b: stcores.bar_decompose(b, 3),
+    "bar_length_multiset": stcores.bar_length_multiset,
+    "bar_reconstruct": lambda b: stcores.bar_reconstruct(stcores.BarTower(g=3, core=b, quotient=((), ()))),
+    "big_gamma_inverse": lambda b: stcores.big_gamma_inverse(b, 9, 15),
+    "gamma_inverse": lambda b: stcores.gamma_inverse(b, 3, 5),
+    "is_stbar_core": lambda b: stcores.is_stbar_core(b, 3, 5),
+    "is_tbar_core": lambda b: stcores.is_tbar_core(b, 3),
+    "olsson_encode": lambda b: stcores.olsson_encode(b, 3),
+    "zeta_inverse": lambda b: stcores.zeta_inverse(b, 3),
+}
+# Readers that still answer for input that is not a partition (ROADMAP item
+# 5): a call that shows it and what it gives, a value or an exception type.
+# Once one of them refuses, its row moves to PARTITION_READERS.
+STILL_ANSWER = {
+    "conjugate": (lambda: stcores.conjugate((1, 2)), (2,)),
+    "diagonal_hooks": (lambda: stcores.diagonal_hooks((1, 2)), IndexError),
+    "first_column_hooks": (lambda: stcores.first_column_hooks((3, -1)), frozenset({4, -1})),
+    "hook_length_multiset": (lambda: stcores.hook_length_multiset((1, 2)), IndexError),
+    "is_self_conjugate": (lambda: stcores.is_self_conjugate((True,)), True),
+    "size": (lambda: stcores.size((2, 0)), 2),
+}
+# The other public names, each with the reason it has no row.
+NOT_READERS = {
+    "canonicalize any parts by design": ("as_partition", "as_bar_partition"),
+    "answers whether its input is a bar partition": ("is_bar_partition",),
+    "a type; reconstruct and bar_reconstruct read a tower's parts": (
+        "BarPartition", "BarTower", "CountTable", "Partition", "StraightTower", "TruncatedSeries",
+    ),
+    "decodes hooks, a beta-set, a charge tuple or a lattice path": (
+        "from_diagonal_hooks", "from_first_column_hooks", "gks_decode", "olsson_decode", "path_to_core",
+    ),
+    "reads moduli, sizes, series or a suite name": (
+        "anderson_grid", "barcore_counts", "barcore_gf", "congruence_scan", "convolution_psi",
+        "convolution_psi_bar", "convolution_psi_star", "core_counts", "core_gf", "count_filtered",
+        "dh_grid", "enumerate_bar_partitions", "enumerate_cores_by_paths", "enumerate_partitions",
+        "enumerate_self_conjugate", "eta_quotient", "extremal_stats", "partition_gf", "progression_extract",
+        "psi_bar_st_gf", "psi_st_gf", "psi_star_st_gf", "run_suite", "selfconj_core_counts",
+        "selfconj_core_gf", "selfconj_st_core_counts", "st_core_counts", "stbar_core_counts", "yinyang_grid",
+    ),
+}
+
+
+def test_every_public_name_is_in_the_refusal_table_or_named_with_a_reason():
+    named = [
+        *PARTITION_READERS,
+        *BAR_PARTITION_READERS,
+        *STILL_ANSWER,
+        *(name for names in NOT_READERS.values() for name in names),
+    ]
+    assert sorted(named) == stcores.__all__
+
+
+@pytest.mark.parametrize("parts", NOT_PARTITIONS)
+@pytest.mark.parametrize("reader", PARTITION_READERS)
+def test_every_public_partition_reader_refuses_what_is_not_a_partition(reader, parts):
+    read, message = PARTITION_READERS[reader]
+    if message == NOT_SELF_CONJUGATE and parts == (True,):
+        message = "input is not a partition"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read(parts)
+
+
+@pytest.mark.parametrize("b", NOT_BAR_PARTITIONS)
+@pytest.mark.parametrize("reader", BAR_PARTITION_READERS)
+def test_every_public_bar_partition_reader_refuses_what_is_not_a_bar_partition(reader, b):
+    with pytest.raises(ValueError, match="^input is not a bar partition$"):
+        BAR_PARTITION_READERS[reader](b)
+
+
+@pytest.mark.parametrize("reader", STILL_ANSWER)
+def test_each_reader_left_out_of_the_refusal_table_still_answers(reader):
+    call, answer = STILL_ANSWER[reader]
+    if isinstance(answer, type):
+        with pytest.raises(answer):
+            call()
+    else:
+        assert call() == answer

@@ -13,7 +13,7 @@ import re
 import pytest
 
 from stcores import cli, lattice, series
-from stcores.cli import COUNT_CAPS, GRID_CAP, PAIR_MAP_CAP, TRUNCATION_CAP, ZETA_T_CAP
+from stcores.cli import COUNT_CAPS, GRID_CAP, MAP_CAP, TRUNCATION_CAP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,12 +43,7 @@ CAP_CALLS = [
         ("count", "--variant", "selfconj", "-t", "5", "-N", str(COUNT_CAPS["selfconj"] + 1)),
     ),
     ("COUNT_CAPS", COUNT_CAPS["bar"], ("count", "--variant", "bar", "-t", "5", "-N", str(COUNT_CAPS["bar"] + 1))),
-    ("ZETA_T_CAP", ZETA_T_CAP, ("bijection", "--map", "zeta", "-t", str(ZETA_T_CAP + 1), "--input", "[]")),
-    (
-        "PAIR_MAP_CAP",
-        PAIR_MAP_CAP,
-        ("bijection", "--map", "gamma", "-s", str(PAIR_MAP_CAP + 1), "-t", "3", "--input", "[]"),
-    ),
+    ("MAP_CAP", MAP_CAP, ("bijection", "--map", "gamma", "-s", str(MAP_CAP + 1), "-t", "3", "--input", "[]")),
     ("GRID_CAP", GRID_CAP, ("grid", "--kind", "anderson", "-s", str(GRID_CAP + 1), "-t", "3")),
     ("TRUNCATION_CAP", TRUNCATION_CAP, ("series", "--gf", "partition", "-N", str(TRUNCATION_CAP + 1))),
 ]
