@@ -24,10 +24,10 @@ with the towers; a refusal is never cached. The public codecs in
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 
-from .bar_partitions import BarPartition, is_tbar_core
+from .bar_partitions import BarPartition, is_bar_partition, is_tbar_core
 from .encodings import (
     abacus, bar_abacus, from_abacus, from_bar_abacus, gks_decode, gks_encode, olsson_decode, olsson_encode
 )
@@ -40,6 +40,7 @@ from .partitions import (
     check_pair,
     common_divisor,
     conjugate,
+    is_partition,
 )
 
 
@@ -94,12 +95,17 @@ class BarTower(Frozen):
         return sum(map(sum, self.quotient))
 
 
-# The memoized core codecs (see the module docstring).
+# The memoized core codecs (see the module docstring). The decoders read the
+# int tuples of a pass. The encoders read a tower's core, where True == 1 and
+# 2.0 == 2 hash alike: ``reconstruct`` and ``bar_reconstruct`` refuse a core
+# that is not a partition or a bar partition before the lookup, so (True,)
+# never finds the entry of (1,), and typed keys keep g = 2.0 from the entry
+# of g = 2, so the codec refuses a float g every time.
 _g_core = cache(gks_decode)
 _g_bar_core = cache(olsson_decode)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _g_core_surplus(core: Partition, g: int) -> tuple[int, ...]:
     try:
         return gks_encode(core, g)
@@ -107,19 +113,7 @@ def _g_core_surplus(core: Partition, g: int) -> tuple[int, ...]:
         raise ValueError("tower core is not a g-core") from None
 
 
-_g_bar_core_charges = cache(olsson_encode)
-
-
-def _memo(encode, core: Partition, g: int) -> tuple[int, ...]:
-    """``encode(core, g)`` through its cache, keyed on ``tuple(core)``.
-
-    Only plain ints share an entry: True == 1 and 2.0 == 2 hash alike, so
-    any other type goes past the cache to be read (and refused) afresh.
-    """
-    core = tuple(core)
-    if {type(g), *map(type, core)} <= {int}:
-        return encode(core, g)
-    return encode.__wrapped__(core, g)
+_g_bar_core_charges = lru_cache(maxsize=None, typed=True)(olsson_encode)
 
 
 def decompose(p: Partition, g: int) -> StraightTower:
@@ -150,10 +144,13 @@ def reconstruct(tower: StraightTower) -> Partition:
     :func:`~stcores.encodings.gks_encode` reads off the core.
 
     Raises:
-        ValueError: if the tower's core is not a g-core, or a quotient
-            component is not a partition.
+        ValueError: if the tower's core is not a partition or not a g-core,
+            or a quotient component is not a partition.
     """
-    return from_abacus(_memo(_g_core_surplus, tower.core, tower.g), tower.quotient)
+    core = tuple(tower.core)
+    if not is_partition(core):
+        raise ValueError("input is not a partition")
+    return from_abacus(_g_core_surplus(core, tower.g), tower.quotient)
 
 
 def is_st_core(p: Partition, s: int, t: int) -> bool:
@@ -225,10 +222,14 @@ def bar_reconstruct(tower: BarTower) -> BarPartition:
     reads off the core.
 
     Raises:
-        ValueError: if the core is not a g-bar-core, component 0 is not a
-            bar partition, or another component is not a partition.
+        ValueError: if the core is not a bar partition or not a g-bar-core,
+            component 0 is not a bar partition, or another component is not
+            a partition.
     """
-    return from_bar_abacus(_memo(_g_bar_core_charges, tower.core, tower.g), tower.quotient)
+    core = tuple(tower.core)
+    if not is_bar_partition(core):
+        raise ValueError("input is not a bar partition")
+    return from_bar_abacus(_g_bar_core_charges(core, tower.g), tower.quotient)
 
 
 def is_stbar_core(b: BarPartition, s: int, t: int) -> bool:

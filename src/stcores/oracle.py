@@ -44,7 +44,6 @@ and at step 2 (distinct odd diagonal hooks, read by ``from_diagonal_hooks``).
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -181,7 +180,6 @@ _WALKS: dict[str, Callable[[tuple[int, ...], int], list[int]]] = {
 }
 
 
-@cache
 def _counts(variant: str, moduli: tuple[int, ...], limit: int) -> tuple[int, ...]:
     """Cores of every size 0..limit for all of ``moduli``, from one walk."""
     moduli = _moduli(variant, moduli, limit)

@@ -158,7 +158,13 @@ def conjugate(p: Partition) -> Partition:
 
 
 def is_self_conjugate(p: Partition) -> bool:
-    """True if the partition equals its conjugate."""
+    """True if the partition equals its conjugate.
+
+    Raises:
+        ValueError: for input that is not a partition.
+    """
+    if not is_partition(p):
+        raise ValueError("input is not a partition")
     # Its first row must then equal its first column; conjugating costs p[0] steps.
     return not p or p[0] == len(p) and p == conjugate(p)
 

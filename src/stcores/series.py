@@ -22,7 +22,6 @@ whose estimated work passes the cap is refused first.
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd, prod
 from typing import Iterable
 
@@ -211,21 +210,16 @@ def barcore_gf(t: int, truncation: int) -> TruncatedSeries:
     return eta_quotient(_exponents((2, 1), (t, (t + 1) // 2), (1, -1), (2 * t, -1)), truncation)
 
 
-@cache
-def _census(kind: str, s: int, t: int, limit: int) -> tuple[int, ...]:
-    """Number of cores of each size 0..limit in the census of ``kind`` for a coprime pair."""
-    return tuple(census_by_size(kind, s, t, limit))
-
-
 def _census_polynomials(*censuses: tuple[str, int, int, int, int, int]) -> list[TruncatedSeries]:
     """Per row (kind, s, t, truncation, g, e), the e-th power of a census polynomial in x**g.
 
     The census polynomial of the coprime pair (s, t) sums y**|p| over the
-    cores p of :func:`_census` of size up to truncation // g. It is raised to
-    the power e in y, at that truncation, and then substituted y = x**g. A
-    row with e = 0 is 1: its census neither runs nor is judged. Every other
-    census is judged by :func:`stcores.lattice.check_census` before any runs,
-    in row order, so the first whose work passes the cap raises ValueError.
+    cores p of ``kind`` of size up to truncation // g, as counted by
+    :func:`stcores.lattice.census_by_size`. It is raised to the power e in y,
+    at that truncation, and then substituted y = x**g. A row with e = 0 is
+    1: its census neither runs nor is judged. Every other census is judged
+    by :func:`stcores.lattice.check_census` before any runs, in row order,
+    so the first whose work passes the cap raises ValueError.
     A negative truncation in any row is refused before either.
     """
     if any(row[3] < 0 for row in censuses):
@@ -235,7 +229,7 @@ def _census_polynomials(*censuses: tuple[str, int, int, int, int, int]) -> list[
             check_census(kind, s, t, truncation // g)
     polynomials = []
     for kind, s, t, truncation, g, e in censuses:
-        power = TruncatedSeries(_census(kind, s, t, truncation // g)) ** e if e else TruncatedSeries.one(0)
+        power = TruncatedSeries(census_by_size(kind, s, t, truncation // g)) ** e if e else TruncatedSeries.one(0)
         polynomials.append(TruncatedSeries(power.coeffs, truncation).substitute_power(g))
     return polynomials
 
@@ -350,20 +344,12 @@ def progression_extract(
     if not 1 <= r <= g - 1:
         raise ValueError("r must satisfy 1 <= r <= g - 1")
     n = min(a_series.truncation, b_series.truncation)
-    # The product truncates to the shorter operand, so c_series stops at n.
+    # The product truncates to the shorter operand, so c_series stops at n;
+    # the convolution, summed term by term, is the independent side.
     c_series = a_series.substitute_power(g) * b_series
-    lhs = []
-    rhs = []
-    for k in range((n - r) // g + 1):
-        lhs.append(c_series[g * k + r])
-        rhs.append(
-            sum(
-                a_series[k - m] * b_series[g * m + r]
-                for m in range(k + 1)
-                if g * m + r <= n
-            )
-        )
-    return lhs, rhs
+    d_series = _convolve(a_series, TruncatedSeries(b_series.coeffs, n), g)
+    indices = range(r, n + 1, g)
+    return [c_series[i] for i in indices], [d_series[i] for i in indices]
 
 
 def congruence_scan(series: TruncatedSeries, g: int, modulus: int) -> tuple[int, ...]:

@@ -359,7 +359,7 @@ def test_joint_series_refuse_a_census_past_the_work_cap_before_any_census(run, g
 @pytest.mark.parametrize("gf", JOINT)
 def test_joint_series_take_a_reduced_pair_past_the_old_pair_cap(run, gf, monkeypatch):
     seen = []
-    monkeypatch.setattr(series_module, "_census", lambda kind, s, t, limit: seen.append((s, t)) or (1,))
+    monkeypatch.setattr(series_module, "census_by_size", lambda kind, s, t, limit: seen.append((s, t)) or (1,))
     # before reduction and after
     for s, t in ((3999, 4001), (3 * 4001, 3 * 3999)):
         result = run("series", "--gf", gf, "-s", str(s), "-t", str(t), "-N", "0")

@@ -278,8 +278,9 @@ def test_the_codec_memos_hold_exactly_the_cores_the_towers_meet():
 @pytest.mark.parametrize(
     "valid, tower, message",
     (
-        ((1,), StraightTower(g=2, core=(True,), quotient=((), ())), "^tower core is not a g-core$"),
-        ((2,), StraightTower(g=3, core=(2.0,), quotient=((), (), ())), "^tower core is not a g-core$"),
+        ((1,), StraightTower(g=2, core=(True,), quotient=((), ())), "^input is not a partition$"),
+        ((2,), StraightTower(g=3, core=(2.0,), quotient=((), (), ())), "^input is not a partition$"),
+        ((2,), StraightTower(g=3, core=(1, 2), quotient=((), (), ())), "^input is not a partition$"),
         ((2,), StraightTower(g=3, core=(3,), quotient=((), (), ())), "^tower core is not a g-core$"),
         ((2,), StraightTower(g=3, core=(2,), quotient=((), (1, 2), ())), "^component 1 is not a partition$"),
         ((1,), BarTower(g=3, core=(True,), quotient=((), ())), "^input is not a bar partition$"),
@@ -295,6 +296,31 @@ def test_a_refusal_is_repeated_through_the_memo(valid, tower, message):
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             rebuild(tower)
+    assert memo_sizes() == sizes
+
+
+# The encoder memos key on the type of g too: g = 2.0 equals and hashes like
+# 2, so it would find the entry of g = 2 and answer where the codec refuses.
+@pytest.mark.parametrize(
+    "tower",
+    (
+        StraightTower(g=2, core=(2, 1), quotient=((1,), ())),
+        BarTower(g=3, core=(2,), quotient=((1,), (1,))),
+    ),
+)
+def test_a_float_g_is_refused_whether_or_not_its_int_entry_is_cached(tower):
+    rebuild = reconstruct if isinstance(tower, StraightTower) else bar_reconstruct
+    floating = tower.__class__(g=float(tower.g), core=tower.core, quotient=tower.quotient)
+    for name in CODEC_MEMOS:
+        getattr(core_quotient, name).cache_clear()
+    with pytest.raises(TypeError):
+        rebuild(floating)
+    assert memo_sizes() == [0, 0, 0, 0]
+    rebuild(tower)
+    sizes = memo_sizes()
+    assert sizes != [0, 0, 0, 0]
+    with pytest.raises(TypeError):
+        rebuild(floating)
     assert memo_sizes() == sizes
 
 

@@ -410,6 +410,13 @@ def test_dh_and_yy_paths_round_trip(s, t):
         assert gamma_inverse(b, s, t) == p
 
 
+@pytest.mark.parametrize("parts", ((1, 2), (2, 0), (3, -1), (True,), ([1],)))
+def test_the_self_conjugate_path_refuses_what_is_not_a_partition(parts):
+    # the refusal of is_self_conjugate, which the path tests first
+    with pytest.raises(ValueError, match="^input is not a partition$"):
+        core_to_path("selfconj", parts, 3, 5)
+
+
 def _scanning_core_to_path(family, core, s, t):
     """core_to_path on a valid core by testing every cell of each column."""
     build = dh_grid if family == "selfconj" else yinyang_grid

@@ -126,6 +126,8 @@ def test_not_g_core_counts_hand_value():
     assert not_g_core_counts((9,), 3, 9, variant="bar")[9] >= 1
     # (2,1) is a (4,6)-core and a 2-core, (3) and (1,1,1) are not 2-cores
     assert not_g_core_counts((4, 6), 2, 3)[3] == 2
+    # the moduli are read, not hashed, so a list gives the same table
+    assert not_g_core_counts([4, 6], 2, 3) == not_g_core_counts((4, 6), 2, 3)
     assert not_g_core_counts((4,), 2, 3).label == "straight 4-cores not 2-cores"
     assert not_g_core_counts((4, 6), 2, 3).label == "straight (4,6)-cores not 2-cores"
 

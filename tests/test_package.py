@@ -177,11 +177,8 @@ def test_every_source_and_test_file_parses_as_python_3_10():
 # holds a bool and ([1],) a list; (1, 1) and (4, 4, 1) repeat a part.
 NOT_PARTITIONS = ((1, 2), (2, 0), (3, -1), (True,), ([1],))
 NOT_BAR_PARTITIONS = (*NOT_PARTITIONS, (1, 1), (4, 4, 1))
-NOT_SELF_CONJUGATE = "input is not self-conjugate"
 
-# Per reader of a partition: the call and its refusal. zeta, gamma and
-# big-gamma test self-conjugacy first, which every input fails but (True,):
-# it equals its conjugate (1,), and their t-core test refuses it after.
+# Per reader of a partition: the call and its refusal.
 PARTITION_READERS = {
     "decompose": (lambda p: stcores.decompose(p, 2), "input is not a partition"),
     "gks_encode": (lambda p: stcores.gks_encode(p, 3), "input is not a partition"),
@@ -191,9 +188,10 @@ PARTITION_READERS = {
         lambda p: stcores.reconstruct(stcores.StraightTower(g=3, core=(), quotient=((), p, ()))),
         "component 1 is not a partition",
     ),
-    "zeta": (lambda p: stcores.zeta(p, 3), NOT_SELF_CONJUGATE),
-    "gamma": (lambda p: stcores.gamma(p, 3, 5), NOT_SELF_CONJUGATE),
-    "big_gamma": (lambda p: stcores.big_gamma(p, 9, 15), NOT_SELF_CONJUGATE),
+    "is_self_conjugate": (stcores.is_self_conjugate, "input is not a partition"),
+    "zeta": (lambda p: stcores.zeta(p, 3), "input is not a partition"),
+    "gamma": (lambda p: stcores.gamma(p, 3, 5), "input is not a partition"),
+    "big_gamma": (lambda p: stcores.big_gamma(p, 9, 15), "input is not a partition"),
 }
 # Per reader of a bar partition: the call. Each refuses with one message.
 BAR_PARTITION_READERS = {
@@ -215,7 +213,6 @@ STILL_ANSWER = {
     "diagonal_hooks": (lambda: stcores.diagonal_hooks((1, 2)), IndexError),
     "first_column_hooks": (lambda: stcores.first_column_hooks((3, -1)), frozenset({4, -1})),
     "hook_length_multiset": (lambda: stcores.hook_length_multiset((1, 2)), IndexError),
-    "is_self_conjugate": (lambda: stcores.is_self_conjugate((True,)), True),
     "size": (lambda: stcores.size((2, 0)), 2),
 }
 # The other public names, each with the reason it has no row.
@@ -253,8 +250,6 @@ def test_every_public_name_is_in_the_refusal_table_or_named_with_a_reason():
 @pytest.mark.parametrize("reader", PARTITION_READERS)
 def test_every_public_partition_reader_refuses_what_is_not_a_partition(reader, parts):
     read, message = PARTITION_READERS[reader]
-    if message == NOT_SELF_CONJUGATE and parts == (True,):
-        message = "input is not a partition"
     with pytest.raises(ValueError, match=f"^{message}$"):
         read(parts)
 

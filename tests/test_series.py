@@ -1,4 +1,3 @@
-from functools import cache
 from hashlib import sha256
 from math import comb
 import re
@@ -125,7 +124,7 @@ def test_joint_builders_refuse_a_negative_truncation_before_any_census(builder, 
     build, s, t = JOINT_BUILDERS[builder]
     seen = []
     monkeypatch.setattr(series, "check_census", lambda *row: seen.append(row))
-    monkeypatch.setattr(series, "_census", lambda *row: seen.append(row) or (1,))
+    monkeypatch.setattr(series, "census_by_size", lambda *row: seen.append(row) or (1,))
     with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
         build(s, t, truncation)
     assert seen == []
@@ -389,7 +388,7 @@ def test_a_census_past_the_work_cap_is_refused_before_any_dp_or_grid(monkeypatch
 )
 def test_the_censuses_accepted_at_the_old_caps_stay_accepted(monkeypatch, build, s, t, truncation, census):
     seen = []
-    monkeypatch.setattr(series, "_census", lambda *key: seen.append(key) or (1,))
+    monkeypatch.setattr(series, "census_by_size", lambda *key: seen.append(key) or (1,))
     assert build(s, t, truncation) == TruncatedSeries.one(truncation)
     assert seen == [census]
 
@@ -409,7 +408,6 @@ def test_the_censuses_accepted_at_the_old_caps_stay_accepted(monkeypatch, build,
 )
 def test_a_census_row_of_power_zero_neither_runs_nor_is_judged(monkeypatch, build, s, t, counts, censuses):
     ran, judged = [], []
-    monkeypatch.setattr(series, "_census", cache(series._census.__wrapped__))
     monkeypatch.setattr(series, "census_by_size", lambda *key: ran.append(key) or lattice.census_by_size(*key))
     monkeypatch.setattr(series, "check_census", lambda *key: judged.append(key) or lattice.check_census(*key))
     assert build(s, t, 20).coeffs == counts(s, t, 20).counts
@@ -459,6 +457,19 @@ def test_progression_extract_matches_the_substituted_product():
         progression_extract(a, b, 3, 0)
     with pytest.raises(ValueError, match="^g must be >= 2$"):
         progression_extract(a, b, 1, 1)
+
+
+coefficient_lists = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=16)
+
+
+@given(coefficient_lists, coefficient_lists, st.integers(min_value=2, max_value=6), st.data())
+def test_progression_extract_is_the_written_out_sum(a, b, g, data):
+    # truncations differ, so the shorter one bounds both sides
+    r = data.draw(st.integers(min_value=1, max_value=g - 1))
+    n = min(len(a), len(b)) - 1
+    lhs, rhs = progression_extract(TruncatedSeries(a), TruncatedSeries(b), g, r)
+    assert rhs == [sum(a[k - m] * b[g * m + r] for m in range(k + 1)) for k in range((n - r) // g + 1)]
+    assert lhs == rhs
 
 
 def test_congruence_scan_refuses_a_small_divisor_then_a_small_modulus():
