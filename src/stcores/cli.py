@@ -24,8 +24,8 @@ from .series import TruncatedSeries
 # above -N prunes nothing: then the walk visits every (self-conjugate, bar)
 # partition of every size up to -N, and those numbers grow exponentially in
 # sqrt(N). Measured cold at each cap in that worst case on a 2-vCPU Xeon
-# (Python 3.11.7, single and joint counts, e.g. `count -t 61 -N 60`, three
-# runs each): straight 3.6-4.7 s, selfconj 0.9-1.0 s, bar 1.9-2.3 s.
+# (Python 3.11.7, `count -t 61 -N 60` and its selfconj -t 181 and bar -t 101
+# twins, five runs each): straight 1.8 s, selfconj 0.8 s, bar 1.3-1.4 s.
 COUNT_CAPS = {"straight": 60, "selfconj": 180, "bar": 100}
 
 # Largest -s and -t that every `bijection --map` accepts. Each map works in

@@ -24,7 +24,7 @@ with the towers; a refusal is never cached. The public codecs in
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from math import gcd
 
 from .bar_partitions import BarPartition, is_bar_partition, is_tbar_core
@@ -96,16 +96,16 @@ class BarTower(Frozen):
 
 
 # The memoized core codecs (see the module docstring). The decoders read the
-# int tuples of a pass. The encoders read a tower's core, where True == 1 and
-# 2.0 == 2 hash alike: ``reconstruct`` and ``bar_reconstruct`` refuse a core
+# int tuples of a pass. The encoders read a tower's core, where True equals
+# and hashes like 1: ``reconstruct`` and ``bar_reconstruct`` refuse a core
 # that is not a partition or a bar partition before the lookup, so (True,)
-# never finds the entry of (1,), and typed keys keep g = 2.0 from the entry
-# of g = 2, so the codec refuses a float g every time.
+# never finds the entry of (1,). A tower's g is an int, as its constructor
+# refuses any other.
 _g_core = cache(gks_decode)
 _g_bar_core = cache(olsson_decode)
 
 
-@lru_cache(maxsize=None, typed=True)
+@cache
 def _g_core_surplus(core: Partition, g: int) -> tuple[int, ...]:
     try:
         return gks_encode(core, g)
@@ -113,7 +113,7 @@ def _g_core_surplus(core: Partition, g: int) -> tuple[int, ...]:
         raise ValueError("tower core is not a g-core") from None
 
 
-_g_bar_core_charges = lru_cache(maxsize=None, typed=True)(olsson_encode)
+_g_bar_core_charges = cache(olsson_encode)
 
 
 def decompose(p: Partition, g: int) -> StraightTower:

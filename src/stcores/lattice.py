@@ -270,12 +270,14 @@ def enumerate_cores_by_paths(family: str, s: int, t: int) -> Iterator[Partition 
 
 # Largest census work, as check_census counts it, that the series builders
 # take on. It and the two weights below are fitted to tools/census_grid.csv (in
-# process, 2-vCPU Xeon, Python 3.11.7): accepted cells take up to 3.0 s (bar,
-# (1599,1601) to 4000), refused ones from 0.007 s (straight, (4,1601) at L = 90):
-# the straight weights date from the walk along the grid's long side.
+# process, 2-vCPU Xeon, Python 3.11.7): accepted cells take up to 3.1 s (bar,
+# (1599,1601) to 4000), the straight ones up to 0.82 s ((7,201) to 120), and
+# refused ones from 0.018 s (straight, (3,100001) at L = 60, by its columns).
 CENSUS_WORK_CAP = 300_000_000
-# Work per column, walked even at limit 0. It bounds t at 10**4: past it the
-# straight sets term undercounted a small s ((3,100001) at L = 60 took 4.9 s).
+# Work per column, walked even at limit 0, charged for the long side t in
+# every family. A straight census walks s columns, but each is a range of t
+# rows whose len() _border_heights takes, which overflows past 2**63; so t
+# stops at 10**4, the longest side that tools/census_grid.csv times.
 _COLUMN_WORK = 30_000
 # Work per self-conjugate or bar state: the most that keeps every census of t <=
 # 1601 to L <= 4000, which a reduced pair cap took on before, within the cap.
@@ -287,14 +289,15 @@ def check_census(family: str, s: int, t: int, limit: int, cap: int = CENSUS_WORK
 
     Takes the coprime pair in either order; below, s < t. A unit modulus
     passes, since :func:`census_by_size` walks no grid for it. Every census
-    walks its columns: t * _COLUMN_WORK. The straight one keeps every (k, S)
-    state of a column to the end; their number grows with traps = min(limit,
-    (s-1)(t-1)/2), the most values a core can trap, and with sets, the number
-    of sets of non-multiples of s up to ``limit`` closed under subtracting s:
-    t * min(traps**3.6, sets**1.3), compared exactly as fifth and tenth
-    powers. The others keep up to limit + 1 sums, _STATE_WORK each, at every
-    height that traps no |value| over ``limit``: one per column of t//2 and at
-    most one per cell of distinct |value| up to it.
+    pays t * _COLUMN_WORK for its columns. The straight one walks s columns
+    and keeps every (k, S) state of a column to the end; their number grows
+    with traps = min(limit, (s-1)(t-1)/2), the most values a core can trap,
+    and with sets, the number of sets of non-multiples of s up to ``limit``
+    closed under subtracting s: s * min(traps**3.6, sets**1.3), compared
+    exactly as fifth and tenth powers. The others keep up to limit + 1 sums,
+    _STATE_WORK each, at every height that traps no |value| over ``limit``:
+    one per column of t//2 and at most one per cell of distinct |value| up
+    to it.
 
     Raises:
         ValueError: for an unknown family; if the work passes ``cap``, naming
@@ -309,7 +312,7 @@ def check_census(family: str, s: int, t: int, limit: int, cap: int = CENSUS_WORK
             traps = min(limit, (s - 1) * (t - 1) // 2)
             q, a = divmod(limit, s)
             sets = (q + 2) ** a * (q + 1) ** (s - 1 - a)
-            if t**5 * traps**18 <= cap**5 or t**10 * sets**13 <= cap**10:
+            if s**5 * traps**18 <= cap**5 or s**10 * sets**13 <= cap**10:
                 return
         elif _STATE_WORK * (t // 2 + min(limit, (s // 2) * (t // 2))) * (limit + 1) <= cap:
             return

@@ -5,39 +5,37 @@ definitions alone. No generating functions and no lattice bijections are
 consulted, so these counts serve as an independent second source for every
 formula in the library.
 
-Core counts use pruned generation: the pieces of a partition are placed one
-at a time in ascending order, and a branch is dropped at the first piece
-that creates a forbidden hook or bar. A cut branch can never be repaired,
-because each test is settled when its largest piece is placed. Two walks
-do all the work:
+Core counts use pruned generation: ``_walk`` places distinct positive values
+one at a time in ascending order, the j-th weighing its value less shift * j,
+and tests each against a set of sums T: a value v >= T needs v - T placed
+(v - T = 0 counts as missing), and no two values, nor one value twice, may
+sum to a pair sum. Both tests involve only values <= v, so a cut branch can
+never be repaired: each is settled once v is placed. One row of ``_WALKS``
+per variant says what the values are:
 
-- ``_straight_walk`` places parts: the part a_j at index j adds the beta
-  value b = a_j + j, larger than every earlier value. t is a hook length iff
-  some b >= t has b - t outside the beta-set. Every later value exceeds
-  b > b - t, so whether b - t is missing is settled once b is placed;
-- ``_distinct_walk`` places distinct values and tests them against a set of
-  sums T: a value v >= T needs v - T placed (v - T = 0 counts as missing),
-  and no two values, nor one value twice, may sum to T. Both tests involve
-  only values <= v, so they are settled once v is placed. With T running
-  over the moduli and every positive value allowed this is the t-bar-core
-  test of a bar partition (a value equal to T/2 never occurs, as every
-  t-bar modulus is odd). Self-conjugate partitions are given by their set D
-  of distinct odd diagonal hooks, and by Ford-Mai-Sze (J. Number Theory
-  2009, Prop. 3.3) such a partition is a t-core iff D passes the 2t-bar-core
-  test (h > 2t needs h - 2t in D, no two members sum to 2t) and has no
-  h = t, which is h + h = 2t; so they walk the odd values with T = 2t.
+- partitions walk their beta values at shift 1: the part a_j at index j
+  (parts ascending) is the beta value a_j + j, and t is a hook length iff
+  some beta value b >= t has b - t outside the beta-set;
+- bar partitions walk their parts at shift 0, with the moduli as both sums
+  and pair sums: the t-bar-core test (a value equal to T/2 never occurs, as
+  every t-bar modulus is odd);
+- self-conjugate partitions walk their set D of distinct odd diagonal hooks,
+  the even values blocked. By Ford-Mai-Sze (J. Number Theory 2009, Prop.
+  3.3) such a partition is a t-core iff D passes the 2t-bar-core test (h >
+  2t needs h - 2t in D, no two members sum to 2t) and has no h = t, which
+  is h + h = 2t; so 2t is both a sum and a pair sum.
 
 Every node of such a tree is itself a core, so the count tables
 (``core_counts`` and the rest) walk the tree once up to the largest size
 with an explicit stack and count each accepted node by its size; no
-partition is built. These two walks are the only pruned enumerations
-here, so each pruning rule is written once. A per-size count is read off a
+partition is built. This walk is the only pruned enumeration here, so
+each pruning rule is written once. A per-size count is read off a
 table, and ``not_g_core_counts`` takes a tuple of moduli: the (4,6)-cores
 that are not 2-cores are the (4,6) table less the (4,6,2) table.
 
 ``enumerate_partitions``, ``bar_partitions.enumerate_bar_partitions`` and
 ``enumerate_self_conjugate`` with the predicates of ``partitions`` and
-``bar_partitions`` remain the unpruned reference that the walks are tested
+``bar_partitions`` remain the unpruned reference that the walk is tested
 against. The last two share one recursion over distinct parts, at step 1
 and at step 2 (distinct odd diagonal hooks, read by ``from_diagonal_hooks``).
 """
@@ -113,70 +111,54 @@ def _moduli(variant: str, moduli: Iterable[int], limit: int) -> tuple[int, ...]:
     return tuple(t for t in moduli if t <= limit)
 
 
-def _straight_walk(moduli: tuple[int, ...], limit: int) -> list[int]:
-    # A node is a partition whose parts were placed in ascending order; the
-    # part x at index j has beta value x + j, and bit b of `allowed` is set
-    # when beta value b creates no hook of any length t.
+def _walk(
+    sums: tuple[int, ...], pair_sums: tuple[int, ...], blocked: int, shift: int, limit: int
+) -> list[int]:
+    # A node is a set of distinct positive values placed in ascending order,
+    # the j-th weighing its value less shift * j. A value v >= T in `sums`
+    # needs v - T placed, and bit v of `pairs` is set when v is blocked or
+    # sums to some T in `pair_sums` with a placed value or with itself.
     counts = [0] * (limit + 1)
     counts[0] = 1
-    stack = [(0, 1, 0, 0)]  # size, smallest next part, beta-set bitmask, parts placed
+    below = [(total, (1 << total) - 1) for total in sums]
+    # partners[v] has bit T - v for each pair sum T > v: what placing v rules out
+    partners = [sum(1 << total - v for total in pair_sums if total > v) for v in range(limit + 1)]
+    pairs = blocked | sum(1 << total // 2 for total in pair_sums if total % 2 == 0)
+    gap = 1 - shift  # the next weight exceeds the last by at least this
+    stack = [(0, 1, 0, pairs, 0)]  # size, smallest next value, placed bitmask, pairs bitmask, shift * j
     while stack:
-        size, smallest, beta, j = stack.pop()
-        allowed = -1
-        for t in moduli:
-            allowed &= beta << t | (1 << t) - 1
-        room = limit - size
-        # bit i of `bits` is the part smallest + i
-        bits = allowed >> (smallest + j) & (1 << (room - smallest + 1)) - 1
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            x = smallest + low.bit_length() - 1
-            counts[size + x] += 1
-            if x + x <= room:
-                stack.append((size + x, x, beta | low << (smallest + j), j + 1))
-    return counts
-
-
-def _distinct_walk(sums: tuple[int, ...], alphabet: range, limit: int) -> list[int]:
-    # A node is a set of distinct values from `alphabet` placed in ascending
-    # order. A value v >= T needs v - T placed, and bit v of `pairs` is set
-    # when v sums to some T with a placed value or with itself (v = T/2).
-    counts = [0] * (limit + 1)
-    counts[0] = 1
-    values = sum(1 << v for v in alphabet)
-    seed = 0
-    for total in sums:
-        if total % 2 == 0:
-            seed |= 1 << total // 2
-    stack = [(0, 1, 0, seed)]  # size, smallest next value, placed bitmask, pairs bitmask
-    while stack:
-        size, smallest, placed, pairs = stack.pop()
-        allowed = values & ~pairs
-        for total in sums:
-            allowed &= placed << total | (1 << total) - 1
-        room = limit - size
-        bits = allowed >> smallest & (1 << (room - smallest + 1)) - 1
+        size, smallest, placed, pairs, j = stack.pop()
+        allowed = ~pairs
+        for total, mask in below:
+            allowed &= placed << total | mask
+        # bit i of `bits` is the value smallest + i, of weight smallest + i - j
+        base = size - j
+        bits = allowed >> smallest & (1 << (limit - base - smallest + 1)) - 1
+        # a child of value v, weight x = v - j, has room for another value
+        # iff x + x + gap <= limit - size
+        top = limit - size - gap + j + j
         while bits:
             low = bits & -bits
             bits ^= low
             v = smallest + low.bit_length() - 1
-            counts[size + v] += 1
-            if v + v < room:
-                partners = pairs
-                for total in sums:
-                    if total > v:
-                        partners |= 1 << (total - v)
-                stack.append((size + v, v + 1, placed | low << smallest, partners))
+            counts[base + v] += 1
+            if v + v <= top:
+                stack.append((base + v, v + 1, placed | low << smallest, pairs | partners[v], j + shift))
     return counts
 
 
-_WALKS: dict[str, Callable[[tuple[int, ...], int], list[int]]] = {
-    "straight": _straight_walk,
-    "selfconj": lambda moduli, limit: _distinct_walk(
-        tuple(2 * t for t in moduli), range(1, limit + 1, 2), limit
+# Per variant: the walk's sums, pair sums, blocked values and shift, from the
+# moduli and the limit. Partitions walk their beta values, bar partitions
+# their parts, and self-conjugate partitions their odd diagonal hooks.
+_WALKS: dict[str, Callable[[tuple[int, ...], int], tuple]] = {
+    "straight": lambda moduli, limit: (moduli, (), 0, 1),
+    "selfconj": lambda moduli, limit: (
+        doubled := tuple(2 * t for t in moduli),
+        doubled,
+        sum(1 << v for v in range(2, limit + 1, 2)),
+        0,
     ),
-    "bar": lambda moduli, limit: _distinct_walk(moduli, range(1, limit + 1), limit),
+    "bar": lambda moduli, limit: (moduli, moduli, 0, 0),
 }
 
 
@@ -185,7 +167,7 @@ def _counts(variant: str, moduli: tuple[int, ...], limit: int) -> tuple[int, ...
     moduli = _moduli(variant, moduli, limit)
     if limit < 0:
         return ()
-    return tuple(_WALKS[variant](moduli, limit))
+    return tuple(_walk(*_WALKS[variant](moduli, limit), limit))
 
 
 def count_filtered(n: int, predicate: Callable[[Partition], bool]) -> int:

@@ -5,9 +5,12 @@ the empty tuple is the empty partition of 0. All functions are pure and all
 values immutable, so everything here is safe to share between threads.
 
 This leaf module also holds the parameter policy: :func:`check_modulus`,
-:func:`check_pair` and :func:`common_divisor` are the only places that refuse
-a modulus or a pair, so each condition has one message in every verb. And
-:class:`Frozen` is the base of the package's immutable value classes.
+:func:`check_pair`, :func:`check_divisor` and :func:`common_divisor` are the
+only places that refuse a modulus, a divisor or a pair, so each condition has
+one message in every verb. The three checks first refuse a parameter that is
+not an int, by the readers' part test: a bool or a float is refused, an int
+subclass is not. And :class:`Frozen` is the base of the package's immutable
+value classes.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ Partition = tuple[int, ...]
 
 def check_modulus(t: int, *, odd: bool = False) -> None:
     """Refuse t < 1 for t-cores; with ``odd``, also even t (t-bar-cores, zeta)."""
+    if type(t) is not int and _not_int(t):
+        raise ValueError("t must be an integer")
     if t < 1 or odd and t % 2 == 0:
         raise ValueError("t must be odd and >= 1" if odd else "t must be >= 1")
 
@@ -30,6 +35,8 @@ def check_pair(s: int, t: int, *, odd: bool = False, coprime: bool = False) -> N
     With ``odd``, also even s or t (bar cores); with ``coprime``, then
     gcd(s, t) > 1 (the finite censuses and their grids).
     """
+    if type(s) is not int and _not_int(s) or type(t) is not int and _not_int(t):
+        raise ValueError("s and t must be integers")
     if s <= 1 or t <= 1 or odd and (s % 2 == 0 or t % 2 == 0):
         raise ValueError("s and t must be odd and exceed 1" if odd else "s and t must exceed 1")
     if coprime and gcd(s, t) != 1:
@@ -38,6 +45,8 @@ def check_pair(s: int, t: int, *, odd: bool = False, coprime: bool = False) -> N
 
 def check_divisor(g: int, *, odd: bool = False) -> None:
     """Refuse g < 2 for g-towers; with ``odd``, g even or g < 3 (bar towers)."""
+    if type(g) is not int and _not_int(g):
+        raise ValueError("g must be an integer")
     if g < 2 or odd and (g < 3 or g % 2 == 0):
         raise ValueError("g must be odd and >= 3" if odd else "g must be >= 2")
 
@@ -51,7 +60,7 @@ def common_divisor(s: int, t: int) -> int:
 
 
 class Frozen:
-    """Base of the immutable value classes (towers and count tables).
+    """Base of the immutable value classes (towers, count tables and series).
 
     A subclass names its fields in ``__slots__`` and sets them once, in
     ``__init__``, with ``object.__setattr__``. As with a frozen dataclass,

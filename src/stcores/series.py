@@ -26,13 +26,14 @@ from math import gcd, prod
 from typing import Iterable
 
 from .lattice import census_by_size, check_census
-from .partitions import check_divisor, check_modulus, check_pair, common_divisor
+from .partitions import Frozen, check_divisor, check_modulus, check_pair, common_divisor
 
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """A power series known exactly up to an inclusive truncation exponent."""
 
     __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int], truncation: int | None = None):
         cs = list(coeffs)
@@ -42,7 +43,7 @@ class TruncatedSeries:
             cs = cs[: truncation + 1] + [0] * (truncation + 1 - len(cs))
         elif not cs:
             raise ValueError("series needs either coefficients or a truncation")
-        self.coeffs: tuple[int, ...] = tuple(cs)
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
     def one(cls, truncation: int) -> "TruncatedSeries":
@@ -56,12 +57,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.truncation:
             raise IndexError(f"exponent {n} outside truncation {self.truncation}")
         return self.coeffs[n]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])

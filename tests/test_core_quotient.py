@@ -299,8 +299,8 @@ def test_a_refusal_is_repeated_through_the_memo(valid, tower, message):
     assert memo_sizes() == sizes
 
 
-# The encoder memos key on the type of g too: g = 2.0 equals and hashes like
-# 2, so it would find the entry of g = 2 and answer where the codec refuses.
+# A tower never holds a float g: g = 2.0 equals and hashes like 2, so it
+# would find the entry of g = 2, but the constructors refuse it first.
 @pytest.mark.parametrize(
     "tower",
     (
@@ -310,18 +310,17 @@ def test_a_refusal_is_repeated_through_the_memo(valid, tower, message):
 )
 def test_a_float_g_is_refused_whether_or_not_its_int_entry_is_cached(tower):
     rebuild = reconstruct if isinstance(tower, StraightTower) else bar_reconstruct
-    floating = tower.__class__(g=float(tower.g), core=tower.core, quotient=tower.quotient)
     for name in CODEC_MEMOS:
         getattr(core_quotient, name).cache_clear()
-    with pytest.raises(TypeError):
-        rebuild(floating)
-    assert memo_sizes() == [0, 0, 0, 0]
-    rebuild(tower)
-    sizes = memo_sizes()
-    assert sizes != [0, 0, 0, 0]
-    with pytest.raises(TypeError):
-        rebuild(floating)
-    assert memo_sizes() == sizes
+    for cached in (False, True):
+        if cached:
+            rebuild(tower)
+        sizes = memo_sizes()
+        assert (sizes != [0, 0, 0, 0]) == cached
+        for g in (2.0, 3.0):
+            with pytest.raises(ValueError, match="^g must be an integer$"):
+                tower.__class__(g=g, core=tower.core, quotient=tower.quotient)
+        assert memo_sizes() == sizes
 
 
 def test_a_tower_with_a_list_core_still_reconstructs():

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 import subprocess
 import sys
@@ -269,3 +270,74 @@ def test_each_reader_left_out_of_the_refusal_table_still_answers(reader):
             call()
     else:
         assert call() == answer
+
+
+# Per public name that takes a modulus, a divisor or a pair: the call with
+# one of them as x, and its refusal. The checks of ``partitions`` refuse a
+# parameter that is not an int before any range test, so 2.0 and True are
+# refused here whatever the parity or the size the call asks for.
+PAIR = "s and t must be integers"
+MODULUS_TAKERS = {
+    "BarTower": (lambda x: stcores.BarTower(g=x, core=(), quotient=((), ())), "g must be an integer"),
+    "StraightTower": (lambda x: stcores.StraightTower(g=x, core=(), quotient=((), ())), "g must be an integer"),
+    "anderson_grid": (lambda x: stcores.anderson_grid(x, 3), PAIR),
+    "bar_decompose": (lambda x: stcores.bar_decompose((1,), x), "g must be an integer"),
+    "barcore_counts": (lambda x: stcores.barcore_counts(x, 5), "t must be an integer"),
+    "barcore_gf": (lambda x: stcores.barcore_gf(x, 5), "t must be an integer"),
+    "big_gamma": (lambda x: stcores.big_gamma((), 3, x), PAIR),
+    "big_gamma_inverse": (lambda x: stcores.big_gamma_inverse((), x, 9), PAIR),
+    "congruence_scan": (lambda x: stcores.congruence_scan(stcores.core_gf(2, 5), x, 5), "g must be an integer"),
+    "convolution_psi": (lambda x: stcores.convolution_psi(x, 4, 5), PAIR),
+    "convolution_psi_bar": (lambda x: stcores.convolution_psi_bar(3, x, 5), PAIR),
+    "convolution_psi_star": (lambda x: stcores.convolution_psi_star(x, 4, 5), PAIR),
+    "core_counts": (lambda x: stcores.core_counts(x, 5), "t must be an integer"),
+    "core_gf": (lambda x: stcores.core_gf(x, 5), "t must be an integer"),
+    "decompose": (lambda x: stcores.decompose((1,), x), "g must be an integer"),
+    "dh_grid": (lambda x: stcores.dh_grid(2, x), PAIR),
+    "enumerate_cores_by_paths": (lambda x: list(stcores.enumerate_cores_by_paths("straight", x, 3)), PAIR),
+    "extremal_stats": (lambda x: stcores.extremal_stats(x, 3), PAIR),
+    "gamma": (lambda x: stcores.gamma((), x, 5), PAIR),
+    "gamma_inverse": (lambda x: stcores.gamma_inverse((), 3, x), PAIR),
+    "gks_encode": (lambda x: stcores.gks_encode((1,), x), "t must be an integer"),
+    "is_st_core": (lambda x: stcores.is_st_core((1,), 2, x), PAIR),
+    "is_stbar_core": (lambda x: stcores.is_stbar_core((1,), x, 5), PAIR),
+    "is_t_core": (lambda x: stcores.is_t_core((1,), x), "t must be an integer"),
+    "is_tbar_core": (lambda x: stcores.is_tbar_core((1,), x), "t must be an integer"),
+    "olsson_encode": (lambda x: stcores.olsson_encode((1,), x), "t must be an integer"),
+    "path_to_core": (lambda x: stcores.path_to_core("straight", (1, 2, 2), x, 3), PAIR),
+    "progression_extract": (
+        lambda x: stcores.progression_extract(stcores.core_gf(2, 5), stcores.core_gf(2, 5), x, 1),
+        "g must be an integer",
+    ),
+    "psi_bar_st_gf": (lambda x: stcores.psi_bar_st_gf(x, 9, 5), PAIR),
+    "psi_st_gf": (lambda x: stcores.psi_st_gf(2, x, 5), PAIR),
+    "psi_star_st_gf": (lambda x: stcores.psi_star_st_gf(x, 4, 5), PAIR),
+    "selfconj_core_counts": (lambda x: stcores.selfconj_core_counts(x, 5), "t must be an integer"),
+    "selfconj_core_gf": (lambda x: stcores.selfconj_core_gf(x, 5), "t must be an integer"),
+    "selfconj_st_core_counts": (lambda x: stcores.selfconj_st_core_counts(2, x, 5), PAIR),
+    "st_core_counts": (lambda x: stcores.st_core_counts(x, 3, 5), PAIR),
+    "stbar_core_counts": (lambda x: stcores.stbar_core_counts(3, x, 5), PAIR),
+    "yinyang_grid": (lambda x: stcores.yinyang_grid(x, 5), PAIR),
+    "zeta": (lambda x: stcores.zeta((), x), "t must be an integer"),
+    "zeta_inverse": (lambda x: stcores.zeta_inverse((), x), "t must be an integer"),
+}
+
+
+def test_the_modulus_table_holds_every_public_name_that_takes_s_t_or_g():
+    takers = set()
+    for name in stcores.__all__:
+        try:
+            parameters = inspect.signature(getattr(stcores, name)).parameters
+        except (TypeError, ValueError):
+            continue  # an alias of tuple[int, ...]
+        if {"s", "t", "g"} & set(parameters):
+            takers.add(name)
+    assert set(MODULUS_TAKERS) == takers
+
+
+@pytest.mark.parametrize("x", (2.0, True))
+@pytest.mark.parametrize("name", MODULUS_TAKERS)
+def test_every_public_name_refuses_a_modulus_that_is_not_an_int(name, x):
+    call, message = MODULUS_TAKERS[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(x)

@@ -1,5 +1,7 @@
+import copy
 from hashlib import sha256
 from math import comb
+import pickle
 import re
 
 from hypothesis import given, strategies as st
@@ -93,6 +95,17 @@ def test_equal_series_hash_equal_and_serve_as_keys():
     table[b] = "second"
     assert table == {TruncatedSeries([1, 2, 0, 0, 0]): "second"}
     assert TruncatedSeries([1, 2], 5) not in table
+
+
+def test_a_series_is_a_frozen_value_that_pickles_and_copies():
+    # a key cannot be changed in place, so it stays in the tables it keys
+    a = core_gf(2, 5)
+    table = {a: 1}
+    with pytest.raises(AttributeError, match="^cannot assign to field 'coeffs'$"):
+        a.coeffs = (9,)
+    assert a in table and a.coeffs == (1, 1, 0, 1, 0, 0)
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a)):
+        assert twin == a and hash(twin) == hash(a) and twin.truncation == 5
 
 
 def test_series_refuse_what_they_cannot_represent():
@@ -333,10 +346,11 @@ def test_psi_over_a_reduced_pair_past_enumeration():
     assert psi_st_gf(26, 34, 25) == partition_gf(25)
 
 
-@pytest.mark.parametrize("s, t", ((2, 301), (2, 1601), (3, 1601), (5, 151)))
+@pytest.mark.parametrize("s, t", ((2, 301), (2, 1601), (3, 1601), (5, 151), (7, 201)))
 def test_psi_at_a_lopsided_pair_passes_the_census_work_cap(s, t):
     # A core of size at most 60 < t has no hook length t, so the (s,t)-cores
-    # up to 60 are the s-cores; the few sets a small s admits keep it cheap.
+    # up to 60 are the s-cores, and psi is the census of its s columns; the
+    # few sets a small s admits keep it cheap.
     assert psi_st_gf(s, t, 60) == core_gf(s, 60)
 
 
